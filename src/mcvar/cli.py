@@ -33,7 +33,6 @@ from .estimation import (
     Model,
     ModelConfig,
     construct_model,
-    count_params,
     fit_model,
     fit_unrestricted,
     loglik_full,
@@ -514,21 +513,19 @@ def _fit_config_doc(doc, ds, args):
     k = args.k if args.k is not None else int(doc["k"])
     fams = _margin_families(doc, ds.values.shape[0])
     if doc.get("kind", "margin-closed") == "unrestricted":
-        uf = fit_unrestricted(ds.values, fams, k)
-        return {
-            "kind": "unrestricted", "k": k,
-            "loglik": uf.loglik, "n_params": uf.n_params,
-            "aic": uf.aic, "bic": uf.bic,
-        }
-    config = ModelConfig(
-        partition=part,
-        labels=tuple(int(c) for c in doc["labels"]),
-        k=k,
-        margin_families=fams,
-    )
-    fm = fit_model(ds.values, config, stage4=args.stage4 or bool(doc.get("stage4", False)))
+        # the one-sub-process fit; stage 4 does not apply to the benchmark
+        kind, fm = "unrestricted", fit_unrestricted(ds.values, fams, k)
+    else:
+        config = ModelConfig(
+            partition=part,
+            labels=tuple(int(c) for c in doc["labels"]),
+            k=k,
+            margin_families=fams,
+        )
+        stage4 = args.stage4 or bool(doc.get("stage4", False))
+        kind, fm = "margin-closed", fit_model(ds.values, config, stage4=stage4)
     return {
-        "kind": "margin-closed", "k": k,
+        "kind": kind, "k": k,
         "loglik": fm.loglik, "n_params": fm.n_params,
         "aic": fm.aic, "bic": fm.bic,
     }

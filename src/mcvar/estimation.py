@@ -22,7 +22,6 @@ from scipy.stats import chi2
 from .closure import (
     CrossFixedBlock,
     CrossSolution,
-    DegenerateCrossPair,
     Partition,
     SubprocessCorr,
     assemble_full_R,
@@ -31,14 +30,10 @@ from .closure import (
     solve_cross_pair,
 )
 from .linalg import PD_TOL, gaussian_condition
-from .margins import MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
+from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Objective value used in place of -loglik when a parameter point leaves the
-# positive definite region; graded so the optimizer can slide back in.
-_BARRIER = 1e9
 
 __all__ = [
     "ModelConfig",
@@ -47,7 +42,6 @@ __all__ = [
     "FittedModel",
     "SubprocessFit",
     "Stage3Fit",
-    "UnrestrictedFit",
     "gaussian_var_loglik",
     "loglik_full",
     "loglik_sub",
@@ -240,7 +234,7 @@ def _margin_correction(data, margins, z):
 def loglik_full(data, margins, r, k):
     """Full-model log likelihood: latent Gaussian term plus margin correction."""
     data = np.asarray(data, dtype=float)
-    z = np.vstack([pit_to_normal(data[i], margins[i]) for i in range(data.shape[0])])
+    z = _scores(data, margins, range(data.shape[0]))
     return gaussian_var_loglik(z, r, k) + _margin_correction(data, margins, z)
 
 
@@ -253,19 +247,72 @@ def loglik_sub(data, margins, indices, k, corr):
     indices = list(indices)
     sub_data = np.asarray(data, dtype=float)[indices]
     sub_margins = [margins[v] for v in indices]
-    z = np.vstack([pit_to_normal(sub_data[i], sub_margins[i]) for i in range(len(indices))])
+    z = _scores(sub_data, sub_margins, range(len(indices)))
     return gaussian_var_loglik(z, corr.toeplitz(), k) + _margin_correction(
         sub_data, sub_margins, z
     )
 
 
-def _pd_violation(mat):
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    return max(0.0, PD_TOL - float(w[0]))
+# -- the estimation engine shared by stages 2-4 ------------------------------
+#
+# A stage supplies ``build(theta)`` returning the time-major R; it calls
+# _require_pd on every matrix its parametrisation does not keep positive
+# definite.  Objective values stand in for -loglik at infeasible points and
+# are graded so the optimizer can slide back in.
+_BARRIER = 1e9
+_MAXITER = 4000  # per start, stages 2 and 3
+_MAXITER_REFINE = 8000  # stage 4
 
 
-def _barrier(violation):
-    return _BARRIER * (1.0 + violation)
+class _NotPositiveDefinite(Exception):
+    """Raised with how far the smallest eigenvalue falls below PD_TOL."""
+
+
+def _require_pd(mat):
+    violation = PD_TOL - float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    if violation > 0.0:
+        raise _NotPositiveDefinite(violation)
+    return mat
+
+
+def _objective(z, k, build):
+    """Negative latent log likelihood of ``build(theta)``, a barrier value if infeasible.
+
+    A PD violation v scores _BARRIER (1 + v); a degenerate cross pair or a
+    failed factorization (both LinAlgError) scores 2 _BARRIER.
+    """
+
+    def nll(theta):
+        try:
+            return -gaussian_var_loglik(z, build(theta), k)
+        except _NotPositiveDefinite as exc:
+            return _BARRIER * (1.0 + exc.args[0])
+        except np.linalg.LinAlgError:
+            return 2.0 * _BARRIER
+
+    return nll
+
+
+def _starts(n_theta, moment):
+    """Zeros, then the moment estimate ``moment()`` and half of it unless it fails."""
+    try:
+        m = moment()
+    except np.linalg.LinAlgError:
+        return [np.zeros(n_theta)]
+    return [np.zeros(n_theta), m, 0.5 * m]
+
+
+def _minimize(nll, starts, maxiter):
+    """Nelder-Mead from every start; the first result with the lowest value wins."""
+    options = {"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-9}
+    runs = [optimize.minimize(nll, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                              options=options) for x0 in starts]
+    return min(runs, key=lambda res: res.fun)
+
+
+def _scores(data, margins, indices):
+    """Latent normal scores of the variables ``indices``, one row each."""
+    return np.vstack([pit_to_normal(data[v], margins[v]) for v in indices])
 
 
 # -- stage 2: per-sub-process dependence ------------------------------------
@@ -332,28 +379,19 @@ def _corr_to_theta(corr):
     return np.concatenate(parts)
 
 
+def _sample_corr(z, k):
+    """Sample autocovariances of lags 0..k scaled by the lag-0 standard deviations."""
+    stats = sample_statistics(z, k)
+    scale = 1.0 / np.sqrt(np.diag(stats.autocov[0]))
+    return [stats.autocov[l] * np.outer(scale, scale) for l in range(k + 1)]
+
+
 def _moment_corr(z, k):
     """Sample correlation blocks of a latent series, normalized to unit diagonal."""
-    stats = sample_statistics(z, k)
-    c0 = stats.autocov[0]
-    scale = 1.0 / np.sqrt(np.diag(c0))
-    blocks = []
-    for length in range(k + 1):
-        b = stats.autocov[length] * np.outer(scale, scale)
-        if length == 0:
-            b = 0.5 * (b + b.T)
-            np.fill_diagonal(b, 1.0)
-        blocks.append(b)
-    return SubprocessCorr(blocks=tuple(blocks))
-
-
-def _nelder_mead(fun, x0, maxiter):
-    return optimize.minimize(
-        fun,
-        np.asarray(x0, dtype=float),
-        method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-9},
-    )
+    blocks = _sample_corr(z, k)
+    b0 = 0.5 * (blocks[0] + blocks[0].T)
+    np.fill_diagonal(b0, 1.0)
+    return SubprocessCorr(blocks=tuple([b0] + blocks[1:]))
 
 
 @dataclass(frozen=True)
@@ -364,43 +402,33 @@ class SubprocessFit:
     converged: bool
 
 
-def fit_stage2(data, margins, indices, k, maxiter=4000):
+def _checked_corr(theta, d, k):
+    """:func:`_theta_to_corr`, requiring a PD Toeplitz when d > 1 (raw entries)."""
+    corr = _theta_to_corr(theta, d, k)
+    if d > 1:
+        _require_pd(corr.toeplitz())
+    return corr
+
+
+def fit_stage2(data, margins, indices, k):
     """Quasi-MLE of one sub-process's correlation blocks on the latent scale.
 
     Runs Nelder-Mead from three deterministic starts (zeros, sample moments,
     half the sample moments) and keeps the best.
     """
     indices = list(indices)
-    data = np.asarray(data, dtype=float)
-    z = np.vstack([pit_to_normal(data[v], margins[v]) for v in indices])
+    z = _scores(np.asarray(data, dtype=float), margins, indices)
     d = len(indices)
-
-    def nll(theta):
-        corr = _theta_to_corr(theta, d, k)
-        if d > 1:
-            bad = _pd_violation(corr.toeplitz())
-            if bad > 0.0:
-                return _barrier(bad)
-        try:
-            return -gaussian_var_loglik(z, corr.toeplitz(), k)
-        except np.linalg.LinAlgError:
-            return _barrier(1.0)
-
-    n_theta = _sub_theta_len(d, k)
-    starts = [np.zeros(n_theta)]
-    try:
-        moment = _corr_to_theta(_moment_corr(z, k))
-        starts += [moment, 0.5 * moment]
-    except np.linalg.LinAlgError:
-        pass
-    best, ok = None, False
-    for x0 in starts:
-        res = _nelder_mead(nll, x0, maxiter)
-        if best is None or res.fun < best.fun:
-            best, ok = res, bool(res.success)
-    corr = _theta_to_corr(best.x, d, k)
+    best = _minimize(
+        _objective(z, k, lambda theta: _checked_corr(theta, d, k).toeplitz()),
+        _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k))),
+        _MAXITER,
+    )
     return SubprocessFit(
-        indices=tuple(indices), corr=corr, loglik=-float(best.fun), converged=ok
+        indices=tuple(indices),
+        corr=_theta_to_corr(best.x, d, k),
+        loglik=-float(best.fun),
+        converged=bool(best.success),
     )
 
 
@@ -411,7 +439,8 @@ def _pair_list(n):
 
 
 def _pack_fixed(fixed_blocks):
-    return np.concatenate([fb.value.ravel() for fb in fixed_blocks])
+    """All fixed blocks as one vector, empty when the partition has no pairs."""
+    return np.concatenate([np.zeros(0)] + [fb.value.ravel() for fb in fixed_blocks])
 
 
 def _unpack_fixed(theta, partition, labels, k):
@@ -442,9 +471,7 @@ def _build_time_major(partition, labels, k, subs, fixed_blocks):
 
 def _moment_fixed_blocks(z, partition, labels, k):
     """Sample cross correlations at each pair's fixed lag."""
-    stats = sample_statistics(z, k)
-    scale = 1.0 / np.sqrt(np.diag(stats.autocov[0]))
-    norm = [stats.autocov[l] * np.outer(scale, scale) for l in range(k + 1)]
+    norm = _sample_corr(z, k)
 
     def cross(l):
         return norm[l] if l >= 0 else norm[-l].T
@@ -465,7 +492,7 @@ class Stage3Fit:
     converged: bool
 
 
-def fit_stage3(data, margins, subproc_corrs, labels, partition, k, maxiter=4000):
+def fit_stage3(data, margins, subproc_corrs, labels, partition, k):
     """Joint quasi-MLE of every pair's fixed cross block.
 
     Sub-process blocks stay at their stage-2 values; each objective
@@ -473,47 +500,31 @@ def fit_stage3(data, margins, subproc_corrs, labels, partition, k, maxiter=4000)
     blocks and scores the assembled correlation matrix.
     """
     data = np.asarray(data, dtype=float)
-    z = np.vstack([pit_to_normal(data[i], margins[i]) for i in range(data.shape[0])])
+    z = _scores(data, margins, range(data.shape[0]))
     subs = list(subproc_corrs)
 
-    def nll(theta):
+    def build(theta):
         fixed = _unpack_fixed(theta, partition, labels, k)
-        try:
-            _, r = _build_time_major(partition, labels, k, subs, fixed)
-        except DegenerateCrossPair:
-            return _barrier(1.0)
-        bad = _pd_violation(r)
-        if bad > 0.0:
-            return _barrier(bad)
-        try:
-            return -gaussian_var_loglik(z, r, k)
-        except np.linalg.LinAlgError:
-            return _barrier(1.0)
+        return _require_pd(_build_time_major(partition, labels, k, subs, fixed)[1])
 
     n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
                   for i, j in _pair_list(partition.n))
-    starts = [np.zeros(n_theta)]
-    try:
-        moment = _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))
-        starts += [moment, 0.5 * moment]
-    except np.linalg.LinAlgError:
-        pass
-    best, ok = None, False
-    for x0 in starts:
-        res = _nelder_mead(nll, x0, maxiter)
-        if best is None or res.fun < best.fun:
-            best, ok = res, bool(res.success)
+    best = _minimize(
+        _objective(z, k, build),
+        _starts(n_theta, lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
+        _MAXITER,
+    )
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, k, subs, fixed)
     return Stage3Fit(
         fixed_blocks=tuple(fixed),
         crosses=tuple(crosses),
         loglik=-float(best.fun),
-        converged=ok,
+        converged=bool(best.success),
     )
 
 
-def fit_stage4(data, margins, partition, labels, subs, fixed_blocks, k, maxiter=8000):
+def fit_stage4(data, margins, partition, labels, subs, fixed_blocks, k):
     """Joint refinement of all dependence parameters from the warm start.
 
     A single Nelder-Mead run started at the stage 2 + 3 solution; since the
@@ -521,44 +532,19 @@ def fit_stage4(data, margins, partition, labels, subs, fixed_blocks, k, maxiter=
     likelihood can only improve.
     """
     data = np.asarray(data, dtype=float)
-    z = np.vstack([pit_to_normal(data[i], margins[i]) for i in range(data.shape[0])])
+    z = _scores(data, margins, range(data.shape[0]))
     dims = [len(s) for s in partition.sets]
-    sub_lens = [_sub_theta_len(d, k) for d in dims]
+    cuts = np.cumsum([_sub_theta_len(d, k) for d in dims])
 
-    def split(theta):
-        parts, off = [], 0
-        for n in sub_lens:
-            parts.append(theta[off:off + n])
-            off += n
-        return parts, theta[off:]
-
-    def nll(theta):
-        sub_thetas, cross_theta = split(theta)
-        try:
-            trial_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
-        except ValueError:
-            return _barrier(1.0)
-        for sub in trial_subs:
-            if sub.dim > 1:
-                bad = _pd_violation(sub.toeplitz())
-                if bad > 0.0:
-                    return _barrier(bad)
+    def build(theta):
+        *sub_thetas, cross_theta = np.split(theta, cuts)
+        trial_subs = [_checked_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
         fixed = _unpack_fixed(cross_theta, partition, labels, k)
-        try:
-            _, r = _build_time_major(partition, labels, k, trial_subs, fixed)
-        except DegenerateCrossPair:
-            return _barrier(1.0)
-        bad = _pd_violation(r)
-        if bad > 0.0:
-            return _barrier(bad)
-        try:
-            return -gaussian_var_loglik(z, r, k)
-        except np.linalg.LinAlgError:
-            return _barrier(1.0)
+        return _require_pd(_build_time_major(partition, labels, k, trial_subs, fixed)[1])
 
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    res = _nelder_mead(nll, x0, maxiter)
-    sub_thetas, cross_theta = split(res.x)
+    res = _minimize(_objective(z, k, build), [x0], _MAXITER_REFINE)
+    *sub_thetas, cross_theta = np.split(res.x, cuts)
     out_subs = tuple(_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims))
     fixed = tuple(_unpack_fixed(cross_theta, partition, labels, k))
     crosses, _ = _build_time_major(partition, labels, k, list(out_subs), list(fixed))
@@ -579,7 +565,11 @@ class FittedModel:
 
 
 def fit_model(data, config, stage4=False):
-    """Run the full multi-stage fit and return the fitted model with scores."""
+    """Run the full multi-stage fit and return the fitted model with scores.
+
+    A one-set partition has no pairs, so stage 3 is skipped and its entry in
+    ``stage_logliks`` repeats the stage-2 value.
+    """
     data = np.asarray(data, dtype=float)
     d, T = data.shape
     if d != config.partition.d:
@@ -592,16 +582,18 @@ def fit_model(data, config, stage4=False):
         fit_stage2(data, margins, s, config.k) for s in config.partition.sets
     )
     subs = [sf.corr for sf in sub_fits]
-    st3 = fit_stage3(
-        data, margins, subs, config.labels, config.partition, config.k
-    )
-    fixed = list(st3.fixed_blocks)
-    crosses = st3.crosses
-    stage_logliks = {
-        "stage2": [sf.loglik for sf in sub_fits],
-        "stage3": st3.loglik,
-    }
-    converged = all(sf.converged for sf in sub_fits) and st3.converged
+    converged = all(sf.converged for sf in sub_fits)
+    stage_logliks = {"stage2": [sf.loglik for sf in sub_fits]}
+    if config.partition.n == 1:
+        fixed, crosses = [], ()
+        stage_logliks["stage3"] = sub_fits[0].loglik
+    else:
+        st3 = fit_stage3(
+            data, margins, subs, config.labels, config.partition, config.k
+        )
+        fixed, crosses = list(st3.fixed_blocks), st3.crosses
+        stage_logliks["stage3"] = st3.loglik
+        converged = converged and st3.converged
     if stage4:
         subs, fixed, crosses, ll4, ok4 = fit_stage4(
             data, margins, config.partition, config.labels, subs, fixed, config.k
@@ -631,64 +623,20 @@ def fit_model(data, config, stage4=False):
     )
 
 
-@dataclass(frozen=True)
-class UnrestrictedFit:
-    margins: tuple
-    corr: SubprocessCorr
-    loglik: float
-    n_params: int
-    aic: float
-    bic: float
-    converged: bool
-
-
-def fit_unrestricted(data, margin_families, k, maxiter=8000):
+def fit_unrestricted(data, margin_families, k):
     """Benchmark fit with the same margins but an unconstrained VAR(k) copula.
 
-    All correlation blocks are optimized directly with the positive definite
-    barrier; no margin-closure structure is imposed.
+    This is :func:`fit_model` on the one-set partition: all correlation
+    blocks are fitted directly and no margin-closure structure is imposed.
     """
-    data = np.asarray(data, dtype=float)
-    d, T = data.shape
-    margin_fits = [fit_margin(data[i], fam) for i, fam in enumerate(margin_families)]
-    margins = tuple(mf.spec for mf in margin_fits)
-    z = np.vstack([pit_to_normal(data[i], margins[i]) for i in range(d)])
-
-    def nll(theta):
-        corr = _theta_to_corr(theta, d, k)
-        if d > 1:
-            bad = _pd_violation(corr.toeplitz())
-            if bad > 0.0:
-                return _barrier(bad)
-        try:
-            return -gaussian_var_loglik(z, corr.toeplitz(), k)
-        except np.linalg.LinAlgError:
-            return _barrier(1.0)
-
-    n_theta = _sub_theta_len(d, k)
-    starts = [np.zeros(n_theta)]
-    try:
-        moment = _corr_to_theta(_moment_corr(z, k))
-        starts += [moment, 0.5 * moment]
-    except np.linalg.LinAlgError:
-        pass
-    best, ok = None, False
-    for x0 in starts:
-        res = _nelder_mead(nll, x0, maxiter)
-        if best is None or res.fun < best.fun:
-            best, ok = res, bool(res.success)
-    corr = _theta_to_corr(best.x, d, k)
-    ll = gaussian_var_loglik(z, corr.toeplitz(), k) + _margin_correction(data, margins, z)
-    p = sum(m.n_params for m in margins) + d * (d - 1) // 2 + k * d * d
-    return UnrestrictedFit(
-        margins=margins,
-        corr=corr,
-        loglik=ll,
-        n_params=p,
-        aic=2.0 * p - 2.0 * ll,
-        bic=p * float(np.log(T)) - 2.0 * ll,
-        converged=ok,
+    d = np.asarray(data).shape[0]
+    config = ModelConfig(
+        partition=Partition(sets=(tuple(range(d)),), d=d),
+        labels=(1,),
+        k=k,
+        margin_families=margin_families,
     )
+    return fit_model(data, config)
 
 
 def count_params(config, restricted=True):
@@ -696,18 +644,12 @@ def count_params(config, restricted=True):
 
     Margin-closed models carry d_i(d_i-1)/2 + k d_i^2 parameters per
     sub-process plus one d_i x d_j fixed block per pair; the unrestricted
-    benchmark carries d(d-1)/2 + k d^2.
+    benchmark is the one-set case, d(d-1)/2 + k d^2.
     """
-    margin_p = sum(
-        MarginSpec(f, (0.0, 1.0) if f == "gaussian" else (0.0, 1.0, 1.0, 1.0)).n_params
-        for f in config.margin_families
-    )
-    if not restricted:
-        d = config.partition.d
-        return margin_p + d * (d - 1) // 2 + config.k * d * d
-    dims = [len(s) for s in config.partition.sets]
+    margin_p = sum(len(FAMILY_PARAMS[f]) for f in config.margin_families)
+    dims = [len(s) for s in config.partition.sets] if restricted else [config.partition.d]
     dep = sum(di * (di - 1) // 2 + config.k * di * di for di in dims)
-    dep += sum(dims[i] * dims[j] for i, j in _pair_list(config.partition.n))
+    dep += sum(dims[i] * dims[j] for i, j in _pair_list(len(dims)))
     return margin_p + dep
 
 

@@ -24,7 +24,11 @@ PIT_CLAMP = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Parameter names of each margin family, in the order of ``MarginSpec.params``.
+FAMILY_PARAMS = {"gaussian": ("loc", "scale"), "skewt": ("loc", "scale", "a", "b")}
+
 __all__ = [
+    "FAMILY_PARAMS",
     "MarginSpec",
     "MarginFit",
     "pdf",
@@ -50,20 +54,15 @@ class MarginSpec:
     def __post_init__(self):
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        if self.family == "gaussian":
-            if len(params) != 2:
-                raise ValueError("gaussian margin takes (loc, scale)")
-            if params[1] <= 0:
-                raise ValueError("scale must be positive")
-        elif self.family == "skewt":
-            if len(params) != 4:
-                raise ValueError("skewt margin takes (loc, scale, a, b)")
-            if params[1] <= 0:
-                raise ValueError("scale must be positive")
-            if params[2] <= 0 or params[3] <= 0:
-                raise ValueError("tail parameters a, b must be positive")
-        else:
+        names = FAMILY_PARAMS.get(self.family)
+        if names is None:
             raise ValueError("unknown margin family %r" % self.family)
+        if len(params) != len(names):
+            raise ValueError("%s margin takes (%s)" % (self.family, ", ".join(names)))
+        if params[1] <= 0:
+            raise ValueError("scale must be positive")
+        if any(p <= 0 for p in params[2:]):
+            raise ValueError("tail parameters a, b must be positive")
 
     @property
     def n_params(self):

@@ -8,6 +8,7 @@ variable).
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.special import ndtri
 
 from .linalg import PD_TOL, symmetrize
@@ -136,9 +137,9 @@ def is_stationary(var, tol=STATIONARITY_TOL):
 def implied_autocov(var, m):
     """Autocovariance blocks Gamma(0)..Gamma(m) of a stationary VAR.
 
-    Gamma(0)..Gamma(k-1) come from the discrete Lyapunov equation of the
-    companion form (solved through the vec/Kronecker identity); higher lags
-    follow the recursion Gamma(l) = sum_j Phi_j Gamma(l - j).
+    Gamma(0)..Gamma(k-1) come from the discrete Lyapunov equation
+    S = F S F' + Q of the companion form; higher lags follow the recursion
+    Gamma(l) = sum_j Phi_j Gamma(l - j).
     """
     if not is_stationary(var):
         raise ValueError("implied_autocov requires a stationary VAR")
@@ -146,9 +147,7 @@ def implied_autocov(var, m):
     F = var.companion()
     Q = np.zeros_like(F)
     Q[:d, :d] = var.sigma
-    n = F.shape[0]
-    S = np.linalg.solve(np.eye(n * n) - np.kron(F, F), Q.reshape(-1))
-    S = S.reshape(n, n)
+    S = solve_discrete_lyapunov(F, Q)
     S = 0.5 * (S + S.T)
     gam = [S[:d, l * d:(l + 1) * d] for l in range(k)]
     gam[0] = 0.5 * (gam[0] + gam[0].T)

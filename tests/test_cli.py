@@ -193,6 +193,29 @@ def test_simulate_uses_config_seed_default(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def test_fit_single_set_partition(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model_path = str(tmp_path / "model.json")
+    sim_path = str(tmp_path / "sim.csv")
+    assert main(["construct", "--config", cfg, "--out", model_path]) == 0
+    assert main(["simulate", "--config", model_path, "--length", "300",
+                 "--seed", "5", "--out", sim_path]) == 0
+    fit_cfg = write_json(tmp_path / "fit.json", {
+        "format": "mcvar-config/1",
+        "k": 2,
+        "partition": [[0, 1]],
+        "labels": [1],
+        "margin_families": ["gaussian", "gaussian"],
+    })
+    fitted_path = str(tmp_path / "fitted.json")
+    assert main(["fit", "--config", fit_cfg, "--data", sim_path,
+                 "--out", fitted_path]) == 0
+    capsys.readouterr()
+    fitted = json.loads((tmp_path / "fitted.json").read_text())
+    assert fitted["crosses"] == []
+    assert fitted["fit"]["n_params"] == 4 + 1 + 8
+
+
 def test_verify_var_only_model_file(tmp_path, capsys):
     # closed case: block-diagonal VAR(1), each variable its own sub-process
     ok_doc = {

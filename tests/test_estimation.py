@@ -273,6 +273,20 @@ def test_unrestricted_fit_nests_more_parameters():
     assert un.loglik > FIT.loglik - 3.0
 
 
+def test_one_set_fit_model_is_the_unrestricted_benchmark():
+    one_set = ModelConfig(
+        partition=Partition(sets=((0, 1),), d=2),
+        labels=(1,),
+        k=2,
+        margin_families=("gaussian", "gaussian"),
+    )
+    fm = fit_model(DATA, one_set)
+    un = fit_unrestricted(DATA, ("gaussian", "gaussian"), 2)
+    assert (fm.loglik, fm.n_params, fm.aic) == (un.loglik, un.n_params, un.aic)
+    assert fm.model.crosses == ()
+    assert fm.stage_logliks["stage3"] == fm.stage_logliks["stage2"][0]
+
+
 def test_fit_model_rejects_bad_data():
     with pytest.raises(ValueError):
         fit_model(np.vstack([np.ones(100), np.zeros(100)]), CONFIG)
