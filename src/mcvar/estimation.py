@@ -29,7 +29,7 @@ from .closure import (
     reorder_time_major,
     solve_cross_pair,
 )
-from .linalg import PD_TOL, gaussian_condition
+from .linalg import PD_TOL, symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
 
@@ -42,6 +42,8 @@ __all__ = [
     "FittedModel",
     "SubprocessFit",
     "Stage3Fit",
+    "LagGram",
+    "lag_gram",
     "gaussian_var_loglik",
     "loglik_full",
     "loglik_sub",
@@ -174,14 +176,28 @@ def construct_model(partition, labels, k, margins, subs, fixed_blocks):
     )
 
 
-def _logdens_columns(e, cov):
-    """Sum of centered Gaussian log densities over the columns of e."""
-    e = e if e.ndim == 2 else e[:, None]
-    ch = np.linalg.cholesky(cov)
-    q = sla.solve_triangular(ch, e, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(ch))))
-    n, m = e.shape
-    return -0.5 * (m * (n * _LOG_2PI + logdet) + float(np.sum(q * q)))
+@dataclass(frozen=True)
+class LagGram:
+    """What :func:`gaussian_var_loglik` needs of a (d, T) latent series for order k.
+
+    Rows run in reversed time, oldest first, the reverse of the time-major R:
+    ``gram`` sums W_t W_t^T over the n = max(T - k, 0) windows
+    W_t = (Z_{t-k}, ..., Z_{t-1}, Z_t), t = k..T-1, and ``head`` stacks the
+    first min(k, T) observations the same way, (Z_0, Z_1, ...).
+    """
+
+    head: np.ndarray
+    gram: np.ndarray
+    n: int
+    k: int
+
+
+def lag_gram(z, k):
+    """Compute the :class:`LagGram` of a (d, T) latent series once for order k."""
+    z = np.asarray(z, dtype=float)
+    n = max(z.shape[1] - k, 0)
+    w = np.vstack([z[:, j:j + n] for j in range(k + 1)])
+    return LagGram(head=z[:, :k].T.ravel(), gram=w @ w.T, n=n, k=k)
 
 
 def gaussian_var_loglik(z, r, k):
@@ -189,37 +205,35 @@ def gaussian_var_loglik(z, r, k):
 
     Parameters
     ----------
-    z : ndarray, shape (d, T)
-        Latent observations, one column per time point in increasing time.
+    z : ndarray, shape (d, T), or LagGram
+        Latent observations, one column per time point in increasing time,
+        or their :func:`lag_gram` for the same k.
     r : ndarray, shape ((k+1)d, (k+1)d)
         Time-major correlation matrix of (Z_t, Z_{t-1}, ..., Z_{t-k}).
     k : int
         Autoregressive order.
 
-    The first k observations contribute through growing conditioning
-    windows, after which the one-step conditional is constant and the
-    residual pass is vectorized.
+    One Cholesky factor L of the time-reversed R scores the first k
+    observations through its leading block; every later one-step
+    conditional shares the last diagonal block L_kk and the last d rows M
+    of L^{-1}, so the data enter only through tr(M C M^T) with the lag Gram
+    matrix C, and the cost does not depend on T.
     """
-    z = np.asarray(z, dtype=float)
-    d, T = z.shape
-    r = np.asarray(r, dtype=float)
-    total = 0.0
-    for c in range(min(k, T)):
-        if c == 0:
-            total += _logdens_columns(z[:, 0], r[:d, :d])
-            continue
-        w = (c + 1) * d
-        coeff, cond = gaussian_condition(r[:w, :w], list(range(d)), list(range(d, w)))
-        prev = np.concatenate([z[:, c - 1 - m] for m in range(c)])
-        total += _logdens_columns(z[:, c] - coeff @ prev, cond)
-    if T <= k:
-        return total
-    w = (k + 1) * d
-    coeff, cond = gaussian_condition(r, list(range(d)), list(range(d, w)))
-    resid = z[:, k:].copy()
-    for m in range(k):
-        resid -= coeff[:, m * d:(m + 1) * d] @ z[:, k - 1 - m:T - 1 - m]
-    return total + _logdens_columns(resid, cond)
+    g = z if isinstance(z, LagGram) else lag_gram(z, k)
+    if g.k != k:
+        raise ValueError("lag Gram matrix is for order %d, not %d" % (g.k, k))
+    w = g.gram.shape[0]
+    d = w // (k + 1)
+    rev = symmetrize(r).reshape(k + 1, d, k + 1, d)[::-1, :, ::-1].reshape(w, w)
+    ch = np.linalg.cholesky(rev)
+    logdiag = np.log(np.diag(ch))
+    m = g.head.size
+    q = sla.solve_triangular(ch[:m, :m], g.head, lower=True, check_finite=False)
+    total = -0.5 * (m * _LOG_2PI + 2.0 * float(np.sum(logdiag[:m])) + float(q @ q))
+    mt = sla.solve_triangular(ch, np.eye(w)[:, w - d:], lower=True, trans="T",
+                              check_finite=False)
+    steady = g.n * (d * _LOG_2PI + 2.0 * float(np.sum(logdiag[w - d:])))
+    return total - 0.5 * (steady + float(np.sum((g.gram @ mt) * mt)))
 
 
 def _margin_correction(data, margins, z):
@@ -275,7 +289,7 @@ def _require_pd(mat):
     return mat
 
 
-def _objective(z, k, build):
+def _objective(gram, k, build):
     """Negative latent log likelihood of ``build(theta)``, a barrier value if infeasible.
 
     A PD violation v scores _BARRIER (1 + v); a degenerate cross pair or a
@@ -284,7 +298,7 @@ def _objective(z, k, build):
 
     def nll(theta):
         try:
-            return -gaussian_var_loglik(z, build(theta), k)
+            return -gaussian_var_loglik(gram, build(theta), k)
         except _NotPositiveDefinite as exc:
             return _BARRIER * (1.0 + exc.args[0])
         except np.linalg.LinAlgError:
@@ -308,6 +322,13 @@ def _minimize(nll, starts, maxiter):
     runs = [optimize.minimize(nll, np.asarray(x0, dtype=float), method="Nelder-Mead",
                               options=options) for x0 in starts]
     return min(runs, key=lambda res: res.fun)
+
+
+def _loglik(fun, stage):
+    """-fun for a stage's best objective value; LinAlgError if it is a barrier value."""
+    if fun >= _BARRIER:
+        raise np.linalg.LinAlgError("%s found no positive definite point" % stage)
+    return -float(fun)
 
 
 def _scores(data, margins, indices):
@@ -420,14 +441,14 @@ def fit_stage2(data, margins, indices, k):
     z = _scores(np.asarray(data, dtype=float), margins, indices)
     d = len(indices)
     best = _minimize(
-        _objective(z, k, lambda theta: _checked_corr(theta, d, k).toeplitz()),
+        _objective(lag_gram(z, k), k, lambda theta: _checked_corr(theta, d, k).toeplitz()),
         _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k))),
         _MAXITER,
     )
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
-        loglik=-float(best.fun),
+        loglik=_loglik(best.fun, "stage 2 (sub-process %s)" % (tuple(indices),)),
         converged=bool(best.success),
     )
 
@@ -510,16 +531,17 @@ def fit_stage3(data, margins, subproc_corrs, labels, partition, k):
     n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
                   for i, j in _pair_list(partition.n))
     best = _minimize(
-        _objective(z, k, build),
+        _objective(lag_gram(z, k), k, build),
         _starts(n_theta, lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
         _MAXITER,
     )
+    loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, k, subs, fixed)
     return Stage3Fit(
         fixed_blocks=tuple(fixed),
         crosses=tuple(crosses),
-        loglik=-float(best.fun),
+        loglik=loglik,
         converged=bool(best.success),
     )
 
@@ -527,9 +549,9 @@ def fit_stage3(data, margins, subproc_corrs, labels, partition, k):
 def fit_stage4(data, margins, partition, labels, subs, fixed_blocks, k):
     """Joint refinement of all dependence parameters from the warm start.
 
-    A single Nelder-Mead run started at the stage 2 + 3 solution; since the
-    start is feasible and the method is monotone, the refined latent log
-    likelihood can only improve.
+    A single Nelder-Mead run started at the stage 2 + 3 solution.  The input
+    point itself is scored too and the better of the two is returned, so the
+    latent log likelihood never falls below the warm start's.
     """
     data = np.asarray(data, dtype=float)
     z = _scores(data, margins, range(data.shape[0]))
@@ -542,13 +564,21 @@ def fit_stage4(data, margins, partition, labels, subs, fixed_blocks, k):
         fixed = _unpack_fixed(cross_theta, partition, labels, k)
         return _require_pd(_build_time_major(partition, labels, k, trial_subs, fixed)[1])
 
+    gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    res = _minimize(_objective(z, k, build), [x0], _MAXITER_REFINE)
-    *sub_thetas, cross_theta = np.split(res.x, cuts)
-    out_subs = tuple(_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims))
-    fixed = tuple(_unpack_fixed(cross_theta, partition, labels, k))
+    res = _minimize(_objective(gram, k, build), [x0], _MAXITER_REFINE)
+    # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
+    fun_in = _objective(gram, k, lambda _: _require_pd(
+        _build_time_major(partition, labels, k, subs, fixed_blocks)[1]))(None)
+    loglik = _loglik(min(fun_in, res.fun), "stage 4")
+    if fun_in < res.fun:
+        out_subs, fixed = tuple(subs), tuple(fixed_blocks)
+    else:
+        *sub_thetas, cross_theta = np.split(res.x, cuts)
+        out_subs = tuple(_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims))
+        fixed = tuple(_unpack_fixed(cross_theta, partition, labels, k))
     crosses, _ = _build_time_major(partition, labels, k, list(out_subs), list(fixed))
-    return out_subs, fixed, tuple(crosses), -float(res.fun), bool(res.success)
+    return out_subs, fixed, tuple(crosses), loglik, bool(res.success)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import copula_loglik_oracle, random_subprocess_corr
 from mcvar.closure import CrossFixedBlock, Partition, SubprocessCorr, verify_closure
+import mcvar.estimation as estimation
 from mcvar.estimation import (
     Model,
     ModelConfig,
@@ -14,8 +16,10 @@ from mcvar.estimation import (
     fit_model,
     fit_stage2,
     fit_stage3,
+    fit_stage4,
     fit_unrestricted,
     gaussian_var_loglik,
+    lag_gram,
     loglik_full,
     portmanteau,
     simulate_model,
@@ -100,6 +104,34 @@ def test_gaussian_var_loglik_matches_big_covariance():
         z, model.margins, r, 2, pit=lambda row, m: pit_to_normal(row, m)
     )
     assert_allclose(ll, ref, atol=1e-7)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    k=st.integers(1, 3),
+    extra=st.integers(-3, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_var_loglik_property_matches_oracle(d, k, extra, seed):
+    # T runs from 1 up to past k, so the T <= k head-only case is drawn too
+    T = max(1, k + extra)
+    rng = np.random.default_rng(seed)
+    r = random_subprocess_corr(rng, d, k).toeplitz()
+    z = rng.standard_normal((d, T))
+    ref = copula_loglik_oracle(
+        z, (MarginSpec("gaussian", (0.0, 1.0)),) * d, r, k, pit=lambda row, m: row
+    )
+    assert_allclose(gaussian_var_loglik(z, r, k), ref, rtol=0, atol=1e-8)
+    assert_allclose(gaussian_var_loglik(lag_gram(z, k), r, k), ref, rtol=0, atol=1e-8)
+    skew = r.copy()
+    skew[0, -1] += 1e-3
+    not_pd = r - 1.01 * np.linalg.eigvalsh(r)[-1] * np.eye(r.shape[0])
+    for arg in (z, lag_gram(z, k)):
+        with pytest.raises(ValueError, match="asymmetric"):
+            gaussian_var_loglik(arg, skew, k)
+        with pytest.raises(np.linalg.LinAlgError):
+            gaussian_var_loglik(arg, not_pd, k)
 
 
 def test_loglik_full_matches_oracle_skewt():
@@ -263,6 +295,37 @@ def test_stage4_does_not_degrade_loglik():
     fit4 = fit_model(DATA, CONFIG, stage4=True)
     assert fit4.loglik >= FIT.loglik - 1e-9
     assert "stage4" in fit4.stage_logliks
+
+
+def test_stage4_never_worse_than_its_exact_warm_start(monkeypatch):
+    # the start clips the scalar lag-1 PACF 0.9995 to 0.999; cutting the
+    # refinement short leaves it near that far worse point, so only scoring
+    # the exact input keeps the promise
+    part = Partition(sets=((0,), (1,)), d=2)
+    margins = (MarginSpec("gaussian", (0.0, 1.0)),) * 2
+    subs = [scalar_sub([1.0, 0.9995]), scalar_sub([1.0, 0.5])]
+    fixed = [CrossFixedBlock(pair=(0, 1), lag=0, value=[[0.02]])]
+    model = construct_model(part, (1, 1), 1, margins, subs, fixed)
+    x = simulate_model(model, 1000, seed=1)
+    start = gaussian_var_loglik(x, model.time_major_R(), 1)
+    monkeypatch.setattr(estimation, "_MAXITER_REFINE", 1)
+    out_subs, out_fixed, crosses, ll, _ = fit_stage4(x, margins, part, (1, 1), subs, fixed, 1)
+    assert ll >= start
+    refit = construct_model(part, (1, 1), 1, margins, out_subs, out_fixed)
+    assert_allclose(gaussian_var_loglik(x, refit.time_major_R(), 1), ll, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("stage, target", [
+    ("stage 2", "_checked_corr"),
+    ("stage 3", "_build_time_major"),
+])
+def test_fit_model_raises_when_a_stage_finds_no_pd_point(monkeypatch, stage, target):
+    def infeasible(*args):
+        raise estimation._NotPositiveDefinite(0.5)
+
+    monkeypatch.setattr(estimation, target, infeasible)
+    with pytest.raises(np.linalg.LinAlgError, match=stage + ".*no positive definite point"):
+        fit_model(DATA, CONFIG)
 
 
 def test_unrestricted_fit_nests_more_parameters():
