@@ -23,7 +23,7 @@ from mcvar import (
     count_params,
     fit_model,
     fit_unrestricted,
-    pit_to_normal,
+    latent_scores,
     portmanteau,
     residuals,
     simulate_model,
@@ -83,10 +83,7 @@ def main():
     print("  cross corr lag 0:  true %+.3f  est %+.3f" % (TRUE_CROSS, est_cross))
     print()
 
-    z = np.vstack([
-        pit_to_normal(data[i], mf.spec) for i, mf in enumerate(fit.margin_fits)
-    ])
-    resid = residuals(z, fit.model.var())
+    resid = residuals(latent_scores(data, fit.model.margins), fit.model.var())
     pm = portmanteau(resid, 12, K)
     print("residual portmanteau to lag 12: statistic %.1f, df %d, p = %.3f"
           % (pm.statistic, pm.df, pm.pvalue))

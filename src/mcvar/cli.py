@@ -35,12 +35,12 @@ from .estimation import (
     construct_model,
     fit_model,
     fit_unrestricted,
-    loglik_full,
+    latent_scores,
     portmanteau,
     simulate_model,
 )
 from .linalg import is_positive_definite
-from .margins import MarginSpec, pit_to_normal
+from .margins import MarginSpec
 from .varprocess import (
     VarRepresentation,
     implied_autocov,
@@ -295,6 +295,9 @@ def _build_from_config(doc):
         raise CliError("construct needs fully specified 'margins'")
     if len(labels) != part.n:
         raise CliError("need %d labels, got %d" % (part.n, len(labels)))
+    if len(doc["subprocess_corrs"]) != part.n:
+        raise CliError("need %d subprocess_corrs entries, one per partition set, got %d"
+                       % (part.n, len(doc["subprocess_corrs"])))
     subs = []
     for i, e in enumerate(doc["subprocess_corrs"]):
         blocks = tuple(np.asarray(b, dtype=float) for b in e["blocks"])
@@ -463,31 +466,32 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
+def _model_config(doc, part, d, args):
+    """ModelConfig of a fit config with d margin families, and whether stage 4 runs.
+
+    ``--k`` overrides the config's order and ``--stage4`` switches stage 4 on.
+    """
+    k = args.k if args.k is not None else int(doc["k"])
+    fams = _margin_families(doc, d)
+    config = ModelConfig(partition=part, labels=tuple(int(c) for c in doc["labels"]),
+                         k=k, margin_families=fams)
+    return config, args.stage4 or bool(doc.get("stage4", False))
+
+
 def cmd_fit(args):
     doc = _load_json(args.config, {CONFIG_FORMAT})
     ds = _dataset_from_args(args, doc)
     part = _parse_partition(doc)
-    k = args.k if args.k is not None else int(doc["k"])
-    fams = _margin_families(doc, part.d)
-    config = ModelConfig(
-        partition=part,
-        labels=tuple(int(c) for c in doc["labels"]),
-        k=k,
-        margin_families=fams,
-    )
+    config, stage4 = _model_config(doc, part, part.d, args)
     if ds.values.shape[0] != part.d:
         raise CliError("data has %d columns, config expects %d" % (ds.values.shape[0], part.d))
-    stage4 = args.stage4 or bool(doc.get("stage4", False))
     fm = fit_model(ds.values, config, stage4=stage4)
     _print_fit(fm, ds.names)
 
-    z = np.vstack([
-        pit_to_normal(ds.values[i], fm.model.margins[i]) for i in range(part.d)
-    ])
-    e = residuals(z, fm.model.var())
+    e = residuals(latent_scores(ds.values, fm.model.margins), fm.model.var())
     max_lag = min(10, e.shape[1] - 1)
-    if max_lag > k:
-        pm = portmanteau(e, max_lag, k)
+    if max_lag > config.k:
+        pm = portmanteau(e, max_lag, config.k)
         print("portmanteau (m=%d): Q %.3f  df %d  p %.4f"
               % (max_lag, pm.statistic, pm.df, pm.pvalue))
     out = args.out or "mcvar_fitted.json"
@@ -507,22 +511,17 @@ def cmd_fit(args):
 # -- compare ----------------------------------------------------------------------
 
 def _fit_config_doc(doc, ds, args):
+    d = ds.values.shape[0]
     part = _parse_partition(doc) if "partition" in doc else Partition(
-        sets=(tuple(range(ds.values.shape[0])),), d=ds.values.shape[0]
+        sets=(tuple(range(d)),), d=d
     )
-    k = args.k if args.k is not None else int(doc["k"])
-    fams = _margin_families(doc, ds.values.shape[0])
     if doc.get("kind", "margin-closed") == "unrestricted":
         # the one-sub-process fit; stage 4 does not apply to the benchmark
-        kind, fm = "unrestricted", fit_unrestricted(ds.values, fams, k)
+        k = args.k if args.k is not None else int(doc["k"])
+        kind, fm = "unrestricted", fit_unrestricted(ds.values, _margin_families(doc, d), k)
     else:
-        config = ModelConfig(
-            partition=part,
-            labels=tuple(int(c) for c in doc["labels"]),
-            k=k,
-            margin_families=fams,
-        )
-        stage4 = args.stage4 or bool(doc.get("stage4", False))
+        config, stage4 = _model_config(doc, part, d, args)
+        k = config.k
         kind, fm = "margin-closed", fit_model(ds.values, config, stage4=stage4)
     return {
         "kind": kind, "k": k,
@@ -638,7 +637,7 @@ def _table_t1(tol):
         model = _worked_example_model(labels, ref["fixed"])
         var = model.var()
         print("labels %s  fixed cross value %.3f (lag %d)"
-              % (list(labels), ref["fixed"], _fixed_lag_print(labels)))
+              % (list(labels), ref["fixed"], fixed_lag_for_labels(labels, 2)))
         _print_side_by_side("  Phi_1    ", var.phi[0], ref["phi1"])
         _print_side_by_side("  Phi_2    ", var.phi[1], ref["phi2"])
         _print_side_by_side("  Sigma_eps", var.sigma, ref["sigma"])
@@ -659,10 +658,6 @@ def _table_t1(tol):
     return dev, {"cases": cases}
 
 
-def _fixed_lag_print(labels):
-    return fixed_lag_for_labels(labels, 2)
-
-
 def _table_t2t3(tol):
     dev = 0.0
     cases = []
@@ -672,7 +667,7 @@ def _table_t2t3(tol):
         s = var.sigma
         ic = float(s[0, 1] / np.sqrt(s[0, 0] * s[1, 1]))
         print("labels %s  fixed cross value %.3f (lag %d)"
-              % (list(labels), ref["fixed"], _fixed_lag_print(labels)))
+              % (list(labels), ref["fixed"], fixed_lag_for_labels(labels, 2)))
         _print_side_by_side("  Phi_1", var.phi[0], ref["phi1"])
         _print_side_by_side("  Phi_2", var.phi[1], ref["phi2"])
         print("  innovation correlation  % .3f | ref % .3f" % (ic, ref["innov_corr"]))
@@ -880,10 +875,7 @@ def main(argv=None):
         args.tol = args.tol_default
     try:
         return args.func(args)
-    except DegenerateCrossPair as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
+    except (DegenerateCrossPair, InfeasibleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     # LinAlgError subclasses ValueError, so it must be handled first

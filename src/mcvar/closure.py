@@ -14,7 +14,6 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .linalg import (
     PD_TOL,
@@ -26,7 +25,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .varprocess import durbin_levinson
+from .varprocess import durbin_levinson, whittle_recursion
 
 # Condition number above which the stacked cross-block system is treated as
 # degenerate rather than solved.
@@ -55,13 +54,12 @@ __all__ = [
 
 
 class DegenerateCrossPair(np.linalg.LinAlgError):
-    """Stacked cross-block system is numerically singular for a pair."""
+    """A pair's cross-block system is numerically singular or cannot be built."""
 
-    def __init__(self, pair, cond):
+    def __init__(self, pair, reason):
         self.pair = pair
         super().__init__(
-            "cross-block system for sub-process pair %s is degenerate "
-            "(condition number %.3g exceeds %.3g)" % (pair, cond, CONDITION_LIMIT)
+            "cross-block system for sub-process pair %s is degenerate (%s)" % (pair, reason)
         )
 
 
@@ -178,41 +176,17 @@ class CrossSolution:
         return self.blocks[l + self.order]
 
 
-def _gram(r):
-    """Correlation matrix of the stacked window (Z_{t-1}, ..., Z_{t-k})."""
-    k = r.order
-    return np.block([[r.block(c - row) for c in range(k)] for row in range(k)])
-
-
 def forward_predictors(r):
     """Coefficients Phi_{p,1..k} of the projection of Z_t on Z_{t-1}..Z_{t-k}."""
-    k, d = r.order, r.dim
-    if k == 0:
-        return []
-    row = np.hstack([r.block(l) for l in range(1, k + 1)])
-    try:
-        stacked = sla.solve(_gram(r), row.T, assume_a="pos").T
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-        raise np.linalg.LinAlgError("singular predictor Gram matrix: %s" % exc) from exc
-    return [stacked[:, m * d:(m + 1) * d] for m in range(k)]
+    return whittle_recursion(r.blocks, r.order)["forward"]
 
 
 def backward_predictors(r):
     """Coefficients Psi_{p,1..k} of the projection of Z_{t-k-1} on Z_{t-1}..Z_{t-k}.
 
-    Psi_{p,j} multiplies Z_{t-j}, the same indexing as the forward list.  The
-    covariance row is (Sigma_{pp,-k}, ..., Sigma_{pp,-1}) since
-    corr(Z_{t-k-1}, Z_{t-j}) = Sigma_{pp,j-k-1}.
+    Psi_{p,j} multiplies Z_{t-j}, the same indexing as the forward list.
     """
-    k, d = r.order, r.dim
-    if k == 0:
-        return []
-    row = np.hstack([r.block(l) for l in range(-k, 0)])
-    try:
-        stacked = sla.solve(_gram(r), row.T, assume_a="pos").T
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-        raise np.linalg.LinAlgError("singular predictor Gram matrix: %s" % exc) from exc
-    return [stacked[:, m * d:(m + 1) * d] for m in range(k)]
+    return whittle_recursion(r.blocks, r.order)["backward"]
 
 
 def build_G(pred, k, d_p):
@@ -299,8 +273,13 @@ def solve_cross_pair(ri, rj, labels, fixed):
         blocks[want + k] = fixed.value.copy()
         return CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks))
 
-    a_i = _condition_matrix(ri, labels[0])
-    a_j = _condition_matrix(rj, labels[1])
+    try:
+        a_i = _condition_matrix(ri, labels[0])
+        a_j = _condition_matrix(rj, labels[1])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateCrossPair(
+            fixed.pair, "a sub-process is not positive definite: %s" % exc
+        ) from exc
     L = kron(exchange_matrix(2 * k + 1), np.eye(dj))  # reverses block columns
     b_j = a_j @ L
     K = commutation_matrix(di, dj)
@@ -320,7 +299,9 @@ def solve_cross_pair(ri, rj, labels, fixed):
     ])
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateCrossPair(fixed.pair, cond)
+        raise DegenerateCrossPair(
+            fixed.pair, "condition number %.3g exceeds %.3g" % (cond, CONDITION_LIMIT)
+        )
     x = np.linalg.solve(M, -N @ vec(fixed.value))
 
     step = di * dj

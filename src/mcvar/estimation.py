@@ -4,7 +4,7 @@ The model couples arbitrary continuous margins to a stationary Gaussian
 VAR(k) copula whose correlation structure is margin-closed.  The likelihood
 splits into a latent Gaussian term plus a margin correction that does not
 depend on the dependence parameters, so the dependence stages optimize the
-latent term alone:
+latent term alone, on latent scores computed once per fit:
 
 * stage 1 fits each margin separately,
 * stage 2 fits each sub-process's own correlation blocks,
@@ -45,6 +45,7 @@ __all__ = [
     "LagGram",
     "lag_gram",
     "gaussian_var_loglik",
+    "latent_scores",
     "loglik_full",
     "loglik_sub",
     "fit_stage2",
@@ -245,10 +246,15 @@ def _margin_correction(data, margins, z):
     return total
 
 
+def latent_scores(data, margins):
+    """Latent normal scores of a (d, T) series under its margins, one row per variable."""
+    return np.vstack([pit_to_normal(x, margins[v]) for v, x in enumerate(data)])
+
+
 def loglik_full(data, margins, r, k):
     """Full-model log likelihood: latent Gaussian term plus margin correction."""
     data = np.asarray(data, dtype=float)
-    z = _scores(data, margins, range(data.shape[0]))
+    z = latent_scores(data, margins)
     return gaussian_var_loglik(z, r, k) + _margin_correction(data, margins, z)
 
 
@@ -259,12 +265,8 @@ def loglik_sub(data, margins, indices, k, corr):
     ``margins``; ``corr`` is its correlation structure.
     """
     indices = list(indices)
-    sub_data = np.asarray(data, dtype=float)[indices]
-    sub_margins = [margins[v] for v in indices]
-    z = _scores(sub_data, sub_margins, range(len(indices)))
-    return gaussian_var_loglik(z, corr.toeplitz(), k) + _margin_correction(
-        sub_data, sub_margins, z
-    )
+    return loglik_full(np.asarray(data, dtype=float)[indices], [margins[v] for v in indices],
+                       corr.toeplitz(), k)
 
 
 # -- the estimation engine shared by stages 2-4 ------------------------------
@@ -329,11 +331,6 @@ def _loglik(fun, stage):
     if fun >= _BARRIER:
         raise np.linalg.LinAlgError("%s found no positive definite point" % stage)
     return -float(fun)
-
-
-def _scores(data, margins, indices):
-    """Latent normal scores of the variables ``indices``, one row each."""
-    return np.vstack([pit_to_normal(data[v], margins[v]) for v in indices])
 
 
 # -- stage 2: per-sub-process dependence ------------------------------------
@@ -431,14 +428,15 @@ def _checked_corr(theta, d, k):
     return corr
 
 
-def fit_stage2(data, margins, indices, k):
+def fit_stage2(z, indices, k):
     """Quasi-MLE of one sub-process's correlation blocks on the latent scale.
 
-    Runs Nelder-Mead from three deterministic starts (zeros, sample moments,
-    half the sample moments) and keeps the best.
+    ``z`` holds the latent scores of every variable; ``indices`` selects the
+    sub-process's rows.  Runs Nelder-Mead from three deterministic starts
+    (zeros, sample moments, half the sample moments) and keeps the best.
     """
     indices = list(indices)
-    z = _scores(np.asarray(data, dtype=float), margins, indices)
+    z = np.asarray(z, dtype=float)[indices]
     d = len(indices)
     best = _minimize(
         _objective(lag_gram(z, k), k, lambda theta: _checked_corr(theta, d, k).toeplitz()),
@@ -513,15 +511,13 @@ class Stage3Fit:
     converged: bool
 
 
-def fit_stage3(data, margins, subproc_corrs, labels, partition, k):
-    """Joint quasi-MLE of every pair's fixed cross block.
+def fit_stage3(z, subproc_corrs, labels, partition, k):
+    """Joint quasi-MLE of every pair's fixed cross block from the latent scores ``z``.
 
     Sub-process blocks stay at their stage-2 values; each objective
     evaluation re-solves the margin-closure system for the trial fixed
     blocks and scores the assembled correlation matrix.
     """
-    data = np.asarray(data, dtype=float)
-    z = _scores(data, margins, range(data.shape[0]))
     subs = list(subproc_corrs)
 
     def build(theta):
@@ -546,15 +542,14 @@ def fit_stage3(data, margins, subproc_corrs, labels, partition, k):
     )
 
 
-def fit_stage4(data, margins, partition, labels, subs, fixed_blocks, k):
+def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     """Joint refinement of all dependence parameters from the warm start.
 
-    A single Nelder-Mead run started at the stage 2 + 3 solution.  The input
-    point itself is scored too and the better of the two is returned, so the
-    latent log likelihood never falls below the warm start's.
+    A single Nelder-Mead run on the latent scores ``z``, started at the
+    stage 2 + 3 solution.  The input point itself is scored too and the
+    better of the two is returned, so the latent log likelihood never falls
+    below the warm start's.
     """
-    data = np.asarray(data, dtype=float)
-    z = _scores(data, margins, range(data.shape[0]))
     dims = [len(s) for s in partition.sets]
     cuts = np.cumsum([_sub_theta_len(d, k) for d in dims])
 
@@ -608,9 +603,8 @@ def fit_model(data, config, stage4=False):
         fit_margin(data[i], fam) for i, fam in enumerate(config.margin_families)
     )
     margins = tuple(mf.spec for mf in margin_fits)
-    sub_fits = tuple(
-        fit_stage2(data, margins, s, config.k) for s in config.partition.sets
-    )
+    z = latent_scores(data, margins)
+    sub_fits = tuple(fit_stage2(z, s, config.k) for s in config.partition.sets)
     subs = [sf.corr for sf in sub_fits]
     converged = all(sf.converged for sf in sub_fits)
     stage_logliks = {"stage2": [sf.loglik for sf in sub_fits]}
@@ -618,15 +612,13 @@ def fit_model(data, config, stage4=False):
         fixed, crosses = [], ()
         stage_logliks["stage3"] = sub_fits[0].loglik
     else:
-        st3 = fit_stage3(
-            data, margins, subs, config.labels, config.partition, config.k
-        )
+        st3 = fit_stage3(z, subs, config.labels, config.partition, config.k)
         fixed, crosses = list(st3.fixed_blocks), st3.crosses
         stage_logliks["stage3"] = st3.loglik
         converged = converged and st3.converged
     if stage4:
         subs, fixed, crosses, ll4, ok4 = fit_stage4(
-            data, margins, config.partition, config.labels, subs, fixed, config.k
+            z, config.partition, config.labels, subs, fixed, config.k
         )
         stage_logliks["stage4"] = ll4
         converged = converged and ok4
@@ -638,7 +630,10 @@ def fit_model(data, config, stage4=False):
         subs=tuple(subs),
         crosses=tuple(crosses),
     )
-    ll = loglik_full(data, margins, model.time_major_R(), config.k)
+    # loglik_full on the scores already computed
+    ll = gaussian_var_loglik(z, model.time_major_R(), config.k) + _margin_correction(
+        data, margins, z
+    )
     p = count_params(config)
     return FittedModel(
         model=model,

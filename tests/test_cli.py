@@ -269,6 +269,17 @@ def test_construct_non_pd_subprocess_exit_2(tmp_path, capsys):
     assert "sub-process 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_construct_miscounted_subprocess_corrs_exit_1(tmp_path, capsys, count):
+    doc = construct_config()
+    doc["subprocess_corrs"] = (doc["subprocess_corrs"] * 2)[:count]
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert "need 2 subprocess_corrs entries" in err
+    assert "got %d" % count in err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["construct", "--config", missing]) == 1

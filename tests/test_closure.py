@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
@@ -147,6 +148,33 @@ def test_solver_matches_dense_probing_oracle(labels, di, dj, k):
         {l: sol.block(l) for l in range(-k, k + 1)},
     )
     assert max(np.max(np.abs(r)) for r in res) < 1e-9
+
+
+@pytest.mark.parametrize("labels", [(1, 1), (2, 2), (1, 2), (2, 1)])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    di=st.integers(1, 3),
+    dj=st.integers(1, 3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solver_property_matches_dense_oracle(labels, di, dj, k, seed):
+    # every label pattern, with the fixed block at its own lag (0, -k or +k)
+    rng = np.random.default_rng(seed)
+    ri = random_subprocess_corr(rng, di, k)
+    rj = random_subprocess_corr(rng, dj, k)
+    lag = fixed_lag_for_labels(labels, k)
+    value = 0.3 * rng.uniform(-1.0, 1.0, size=(di, dj))
+    sol = solve_cross_pair(ri, rj, labels, CrossFixedBlock(pair=(0, 1), lag=lag, value=value))
+    ref = dense_cross_solve(
+        [ri.block(l) for l in range(k + 1)],
+        [rj.block(l) for l in range(k + 1)],
+        labels,
+        lag,
+        value,
+    )
+    for l in range(-k, k + 1):
+        assert_allclose(sol.block(l), ref[l], rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("labels", [(1, 2), (2, 1)])

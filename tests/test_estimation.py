@@ -270,7 +270,7 @@ def test_fit_stage2_univariate_recovery():
         1500,
         seed=21,
     )
-    sf = fit_stage2(z, margins, (0,), 2)
+    sf = fit_stage2(estimation.latent_scores(z, margins), (0,), 2)
     assert sf.converged
     assert abs(sf.corr.block(1)[0, 0] - (-0.8)) < 0.05
     assert abs(sf.corr.block(2)[0, 0] - 0.6) < 0.07
@@ -279,8 +279,7 @@ def test_fit_stage2_univariate_recovery():
 
 def test_fit_stage3_recovers_cross_given_truth():
     st3 = fit_stage3(
-        DATA,
-        GAUSS_MARGINS,
+        estimation.latent_scores(DATA, GAUSS_MARGINS),
         list(TRUE_MODEL.subs),
         (2, 2),
         TRUE_MODEL.partition,
@@ -309,10 +308,24 @@ def test_stage4_never_worse_than_its_exact_warm_start(monkeypatch):
     x = simulate_model(model, 1000, seed=1)
     start = gaussian_var_loglik(x, model.time_major_R(), 1)
     monkeypatch.setattr(estimation, "_MAXITER_REFINE", 1)
-    out_subs, out_fixed, crosses, ll, _ = fit_stage4(x, margins, part, (1, 1), subs, fixed, 1)
+    out_subs, out_fixed, crosses, ll, _ = fit_stage4(
+        estimation.latent_scores(x, margins), part, (1, 1), subs, fixed, 1)
     assert ll >= start
     refit = construct_model(part, (1, 1), 1, margins, out_subs, out_fixed)
     assert_allclose(gaussian_var_loglik(x, refit.time_major_R(), 1), ll, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("stage4", [False, True])
+def test_fit_model_computes_latent_scores_once(monkeypatch, stage4):
+    calls = []
+
+    def counted(x, margin):
+        calls.append(margin)
+        return pit_to_normal(x, margin)
+
+    monkeypatch.setattr(estimation, "pit_to_normal", counted)
+    fit_model(DATA, CONFIG, stage4=stage4)
+    assert len(calls) == DATA.shape[0]
 
 
 @pytest.mark.parametrize("stage, target", [
