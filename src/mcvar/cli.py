@@ -263,6 +263,7 @@ def _time_major_from_var(var, k):
 
 def _fmt_matrix(m, nd=3):
     m = np.atleast_2d(np.asarray(m, dtype=float))
+    m = np.where(np.abs(m) < 0.5 * 10.0 ** -nd, 0.0, m)  # rounding noise prints unsigned
     return [" ".join("% 9.*f" % (nd, v) for v in row) for row in m]
 
 

@@ -511,24 +511,40 @@ class Stage3Fit:
     converged: bool
 
 
+def _affine_time_major(partition, labels, k, subs):
+    """(r0, basis) with time-major R(theta) = r0 + sum_m theta_m basis[m].
+
+    Given the sub-processes, the closure solve, assembly and reordering are
+    all linear in the fixed blocks, so n_theta + 1 exact builds give the map.
+    """
+    n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
+                  for i, j in _pair_list(partition.n))
+
+    def exact(theta):
+        fixed = _unpack_fixed(theta, partition, labels, k)
+        return _build_time_major(partition, labels, k, subs, fixed)[1]
+
+    r0 = exact(np.zeros(n_theta))
+    return r0, np.stack([exact(e) - r0 for e in np.eye(n_theta)])
+
+
 def fit_stage3(z, subproc_corrs, labels, partition, k):
     """Joint quasi-MLE of every pair's fixed cross block from the latent scores ``z``.
 
-    Sub-process blocks stay at their stage-2 values; each objective
-    evaluation re-solves the margin-closure system for the trial fixed
-    blocks and scores the assembled correlation matrix.
+    Sub-process blocks stay at their stage-2 values, so the time-major R is
+    affine in the fixed blocks: n_theta + 1 margin-closure solves give the map
+    up front, evaluations score its weighted sums, and one exact solve at the
+    optimum gives the returned crosses.  A degenerate pair raises LinAlgError.
     """
     subs = list(subproc_corrs)
-
-    def build(theta):
-        fixed = _unpack_fixed(theta, partition, labels, k)
-        return _require_pd(_build_time_major(partition, labels, k, subs, fixed)[1])
-
-    n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
-                  for i, j in _pair_list(partition.n))
+    try:
+        r0, basis = _affine_time_major(partition, labels, k, subs)
+    except (np.linalg.LinAlgError, _NotPositiveDefinite) as exc:
+        raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
     best = _minimize(
-        _objective(lag_gram(z, k), k, build),
-        _starts(n_theta, lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
+        _objective(lag_gram(z, k), k,
+                   lambda theta: _require_pd(r0 + np.tensordot(theta, basis, 1))),
+        _starts(len(basis), lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
         _MAXITER,
     )
     loglik = _loglik(best.fun, "stage 3")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcvar.cli import CliError, Dataset, load_csv, main, transform
+from mcvar.cli import CliError, Dataset, _fmt_matrix, load_csv, main, transform
 
 
 def write_json(path, doc):
@@ -39,6 +39,15 @@ def construct_config(labels=(2, 2), k=2, c0=0.35, blocks1=None, blocks2=None):
         ],
         "seed": 7,
     }
+
+
+# ------------------------------------------------------------- output helpers
+
+
+def test_fmt_matrix_prints_rounding_noise_unsigned():
+    assert _fmt_matrix([[-1e-17, 1e-17, -0.0]]) == ["    0.000     0.000     0.000"]
+    assert _fmt_matrix([[-0.002, 0.002]]) == ["   -0.002     0.002"]
+    assert _fmt_matrix([[-0.0004, -0.0006]]) == ["    0.000    -0.001"]
 
 
 # ----------------------------------------------------------------- CSV input

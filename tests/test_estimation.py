@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import copula_loglik_oracle, random_subprocess_corr
-from mcvar.closure import CrossFixedBlock, Partition, SubprocessCorr, verify_closure
+from mcvar.closure import (
+    CrossFixedBlock,
+    DegenerateCrossPair,
+    Partition,
+    SubprocessCorr,
+    solve_cross_pair,
+    verify_closure,
+)
 import mcvar.estimation as estimation
 from mcvar.estimation import (
     Model,
@@ -288,6 +295,56 @@ def test_fit_stage3_recovers_cross_given_truth():
     assert st3.converged
     assert abs(st3.fixed_blocks[0].value[0, 0] - 0.35) < 0.06
     assert st3.crosses[0].pair == (0, 1)
+
+
+@pytest.mark.parametrize("labels01", [(1, 1), (2, 2), (1, 2), (2, 1)])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    k=st.integers(1, 3),
+    label2=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stage3_affine_map_matches_exact_build(labels01, dims, k, label2, seed):
+    # the first pair takes every label pattern; sets are scattered over 0..d-1
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(sum(dims))
+    cuts = np.cumsum(dims)[:-1]
+    part = Partition(sets=tuple(tuple(sorted(s)) for s in np.split(perm, cuts)), d=sum(dims))
+    labels = (labels01 + (label2,))[:len(dims)]
+    subs = [random_subprocess_corr(rng, di, k) for di in dims]
+    r0, basis = estimation._affine_time_major(part, labels, k, subs)
+    for _ in range(3):
+        theta = 0.3 * rng.uniform(-1.0, 1.0, size=len(basis))
+        fixed = estimation._unpack_fixed(theta, part, labels, k)
+        exact = estimation._build_time_major(part, labels, k, subs, fixed)[1]
+        assert_allclose(r0 + np.tensordot(theta, basis, 1), exact, rtol=0, atol=1e-12)
+
+
+def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatch):
+    # n_theta + 1 builds for the affine map and one exact build at the optimum,
+    # however many objective evaluations the optimizer makes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_cross_pair(*args)
+
+    monkeypatch.setattr(estimation, "solve_cross_pair", counted)
+    st3 = fit_stage3(estimation.latent_scores(DATA, GAUSS_MARGINS), list(TRUE_MODEL.subs),
+                     (2, 2), TRUE_MODEL.partition, 2)
+    n_pairs, n_theta = 1, 1
+    assert st3.converged
+    assert len(calls) == n_pairs * (n_theta + 2)
+
+
+def test_fit_stage3_degenerate_pair_has_no_positive_definite_point():
+    # the closure system depends only on the sub-processes, so it fails at every point
+    sub = scalar_sub([1.0, 0.0, 1.0 - 1e-12])
+    with pytest.raises(np.linalg.LinAlgError, match="stage 3.*no positive definite point") as exc:
+        fit_stage3(estimation.latent_scores(DATA, GAUSS_MARGINS), [sub, sub], (1, 1),
+                   TRUE_MODEL.partition, 2)
+    assert isinstance(exc.value.__cause__, DegenerateCrossPair)
 
 
 def test_stage4_does_not_degrade_loglik():
