@@ -4,8 +4,8 @@ Subcommands: construct, verify, simulate, fit, compare, tables.  Configs and
 models are versioned JSON documents (format tags ``mcvar-config/1`` and
 ``mcvar-model/1``); data moves as header-row CSV with '.' decimal separator.
 
-Exit codes: 0 success, 1 validation error, 2 numerical infeasibility
-(positive definiteness), 3 tolerance failure in ``tables``.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical
+infeasibility (positive definiteness), 3 tolerance failure in ``tables``.
 """
 
 import argparse
@@ -822,6 +822,18 @@ def cmd_tables(args):
 
 # -- entry point ---------------------------------------------------------------------
 
+_OPTIONS = {
+    "config": dict(help="config or model JSON file"),
+    "data": dict(help="CSV data file"),
+    "out": dict(help="output path"),
+    "seed": dict(type=int, default=None, help="RNG seed"),
+    "length": dict(type=int, default=None, help="number of time points"),
+    "k": dict(type=int, default=None, help="override model order"),
+    "tol": dict(type=float, default=None, help="tolerance override"),
+    "stage4": dict(action="store_true", help="run the joint refinement stage after stage 3"),
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="mcvar",
@@ -830,50 +842,39 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_action="store"):
-        sp.add_argument("--config", action=config_action,
-                        help="config or model JSON file")
-        sp.add_argument("--data", help="CSV data file")
-        sp.add_argument("--out", help="output path")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed")
-        sp.add_argument("--k", type=int, default=None, help="override model order")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        sp.add_argument("--stage4", action="store_true",
-                        help="run the joint refinement stage after stage 3")
+    def add(sp, func, *names, **defaults):
+        """Register only the options ``func`` reads."""
+        for name in names:
+            sp.add_argument("--" + name, **_OPTIONS[name])
+        sp.set_defaults(func=func, **defaults)
 
     sp = sub.add_parser("construct", help="solve cross blocks and write a model file")
-    add_common(sp)
-    sp.set_defaults(func=cmd_construct, tol_default=1e-8)
+    add(sp, cmd_construct, "config", "out", "tol", tol=1e-8)
 
     sp = sub.add_parser("verify", help="check margin closure of a model file")
-    add_common(sp)
-    sp.set_defaults(func=cmd_verify, tol_default=1e-8)
+    add(sp, cmd_verify, "config", "tol", tol=1e-8)
 
     sp = sub.add_parser("simulate", help="simulate observations from a model file")
-    add_common(sp)
-    sp.add_argument("--length", type=int, default=None, help="number of time points")
-    sp.set_defaults(func=cmd_simulate)
+    add(sp, cmd_simulate, "config", "length", "seed", "out")
 
     sp = sub.add_parser("fit", help="multi-stage fit of a config to CSV data")
-    add_common(sp)
-    sp.set_defaults(func=cmd_fit)
+    add(sp, cmd_fit, "config", "data", "out", "k", "stage4")
 
     sp = sub.add_parser("compare", help="fit two configs to the same data, report AIC")
-    add_common(sp, config_action="append")
-    sp.set_defaults(func=cmd_compare)
+    sp.add_argument("--config", action="append", help="config JSON file; give it twice")
+    add(sp, cmd_compare, "data", "out", "k", "stage4")
 
     sp = sub.add_parser("tables", help="reproduce reference tables and check tolerances")
     sp.add_argument("name", help="one of: %s" % ", ".join(sorted(_TABLES)))
-    add_common(sp)
-    sp.set_defaults(func=cmd_tables)
+    add(sp, cmd_tables, "tol", "out")
     return p
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None and hasattr(args, "tol_default"):
-        args.tol = args.tol_default
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (DegenerateCrossPair, InfeasibleError) as exc:

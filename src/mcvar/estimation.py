@@ -29,7 +29,7 @@ from .closure import (
     reorder_time_major,
     solve_cross_pair,
 )
-from .linalg import PD_TOL, symmetrize
+from .linalg import symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
 
@@ -271,40 +271,22 @@ def loglik_sub(data, margins, indices, k, corr):
 
 # -- the estimation engine shared by stages 2-4 ------------------------------
 #
-# A stage supplies ``build(theta)`` returning the time-major R; it calls
-# _require_pd on every matrix its parametrisation does not keep positive
-# definite.  Objective values stand in for -loglik at infeasible points and
-# are graded so the optimizer can slide back in.
-_BARRIER = 1e9
+# A stage supplies ``build(theta)`` returning the time-major R.  The kernel's
+# Cholesky of R is the positive-definiteness test: a point where it fails, or
+# where ``build`` finds a degenerate pair, scores +inf.  Nelder-Mead only
+# compares values, so such a point loses every comparison.
 _MAXITER = 4000  # per start, stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
 
-class _NotPositiveDefinite(Exception):
-    """Raised with how far the smallest eigenvalue falls below PD_TOL."""
-
-
-def _require_pd(mat):
-    violation = PD_TOL - float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-    if violation > 0.0:
-        raise _NotPositiveDefinite(violation)
-    return mat
-
-
 def _objective(gram, k, build):
-    """Negative latent log likelihood of ``build(theta)``, a barrier value if infeasible.
-
-    A PD violation v scores _BARRIER (1 + v); a degenerate cross pair or a
-    failed factorization (both LinAlgError) scores 2 _BARRIER.
-    """
+    """Negative latent log likelihood of ``build(theta)``, +inf if it raises LinAlgError."""
 
     def nll(theta):
         try:
             return -gaussian_var_loglik(gram, build(theta), k)
-        except _NotPositiveDefinite as exc:
-            return _BARRIER * (1.0 + exc.args[0])
         except np.linalg.LinAlgError:
-            return 2.0 * _BARRIER
+            return np.inf
 
     return nll
 
@@ -327,8 +309,8 @@ def _minimize(nll, starts, maxiter):
 
 
 def _loglik(fun, stage):
-    """-fun for a stage's best objective value; LinAlgError if it is a barrier value."""
-    if fun >= _BARRIER:
+    """-fun for a stage's best objective value; LinAlgError if it is not finite."""
+    if not np.isfinite(fun):
         raise np.linalg.LinAlgError("%s found no positive definite point" % stage)
     return -float(fun)
 
@@ -364,7 +346,8 @@ def _theta_to_corr(theta, d, k):
     Scalar sub-processes use tanh-mapped partial autocorrelations, which keep
     every parameter point inside the stationary region.  Multivariate
     sub-processes use raw entries (lower triangle of the lag-0 correlation,
-    then full lag matrices) and rely on the caller's barrier for positivity.
+    then full lag matrices); the likelihood kernel rejects the points whose
+    Toeplitz matrix is not positive definite.
     """
     theta = np.asarray(theta, dtype=float)
     if d == 1:
@@ -420,14 +403,6 @@ class SubprocessFit:
     converged: bool
 
 
-def _checked_corr(theta, d, k):
-    """:func:`_theta_to_corr`, requiring a PD Toeplitz when d > 1 (raw entries)."""
-    corr = _theta_to_corr(theta, d, k)
-    if d > 1:
-        _require_pd(corr.toeplitz())
-    return corr
-
-
 def fit_stage2(z, indices, k):
     """Quasi-MLE of one sub-process's correlation blocks on the latent scale.
 
@@ -439,7 +414,7 @@ def fit_stage2(z, indices, k):
     z = np.asarray(z, dtype=float)[indices]
     d = len(indices)
     best = _minimize(
-        _objective(lag_gram(z, k), k, lambda theta: _checked_corr(theta, d, k).toeplitz()),
+        _objective(lag_gram(z, k), k, lambda theta: _theta_to_corr(theta, d, k).toeplitz()),
         _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k))),
         _MAXITER,
     )
@@ -539,11 +514,10 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     subs = list(subproc_corrs)
     try:
         r0, basis = _affine_time_major(partition, labels, k, subs)
-    except (np.linalg.LinAlgError, _NotPositiveDefinite) as exc:
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
     best = _minimize(
-        _objective(lag_gram(z, k), k,
-                   lambda theta: _require_pd(r0 + np.tensordot(theta, basis, 1))),
+        _objective(lag_gram(z, k), k, lambda theta: r0 + np.tensordot(theta, basis, 1)),
         _starts(len(basis), lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
         _MAXITER,
     )
@@ -571,16 +545,16 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
 
     def build(theta):
         *sub_thetas, cross_theta = np.split(theta, cuts)
-        trial_subs = [_checked_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
+        trial_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
         fixed = _unpack_fixed(cross_theta, partition, labels, k)
-        return _require_pd(_build_time_major(partition, labels, k, trial_subs, fixed)[1])
+        return _build_time_major(partition, labels, k, trial_subs, fixed)[1]
 
     gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
     res = _minimize(_objective(gram, k, build), [x0], _MAXITER_REFINE)
     # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
-    fun_in = _objective(gram, k, lambda _: _require_pd(
-        _build_time_major(partition, labels, k, subs, fixed_blocks)[1]))(None)
+    fun_in = _objective(gram, k, lambda _: _build_time_major(
+        partition, labels, k, subs, fixed_blocks)[1])(None)
     loglik = _loglik(min(fun_in, res.fun), "stage 4")
     if fun_in < res.fun:
         out_subs, fixed = tuple(subs), tuple(fixed_blocks)

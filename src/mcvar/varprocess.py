@@ -91,6 +91,7 @@ def whittle_recursion(acov, k):
 
     vf = gam[0].copy()  # forward prediction error covariance
     vb = gam[0].copy()  # backward prediction error covariance
+    eye = np.eye(vf.shape[0])
     fwd, bwd = [], []
     for n in range(1, k + 1):
         delta = g(n) - sum((fwd[j] @ g(n - 1 - j) for j in range(n - 1)), np.zeros_like(vf))
@@ -107,10 +108,13 @@ def whittle_recursion(acov, k):
         vb = vb - b_nn @ delta
         vf = 0.5 * (vf + vf.T)
         vb = 0.5 * (vb + vb.T)
-        if np.linalg.eigvalsh(vf)[0] <= PD_TOL or np.linalg.eigvalsh(vb)[0] <= PD_TOL:
+        try:  # smallest eigenvalue above PD_TOL, as a Cholesky of the shifted matrices
+            np.linalg.cholesky(vf - PD_TOL * eye)
+            np.linalg.cholesky(vb - PD_TOL * eye)
+        except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "prediction-error covariance lost positive definiteness at stage %d" % n
-            )
+            ) from exc
         fwd, bwd = new_fwd, new_bwd
     # The recursion indexes backward coefficients from the predicted point
     # (coefficient j on Z_{t-k-1+j}); flip so both lists index by lag from t.

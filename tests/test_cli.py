@@ -336,3 +336,22 @@ def test_tables_example1_closed_form(tmp_path, capsys):
 def test_tables_unknown_name(capsys):
     assert main(["tables", "t99"]) == 1
     assert "unknown table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["fit", "--bogus"],
+    ["simulate", "--config", "m.json", "--length", "abc"],
+    ["verify", "--config", "m.json", "--stage4"],
+    ["construct", "--config", "c.json", "--seed", "1"],
+    ["tables", "t1", "--data", "x.csv"],
+])
+def test_usage_error_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out

@@ -347,6 +347,33 @@ def test_fit_stage3_degenerate_pair_has_no_positive_definite_point():
     assert isinstance(exc.value.__cause__, DegenerateCrossPair)
 
 
+def test_fit_stage3_near_the_positive_definite_boundary(monkeypatch):
+    # the mixed-sign pair of `mcvar tables pdregion`: 0.10 is its largest positive
+    # definite grid point, so the optimiser meets infeasible points, which score +inf
+    part = Partition(sets=((0,), (1,)), d=2)
+    margins = (MarginSpec("gaussian", (0.0, 1.0)),) * 2
+    subs = [scalar_sub([1.0, 0.9]), scalar_sub([1.0, -0.9])]
+    fixed = [CrossFixedBlock(pair=(0, 1), lag=0, value=[[0.10]])]
+    x = simulate_model(construct_model(part, (2, 2), 1, margins, subs, fixed), 2000, seed=7)
+    raised = []
+
+    def recorded(*args):
+        try:
+            return gaussian_var_loglik(*args)
+        except np.linalg.LinAlgError:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(estimation, "gaussian_var_loglik", recorded)
+    st3 = fit_stage3(estimation.latent_scores(x, margins), subs, (2, 2), part, 1)
+    assert np.isfinite(st3.loglik)
+    assert abs(st3.fixed_blocks[0].value[0, 0] - 0.10) < 0.01
+    fitted = Model(partition=part, labels=(2, 2), k=1, margins=margins, subs=tuple(subs),
+                   crosses=st3.crosses)
+    assert np.linalg.eigvalsh(fitted.time_major_R())[0] > 0.0
+    assert raised
+
+
 def test_stage4_does_not_degrade_loglik():
     fit4 = fit_model(DATA, CONFIG, stage4=True)
     assert fit4.loglik >= FIT.loglik - 1e-9
@@ -386,14 +413,16 @@ def test_fit_model_computes_latent_scores_once(monkeypatch, stage4):
 
 
 @pytest.mark.parametrize("stage, target", [
-    ("stage 2", "_checked_corr"),
+    ("stage 2", "gaussian_var_loglik"),
     ("stage 3", "_build_time_major"),
 ])
 def test_fit_model_raises_when_a_stage_finds_no_pd_point(monkeypatch, stage, target):
     def infeasible(*args):
-        raise estimation._NotPositiveDefinite(0.5)
+        raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(estimation, target, infeasible)
+    # an all-infeasible simplex never meets the value tolerance; stop it early
+    monkeypatch.setattr(estimation, "_MAXITER", 50)
     with pytest.raises(np.linalg.LinAlgError, match=stage + ".*no positive definite point"):
         fit_model(DATA, CONFIG)
 
