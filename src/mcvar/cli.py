@@ -18,7 +18,6 @@ import numpy as np
 
 from .closure import (
     CrossFixedBlock,
-    CrossSolution,
     DegenerateCrossPair,
     Partition,
     SubprocessCorr,
@@ -72,7 +71,7 @@ def load_csv(path, columns=None):
     """Read a header-row CSV into a Dataset.
 
     ``columns`` selects by header name or zero-based index; default all.
-    Missing or non-numeric cells are rejected with their row and column.
+    Missing, non-numeric or non-finite cells are rejected with their line and column.
     """
     try:
         with open(path, newline="") as fh:
@@ -129,6 +128,10 @@ def load_csv(path, columns=None):
                     "parse error at line %d, column %r: %r is not a number"
                     % (lineno, header[i], cell)
                 ) from None
+            if not np.isfinite(out[v, t]):
+                raise CliError(
+                    "non-finite value at line %d, column %r: %r" % (lineno, header[i], cell)
+                )
     return Dataset(names=names, values=out)
 
 
@@ -251,12 +254,7 @@ def _time_major_from_var(var, k):
     """Correlation matrix of (Z_t, ..., Z_{t-k}) implied by a VAR."""
     gams = implied_autocov(var, k)
     scale = 1.0 / np.sqrt(np.diag(gams[0]))
-    norm = [g * np.outer(scale, scale) for g in gams]
-
-    def sl(l):
-        return norm[l] if l >= 0 else norm[-l].T
-
-    return np.block([[sl(s - r) for s in range(k + 1)] for r in range(k + 1)])
+    return SubprocessCorr(blocks=[g * np.outer(scale, scale) for g in gams]).toeplitz()
 
 
 # -- output helpers -----------------------------------------------------------
@@ -334,21 +332,15 @@ def _build_from_config(doc):
         raise CliError(str(exc)) from exc
 
     # locate infeasibility pair by pair before blaming the full matrix
+    r = model.time_major_R()
     for c in model.crosses:
         i, j = c.pair
-        di = subs[i].dim
-        pair_part = Partition(
-            sets=(tuple(range(di)), tuple(range(di, di + subs[j].dim))),
-            d=di + subs[j].dim,
-        )
-        pair_sol = CrossSolution(pair=(0, 1), order=k, blocks=c.blocks)
-        r_pair = assemble_full_R(pair_part, (subs[i], subs[j]), [pair_sol])
-        if not is_positive_definite(reorder_time_major(r_pair, pair_part, k)):
+        idx = [l * part.d + v for l in range(k + 1) for v in part.sets[i] + part.sets[j]]
+        if not is_positive_definite(r[np.ix_(idx, idx)]):
             raise InfeasibleError(
                 "pair (%d, %d): fixed cross block makes the pair's joint "
                 "correlation matrix non positive definite" % (i, j)
             )
-    r = model.time_major_R()
     if not is_positive_definite(r):
         raise InfeasibleError(
             "assembled correlation matrix is not positive definite "

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PD_TOL,
-    commutation_matrix,
-    exchange_matrix,
-    gaussian_condition,
-    is_positive_definite,
-    kron,
-    unvec,
-    vec,
-)
+from .linalg import PD_TOL, gaussian_condition, is_positive_definite, vec
 from .varprocess import durbin_levinson, whittle_recursion
 
 # Condition number above which the stacked cross-block system is treated as
@@ -265,11 +256,9 @@ def solve_cross_pair(ri, rj, labels, fixed):
             "fixed block shape %s, expected (%d, %d)" % (fixed.value.shape, di, dj)
         )
 
-    blocks = [None] * (2 * k + 1)
     if labels[0] != labels[1]:
         # Conditions leave every other block identically zero.
-        for l in range(-k, k + 1):
-            blocks[l + k] = np.zeros((di, dj))
+        blocks = [np.zeros((di, dj)) for _ in range(2 * k + 1)]
         blocks[want + k] = fixed.value.copy()
         return CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks))
 
@@ -280,23 +269,15 @@ def solve_cross_pair(ri, rj, labels, fixed):
         raise DegenerateCrossPair(
             fixed.pair, "a sub-process is not positive definite: %s" % exc
         ) from exc
-    L = kron(exchange_matrix(2 * k + 1), np.eye(dj))  # reverses block columns
-    b_j = a_j @ L
-    K = commutation_matrix(di, dj)
-
-    mid = slice(k * di, (k + 1) * di)
-    mid_j = slice(k * dj, (k + 1) * dj)
-    rest_i = np.delete(a_i, np.arange(k * di, (k + 1) * di), axis=1)
-    rest_j = np.delete(b_j, np.arange(k * dj, (k + 1) * dj), axis=1)
-
-    M = np.vstack([
-        kron(rest_i, np.eye(dj)) @ kron(np.eye(2 * k), K),
-        kron(rest_j, np.eye(di)),
-    ])
-    N = np.vstack([
-        kron(a_i[:, mid], np.eye(dj)) @ K,
-        kron(b_j[:, mid_j], np.eye(di)),
-    ])
+    # Rows of vec(A_i D_ij) and of vec((A_j D_ji)^T), one column block of
+    # di*dj per lag l = -k..k acting on vec(Sigma_{ij,l}):
+    # I_dj (x) A_i[:, lag l] and A_j[:, lag -l] (x) I_di.
+    n_lag, step = 2 * k + 1, di * dj
+    rows_i = np.kron(np.eye(dj), a_i).reshape(-1, dj, n_lag, di).transpose(0, 2, 1, 3)
+    rows_j = np.kron(a_j, np.eye(di)).reshape(-1, n_lag, step)[:, ::-1]
+    system = np.vstack([rows_i.reshape(-1, n_lag, step), rows_j])
+    N = system[:, k]
+    M = np.delete(system, k, axis=1).reshape(len(system), -1)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateCrossPair(
@@ -304,11 +285,8 @@ def solve_cross_pair(ri, rj, labels, fixed):
         )
     x = np.linalg.solve(M, -N @ vec(fixed.value))
 
-    step = di * dj
-    lags = list(range(-k, 0)) + list(range(1, k + 1))
-    for m, l in enumerate(lags):
-        blocks[l + k] = unvec(x[m * step:(m + 1) * step], di, dj)
-    blocks[k] = fixed.value.copy()
+    solved = list(x.reshape(2 * k, dj, di).transpose(0, 2, 1))
+    blocks = solved[:k] + [fixed.value.copy()] + solved[k:]
     return CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks))
 
 

@@ -301,10 +301,18 @@ def _starts(n_theta, moment):
 
 
 def _minimize(nll, starts, maxiter):
-    """Nelder-Mead from every start; the first result with the lowest value wins."""
+    """Nelder-Mead from every start that scores finite; the first lowest result wins.
+
+    A run from an infeasible start would only shuffle +inf vertices until
+    ``maxiter``, so such a start is skipped.  When every start is infeasible
+    the result is +inf at the first start, without a run.
+    """
     options = {"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-9}
-    runs = [optimize.minimize(nll, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                              options=options) for x0 in starts]
+    starts = [np.asarray(x0, dtype=float) for x0 in starts]
+    runs = [optimize.minimize(nll, x0, method="Nelder-Mead", options=options)
+            for x0 in starts if np.isfinite(nll(x0))]
+    if not runs:
+        return optimize.OptimizeResult(x=starts[0], fun=np.inf, success=False, nfev=0, nit=0)
     return min(runs, key=lambda res: res.fun)
 
 

@@ -5,7 +5,6 @@ Conventions: matrices are 2-d float ndarrays; ``vec`` stacks columns
 """
 
 import numpy as np
-from numpy import kron  # noqa: F401  (re-exported; block (i,j) of kron(a, b) is a[i,j]*b)
 from scipy import linalg as sla
 
 # Default numerical tolerances.  PD is judged on the smallest eigenvalue of
@@ -17,7 +16,6 @@ SYMMETRY_TOL = 1e-9
 __all__ = [
     "PD_TOL",
     "SYMMETRY_TOL",
-    "kron",
     "vec",
     "unvec",
     "commutation_matrix",

@@ -11,6 +11,7 @@ function and quantile reduce to the regularized incomplete beta function via
 the monotone map s -> (1+t)/2.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,6 +60,8 @@ class MarginSpec:
             raise ValueError("unknown margin family %r" % self.family)
         if len(params) != len(names):
             raise ValueError("%s margin takes (%s)" % (self.family, ", ".join(names)))
+        if not all(map(math.isfinite, params)):
+            raise ValueError("margin parameters must be finite, got %s" % (params,))
         if params[1] <= 0:
             raise ValueError("scale must be positive")
         if any(p <= 0 for p in params[2:]):

@@ -269,6 +269,43 @@ def test_construct_infeasible_exit_2(tmp_path, capsys):
     assert "positive definite" in err
 
 
+def test_construct_names_the_one_infeasible_pair_exit_2(tmp_path, capsys):
+    # pairs (0, 1) and (1, 2) are feasible; (0, 2) repeats the infeasible
+    # pair of test_construct_infeasible_exit_2
+    doc = construct_config(labels=(2, 2), k=1)
+    doc.update(
+        partition=[[0], [1], [2]],
+        labels=[2, 2, 2],
+        names=["u", "v", "w"],
+        margins=[{"family": "gaussian", "params": [0.0, 1.0]}] * 3,
+        subprocess_corrs=[{"blocks": [[[1.0]], [[rho]]]} for rho in (0.9, 0.3, -0.9)],
+        cross_fixed=[{"pair": list(pair), "lag": 0, "value": [[c0]]}
+                     for pair, c0 in (((0, 1), 0.1), ((0, 2), 0.5), ((1, 2), 0.1))],
+    )
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert "pair (0, 2)" in err
+    assert "pair (0, 1)" not in err and "pair (1, 2)" not in err
+
+
+def test_fit_rejects_a_non_finite_cell_exit_1(tmp_path, capsys):
+    rows = np.random.default_rng(3).normal(size=(200, 2)).tolist()
+    rows[57][1] = "inf"
+    data = tmp_path / "d.csv"
+    data.write_text("u,v\n" + "".join("%s,%s\n" % tuple(r) for r in rows))
+    fit_cfg = write_json(tmp_path / "fit.json", {
+        "format": "mcvar-config/1",
+        "k": 1,
+        "partition": [[0], [1]],
+        "labels": [2, 2],
+        "margin_families": ["gaussian", "gaussian"],
+    })
+    assert main(["fit", "--config", fit_cfg, "--data", str(data),
+                 "--out", str(tmp_path / "fitted.json")]) == 1
+    assert "non-finite value at line 59, column 'v'" in capsys.readouterr().err
+
+
 def test_construct_non_pd_subprocess_exit_2(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",

@@ -427,6 +427,26 @@ def test_fit_model_raises_when_a_stage_finds_no_pd_point(monkeypatch, stage, tar
         fit_model(DATA, CONFIG)
 
 
+def test_minimize_skips_an_infeasible_start():
+    calls = []
+
+    def nll(theta):
+        calls.append(theta)
+        return np.inf if theta[0] > 5.0 else float(np.sum((theta - 1.0) ** 2))
+
+    best = estimation._minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER)
+    assert len(calls) < 400
+    assert_allclose(best.x, [1.0, 1.0], atol=1e-6)
+    assert best.fun < 1e-10
+
+
+def test_minimize_with_no_feasible_start_returns_inf_without_a_run():
+    best = estimation._minimize(lambda theta: np.inf, [np.ones(3), np.zeros(3)],
+                                estimation._MAXITER)
+    assert best.fun == np.inf and not best.success and best.nfev == 0
+    assert_allclose(best.x, np.ones(3))
+
+
 def test_unrestricted_fit_nests_more_parameters():
     un = fit_unrestricted(DATA, ("gaussian", "gaussian"), 2)
     assert un.n_params == count_params(CONFIG, restricted=False) == 4 + 1 + 8

@@ -34,6 +34,16 @@ def test_margin_spec_validation():
     assert rt.family == "skewt" and rt.params == (1.0, 2.0, 3.0, 4.0)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("gaussian", (0.0, np.nan)),
+    ("gaussian", (np.inf, 1.0)),
+    ("skewt", (0.0, 1.0, np.inf, 2.0)),
+])
+def test_margin_spec_rejects_non_finite_parameters(family, params):
+    with pytest.raises(ValueError, match="finite"):
+        MarginSpec(family, params)
+
+
 def test_gaussian_margin_matches_scipy():
     spec = MarginSpec("gaussian", (0.3, 1.7))
     x = np.linspace(-5.0, 5.0, 41)
