@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize
 from scipy.stats import chi2
 
 from .closure import (
@@ -31,6 +30,7 @@ from .closure import (
 )
 from .linalg import symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
+from .optim import minimize
 from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -237,6 +237,43 @@ def gaussian_var_loglik(z, r, k):
     return total - 0.5 * (steady + float(np.sum((g.gram @ mt) * mt)))
 
 
+def _gaussian_var_score(g, r, k):
+    """:func:`gaussian_var_loglik` of a LagGram and its score dl/dr, from one Cholesky.
+
+    In reversed time l = -1/2 sum_X s_X [n_X log det R_X + tr(R_X^-1 S_X)] + const
+    over three blocks X: the head (S = h h^T, n = 1, s = +1), the window
+    (S = C, n = T - k, s = +1) and the past, the leading w - d block of C
+    (s = -1).  Each contributes -1/2 s_X (n_X R_X^-1 - R_X^-1 S_X R_X^-1) to
+    the score; the head and past blocks of L^-1 are leading blocks of the
+    window's.
+    """
+    w = g.gram.shape[0]
+    d = w // (k + 1)
+
+    def flip(a):  # time-major <-> reversed time; its own inverse
+        return a.reshape(k + 1, d, k + 1, d)[::-1, :, ::-1].reshape(w, w)
+
+    ch = np.linalg.cholesky(flip(symmetrize(r)))
+    inv = sla.solve_triangular(ch, np.eye(w), lower=True, check_finite=False)
+    logdiag = np.log(np.diag(ch))
+    m, p = g.head.size, w - d
+    q = inv[:m, :m] @ g.head
+    mt = inv[p:].T
+    value = -0.5 * (m * _LOG_2PI + 2.0 * float(np.sum(logdiag[:m])) + float(q @ q)
+                    + g.n * (d * _LOG_2PI + 2.0 * float(np.sum(logdiag[p:])))
+                    + float(np.sum((g.gram @ mt) * mt)))
+
+    def block(size, n, s):
+        a = inv[:size, :size]
+        rinv = a.T @ a
+        return n * rinv - rinv @ s @ rinv
+
+    score = block(w, g.n, g.gram)
+    score[:p, :p] -= block(p, g.n, g.gram[:p, :p])
+    score[:m, :m] += block(m, 1, np.outer(g.head, g.head))
+    return value, flip(-0.5 * score)
+
+
 def _margin_correction(data, margins, z):
     """Sum over variables of log f_i(x) - log phi(z_i); fixed given the margins."""
     total = 0.0
@@ -274,7 +311,8 @@ def loglik_sub(data, margins, indices, k, corr):
 # A stage supplies ``build(theta)`` returning the time-major R.  The kernel's
 # Cholesky of R is the positive-definiteness test: a point where it fails, or
 # where ``build`` finds a degenerate pair, scores +inf.  Nelder-Mead only
-# compares values, so such a point loses every comparison.
+# compares values, so such a point loses every comparison.  Scalar stage 2
+# has a closed-form score and runs L-BFGS-B through the same driver.
 _MAXITER = 4000  # per start, stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
@@ -300,22 +338,6 @@ def _starts(n_theta, moment):
     return [np.zeros(n_theta), m, 0.5 * m]
 
 
-def _minimize(nll, starts, maxiter):
-    """Nelder-Mead from every start that scores finite; the first lowest result wins.
-
-    A run from an infeasible start would only shuffle +inf vertices until
-    ``maxiter``, so such a start is skipped.  When every start is infeasible
-    the result is +inf at the first start, without a run.
-    """
-    options = {"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-9}
-    starts = [np.asarray(x0, dtype=float) for x0 in starts]
-    runs = [optimize.minimize(nll, x0, method="Nelder-Mead", options=options)
-            for x0 in starts if np.isfinite(nll(x0))]
-    if not runs:
-        return optimize.OptimizeResult(x=starts[0], fun=np.inf, success=False, nfev=0, nit=0)
-    return min(runs, key=lambda res: res.fun)
-
-
 def _loglik(fun, stage):
     """-fun for a stage's best objective value; LinAlgError if it is not finite."""
     if not np.isfinite(fun):
@@ -326,22 +348,32 @@ def _loglik(fun, stage):
 # -- stage 2: per-sub-process dependence ------------------------------------
 
 def _pacf_to_acf(pi):
-    """Autocorrelations rho_1..rho_k from partial autocorrelations in (-1, 1)."""
+    """Autocorrelations rho_1..rho_k from partial autocorrelations in (-1, 1).
+
+    Returns rho and its k x k Jacobian d rho / d pi, carried through the
+    Durbin-Levinson recursion alongside the predictor phi and the
+    prediction variance v.
+    """
     pi = np.asarray(pi, dtype=float)
     kk = pi.size
-    rho = np.zeros(kk)
-    phi = np.zeros(0)
-    v = 1.0
+    eye = np.eye(kk)
+    rho, jac = np.zeros(kk), np.zeros((kk, kk))
+    phi, dphi = np.zeros(0), np.zeros((0, kk))
+    v, dv = 1.0, np.zeros(kk)
     for m in range(1, kk + 1):
         p = pi[m - 1]
         if m == 1:
             rho[0] = p
-            phi = np.array([p])
+            jac[0] = eye[0]
+            phi, dphi = np.array([p]), eye[:1]
         else:
             rho[m - 1] = phi @ rho[m - 2::-1] + p * v
+            jac[m - 1] = rho[m - 2::-1] @ dphi + phi @ jac[m - 2::-1] + v * eye[m - 1] + p * dv
+            dphi = np.vstack([dphi - p * dphi[::-1] - np.outer(phi[::-1], eye[m - 1]), eye[m - 1]])
             phi = np.concatenate([phi - p * phi[::-1], [p]])
+        dv = (1.0 - p * p) * dv - 2.0 * p * v * eye[m - 1]
         v *= 1.0 - p * p
-    return rho
+    return rho, jac
 
 
 def _sub_theta_len(d, k):
@@ -359,7 +391,7 @@ def _theta_to_corr(theta, d, k):
     """
     theta = np.asarray(theta, dtype=float)
     if d == 1:
-        rho = _pacf_to_acf(np.tanh(theta))
+        rho, _ = _pacf_to_acf(np.tanh(theta))
         blocks = [np.eye(1)] + [np.array([[r]]) for r in rho]
         return SubprocessCorr(blocks=tuple(blocks))
     ii, jj = np.tril_indices(d, -1)
@@ -411,21 +443,46 @@ class SubprocessFit:
     converged: bool
 
 
+def _scalar_objective(gram, k):
+    """(nll, score) of a scalar sub-process at tanh-mapped PACFs, +inf if R is not PD.
+
+    The kernel's score dl/dR sums over each Toeplitz lag to dl/drho, then
+    chains through the PACF Jacobian and tanh.
+    """
+    lags = np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1)))
+
+    def nll(theta):
+        pi = np.tanh(theta)
+        rho, jac = _pacf_to_acf(pi)
+        try:
+            ll, score = _gaussian_var_score(gram, np.concatenate([[1.0], rho])[lags], k)
+        except np.linalg.LinAlgError:
+            return np.inf, np.zeros(k)
+        drho = np.bincount(lags.ravel(), weights=score.ravel(), minlength=k + 1)[1:]
+        return -ll, -(1.0 - pi * pi) * (drho @ jac)
+
+    return nll
+
+
 def fit_stage2(z, indices, k):
     """Quasi-MLE of one sub-process's correlation blocks on the latent scale.
 
     ``z`` holds the latent scores of every variable; ``indices`` selects the
-    sub-process's rows.  Runs Nelder-Mead from three deterministic starts
-    (zeros, sample moments, half the sample moments) and keeps the best.
+    sub-process's rows.  Runs from three deterministic starts (zeros, sample
+    moments, half the sample moments) and keeps the best: L-BFGS-B on the
+    closed-form score for a scalar sub-process, Nelder-Mead otherwise.
     """
     indices = list(indices)
     z = np.asarray(z, dtype=float)[indices]
     d = len(indices)
-    best = _minimize(
-        _objective(lag_gram(z, k), k, lambda theta: _theta_to_corr(theta, d, k).toeplitz()),
-        _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k))),
-        _MAXITER,
-    )
+    gram = lag_gram(z, k)
+    starts = _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k)))
+    if d == 1:
+        best = minimize(_scalar_objective(gram, k), starts, _MAXITER, jac=True)
+    else:
+        best = minimize(
+            _objective(gram, k, lambda theta: _theta_to_corr(theta, d, k).toeplitz()),
+            starts, _MAXITER)
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
@@ -524,7 +581,7 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
         r0, basis = _affine_time_major(partition, labels, k, subs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
-    best = _minimize(
+    best = minimize(
         _objective(lag_gram(z, k), k, lambda theta: r0 + np.tensordot(theta, basis, 1)),
         _starts(len(basis), lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
         _MAXITER,
@@ -559,7 +616,7 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
 
     gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    res = _minimize(_objective(gram, k, build), [x0], _MAXITER_REFINE)
+    res = minimize(_objective(gram, k, build), [x0], _MAXITER_REFINE)
     # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
     fun_in = _objective(gram, k, lambda _: _build_time_major(
         partition, labels, k, subs, fixed_blocks)[1])(None)
@@ -604,7 +661,7 @@ def fit_model(data, config, stage4=False):
     z = latent_scores(data, margins)
     sub_fits = tuple(fit_stage2(z, s, config.k) for s in config.partition.sets)
     subs = [sf.corr for sf in sub_fits]
-    converged = all(sf.converged for sf in sub_fits)
+    converged = all(f.converged for f in margin_fits + sub_fits)
     stage_logliks = {"stage2": [sf.loglik for sf in sub_fits]}
     if config.partition.n == 1:
         fixed, crosses = [], ()

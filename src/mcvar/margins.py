@@ -16,8 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
+from scipy.special import betainc, betaincinv, betaln, digamma, ndtr, ndtri
+
+from .optim import minimize
 
 # PIT values are clamped into [PIT_CLAMP, 1 - PIT_CLAMP] before the normal
 # quantile; exact 0/1 would map to infinities.
@@ -178,16 +179,50 @@ class MarginFit:
 # deterministic (a, b) starting pairs for the skew-t search: symmetric,
 # left-heavy, right-heavy
 _SKEWT_STARTS = ((3.0, 3.0), (2.0, 6.0), (6.0, 2.0))
+_MAXITER = 4000  # per start
+
+
+def _skewt_nll(theta, x):
+    """Negative skew-t log likelihood of ``x`` and its score in (loc, log scale, log a, log b).
+
+    With q = a + b + s^2, dt/ds = (a+b) / q^(3/2) and dt/d(a+b) = -s / (2 q^(3/2));
+    the normalising constant's derivatives use digamma.
+    """
+    loc, lsc, la, lb = (float(v) for v in theta)
+    scale, a, b = math.exp(lsc), math.exp(la), math.exp(lb)
+    s = (x - loc) / scale
+    q = a + b + s * s
+    t = s / np.sqrt(q)
+    lp, lm = np.log1p(t), np.log1p(-t)
+    n = x.size
+    ll = (a + 0.5) * np.sum(lp) + (b + 0.5) * np.sum(lm) - n * (_skewt_logconst(a, b) + lsc)
+    dl_dt = (a + 0.5) / (1.0 + t) - (b + 0.5) / (1.0 - t)
+    g = dl_dt / (q * np.sqrt(q))  # dl/dt * dt/ds / (a+b)
+    dl_ds = (a + b) * g
+    dl_dab = -0.5 * float(np.sum(g * s))
+    dconst = math.log(2.0) - digamma(a + b) + 0.5 / (a + b)
+    score = np.array([
+        -float(np.sum(dl_ds)) / scale,
+        -float(np.sum(dl_ds * s)) - n,
+        a * (float(np.sum(lp)) + dl_dab - n * (dconst + digamma(a))),
+        b * (float(np.sum(lm)) + dl_dab - n * (dconst + digamma(b))),
+    ])
+    return -float(ll), -score
 
 
 def fit_margin(x, family):
     """Maximum likelihood fit of one margin family to a sample.
 
-    Gaussian margins are closed form.  The skew-t margin is optimized by
-    Nelder-Mead over (loc, log scale, log a, log b) from three deterministic
-    starts, keeping the best.
+    Gaussian margins are closed form.  The skew-t margin is fitted by
+    L-BFGS-B on the closed-form score in (loc, log scale, log a, log b) from
+    three deterministic starts, keeping the best, inside the box
+    |log scale - log sd| <= 12, -6 <= log a, log b <= 12.  A sample with
+    non-finite values raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
+    bad = int(np.count_nonzero(~np.isfinite(x)))
+    if bad:
+        raise ValueError("sample has %d non-finite value(s)" % bad)
     if x.size < 3:
         raise ValueError("need at least 3 observations to fit a margin")
     if family == "gaussian":
@@ -204,27 +239,14 @@ def fit_margin(x, family):
     m, sd = float(np.mean(x)), float(np.std(x))
     if sd == 0.0:
         raise ValueError("degenerate sample: zero variance")
-
-    def nll(theta):
-        loc, lsc, la, lb = theta
-        if abs(lsc - np.log(sd)) > 12.0 or not (-6.0 < la < 12.0) or not (-6.0 < lb < 12.0):
-            return np.inf
-        spec = MarginSpec("skewt", (loc, np.exp(lsc), np.exp(la), np.exp(lb)))
-        return -float(np.sum(logpdf(x, spec)))
-
-    best = None
-    ok = False
-    for a0, b0 in _SKEWT_STARTS:
-        theta0 = np.array([m, np.log(sd), np.log(a0), np.log(b0)])
-        res = optimize.minimize(
-            nll,
-            theta0,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-            ok = bool(res.success)
+    lsd = math.log(sd)
+    best = minimize(
+        lambda theta: _skewt_nll(theta, x),
+        [(m, lsd, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
+        _MAXITER,
+        jac=True,
+        bounds=[(None, None), (lsd - 12.0, lsd + 12.0), (-6.0, 12.0), (-6.0, 12.0)],
+    )
     loc, lsc, la, lb = best.x
-    spec = MarginSpec("skewt", (float(loc), float(np.exp(lsc)), float(np.exp(la)), float(np.exp(lb))))
-    return MarginFit(spec=spec, loglik=-float(best.fun), converged=ok)
+    spec = MarginSpec("skewt", (float(loc), math.exp(lsc), math.exp(la), math.exp(lb)))
+    return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success))

@@ -204,3 +204,65 @@ def random_subprocess_corr(rng, d, k, radius=0.6):
             np.fill_diagonal(b, 1.0)
         blocks.append(b)
     return SubprocessCorr(blocks=tuple(blocks))
+
+
+def fit_margin_nelder_mead(x, family="skewt"):
+    """Skew-t maximum likelihood by multi-start Nelder-Mead on values alone.
+
+    The derivative-free fit the package used before its closed-form score:
+    three (a, b) starts, the box |log scale - log sd| <= 12, -6 < log a,
+    log b < 12 as +inf, and a MarginSpec per evaluation.  Returns
+    (spec, loglik, converged) of the best start.
+    """
+    from mcvar.margins import MarginSpec, logpdf
+
+    assert family == "skewt"
+    x = np.asarray(x, dtype=float).ravel()
+    m, sd = float(np.mean(x)), float(np.std(x))
+
+    def nll(theta):
+        loc, lsc, la, lb = theta
+        if abs(lsc - np.log(sd)) > 12.0 or not (-6.0 < la < 12.0) or not (-6.0 < lb < 12.0):
+            return np.inf
+        spec = MarginSpec("skewt", (loc, np.exp(lsc), np.exp(la), np.exp(lb)))
+        return -float(np.sum(logpdf(x, spec)))
+
+    best = None
+    for a0, b0 in ((3.0, 3.0), (2.0, 6.0), (6.0, 2.0)):
+        res = optimize.minimize(nll, np.array([m, np.log(sd), np.log(a0), np.log(b0)]),
+                                method="Nelder-Mead",
+                                options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-10})
+        if best is None or res.fun < best.fun:
+            best = res
+    loc, lsc, la, lb = best.x
+    spec = MarginSpec("skewt", (loc, np.exp(lsc), np.exp(la), np.exp(lb)))
+    return spec, -float(best.fun), bool(best.success)
+
+
+def scalar_stage2_nelder_mead(z, k):
+    """Scalar sub-process quasi-MLE by multi-start Nelder-Mead on values alone.
+
+    The derivative-free stage 2 the package used before its closed-form
+    score: the value-only likelihood kernel at tanh-mapped partial
+    autocorrelations, from zeros, the sample moments and half of them.
+    ``z`` is a (1, T) latent series.  Returns (corr, loglik, converged).
+    """
+    from mcvar import estimation as est
+
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    gram = est.lag_gram(z, k)
+
+    def nll(theta):
+        try:
+            return -est.gaussian_var_loglik(gram, est._theta_to_corr(theta, 1, k).toeplitz(), k)
+        except np.linalg.LinAlgError:
+            return np.inf
+
+    m0 = est._corr_to_theta(est._moment_corr(z, k))
+    best = None
+    for x0 in (np.zeros(k), m0, 0.5 * m0):
+        res = optimize.minimize(nll, x0, method="Nelder-Mead",
+                                options={"maxiter": 4000, "xatol": 1e-7, "fatol": 1e-9})
+        if best is None or res.fun < best.fun:
+            best = res
+    return est._theta_to_corr(best.x, 1, k), -float(best.fun), bool(best.success)

@@ -392,3 +392,33 @@ def test_usage_error_exits_1(argv, capsys):
 def test_help_exits_0(argv, capsys):
     assert main(argv) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_fit_reports_a_margin_that_did_not_converge(tmp_path, capsys, monkeypatch):
+    import mcvar.estimation as estimation
+    from mcvar.margins import MarginFit, fit_margin
+
+    def unconverged(x, family):
+        fit = fit_margin(x, family)
+        return MarginFit(spec=fit.spec, loglik=fit.loglik, converged=False)
+
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model_path, sim_path = str(tmp_path / "model.json"), str(tmp_path / "sim.csv")
+    assert main(["construct", "--config", cfg, "--out", model_path]) == 0
+    assert main(["simulate", "--config", model_path, "--length", "300",
+                 "--seed", "5", "--out", sim_path]) == 0
+    fit_cfg = write_json(tmp_path / "fit.json", {
+        "format": "mcvar-config/1",
+        "k": 2,
+        "partition": [[0], [1]],
+        "labels": [2, 2],
+        "margin_families": ["gaussian", "gaussian"],
+    })
+    capsys.readouterr()
+    assert main(["fit", "--config", fit_cfg, "--data", sim_path,
+                 "--out", str(tmp_path / "fitted.json")]) == 0
+    assert "did not converge" not in capsys.readouterr().err
+    monkeypatch.setattr(estimation, "fit_margin", unconverged)
+    assert main(["fit", "--config", fit_cfg, "--data", sim_path,
+                 "--out", str(tmp_path / "fitted.json")]) == 0
+    assert "warning: at least one optimizer stage did not converge" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from mcvar.closure import (
     verify_closure,
 )
 import mcvar.estimation as estimation
+import mcvar.optim as optim
 from mcvar.estimation import (
     Model,
     ModelConfig,
@@ -31,7 +32,7 @@ from mcvar.estimation import (
     portmanteau,
     simulate_model,
 )
-from mcvar.margins import MarginSpec, pit_to_normal
+from mcvar.margins import MarginFit, MarginSpec, fit_margin, pit_to_normal
 from mcvar.varprocess import seeded_normals, simulate
 
 
@@ -421,10 +422,24 @@ def test_fit_model_raises_when_a_stage_finds_no_pd_point(monkeypatch, stage, tar
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(estimation, target, infeasible)
+    if target == "gaussian_var_loglik":  # scalar stage 2 scores through the kernel's twin
+        monkeypatch.setattr(estimation, "_gaussian_var_score", infeasible)
     # an all-infeasible simplex never meets the value tolerance; stop it early
     monkeypatch.setattr(estimation, "_MAXITER", 50)
     with pytest.raises(np.linalg.LinAlgError, match=stage + ".*no positive definite point"):
         fit_model(DATA, CONFIG)
+
+
+def test_fit_model_converged_includes_the_margin_fits(monkeypatch):
+    def unconverged(x, family):
+        fit = fit_margin(x, family)
+        return MarginFit(spec=fit.spec, loglik=fit.loglik, converged=False)
+
+    assert FIT.converged
+    monkeypatch.setattr(estimation, "fit_margin", unconverged)
+    fit = fit_model(DATA, CONFIG)
+    assert not fit.converged
+    assert fit.loglik == FIT.loglik
 
 
 def test_minimize_skips_an_infeasible_start():
@@ -434,15 +449,15 @@ def test_minimize_skips_an_infeasible_start():
         calls.append(theta)
         return np.inf if theta[0] > 5.0 else float(np.sum((theta - 1.0) ** 2))
 
-    best = estimation._minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER)
+    best = optim.minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER)
     assert len(calls) < 400
     assert_allclose(best.x, [1.0, 1.0], atol=1e-6)
     assert best.fun < 1e-10
 
 
 def test_minimize_with_no_feasible_start_returns_inf_without_a_run():
-    best = estimation._minimize(lambda theta: np.inf, [np.ones(3), np.zeros(3)],
-                                estimation._MAXITER)
+    best = optim.minimize(lambda theta: np.inf, [np.ones(3), np.zeros(3)],
+                          estimation._MAXITER)
     assert best.fun == np.inf and not best.success and best.nfev == 0
     assert_allclose(best.x, np.ones(3))
 

@@ -163,3 +163,11 @@ def test_fit_margin_skewt_recovers_parameters():
     assert fit.loglik >= ll_true - 1e-6
     assert abs(fit.spec.params[0] - 0.5) < 0.4
     assert abs(fit.spec.params[1] - 1.2) < 0.6
+
+@pytest.mark.parametrize("family", ["gaussian", "skewt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_margin_rejects_a_non_finite_sample(family, bad):
+    x = np.linspace(-1.0, 2.0, 50)
+    x[[3, 17]] = bad
+    with pytest.raises(ValueError, match="2 non-finite value"):
+        fit_margin(x, family)

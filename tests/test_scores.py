@@ -1,0 +1,137 @@
+"""Closed-form scores by central differences, and the scored fits against
+the derivative-free multi-start Nelder-Mead oracles they replaced."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
+from scipy.special import ndtr
+
+from oracles import fit_margin_nelder_mead, random_subprocess_corr, scalar_stage2_nelder_mead
+import mcvar.estimation as estimation
+from mcvar.closure import SubprocessCorr
+from mcvar.estimation import fit_stage2, gaussian_var_loglik, lag_gram
+from mcvar.margins import MarginSpec, _skewt_nll, fit_margin, logpdf, quantile
+from mcvar.varprocess import durbin_levinson, seeded_normals, simulate
+
+H = 1e-6
+
+
+def central_differences(f, x):
+    x = np.asarray(x, dtype=float)
+    return np.array([(f(x + H * e) - f(x - H * e)) / (2.0 * H) for e in np.eye(x.size)])
+
+
+def skewt_sample(params, seed, n):
+    u = np.clip(ndtr(seeded_normals(seed, n)), 1e-12, 1.0 - 1e-12)
+    return quantile(u, MarginSpec("skewt", params))
+
+
+# ------------------------------------------------------------------ scores
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    loc=st.floats(-2.0, 2.0),
+    dlsc=st.floats(-2.0, 2.0),
+    la=st.floats(-2.0, 5.0),
+    lb=st.floats(-2.0, 5.0),
+    skew=st.sampled_from([(0.0, 0.0), (-1.5, 3.5), (3.5, -1.5)]),
+)
+def test_skewt_score_matches_central_differences(loc, dlsc, la, lb, skew):
+    # the sample is strongly skewed; the point may be too, through `skew`
+    x = skewt_sample((0.3, 1.5, 1.5, 8.0), 5, 300)
+    theta = np.array([loc, math.log(np.std(x)) + dlsc, la + skew[0], lb + skew[1]])
+    value, score = _skewt_nll(theta, x)
+    spec = MarginSpec("skewt", (theta[0],) + tuple(np.exp(theta[1:])))
+    assert_allclose(value, -np.sum(logpdf(x, spec)), rtol=1e-12)
+    fd = central_differences(lambda t: _skewt_nll(t, x)[0], theta)
+    assert_allclose(score, fd, rtol=1e-5, atol=1e-5 * max(1.0, np.max(np.abs(fd))))
+
+
+def kernel_case(d, k, T, seed):
+    rng = np.random.default_rng(seed)
+    r = random_subprocess_corr(rng, d, k).toeplitz()
+    return lag_gram(rng.standard_normal((d, T)), k), r
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(d=st.integers(1, 3), k=st.integers(1, 3), extra=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_score_matches_central_differences(d, k, extra, seed):
+    # T runs from 1 to k + 4: T <= k scores the head alone
+    T = 1 + extra % (k + 4)
+    gram, r = kernel_case(d, k, T, seed)
+    value, score = estimation._gaussian_var_score(gram, r, k)
+    assert_allclose(value, gaussian_var_loglik(gram, r, k), rtol=1e-10)
+    w = r.shape[0]
+    fd = np.zeros((w, w))
+    for i in range(w):
+        for j in range(i, w):
+            e = np.zeros((w, w))
+            e[i, j] = e[j, i] = H
+            dv = (gaussian_var_loglik(gram, r + e, k) - gaussian_var_loglik(gram, r - e, k)) / (2 * H)
+            # a symmetric step moves both (i, j) and (j, i)
+            fd[i, j] = fd[j, i] = dv if i == j else 0.5 * dv
+    assert_allclose(score, score.T, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(score))))
+    assert_allclose(score, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(k=st.integers(1, 4), T=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.3, 1.0, 2.0]))
+def test_scalar_stage2_score_matches_central_differences(k, T, seed, scale):
+    rng = np.random.default_rng(seed)
+    gram = lag_gram(rng.standard_normal((1, T)), k)
+    theta = scale * rng.standard_normal(k)
+    nll = estimation._scalar_objective(gram, k)
+    value, score = nll(theta)
+    r = estimation._theta_to_corr(theta, 1, k).toeplitz()
+    assert_allclose(value, -gaussian_var_loglik(gram, r, k), rtol=1e-10)
+    fd = central_differences(lambda t: nll(t)[0], theta)
+    assert_allclose(score, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
+
+# ------------------------------------- scored fits against Nelder-Mead oracles
+
+# (params, seed): the two paper_k2 truth margins and the scale_k3_d19 skew-t margin
+MARGINS = [((0.850, 0.791, 5.739, 9.344), 11), ((-0.032, 0.172, 3.053, 2.738), 12),
+           ((0.0, 0.1, 3.0, 5.0), 13)]
+
+
+@pytest.mark.parametrize("params, seed", MARGINS)
+def test_skewt_margin_fit_never_loses_to_nelder_mead(params, seed):
+    x = skewt_sample(params, seed, 2000)
+    fit = fit_margin(x, "skewt")
+    _, ll_oracle, _ = fit_margin_nelder_mead(x)
+    assert fit.converged
+    assert fit.loglik >= ll_oracle - 1e-6
+
+
+def scalar_series(rho, T, seed):
+    """A (1, T) latent series with autocorrelations 1, rho_1..rho_k."""
+    sub = SubprocessCorr(blocks=tuple(np.array([[v]]) for v in (1.0,) + tuple(rho)))
+    k = len(rho)
+    r = sub.toeplitz()
+    return simulate(durbin_levinson([r[:1, l:l + 1] for l in range(k + 1)], k), T, seed)
+
+
+# scalar sub-processes at k = 1, 2, 3 and the scale_k3_d19 pair (k = 3)
+SCALAR = [((0.6,), 2000, 1), ((-0.8, 0.6), 2000, 2), ((0.6, 0.5), 2000, 3),
+          ((0.3, -0.2, 0.25), 2000, 4), ((0.5, 0.25, 0.125), 2000, 5),
+          ((-0.4, 0.16, -0.064), 2000, 6), ((0.9, 0.8), 300, 7)]
+
+
+@pytest.mark.parametrize("rho, T, seed", SCALAR)
+def test_scalar_stage2_never_loses_to_nelder_mead(rho, T, seed):
+    z = scalar_series(rho, T, seed)
+    k = len(rho)
+    sf = fit_stage2(z, (0,), k)
+    corr, ll_oracle, _ = scalar_stage2_nelder_mead(z, k)
+    assert sf.converged
+    assert sf.loglik >= ll_oracle - 1e-6
+    assert_allclose(sf.loglik, gaussian_var_loglik(z, sf.corr.toeplitz(), k), rtol=1e-12)
+    assert_allclose([sf.corr.block(l)[0, 0] for l in range(1, k + 1)],
+                    [corr.block(l)[0, 0] for l in range(1, k + 1)], atol=1e-4)
