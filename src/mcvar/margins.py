@@ -216,8 +216,9 @@ def fit_margin(x, family):
     Gaussian margins are closed form.  The skew-t margin is fitted by
     L-BFGS-B on the closed-form score in (loc, log scale, log a, log b) from
     three deterministic starts, keeping the best, inside the box
-    |log scale - log sd| <= 12, -6 <= log a, log b <= 12.  A sample with
-    non-finite values raises ValueError.
+    |log scale - log sd| <= 12, -6 <= log a, log b <= 12; a fit that ends on
+    the box edge reports ``converged=False``.  A sample with non-finite
+    values raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
     bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -240,13 +241,17 @@ def fit_margin(x, family):
     if sd == 0.0:
         raise ValueError("degenerate sample: zero variance")
     lsd = math.log(sd)
+    lo = np.array([-np.inf, lsd - 12.0, -6.0, -6.0])
+    hi = np.array([np.inf, lsd + 12.0, 12.0, 12.0])
     best = minimize(
         lambda theta: _skewt_nll(theta, x),
         [(m, lsd, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
         _MAXITER,
         jac=True,
-        bounds=[(None, None), (lsd - 12.0, lsd + 12.0), (-6.0, 12.0), (-6.0, 12.0)],
+        bounds=list(zip(lo, hi)),
     )
     loc, lsc, la, lb = best.x
     spec = MarginSpec("skewt", (float(loc), math.exp(lsc), math.exp(la), math.exp(lb)))
-    return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success))
+    # a point on the box edge is a limiting form of the family, not an optimum
+    interior = bool(np.all((best.x > lo) & (best.x < hi)))
+    return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success) and interior)

@@ -266,3 +266,26 @@ def scalar_stage2_nelder_mead(z, k):
         if best is None or res.fun < best.fun:
             best = res
     return est._theta_to_corr(best.x, 1, k), -float(best.fun), bool(best.success)
+
+
+def block_toeplitz_oracle(lag_block, k):
+    """Matrix of (k+1) x (k+1) blocks with block (r, s) = lag_block(s - r), by np.block."""
+    return np.block([[lag_block(s - r) for s in range(k + 1)] for r in range(k + 1)])
+
+
+def assemble_oracle(subs, crosses):
+    """Sub-process-major R by np.block: the sub-process Toeplitz matrices on the
+    diagonal, each pair's cross Toeplitz matrix above it and its transpose below."""
+    k = subs[0].order
+    n = len(subs)
+    by_pair = {c.pair: block_toeplitz_oracle(c.block, k) for c in crosses}
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(block_toeplitz_oracle(subs[i].block, k))
+            else:
+                row.append(by_pair[(i, j)] if i < j else by_pair[(j, i)].T)
+        rows.append(row)
+    return np.block(rows)

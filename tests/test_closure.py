@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    assemble_oracle,
+    block_toeplitz_oracle,
     cross_condition_residuals,
     dense_cross_solve,
     partial_autocorr_oracle,
     random_subprocess_corr,
 )
+import mcvar.closure as closure
 from mcvar.closure import (
     CrossFixedBlock,
+    CrossSolution,
     DegenerateCrossPair,
     Partition,
     SubprocessCorr,
@@ -232,6 +236,20 @@ def test_degenerate_pair_raises():
     assert isinstance(exc.value, np.linalg.LinAlgError)
 
 
+def test_condition_number_above_the_limit_raises(monkeypatch):
+    # a well-posed equal-label pair: it solves at the default limit, and the
+    # condition test alone rejects it once the limit sits below its 1-norm
+    # condition number (which is at least 1)
+    rng = np.random.default_rng(3)
+    ri, rj = random_subprocess_corr(rng, 2, 2), random_subprocess_corr(rng, 1, 2)
+    fixed = CrossFixedBlock(pair=(0, 1), lag=0, value=[[0.1], [0.2]])
+    solve_cross_pair(ri, rj, (1, 1), fixed)
+    monkeypatch.setattr(closure, "CONDITION_LIMIT", 1.0)
+    with pytest.raises(DegenerateCrossPair, match="condition number") as exc:
+        solve_cross_pair(ri, rj, (1, 1), fixed)
+    assert exc.value.pair == (0, 1)
+
+
 # ------------------------------------------------------- assembly and layout
 
 
@@ -257,6 +275,29 @@ def test_assemble_layout_and_symmetry():
     for r in range(3):
         for s in range(3):
             assert_allclose(rp[r, 3 + s], sol.block(s - r)[0, 0])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gathered_toeplitz_and_assembly_match_np_block_oracle(dims, k, seed):
+    # exact equality: both place copies of the same blocks
+    rng = np.random.default_rng(seed)
+    subs = [random_subprocess_corr(rng, d, k) for d in dims]
+    for sub in subs:
+        assert np.array_equal(sub.toeplitz(), block_toeplitz_oracle(sub.block, k))
+    crosses = [
+        CrossSolution(pair=(i, j), order=k,
+                      blocks=tuple(rng.uniform(-1.0, 1.0, (dims[i], dims[j]))
+                                   for _ in range(2 * k + 1)))
+        for i in range(len(dims)) for j in range(i + 1, len(dims))
+    ]
+    cuts = np.cumsum(dims)
+    part = Partition(sets=tuple(tuple(range(c - d, c)) for c, d in zip(cuts, dims)), d=sum(dims))
+    assert np.array_equal(assemble_full_R(part, subs, crosses), assemble_oracle(subs, crosses))
 
 
 def test_reorder_time_major_entrywise():

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import copula_loglik_oracle, random_subprocess_corr
+from oracles import block_toeplitz_oracle, copula_loglik_oracle, random_subprocess_corr
 from mcvar.closure import (
     CrossFixedBlock,
     DegenerateCrossPair,
     Partition,
     SubprocessCorr,
+    coefficient_block_zeros,
     solve_cross_pair,
     verify_closure,
 )
+import mcvar.closure as closure
 import mcvar.estimation as estimation
 import mcvar.optim as optim
 from mcvar.estimation import (
@@ -193,6 +195,32 @@ def test_construct_model_properties():
     assert_allclose(model.crosses[0].block(0)[0, 0], 0.35, atol=1e-12)
 
 
+def test_construct_model_builds_each_condition_matrix_once(monkeypatch):
+    # three equal-label sub-processes, three pairs: one predictor recursion per
+    # sub-process, not one per pair side
+    calls = []
+    recursion = closure.whittle_recursion
+
+    def counted(*args):
+        calls.append(args)
+        return recursion(*args)
+
+    rng = np.random.default_rng(4)
+    dims = (1, 2, 1)
+    subs = [random_subprocess_corr(rng, d, 2) for d in dims]
+    part = Partition(sets=((0,), (1, 2), (3,)), d=4)
+    fixed = [CrossFixedBlock((i, j), 0, 0.05 * rng.uniform(-1.0, 1.0, (dims[i], dims[j])))
+             for i, j in ((0, 1), (0, 2), (1, 2))]
+    monkeypatch.setattr(closure, "whittle_recursion", counted)
+    model = construct_model(part, (1, 1, 1), 2, (MarginSpec("gaussian", (0.0, 1.0)),) * 4,
+                            subs, fixed)
+    assert len(calls) == 3
+    for cross, fb in zip(model.crosses, fixed):
+        i, j = fb.pair
+        alone = solve_cross_pair(subs[i], subs[j], (1, 1), fb)
+        assert all(np.array_equal(a, b) for a, b in zip(cross.blocks, alone.blocks))
+
+
 def test_model_dict_roundtrip():
     doc = TRUE_MODEL.to_dict()
     back = Model.from_dict(doc)
@@ -285,6 +313,45 @@ def test_fit_stage2_univariate_recovery():
     assert sf.corr.is_pd()
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(d=st.integers(2, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_stage2_scatter_matches_the_subprocess_toeplitz(d, k, seed):
+    theta = np.random.default_rng(seed).uniform(-1.0, 1.0, estimation._sub_theta_len(d, k))
+    r0, pos, take = estimation._raw_scatter(d, k)
+    r = r0.copy()
+    r.flat[pos] = theta[take]
+    corr = estimation._theta_to_corr(theta, d, k)
+    assert np.array_equal(r, corr.toeplitz())
+    assert np.array_equal(r, block_toeplitz_oracle(corr.block, k))
+
+
+def test_fit_model_recovers_a_bivariate_subprocess_with_stage4():
+    # partition {0,1},{2}, both labels 1, k = 1: stage 2 fits a d = 2
+    # sub-process on raw entries and stage 4 refines every parameter jointly
+    part = Partition(sets=((0, 1), (2,)), d=3)
+    margins = (MarginSpec("gaussian", (0.0, 0.1)), MarginSpec("gaussian", (0.5, 0.2)),
+               MarginSpec("gaussian", (-0.2, 0.05)))
+    subs = [SubprocessCorr(blocks=(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                                   np.array([[0.5, 0.1], [0.0, 0.4]]))),
+            scalar_sub([1.0, 0.5])]
+    truth = construct_model(part, (1, 1), 1, margins, subs,
+                            [CrossFixedBlock((0, 1), 0, [[0.3], [0.2]])])
+    config = ModelConfig(partition=part, labels=(1, 1), k=1,
+                         margin_families=("gaussian",) * 3)
+    fit = fit_model(simulate_model(truth, 2000, seed=0), config, stage4=True)
+
+    def params(model):
+        s0, s1 = model.subs
+        return np.concatenate([[s0.block(0)[1, 0]], s0.block(1).ravel(), s1.block(1).ravel(),
+                               model.crosses[0].block(0).ravel()])
+
+    assert fit.converged
+    assert fit.stage_logliks["stage4"] >= fit.stage_logliks["stage3"]
+    assert_allclose(params(fit.model), params(truth), rtol=0, atol=0.1)
+    assert verify_closure(fit.model.time_major_R(), part, 1).all_pass
+    assert coefficient_block_zeros((1, 1), fit.model.var(), part)
+
+
 def test_fit_stage3_recovers_cross_given_truth():
     st3 = fit_stage3(
         estimation.latent_scores(DATA, GAUSS_MARGINS),
@@ -326,12 +393,13 @@ def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatc
     # n_theta + 1 builds for the affine map and one exact build at the optimum,
     # however many objective evaluations the optimizer makes
     calls = []
+    solve = closure._solve_equal_labels
 
     def counted(*args):
         calls.append(args)
-        return solve_cross_pair(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(estimation, "solve_cross_pair", counted)
+    monkeypatch.setattr(closure, "_solve_equal_labels", counted)
     st3 = fit_stage3(estimation.latent_scores(DATA, GAUSS_MARGINS), list(TRUE_MODEL.subs),
                      (2, 2), TRUE_MODEL.partition, 2)
     n_pairs, n_theta = 1, 1

@@ -171,3 +171,25 @@ def test_fit_margin_rejects_a_non_finite_sample(family, bad):
     x[[3, 17]] = bad
     with pytest.raises(ValueError, match="2 non-finite value"):
         fit_margin(x, family)
+
+
+def test_fit_margin_on_the_box_edge_is_not_converged():
+    # the paper's bivariate k = 2 skew-t model: on this replicate the first
+    # variable's best fit runs to log b = 12, the edge of the box, a limiting
+    # form of the family rather than an optimum; the second fits inside it
+    from mcvar.closure import CrossFixedBlock, Partition, SubprocessCorr
+    from mcvar.estimation import construct_model, simulate_model
+
+    subs = [SubprocessCorr(blocks=tuple(np.array([[v]]) for v in values))
+            for values in ([1.0, -0.8, 0.6], [1.0, 0.6, 0.5])]
+    truth = construct_model(
+        Partition(sets=((0,), (1,)), d=2), (2, 2), 2,
+        (MarginSpec("skewt", (0.850, 0.791, 5.739, 9.344)),
+         MarginSpec("skewt", (-0.032, 0.172, 3.053, 2.738))),
+        subs, [CrossFixedBlock((0, 1), 0, [[0.35]])])
+    x = simulate_model(truth, 2000, 23 * 1_000_003 + 23)
+    edge = fit_margin(x[0], "skewt")
+    assert np.log(edge.spec.params[3]) == pytest.approx(12.0, abs=1e-12)
+    assert not edge.converged
+    inside = fit_margin(x[1], "skewt")
+    assert inside.converged
