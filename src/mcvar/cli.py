@@ -244,6 +244,14 @@ def load_model_file(path):
     raise CliError("%s: neither sub-process blocks nor a var entry" % path)
 
 
+def _seed(value, source):
+    """A simulation seed: a non-negative integer, as the generator requires."""
+    seed = int(value)
+    if seed < 0:
+        raise CliError("%s must be a non-negative integer, got %d" % (source, seed))
+    return seed
+
+
 def _var_from_doc(doc):
     phi = tuple(np.asarray(p, dtype=float) for p in doc["var"]["phi"])
     sigma = np.asarray(doc["var"]["sigma"], dtype=float)
@@ -351,6 +359,7 @@ def _build_from_config(doc):
 
 def cmd_construct(args):
     doc = _load_json(args.config, {CONFIG_FORMAT})
+    seed = _seed(doc["seed"], '%s: "seed"' % args.config) if "seed" in doc else None
     model, names = _build_from_config(doc)
     r = model.time_major_R()
     var = model.var()
@@ -367,8 +376,8 @@ def cmd_construct(args):
         raise InfeasibleError("constructed model fails closure verification")
     out = args.out or "mcvar_model.json"
     out_doc = model_file_dict(model, names=names)
-    if "seed" in doc:
-        out_doc["seed"] = int(doc["seed"])  # default seed for later simulate calls
+    if seed is not None:
+        out_doc["seed"] = seed  # default seed for later simulate calls
     _dump_json(out, out_doc)
     print("model written to %s" % out)
     return 0
@@ -405,7 +414,10 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     model, doc = load_model_file(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    if args.seed is not None:
+        seed = _seed(args.seed, "--seed")
+    else:
+        seed = _seed(doc.get("seed", 0), '%s: "seed"' % args.config)
     T = args.length
     if T is None:
         raise CliError("simulate needs --length")

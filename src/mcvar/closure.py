@@ -12,6 +12,7 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
@@ -396,15 +397,26 @@ def reorder_time_major(r_partitioned, partition, k):
     r_partitioned = np.asarray(r_partitioned, dtype=float)
     if r_partitioned.shape != (size, size):
         raise ValueError("matrix shape %s, expected (%d, %d)" % (r_partitioned.shape, size, size))
-    idx = np.empty(size, dtype=int)
+    return r_partitioned.take(_time_major_index(partition.sets, d, k))
+
+
+@lru_cache(maxsize=64)
+def _time_major_index(sets, d, k):
+    """Read-only gather index, built once per partition and order: entry
+    (a, b) is the flat position in the sub-process-major matrix of entry
+    (a, b) of the time-major one."""
+    size = (k + 1) * d
+    idx = np.empty(size, dtype=int)  # idx[r*d + v]: position of variable v at lag r
     base = 0
-    for s in partition.sets:
+    for s in sets:
         di = len(s)
         for r in range(k + 1):
             for a, v in enumerate(s):
                 idx[r * d + v] = base + r * di + a
         base += (k + 1) * di
-    return r_partitioned[np.ix_(idx, idx)]
+    flat = idx[:, None] * size + idx
+    flat.setflags(write=False)
+    return flat
 
 
 @dataclass(frozen=True)

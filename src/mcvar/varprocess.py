@@ -180,7 +180,11 @@ def simulate(var, T, seed):
 
     The first k observations are drawn from the stationary joint law of
     (Z_1, ..., Z_k) via a Cholesky factor of its block Toeplitz covariance;
-    later observations follow the recursion.  Output is d x T.
+    later observations follow the recursion.  The path is built in a
+    time-major (T, d) buffer: row t starts as the shock Le eps_t and gains
+    one product of the stacked d x dk coefficients [Phi_k ... Phi_1] with
+    the k rows before it, which are contiguous in the buffer.  Output is
+    d x T, a transposed view of that buffer.
     """
     if not is_stationary(var):
         raise ValueError("simulate requires a stationary VAR")
@@ -197,15 +201,14 @@ def simulate(var, T, seed):
     Le = np.linalg.cholesky(var.sigma)
 
     eps = seeded_normals(seed, (d, T))
-    z = np.empty((d, T))
-    z[:, :k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape((d, k), order="F")
-    shocks = Le @ eps[:, k:]
+    z = np.empty((T, d))
+    z[:k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape(k, d)
+    z[k:] = (Le @ eps[:, k:]).T
+    phi = np.hstack(var.phi[::-1])  # oldest lag first, as the rows of a window
+    window = np.lib.stride_tricks.sliding_window_view(z.reshape(-1), k * d)[::d]
     for t in range(k, T):
-        acc = shocks[:, t - k]
-        for m in range(k):
-            acc = acc + var.phi[m] @ z[:, t - 1 - m]
-        z[:, t] = acc
-    return z
+        z[t] += phi @ window[t - k]
+    return z.T
 
 
 def residuals(z, var):

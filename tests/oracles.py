@@ -289,3 +289,31 @@ def assemble_oracle(subs, crosses):
                 row.append(by_pair[(i, j)] if i < j else by_pair[(j, i)].T)
         rows.append(row)
     return np.block(rows)
+
+
+def simulate_oracle(var, T, seed):
+    """Stationary VAR path by the per-lag recursion on a d x T buffer.
+
+    Same draws and stationary start as ``varprocess.simulate``: the first k
+    columns from a Cholesky factor of the block Toeplitz covariance of
+    (Z_1, ..., Z_k), then Z_t = Le eps_t + sum_m Phi_m Z_{t-m}, one lag
+    at a time in the order m = 1..k.
+    """
+    from mcvar.varprocess import implied_autocov, seeded_normals
+
+    d, k = var.d, var.k
+    gam = implied_autocov(var, max(k - 1, 0))
+    init_cov = np.block([[_blk(gam, r - s) for s in range(k)] for r in range(k)])
+    L0 = np.linalg.cholesky(0.5 * (init_cov + init_cov.T))
+    Le = np.linalg.cholesky(var.sigma)
+
+    eps = seeded_normals(seed, (d, T))
+    z = np.empty((d, T))
+    z[:, :k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape((d, k), order="F")
+    shocks = Le @ eps[:, k:]
+    for t in range(k, T):
+        acc = shocks[:, t - k]
+        for m in range(k):
+            acc = acc + var.phi[m] @ z[:, t - 1 - m]
+        z[:, t] = acc
+    return z

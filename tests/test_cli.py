@@ -202,6 +202,55 @@ def test_simulate_uses_config_seed_default(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def test_negative_seed_is_named_exit_1(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model_path = str(tmp_path / "model.json")
+    assert main(["construct", "--config", cfg, "--out", model_path]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "sim.csv")
+    # from the command line
+    assert main(["simulate", "--config", model_path, "--length", "50",
+                 "--seed", "-1", "--out", out]) == 1
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    # from a model file's default seed
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["seed"] = -3
+    bad_model = write_json(tmp_path / "bad_model.json", doc)
+    assert main(["simulate", "--config", bad_model, "--length", "50", "--out", out]) == 1
+    assert '"seed" must be a non-negative integer, got -3' in capsys.readouterr().err
+    # from a construct config, before anything is written
+    bad_cfg = dict(construct_config(), seed=-2)
+    p = write_json(tmp_path / "bad_cfg.json", bad_cfg)
+    other = tmp_path / "other.json"
+    assert main(["construct", "--config", p, "--out", str(other)]) == 1
+    assert '"seed" must be a non-negative integer, got -2' in capsys.readouterr().err
+    assert not other.exists()
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_var_only_model_file(tmp_path, capsys):
+    from mcvar.varprocess import VarRepresentation, simulate
+
+    phi = [[[0.5, 0.1], [0.0, -0.4]], [[0.1, 0.0], [0.05, 0.2]]]
+    sigma = [[1.0, 0.3], [0.3, 1.0]]
+    p = write_json(tmp_path / "var.json", {
+        "format": "mcvar-model/1",
+        "k": 2,
+        "partition": [[0, 1]],
+        "var": {"phi": phi, "sigma": sigma},
+    })
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", p, "--length", "40", "--seed", "9",
+                 "--out", str(out)]) == 0
+    assert "wrote 40 rows x 2 columns" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["z0", "z1"]
+    got = np.array([[float(v) for v in row] for row in rows[1:]]).T
+    var = VarRepresentation(phi=tuple(np.array(m) for m in phi), sigma=np.array(sigma))
+    assert np.array_equal(got, simulate(var, 40, 9))
+
+
 def test_fit_single_set_partition(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", construct_config())
     model_path = str(tmp_path / "model.json")

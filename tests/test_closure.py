@@ -335,6 +335,31 @@ def test_reorder_time_major_entrywise():
                     )
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    k=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_time_major_index_matches_ix_oracle(d, k, seed):
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(0, d, size=d)  # random partition: variable v joins set owner[v]
+    sets = tuple(tuple(np.flatnonzero(owner == g).tolist()) for g in rng.permutation(d))
+    part = Partition(sets=tuple(s for s in sets if s), d=d)
+    # oracle: label each sub-process-major position (lag, variable) and look
+    # up every time-major label in that list
+    labels = [(r, v) for s in part.sets for r in range(k + 1) for v in s]
+    idx = [labels.index((r, v)) for r in range(k + 1) for v in range(d)]
+    rp = rng.standard_normal(((k + 1) * d, (k + 1) * d))
+    assert np.array_equal(reorder_time_major(rp, part, k), rp[np.ix_(idx, idx)])
+    assert np.array_equal(reorder_time_major(np.asfortranarray(rp), part, k), rp[np.ix_(idx, idx)])
+
+    cached = closure._time_major_index(part.sets, d, k)
+    assert np.array_equal(cached, np.ravel_multi_index(np.ix_(idx, idx), rp.shape))
+    assert not cached.flags.writeable
+    assert closure._time_major_index(part.sets, d, k) is cached
+
+
 def test_assemble_requires_all_pairs():
     rng = np.random.default_rng(9)
     subs = [random_subprocess_corr(rng, 1, 1) for _ in range(3)]

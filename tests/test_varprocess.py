@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import predictors_oracle, random_stationary_var
+from oracles import predictors_oracle, random_stationary_var, simulate_oracle
 from mcvar.varprocess import (
     SampleStats,
     VarRepresentation,
@@ -161,6 +162,27 @@ def test_simulate_is_deterministic_and_stationary():
     s1 = zc[:, 1:] @ zc[:, :-1].T / z.shape[1]
     assert_allclose(s0, gam[0], atol=0.05)
     assert_allclose(s1, gam[1], atol=0.05)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    k=st.integers(1, 4),
+    extra=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=3, k=4, extra=0, seed=2)
+def test_simulate_matches_per_lag_oracle(d, k, extra, seed):
+    var = random_stationary_var(np.random.default_rng(seed), d, k)
+    T = k + extra
+    z = simulate(var, T, seed)
+    ref = simulate_oracle(var, T, seed)
+    assert z.shape == (d, T)
+    # the stacked-lag product sums in another order: equal up to roundoff
+    assert np.all(np.abs(z - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert np.array_equal(simulate(var, T, seed), z)
+    if extra == 0:  # no recursion step: the stationary start alone, bit for bit
+        assert np.array_equal(z, ref)
 
 
 def test_simulate_rejects_bad_inputs():
