@@ -189,18 +189,6 @@ def _parse_partition(doc):
     return Partition(sets=sets, d=d)
 
 
-def _parse_margins(doc, d):
-    if "margins" in doc:
-        margins = tuple(MarginSpec.from_dict(m) for m in doc["margins"])
-    elif "margin_families" in doc:
-        margins = None
-    else:
-        raise CliError("config needs 'margins' or 'margin_families'")
-    if margins is not None and len(margins) != d:
-        raise CliError("need %d margins, got %d" % (d, len(margins)))
-    return margins
-
-
 def _margin_families(doc, d):
     if "margin_families" in doc:
         fams = tuple(doc["margin_families"])
@@ -246,10 +234,9 @@ def load_model_file(path):
 
 def _seed(value, source):
     """A simulation seed: a non-negative integer, as the generator requires."""
-    seed = int(value)
-    if seed < 0:
-        raise CliError("%s must be a non-negative integer, got %d" % (source, seed))
-    return seed
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CliError("%s must be a non-negative integer, got %r" % (source, value))
+    return value
 
 
 def _var_from_doc(doc):
@@ -297,9 +284,11 @@ def _build_from_config(doc):
     part = _parse_partition(doc)
     labels = tuple(int(c) for c in doc["labels"])
     k = int(doc["k"])
-    margins = _parse_margins(doc, part.d)
-    if margins is None:
+    if "margins" not in doc:
         raise CliError("construct needs fully specified 'margins'")
+    margins = tuple(MarginSpec.from_dict(m) for m in doc["margins"])
+    if len(margins) != part.d:
+        raise CliError("need %d margins, got %d" % (part.d, len(margins)))
     if len(labels) != part.n:
         raise CliError("need %d labels, got %d" % (part.n, len(labels)))
     if len(doc["subprocess_corrs"]) != part.n:
@@ -339,17 +328,17 @@ def _build_from_config(doc):
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    # locate infeasibility pair by pair before blaming the full matrix
     r = model.time_major_R()
-    for c in model.crosses:
-        i, j = c.pair
-        idx = [l * part.d + v for l in range(k + 1) for v in part.sets[i] + part.sets[j]]
-        if not is_positive_definite(r[np.ix_(idx, idx)]):
-            raise InfeasibleError(
-                "pair (%d, %d): fixed cross block makes the pair's joint "
-                "correlation matrix non positive definite" % (i, j)
-            )
     if not is_positive_definite(r):
+        # name a pair whose own joint matrix fails before blaming the full set
+        for c in model.crosses:
+            i, j = c.pair
+            idx = [l * part.d + v for l in range(k + 1) for v in part.sets[i] + part.sets[j]]
+            if not is_positive_definite(r[np.ix_(idx, idx)]):
+                raise InfeasibleError(
+                    "pair (%d, %d): fixed cross block makes the pair's joint "
+                    "correlation matrix non positive definite" % (i, j)
+                )
         raise InfeasibleError(
             "assembled correlation matrix is not positive definite "
             "(each pair is; the full set jointly is not)"
@@ -767,9 +756,7 @@ def _table_pdregion(tol):
         part = Partition(sets=((0,), (1,)), d=2)
         flags = []
         for c0 in grid:
-            _, _, sol = _pair_model_k1(rho1, rho2, (2, 2), c0)
-            r1 = SubprocessCorr(blocks=(np.eye(1), np.array([[rho1]])))
-            r2 = SubprocessCorr(blocks=(np.eye(1), np.array([[rho2]])))
+            r1, r2, sol = _pair_model_k1(rho1, rho2, (2, 2), c0)
             r = reorder_time_major(assemble_full_R(part, (r1, r2), [sol]), part, 1)
             flags.append(is_positive_definite(r))
         return np.array(flags)

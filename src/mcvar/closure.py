@@ -17,7 +17,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .linalg import PD_TOL, gaussian_condition, is_positive_definite, vec
+from .linalg import (
+    PD_TOL,
+    _block_toeplitz,
+    _lag_block,
+    _lag_toeplitz,
+    gaussian_condition,
+    is_positive_definite,
+    vec,
+)
 from .varprocess import durbin_levinson, whittle_recursion
 
 # 1-norm condition number (LAPACK's gecon estimate from the LU factors) above
@@ -119,22 +127,14 @@ class SubprocessCorr:
         """Sigma_{ii,l} for -k <= l <= k (negative lags by transpose)."""
         if abs(l) > self.order:
             raise ValueError("lag %d beyond order %d" % (l, self.order))
-        return self.blocks[l] if l >= 0 else self.blocks[-l].T
+        return _lag_block(self.blocks, l)
 
     def toeplitz(self):
         """(k+1)d x (k+1)d block Toeplitz correlation matrix of k+1 slices."""
-        return _block_toeplitz(np.stack([b.T for b in self.blocks[:0:-1]] + list(self.blocks)))
+        return _lag_toeplitz(self.blocks)
 
     def is_pd(self, tol=PD_TOL):
         return is_positive_definite(self.toeplitz(), tol)
-
-
-def _block_toeplitz(stack):
-    """(k+1)a x (k+1)b matrix whose block (r, s) is stack[s - r + k], from a (2k+1, a, b) lag stack."""
-    n_lag, a, b = stack.shape
-    k1 = (n_lag + 1) // 2
-    lag = np.arange(k1) - np.arange(k1)[:, None] + (k1 - 1)
-    return stack[lag].transpose(0, 2, 1, 3).reshape(k1 * a, k1 * b)
 
 
 def fixed_lag_for_labels(labels, k):
@@ -481,14 +481,8 @@ def verify_closure(r, partition, k, tol=1e-8):
         raise np.linalg.LinAlgError("correlation matrix is not positive definite")
     slices = [r[:d, l * d:(l + 1) * d] for l in range(k + 1)]
     var = durbin_levinson(slices, k)
-
-    def sl(l):
-        return slices[l] if l >= 0 else slices[-l].T
-
-    ext = sum((var.phi[m] @ sl(k - m) for m in range(k)), np.zeros((d, d)))
-    slices.append(ext)
-    k2 = k + 2
-    big = np.block([[sl(s - row) for s in range(k2)] for row in range(k2)])
+    slices.append(sum((var.phi[m] @ slices[k - m] for m in range(k)), np.zeros((d, d))))
+    big = _lag_toeplitz(slices)
 
     reports = []
     for i, s in enumerate(partition.sets):

@@ -24,14 +24,13 @@ from .closure import (
     CrossSolution,
     Partition,
     SubprocessCorr,
-    _block_toeplitz,
     _solve_pairs,
     assemble_full_R,
     fixed_lag_for_labels,
     reorder_time_major,
     solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
-from .linalg import symmetrize
+from .linalg import _lag_block, _lag_toeplitz, symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .optim import minimize
 from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
@@ -50,7 +49,6 @@ __all__ = [
     "gaussian_var_loglik",
     "latent_scores",
     "loglik_full",
-    "loglik_sub",
     "fit_stage2",
     "fit_stage3",
     "fit_stage4",
@@ -309,17 +307,6 @@ def loglik_full(data, margins, r, k):
     return gaussian_var_loglik(z, r, k) + _margin_correction(data, margins, z)
 
 
-def loglik_sub(data, margins, indices, k, corr):
-    """Log likelihood of one sub-process in isolation.
-
-    ``indices`` selects the sub-process's variables out of ``data`` and
-    ``margins``; ``corr`` is its correlation structure.
-    """
-    indices = list(indices)
-    return loglik_full(np.asarray(data, dtype=float)[indices], [margins[v] for v in indices],
-                       corr.toeplitz(), k)
-
-
 # -- the estimation engine shared by stages 2-4 ------------------------------
 #
 # A stage supplies ``build(theta)`` returning the time-major R.  The kernel's
@@ -433,7 +420,7 @@ def _raw_scatter(d, k):
     lag0 = np.full((d, d), -1)
     lag0[ii, jj] = lag0[jj, ii] = np.arange(nh)
     lags = [lag0] + [nh + l * d * d + np.arange(d * d).reshape(d, d) for l in range(k)]
-    index = _block_toeplitz(np.stack([b.T for b in lags[:0:-1]] + lags)).ravel()
+    index = _lag_toeplitz(lags).ravel()
     pos = np.flatnonzero(index >= 0)
     return np.eye((k + 1) * d), pos, index[pos]
 
@@ -564,14 +551,10 @@ def _build_time_major(partition, labels, k, subs, fixed_blocks):
 def _moment_fixed_blocks(z, partition, labels, k):
     """Sample cross correlations at each pair's fixed lag."""
     norm = _sample_corr(z, k)
-
-    def cross(l):
-        return norm[l] if l >= 0 else norm[-l].T
-
     out = []
     for i, j in _pair_list(partition.n):
         lag = fixed_lag_for_labels((labels[i], labels[j]), k)
-        block = cross(lag)[np.ix_(list(partition.sets[i]), list(partition.sets[j]))]
+        block = _lag_block(norm, lag)[np.ix_(list(partition.sets[i]), list(partition.sets[j]))]
         out.append(CrossFixedBlock(pair=(i, j), lag=lag, value=block))
     return out
 

@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives shared by the model-construction machinery.
 
 Conventions: matrices are 2-d float ndarrays; ``vec`` stacks columns
-(column-major), matching the identity K_{mn} vec(A) = vec(A^T).
+(column-major).  A lag sequence B_0..B_m stands for the lags -m..m with
+B_{-l} = B_l^T, and its block Toeplitz matrix has block (r, s) = B_{s-r}.
 """
 
 import numpy as np
@@ -17,9 +18,6 @@ __all__ = [
     "PD_TOL",
     "SYMMETRY_TOL",
     "vec",
-    "unvec",
-    "commutation_matrix",
-    "exchange_matrix",
     "symmetrize",
     "is_positive_definite",
     "gaussian_condition",
@@ -29,36 +27,6 @@ __all__ = [
 def vec(a):
     """Stack the columns of ``a`` into a single 1-d vector."""
     return np.asarray(a, dtype=float).reshape(-1, order="F")
-
-
-def unvec(x, rows, cols):
-    """Inverse of :func:`vec` for a ``rows x cols`` matrix."""
-    return np.asarray(x, dtype=float).reshape((rows, cols), order="F")
-
-
-def commutation_matrix(m, n):
-    """Permutation matrix K with K @ vec(A) = vec(A.T) for every m x n A.
-
-    Parameters
-    ----------
-    m, n : int
-        Row and column counts of the matrices K acts on; both >= 1.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("commutation_matrix requires m, n >= 1")
-    K = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(n):
-            # vec(A) puts A[i, j] at j*m + i; vec(A.T) puts it at i*n + j
-            K[i * n + j, j * m + i] = 1.0
-    return K
-
-
-def exchange_matrix(m):
-    """m x m matrix with ones on the anti-diagonal, zeros elsewhere."""
-    if m < 1:
-        raise ValueError("exchange_matrix requires m >= 1")
-    return np.fliplr(np.eye(m))
 
 
 def symmetrize(a, tol=SYMMETRY_TOL):
@@ -78,11 +46,35 @@ def symmetrize(a, tol=SYMMETRY_TOL):
 def is_positive_definite(a, tol=PD_TOL):
     """True iff the smallest eigenvalue of the symmetrized input exceeds ``tol``.
 
-    Raises ``ValueError`` when the input is asymmetric beyond the symmetry
-    tolerance; symmetrization only absorbs roundoff, not modelling errors.
+    Decided by one Cholesky factorisation of the symmetrized input minus
+    ``tol`` times the identity.  Raises ``ValueError`` when the input is
+    asymmetric beyond the symmetry tolerance; symmetrization only absorbs
+    roundoff, not modelling errors.
     """
     s = symmetrize(a)
-    return bool(np.linalg.eigvalsh(s)[0] > tol)
+    try:
+        np.linalg.cholesky(s - tol * np.eye(s.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _lag_block(blocks, l):
+    """Block l of a lag sequence B_0..B_m, for -m <= l <= m, with B_{-l} = B_l^T."""
+    return blocks[l] if l >= 0 else blocks[-l].T
+
+
+def _block_toeplitz(stack):
+    """(m+1)a x (m+1)b matrix whose block (r, s) is stack[s - r + m], from a (2m+1, a, b) lag stack."""
+    n_lag, a, b = stack.shape
+    k1 = (n_lag + 1) // 2
+    lag = np.arange(k1) - np.arange(k1)[:, None] + (k1 - 1)
+    return stack[lag].transpose(0, 2, 1, 3).reshape(k1 * a, k1 * b)
+
+
+def _lag_toeplitz(blocks):
+    """:func:`_block_toeplitz` of lags B_0..B_m with B_{-l} = B_l^T: block (r, s) is B_{s-r}."""
+    return _block_toeplitz(np.stack([b.T for b in blocks[:0:-1]] + list(blocks)))
 
 
 def gaussian_condition(cov, head, tail):

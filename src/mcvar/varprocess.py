@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.special import ndtri
 
-from .linalg import PD_TOL, symmetrize
+from .linalg import PD_TOL, _lag_toeplitz, symmetrize
 
 STATIONARITY_TOL = 1e-8
 
@@ -85,16 +85,12 @@ def whittle_recursion(acov, k):
     gam = [np.atleast_2d(np.asarray(g, dtype=float)) for g in acov]
     if len(gam) < k + 1:
         raise ValueError("need autocovariances up to lag k=%d, got %d blocks" % (k, len(gam)))
-
-    def g(l):
-        return gam[l] if l >= 0 else gam[-l].T
-
     vf = gam[0].copy()  # forward prediction error covariance
     vb = gam[0].copy()  # backward prediction error covariance
     eye = np.eye(vf.shape[0])
     fwd, bwd = [], []
     for n in range(1, k + 1):
-        delta = g(n) - sum((fwd[j] @ g(n - 1 - j) for j in range(n - 1)), np.zeros_like(vf))
+        delta = gam[n] - sum((fwd[j] @ gam[n - 1 - j] for j in range(n - 1)), np.zeros_like(vf))
         try:
             a_nn = np.linalg.solve(vb.T, delta.T).T
             b_nn = np.linalg.solve(vf.T, delta).T
@@ -155,12 +151,8 @@ def implied_autocov(var, m):
     S = 0.5 * (S + S.T)
     gam = [S[:d, l * d:(l + 1) * d] for l in range(k)]
     gam[0] = 0.5 * (gam[0] + gam[0].T)
-
-    def g(l):
-        return gam[l] if l >= 0 else gam[-l].T
-
     for l in range(k, m + 1):
-        gam.append(sum((var.phi[j] @ g(l - 1 - j) for j in range(k)), np.zeros((d, d))))
+        gam.append(sum((var.phi[j] @ gam[l - 1 - j] for j in range(k)), np.zeros((d, d))))
     return gam[: m + 1]
 
 
@@ -192,11 +184,8 @@ def simulate(var, T, seed):
     if T < k:
         raise ValueError("T=%d shorter than order k=%d" % (T, k))
     gam = implied_autocov(var, max(k - 1, 0))
-
-    def g(l):
-        return gam[l] if l >= 0 else gam[-l].T
-
-    init_cov = np.block([[g(r - s) for s in range(k)] for r in range(k)])
+    # block (r, s) is Gamma(r - s), the lag-(s - r) block of the transposes
+    init_cov = _lag_toeplitz([g.T for g in gam])
     L0 = np.linalg.cholesky(symmetrize(init_cov, tol=1e-8))
     Le = np.linalg.cholesky(var.sigma)
 

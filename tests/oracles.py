@@ -317,3 +317,39 @@ def simulate_oracle(var, T, seed):
             acc = acc + var.phi[m] @ z[:, t - 1 - m]
         z[:, t] = acc
     return z
+
+
+def unvec(x, rows, cols):
+    """Inverse of ``linalg.vec`` for a ``rows x cols`` matrix."""
+    return np.asarray(x, dtype=float).reshape((rows, cols), order="F")
+
+
+def commutation_matrix(m, n):
+    """Permutation matrix K with K @ vec(A) = vec(A.T) for every m x n A.
+
+    Parameters
+    ----------
+    m, n : int
+        Row and column counts of the matrices K acts on; both >= 1.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("commutation_matrix requires m, n >= 1")
+    K = np.zeros((m * n, m * n))
+    for i in range(m):
+        for j in range(n):
+            # vec(A) puts A[i, j] at j*m + i; vec(A.T) puts it at i*n + j
+            K[i * n + j, j * m + i] = 1.0
+    return K
+
+
+def exchange_matrix(m):
+    """m x m matrix with ones on the anti-diagonal, zeros elsewhere."""
+    if m < 1:
+        raise ValueError("exchange_matrix requires m >= 1")
+    return np.fliplr(np.eye(m))
+
+
+def is_positive_definite_oracle(a, tol):
+    """True iff the smallest eigenvalue of (a + a.T)/2 exceeds ``tol``, by eigvalsh."""
+    a = np.asarray(a, dtype=float)
+    return bool(np.linalg.eigvalsh(0.5 * (a + a.T))[0] > tol)

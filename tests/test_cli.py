@@ -228,6 +228,32 @@ def test_negative_seed_is_named_exit_1(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_seed_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys):
+    var_doc = {
+        "format": "mcvar-model/1",
+        "k": 1,
+        "partition": [[0, 1]],
+        "var": {"phi": [[[0.5, 0.1], [0.0, -0.4]]], "sigma": [[1.0, 0.3], [0.3, 1.0]]},
+    }
+    out = tmp_path / "sim.csv"
+    # a model file's default seed: a fraction and a string are not truncated or parsed
+    for bad in (1.9, "5", True):
+        p = write_json(tmp_path / "var.json", dict(var_doc, seed=bad))
+        assert main(["simulate", "--config", p, "--length", "30", "--out", str(out)]) == 1
+        assert '"seed" must be a non-negative integer, got %r' % bad in capsys.readouterr().err
+        assert not out.exists()
+    # a construct config's seed, before anything is written
+    cfg = write_json(tmp_path / "cfg.json", dict(construct_config(), seed=2.5))
+    model = tmp_path / "m.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 1
+    assert '"seed" must be a non-negative integer, got 2.5' in capsys.readouterr().err
+    assert not model.exists()
+    # an integer seed still works
+    p = write_json(tmp_path / "var.json", dict(var_doc, seed=4))
+    assert main(["simulate", "--config", p, "--length", "30", "--out", str(out)]) == 0
+    assert "(seed 4)" in capsys.readouterr().out
+
+
 def test_simulate_var_only_model_file(tmp_path, capsys):
     from mcvar.varprocess import VarRepresentation, simulate
 
@@ -336,6 +362,26 @@ def test_construct_names_the_one_infeasible_pair_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pair (0, 2)" in err
     assert "pair (0, 1)" not in err and "pair (1, 2)" not in err
+
+
+def test_construct_pairs_feasible_but_not_jointly_exit_2(tmp_path, capsys):
+    # each pair's correlation 0.9, 0.9 or -0.9 is feasible on its own, but
+    # corr(0, 1) = corr(0, 2) = 0.9 forces corr(1, 2) near +0.62, not -0.9
+    doc = construct_config(labels=(2, 2), k=1)
+    doc.update(
+        partition=[[0], [1], [2]],
+        labels=[2, 2, 2],
+        names=["u", "v", "w"],
+        margins=[{"family": "gaussian", "params": [0.0, 1.0]}] * 3,
+        subprocess_corrs=[{"blocks": [[[1.0]], [[0.1]]]}] * 3,
+        cross_fixed=[{"pair": list(pair), "lag": 0, "value": [[c0]]}
+                     for pair, c0 in (((0, 1), 0.9), ((0, 2), 0.9), ((1, 2), -0.9))],
+    )
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert "each pair is; the full set jointly is not" in err
+    assert "pair (" not in err
 
 
 def test_fit_rejects_a_non_finite_cell_exit_1(tmp_path, capsys):

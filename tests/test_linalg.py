@@ -2,17 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mcvar.linalg import (
-    commutation_matrix,
-    exchange_matrix,
+    PD_TOL,
+    SYMMETRY_TOL,
     gaussian_condition,
     is_positive_definite,
     symmetrize,
-    unvec,
     vec,
 )
+from oracles import commutation_matrix, exchange_matrix, is_positive_definite_oracle, unvec
 
 
 def test_vec_is_column_major():
@@ -59,6 +60,26 @@ def test_is_positive_definite_boundary():
     assert is_positive_definite(np.eye(3))
     assert not is_positive_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert not is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.one_of(st.floats(-1.0, -1e-6), st.floats(1e-6, 1.0)),
+)
+def test_is_positive_definite_agrees_with_eigvalsh_oracle(n, seed, gap):
+    # Q diag(lam) Q^T with its smallest eigenvalue PD_TOL + gap, |gap| >= 1e-6
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = PD_TOL + gap + np.concatenate([[0.0], rng.uniform(0.0, 5.0, n - 1)])
+    a = (q * lam) @ q.T
+    assert is_positive_definite(a) == is_positive_definite_oracle(a, PD_TOL) == (gap > 0)
+    if n > 1:
+        skew = np.zeros((n, n))
+        skew[0, n - 1] = 10.0 * SYMMETRY_TOL
+        with pytest.raises(ValueError):
+            is_positive_definite(a + skew)
 
 
 def test_gaussian_condition_matches_explicit_inverse():
