@@ -23,7 +23,6 @@ from mcvar import (
     assemble_full_R,
     fixed_lag_for_labels,
     is_positive_definite,
-    reorder_time_major,
     solve_cross_pair,
 )
 
@@ -40,10 +39,7 @@ def feasible(rho1, rho2, value):
     cross = solve_cross_pair(
         sub1, sub2, LABELS, CrossFixedBlock(pair=(0, 1), lag=lag, value=np.array([[value]]))
     )
-    r = reorder_time_major(
-        assemble_full_R(PARTITION, (sub1, sub2), (cross,)), PARTITION, K
-    )
-    return is_positive_definite(r)
+    return is_positive_definite(assemble_full_R(PARTITION, (sub1, sub2), (cross,)))
 
 
 def positive_boundary(rho1, rho2):

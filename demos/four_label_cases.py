@@ -23,7 +23,6 @@ from mcvar import (
     assemble_full_R,
     durbin_levinson,
     fixed_lag_for_labels,
-    reorder_time_major,
     solve_cross_pair,
     verify_closure,
 )
@@ -41,8 +40,7 @@ def joint_representation(labels, value):
     lag = fixed_lag_for_labels(labels, K)
     fixed = CrossFixedBlock(pair=(0, 1), lag=lag, value=np.array([[value]]))
     cross = solve_cross_pair(SUB_1, SUB_2, labels, fixed)
-    r_part = assemble_full_R(PARTITION, (SUB_1, SUB_2), (cross,))
-    r = reorder_time_major(r_part, PARTITION, K)
+    r = assemble_full_R(PARTITION, (SUB_1, SUB_2), (cross,))
     d = PARTITION.d
     slices = [r[:d, l * d:(l + 1) * d] for l in range(K + 1)]
     return durbin_levinson(slices, K), r, cross

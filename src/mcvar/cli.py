@@ -24,7 +24,6 @@ from .closure import (
     assemble_full_R,
     coefficient_block_zeros,
     fixed_lag_for_labels,
-    reorder_time_major,
     solve_cross_pair,
     verify_closure,
 )
@@ -143,7 +142,7 @@ def transform(series, spec):
     log when both are set, and has length T - m.
     """
     x = np.asarray(series, dtype=float)
-    m = int(spec.get("log_diff", 0))
+    m = _integer(spec.get("log_diff", 0), '"log_diff"')
     if m not in (0, 1, 2):
         raise CliError("log_diff order must be 0, 1, or 2, got %r" % m)
     if m > 0:
@@ -183,8 +182,9 @@ def _dump_json(path, doc):
         fh.write("\n")
 
 
-def _parse_partition(doc):
-    sets = tuple(tuple(int(v) for v in s) for s in doc["partition"])
+def _parse_partition(doc, path):
+    where = '%s: "partition"' % path
+    sets = tuple(tuple(_integer(v, where) for v in s) for s in doc["partition"])
     d = sum(len(s) for s in sets)
     return Partition(sets=sets, d=d)
 
@@ -232,11 +232,16 @@ def load_model_file(path):
     raise CliError("%s: neither sub-process blocks nor a var entry" % path)
 
 
-def _seed(value, source):
-    """A simulation seed: a non-negative integer, as the generator requires."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise CliError("%s must be a non-negative integer, got %r" % (source, value))
+def _integer(value, source, nonnegative=False):
+    """An integer from a document or option; a bool, fraction or string is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int) or (nonnegative and value < 0):
+        raise CliError("%s must be %s integer, got %r"
+                       % (source, "a non-negative" if nonnegative else "an", value))
     return value
+
+
+def _labels(doc, path):
+    return tuple(_integer(c, '%s: "labels"' % path) for c in doc["labels"])
 
 
 def _var_from_doc(doc):
@@ -280,10 +285,10 @@ def _print_side_by_side(label, computed, reference, nd=3):
 
 # -- construct ----------------------------------------------------------------
 
-def _build_from_config(doc):
-    part = _parse_partition(doc)
-    labels = tuple(int(c) for c in doc["labels"])
-    k = int(doc["k"])
+def _build_from_config(doc, path):
+    part = _parse_partition(doc, path)
+    labels = _labels(doc, path)
+    k = _integer(doc["k"], '%s: "k"' % path)
     if "margins" not in doc:
         raise CliError("construct needs fully specified 'margins'")
     margins = tuple(MarginSpec.from_dict(m) for m in doc["margins"])
@@ -316,8 +321,8 @@ def _build_from_config(doc):
     for e in doc["cross_fixed"]:
         fixed.append(
             CrossFixedBlock(
-                pair=tuple(int(v) for v in e["pair"]),
-                lag=int(e["lag"]),
+                pair=tuple(_integer(v, '%s: "cross_fixed" pair' % path) for v in e["pair"]),
+                lag=_integer(e["lag"], '%s: "cross_fixed" lag' % path),
                 value=np.asarray(e["value"], dtype=float),
             )
         )
@@ -348,8 +353,8 @@ def _build_from_config(doc):
 
 def cmd_construct(args):
     doc = _load_json(args.config, {CONFIG_FORMAT})
-    seed = _seed(doc["seed"], '%s: "seed"' % args.config) if "seed" in doc else None
-    model, names = _build_from_config(doc)
+    seed = _integer(doc["seed"], '%s: "seed"' % args.config, True) if "seed" in doc else None
+    model, names = _build_from_config(doc, args.config)
     r = model.time_major_R()
     var = model.var()
     print("margin-closed model: d=%d, k=%d, %d sub-processes"
@@ -376,8 +381,9 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     model, doc = load_model_file(args.config)
-    part = _parse_partition(doc)
-    k = int(doc["k"])
+    part = _parse_partition(doc, args.config)
+    k = _integer(doc["k"], '%s: "k"' % args.config)
+    labels = _labels(doc, args.config) if "labels" in doc else None
     if model is not None:
         r = model.time_major_R()
     else:
@@ -388,11 +394,8 @@ def cmd_verify(args):
     report = verify_closure(r, part, k, tol=args.tol)
     print(report)
     ok = report.all_pass
-    if "labels" in doc and model is not None:
-        var = model.var()
-        zeros_ok = coefficient_block_zeros(
-            tuple(int(c) for c in doc["labels"]), var, part, tol=max(args.tol, 1e-8)
-        )
+    if labels is not None and model is not None:
+        zeros_ok = coefficient_block_zeros(labels, model.var(), part, tol=max(args.tol, 1e-8))
         print("condition-1 coefficient blocks vanish: %s" % ("yes" if zeros_ok else "no"))
         ok = ok and zeros_ok
     print("verification %s" % ("PASSED" if ok else "FAILED"))
@@ -404,9 +407,9 @@ def cmd_verify(args):
 def cmd_simulate(args):
     model, doc = load_model_file(args.config)
     if args.seed is not None:
-        seed = _seed(args.seed, "--seed")
+        seed = _integer(args.seed, "--seed", True)
     else:
-        seed = _seed(doc.get("seed", 0), '%s: "seed"' % args.config)
+        seed = _integer(doc.get("seed", 0), '%s: "seed"' % args.config, True)
     T = args.length
     if T is None:
         raise CliError("simulate needs --length")
@@ -460,14 +463,14 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
-def _model_config(doc, part, d, args):
-    """ModelConfig of a fit config with d margin families, and whether stage 4 runs.
+def _model_config(doc, path, part, d, args):
+    """ModelConfig of the fit config at ``path`` with d margin families, and whether stage 4 runs.
 
     ``--k`` overrides the config's order and ``--stage4`` switches stage 4 on.
     """
-    k = args.k if args.k is not None else int(doc["k"])
+    k = args.k if args.k is not None else _integer(doc["k"], '%s: "k"' % path)
     fams = _margin_families(doc, d)
-    config = ModelConfig(partition=part, labels=tuple(int(c) for c in doc["labels"]),
+    config = ModelConfig(partition=part, labels=_labels(doc, path),
                          k=k, margin_families=fams)
     return config, args.stage4 or bool(doc.get("stage4", False))
 
@@ -475,8 +478,8 @@ def _model_config(doc, part, d, args):
 def cmd_fit(args):
     doc = _load_json(args.config, {CONFIG_FORMAT})
     ds = _dataset_from_args(args, doc)
-    part = _parse_partition(doc)
-    config, stage4 = _model_config(doc, part, part.d, args)
+    part = _parse_partition(doc, args.config)
+    config, stage4 = _model_config(doc, args.config, part, part.d, args)
     if ds.values.shape[0] != part.d:
         raise CliError("data has %d columns, config expects %d" % (ds.values.shape[0], part.d))
     fm = fit_model(ds.values, config, stage4=stage4)
@@ -504,17 +507,17 @@ def cmd_fit(args):
 
 # -- compare ----------------------------------------------------------------------
 
-def _fit_config_doc(doc, ds, args):
+def _fit_config_doc(doc, path, ds, args):
     d = ds.values.shape[0]
-    part = _parse_partition(doc) if "partition" in doc else Partition(
+    part = _parse_partition(doc, path) if "partition" in doc else Partition(
         sets=(tuple(range(d)),), d=d
     )
     if doc.get("kind", "margin-closed") == "unrestricted":
         # the one-sub-process fit; stage 4 does not apply to the benchmark
-        k = args.k if args.k is not None else int(doc["k"])
+        k = args.k if args.k is not None else _integer(doc["k"], '%s: "k"' % path)
         kind, fm = "unrestricted", fit_unrestricted(ds.values, _margin_families(doc, d), k)
     else:
-        config, stage4 = _model_config(doc, part, d, args)
+        config, stage4 = _model_config(doc, path, part, d, args)
         k = config.k
         kind, fm = "margin-closed", fit_model(ds.values, config, stage4=stage4)
     return {
@@ -527,13 +530,10 @@ def _fit_config_doc(doc, ds, args):
 def cmd_compare(args):
     if not args.config or len(args.config) != 2:
         raise CliError("compare needs exactly two --config files")
-    doc_a = _load_json(args.config[0], {CONFIG_FORMAT})
-    doc_b = _load_json(args.config[1], {CONFIG_FORMAT})
-    ds = _dataset_from_args(args, doc_a)
-    rows = [
-        dict(name=args.config[0], **_fit_config_doc(doc_a, ds, args)),
-        dict(name=args.config[1], **_fit_config_doc(doc_b, ds, args)),
-    ]
+    docs = [_load_json(path, {CONFIG_FORMAT}) for path in args.config]
+    ds = _dataset_from_args(args, docs[0])
+    rows = [dict(name=path, **_fit_config_doc(doc, path, ds, args))
+            for path, doc in zip(args.config, docs)]
     print("%-28s %-14s %3s %10s %5s %12s %12s"
           % ("config", "kind", "k", "loglik", "par", "AIC", "BIC"))
     for r in rows:
@@ -757,8 +757,7 @@ def _table_pdregion(tol):
         flags = []
         for c0 in grid:
             r1, r2, sol = _pair_model_k1(rho1, rho2, (2, 2), c0)
-            r = reorder_time_major(assemble_full_R(part, (r1, r2), [sol]), part, 1)
-            flags.append(is_positive_definite(r))
+            flags.append(is_positive_definite(assemble_full_R(part, (r1, r2), [sol])))
         return np.array(flags)
 
     ok_all = scan(0.9, 0.9)

@@ -12,7 +12,6 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
@@ -47,7 +46,6 @@ __all__ = [
     "solve_cross_pair",
     "cross_pair_residual",
     "assemble_full_R",
-    "reorder_time_major",
     "SubprocessClosure",
     "ClosureReport",
     "verify_closure",
@@ -348,10 +346,20 @@ def cross_pair_residual(ri, rj, labels, sol):
 
 
 def assemble_full_R(partition, subs, crosses):
-    """Assemble the (k+1)d correlation matrix in sub-process-major order.
+    """Assemble the time-major correlation matrix of (Z_t, Z_{t-1}, ..., Z_{t-k}).
 
-    Diagonal blocks are the sub-process block Toeplitz matrices; block (r, s)
-    of the off-diagonal R_{S_i,S_j} is Sigma_{ij,s-r}.
+    Block (r, s) of the (k+1)d x (k+1)d result is Gamma(s - r) of
+    :func:`_lag_stack`, with the d variables in natural order in each slice.
+    """
+    return _block_toeplitz(_lag_stack(partition, subs, crosses))
+
+
+def _lag_stack(partition, subs, crosses):
+    """(2k+1, d, d) stack whose entry k + l is Gamma(l) = corr(Z_t, Z_{t-l}).
+
+    Each sub-process's Sigma_{ii,l} and each pair's Sigma_{ij,l} and
+    Sigma_{ji,l} = Sigma_{ij,-l}^T go into Gamma(0..k) by index placement;
+    the negative lags mirror them, Gamma(-l) = Gamma(l)^T.
     """
     n = partition.n
     if len(subs) != n:
@@ -366,57 +374,21 @@ def assemble_full_R(partition, subs, crosses):
         if r.order != k:
             raise ValueError("sub-process orders differ")
 
-    k1 = k + 1
-    sizes = [k1 * r.dim for r in subs]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.zeros((offsets[-1], offsets[-1]))
-    for i in range(n):
-        oi = offsets[i]
-        out[oi:oi + sizes[i], oi:oi + sizes[i]] = subs[i].toeplitz()
+    sets = [np.array(s) for s in partition.sets]
+    out = np.zeros((2 * k + 1, partition.d, partition.d))
+    for i, (s, r) in enumerate(zip(sets, subs)):
+        out[k:, s[:, None], s] = r.blocks
         for j in range(i + 1, n):
             if (i, j) not in by_pair:
                 raise ValueError("missing cross solution for pair (%d, %d)" % (i, j))
             sol = by_pair[(i, j)]
             if sol.order != k:
                 raise ValueError("cross solution order mismatch for pair (%d, %d)" % (i, j))
-            oj = offsets[j]
-            rij = _block_toeplitz(np.stack(sol.blocks))
-            out[oi:oi + sizes[i], oj:oj + sizes[j]] = rij
-            out[oj:oj + sizes[j], oi:oi + sizes[i]] = rij.T
+            t = sets[j]
+            out[k:, s[:, None], t] = sol.blocks[k:]
+            out[k:, t[:, None], s] = np.stack(sol.blocks[k::-1]).transpose(0, 2, 1)
+    out[:k] = out[:k:-1].transpose(0, 2, 1)
     return out
-
-
-def reorder_time_major(r_partitioned, partition, k):
-    """Permute a sub-process-major matrix to time-major order.
-
-    Output rows/columns are ordered (Z_t, Z_{t-1}, ..., Z_{t-k}) with the d
-    variables in natural order inside each slice; a symmetric permutation.
-    """
-    d = partition.d
-    size = (k + 1) * d
-    r_partitioned = np.asarray(r_partitioned, dtype=float)
-    if r_partitioned.shape != (size, size):
-        raise ValueError("matrix shape %s, expected (%d, %d)" % (r_partitioned.shape, size, size))
-    return r_partitioned.take(_time_major_index(partition.sets, d, k))
-
-
-@lru_cache(maxsize=64)
-def _time_major_index(sets, d, k):
-    """Read-only gather index, built once per partition and order: entry
-    (a, b) is the flat position in the sub-process-major matrix of entry
-    (a, b) of the time-major one."""
-    size = (k + 1) * d
-    idx = np.empty(size, dtype=int)  # idx[r*d + v]: position of variable v at lag r
-    base = 0
-    for s in sets:
-        di = len(s)
-        for r in range(k + 1):
-            for a, v in enumerate(s):
-                idx[r * d + v] = base + r * di + a
-        base += (k + 1) * di
-    flat = idx[:, None] * size + idx
-    flat.setflags(write=False)
-    return flat
 
 
 @dataclass(frozen=True)

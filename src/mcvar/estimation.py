@@ -24,10 +24,10 @@ from .closure import (
     CrossSolution,
     Partition,
     SubprocessCorr,
+    _lag_stack,
     _solve_pairs,
     assemble_full_R,
     fixed_lag_for_labels,
-    reorder_time_major,
     solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
 from .linalg import _lag_block, _lag_toeplitz, symmetrize
@@ -97,18 +97,13 @@ class Model:
     subs: tuple
     crosses: tuple
 
-    def partitioned_R(self):
-        return assemble_full_R(self.partition, self.subs, self.crosses)
-
     def time_major_R(self):
-        return reorder_time_major(self.partitioned_R(), self.partition, self.k)
+        return assemble_full_R(self.partition, self.subs, self.crosses)
 
     def var(self):
         """Implied VAR(k) coefficients on the latent (correlation) scale."""
-        d = self.partition.d
-        r = self.time_major_R()
-        slices = [r[:d, l * d:(l + 1) * d] for l in range(self.k + 1)]
-        return durbin_levinson(slices, self.k)
+        gamma = _lag_stack(self.partition, self.subs, self.crosses)
+        return durbin_levinson(gamma[self.k:], self.k)
 
     def to_dict(self):
         return {
@@ -541,11 +536,10 @@ def _unpack_fixed(theta, partition, labels, k):
     return out
 
 
-def _build_time_major(partition, labels, k, subs, fixed_blocks):
+def _build_time_major(partition, labels, subs, fixed_blocks):
     """Solve all pairs and return (crosses, time-major R)."""
     crosses = _solve_pairs(subs, labels, _pair_list(partition.n), fixed_blocks)
-    r = assemble_full_R(partition, subs, crosses)
-    return crosses, reorder_time_major(r, partition, k)
+    return crosses, assemble_full_R(partition, subs, crosses)
 
 
 def _moment_fixed_blocks(z, partition, labels, k):
@@ -570,15 +564,15 @@ class Stage3Fit:
 def _affine_time_major(partition, labels, k, subs):
     """(r0, basis) with time-major R(theta) = r0 + sum_m theta_m basis[m].
 
-    Given the sub-processes, the closure solve, assembly and reordering are
-    all linear in the fixed blocks, so n_theta + 1 exact builds give the map.
+    Given the sub-processes, the closure solve and the assembly are both
+    linear in the fixed blocks, so n_theta + 1 exact builds give the map.
     """
     n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
                   for i, j in _pair_list(partition.n))
 
     def exact(theta):
         fixed = _unpack_fixed(theta, partition, labels, k)
-        return _build_time_major(partition, labels, k, subs, fixed)[1]
+        return _build_time_major(partition, labels, subs, fixed)[1]
 
     r0 = exact(np.zeros(n_theta))
     return r0, np.stack([exact(e) - r0 for e in np.eye(n_theta)])
@@ -604,7 +598,7 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     )
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
-    crosses, _ = _build_time_major(partition, labels, k, subs, fixed)
+    crosses, _ = _build_time_major(partition, labels, subs, fixed)
     return Stage3Fit(
         fixed_blocks=tuple(fixed),
         crosses=tuple(crosses),
@@ -624,27 +618,24 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     dims = [len(s) for s in partition.sets]
     cuts = np.cumsum([_sub_theta_len(d, k) for d in dims])
 
-    def build(theta):
+    def unpack(theta):
         *sub_thetas, cross_theta = np.split(theta, cuts)
-        trial_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
-        fixed = _unpack_fixed(cross_theta, partition, labels, k)
-        return _build_time_major(partition, labels, k, trial_subs, fixed)[1]
+        return ([_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
+                _unpack_fixed(cross_theta, partition, labels, k))
+
+    def build(theta):
+        return _build_time_major(partition, labels, *unpack(theta))[1]
 
     gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
     res = minimize(_objective(gram, k, build), [x0], _MAXITER_REFINE)
     # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
     fun_in = _objective(gram, k, lambda _: _build_time_major(
-        partition, labels, k, subs, fixed_blocks)[1])(None)
+        partition, labels, subs, fixed_blocks)[1])(None)
     loglik = _loglik(min(fun_in, res.fun), "stage 4")
-    if fun_in < res.fun:
-        out_subs, fixed = tuple(subs), tuple(fixed_blocks)
-    else:
-        *sub_thetas, cross_theta = np.split(res.x, cuts)
-        out_subs = tuple(_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims))
-        fixed = tuple(_unpack_fixed(cross_theta, partition, labels, k))
-    crosses, _ = _build_time_major(partition, labels, k, list(out_subs), list(fixed))
-    return out_subs, fixed, tuple(crosses), loglik, bool(res.success)
+    out_subs, fixed = (list(subs), list(fixed_blocks)) if fun_in < res.fun else unpack(res.x)
+    crosses, _ = _build_time_major(partition, labels, out_subs, fixed)
+    return tuple(out_subs), tuple(fixed), tuple(crosses), loglik, bool(res.success)
 
 
 @dataclass(frozen=True)

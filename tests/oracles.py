@@ -291,6 +291,19 @@ def assemble_oracle(subs, crosses):
     return np.block(rows)
 
 
+def time_major_index(partition, k):
+    """Positions of the time-major order in the sub-process-major order, by labels.
+
+    Sub-process-major order, the layout of :func:`assemble_oracle`, lists each
+    set's variables at lags 0..k in turn; time-major order lists all d
+    variables at lag 0, then at lag 1, and so on.  Each time-major label
+    (lag, variable) is looked up in the sub-process-major list, so
+    ``a[np.ix_(idx, idx)]`` is ``a`` in time-major order.
+    """
+    labels = [(r, v) for s in partition.sets for r in range(k + 1) for v in s]
+    return [labels.index((r, v)) for r in range(k + 1) for v in range(partition.d)]
+
+
 def simulate_oracle(var, T, seed):
     """Stationary VAR path by the per-lag recursion on a d x T buffer.
 

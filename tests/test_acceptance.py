@@ -20,7 +20,6 @@ from mcvar.closure import (
     assemble_full_R,
     cross_pair_residual,
     fixed_lag_for_labels,
-    reorder_time_major,
     solve_cross_pair,
     verify_closure,
 )
@@ -61,8 +60,7 @@ def solve_pipeline(labels, fixed_value, k=2, b1=(1.0, -0.8, 0.6), b2=(1.0, 0.6, 
     lag = fixed_lag_for_labels(labels, k)
     sol = solve_cross_pair(r1, r2, labels, CrossFixedBlock((0, 1), lag, [[fixed_value]]))
     part = Partition(sets=((0,), (1,)), d=2)
-    rp = assemble_full_R(part, [r1, r2], [sol])
-    rtm = reorder_time_major(rp, part, k)
+    rtm = assemble_full_R(part, [r1, r2], [sol])
     slices = [rtm[:2, l * 2:(l + 1) * 2] for l in range(k + 1)]
     return durbin_levinson(slices, k), rtm, part, sol
 
@@ -158,8 +156,7 @@ def test_criterion_04_pd_region_scan():
             sol = solve_cross_pair(
                 r1, r2, (2, 2), CrossFixedBlock((0, 1), 0, [[c0]])
             )
-            rp = assemble_full_R(part, [r1, r2], [sol])
-            out[float(c0)] = is_positive_definite(rp)
+            out[float(c0)] = is_positive_definite(assemble_full_R(part, [r1, r2], [sol]))
         return out
 
     same = scan(0.9, 0.9)
@@ -185,15 +182,14 @@ def test_criterion_05_three_subprocess_feasibility():
                     subs[i], subs[j], (2, 2), CrossFixedBlock((i, j), 0, [[0.5]])
                 )
             )
-    rp = assemble_full_R(part, subs, crosses)
-    pd_ok = is_positive_definite(rp)
-    rtm = reorder_time_major(rp, part, 1)
+    rtm = assemble_full_R(part, subs, crosses)
+    pd_ok = is_positive_definite(rtm)
     report = verify_closure(rtm, part, 1, tol=1e-8)
     residual_ok = all(
         min(s.cond1_residual, s.cond2_residual) < 1e-8 for s in report.subs
     )
     elapsed = time.perf_counter() - t0
-    ok = rp.shape == (6, 6) and pd_ok and report.all_pass and residual_ok and elapsed < 1.0
+    ok = rtm.shape == (6, 6) and pd_ok and report.all_pass and residual_ok and elapsed < 1.0
     _report(5, ok, "6x6 PD: %s, closure: %s, %.2fs" % (pd_ok, report.all_pass, elapsed))
 
 

@@ -254,6 +254,50 @@ def test_seed_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys):
     assert "(seed 4)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,where,bad,field", [
+    ("construct", ("k",), 1.9, '"k"'),
+    ("construct", ("labels", 0), 2.7, '"labels"'),
+    ("construct", ("partition", 1, 0), 1.0, '"partition"'),
+    ("construct", ("cross_fixed", 0, "pair", 1), 1.2, '"cross_fixed" pair'),
+    ("construct", ("cross_fixed", 0, "lag"), 0.4, '"cross_fixed" lag'),
+    ("fit", ("k",), 2.5, '"k"'),
+    ("fit", ("labels", 1), True, '"labels"'),
+    ("fit", ("partition", 0, 0), "0", '"partition"'),
+    ("fit", ("transform", 0, "log_diff"), 1.7, '"log_diff"'),
+    ("fit", ("transform", 0, "log_diff"), True, '"log_diff"'),
+    ("verify", ("k",), 2.0, '"k"'),
+    ("verify", ("labels", 0), 2.0, '"labels"'),
+    ("verify", ("partition", 0, 0), 0.0, '"partition"'),
+])
+def test_integer_field_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys, command,
+                                                               where, bad, field):
+    # every integer the CLI reads from a document is refused, never truncated
+    if command == "verify":
+        cfg = write_json(tmp_path / "cfg.json", construct_config())
+        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "model.json")]) == 0
+        doc = json.loads((tmp_path / "model.json").read_text())
+    elif command == "fit":
+        doc = {"format": "mcvar-config/1", "k": 2, "partition": [[0], [1]], "labels": [2, 2],
+               "margin_families": ["gaussian", "gaussian"], "transform": [{"log_diff": 1}, {}]}
+        (tmp_path / "data.csv").write_text("u,v\n" + "".join("%d,%d\n" % (t + 1, t) for t in range(30)))
+    else:
+        doc = construct_config()
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = bad
+    path = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "out.json"
+    argv = {"construct": ["construct", "--config", path, "--out", str(out)],
+            "fit": ["fit", "--config", path, "--data", str(tmp_path / "data.csv"),
+                    "--out", str(out)],
+            "verify": ["verify", "--config", path]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "%s must be an integer, got %r" % (field, bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_var_only_model_file(tmp_path, capsys):
     from mcvar.varprocess import VarRepresentation, simulate
 

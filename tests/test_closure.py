@@ -12,6 +12,7 @@ from oracles import (
     dense_cross_solve,
     partial_autocorr_oracle,
     random_subprocess_corr,
+    time_major_index,
 )
 import mcvar.closure as closure
 from mcvar.closure import (
@@ -28,7 +29,6 @@ from mcvar.closure import (
     cross_pair_residual,
     fixed_lag_for_labels,
     forward_predictors,
-    reorder_time_major,
     solve_cross_pair,
     verify_closure,
 )
@@ -261,32 +261,24 @@ def build_two_sub_model(labels, c0=0.3, k=2):
     value = np.full((d_i, d_j), c0)
     sol = solve_cross_pair(ri, rj, labels, CrossFixedBlock(pair=(0, 1), lag=lag, value=value))
     part = Partition(sets=((0,), (1,)), d=2)
-    rp = assemble_full_R(part, [ri, rj], [sol])
-    return part, ri, rj, sol, rp
+    rtm = assemble_full_R(part, [ri, rj], [sol])
+    return part, ri, rj, sol, rtm
 
 
-def test_assemble_layout_and_symmetry():
-    part, ri, rj, sol, rp = build_two_sub_model((1, 1))
-    k = 2
-    assert rp.shape == (6, 6)
-    assert_allclose(rp, rp.T, atol=1e-12)
-    assert_allclose(rp[:3, :3], ri.toeplitz())
-    assert_allclose(rp[3:, 3:], rj.toeplitz())
-    for r in range(3):
-        for s in range(3):
-            assert_allclose(rp[r, 3 + s], sol.block(s - r)[0, 0])
-
-
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=30, derandomize=True, deadline=None)
 @given(
-    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    d=st.integers(1, 6),
     k=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gathered_toeplitz_and_assembly_match_np_block_oracle(dims, k, seed):
-    # exact equality: both place copies of the same blocks
+def test_gathered_toeplitz_and_assembly_match_np_block_oracle(d, k, seed):
+    # exact equality: all three place copies of the same blocks
     rng = np.random.default_rng(seed)
-    subs = [random_subprocess_corr(rng, d, k) for d in dims]
+    owner = rng.integers(0, d, size=d)  # random partition: variable v joins set owner[v]
+    sets = tuple(tuple(np.flatnonzero(owner == g).tolist()) for g in rng.permutation(d))
+    part = Partition(sets=tuple(s for s in sets if s), d=d)
+    dims = [len(s) for s in part.sets]
+    subs = [random_subprocess_corr(rng, di, k) for di in dims]
     for sub in subs:
         assert np.array_equal(sub.toeplitz(), block_toeplitz_oracle(sub.block, k))
     crosses = [
@@ -295,12 +287,12 @@ def test_gathered_toeplitz_and_assembly_match_np_block_oracle(dims, k, seed):
                                    for _ in range(2 * k + 1)))
         for i in range(len(dims)) for j in range(i + 1, len(dims))
     ]
-    cuts = np.cumsum(dims)
-    part = Partition(sets=tuple(tuple(range(c - d, c)) for c, d in zip(cuts, dims)), d=sum(dims))
-    assert np.array_equal(assemble_full_R(part, subs, crosses), assemble_oracle(subs, crosses))
+    idx = time_major_index(part, k)
+    expected = assemble_oracle(subs, crosses)[np.ix_(idx, idx)]
+    assert np.array_equal(assemble_full_R(part, subs, crosses), expected)
 
 
-def test_reorder_time_major_entrywise():
+def test_assemble_full_R_entrywise():
     # three variables split as {0, 2} and {1}: every entry of the time-major
     # matrix must equal the corresponding sub-process or cross block entry.
     rng = np.random.default_rng(5)
@@ -310,9 +302,10 @@ def test_reorder_time_major_entrywise():
     fixed = CrossFixedBlock(pair=(0, 1), lag=0, value=0.2 * rng.uniform(-1, 1, (2, 1)))
     sol = solve_cross_pair(ra, rb, (1, 1), fixed)
     part = Partition(sets=((0, 2), (1,)), d=3)
-    rp = assemble_full_R(part, [ra, rb], [sol])
-    rtm = reorder_time_major(rp, part, k)
+    rtm = assemble_full_R(part, [ra, rb], [sol])
     d = 3
+    assert rtm.shape == ((k + 1) * d, (k + 1) * d)
+    assert_allclose(rtm, rtm.T, atol=1e-12)
     local = {0: (0, 0), 2: (0, 1), 1: (1, 0)}  # global var -> (sub, local idx)
 
     def expected(r, s, ga, gb):
@@ -335,31 +328,6 @@ def test_reorder_time_major_entrywise():
                     )
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(
-    d=st.integers(1, 6),
-    k=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_cached_time_major_index_matches_ix_oracle(d, k, seed):
-    rng = np.random.default_rng(seed)
-    owner = rng.integers(0, d, size=d)  # random partition: variable v joins set owner[v]
-    sets = tuple(tuple(np.flatnonzero(owner == g).tolist()) for g in rng.permutation(d))
-    part = Partition(sets=tuple(s for s in sets if s), d=d)
-    # oracle: label each sub-process-major position (lag, variable) and look
-    # up every time-major label in that list
-    labels = [(r, v) for s in part.sets for r in range(k + 1) for v in s]
-    idx = [labels.index((r, v)) for r in range(k + 1) for v in range(d)]
-    rp = rng.standard_normal(((k + 1) * d, (k + 1) * d))
-    assert np.array_equal(reorder_time_major(rp, part, k), rp[np.ix_(idx, idx)])
-    assert np.array_equal(reorder_time_major(np.asfortranarray(rp), part, k), rp[np.ix_(idx, idx)])
-
-    cached = closure._time_major_index(part.sets, d, k)
-    assert np.array_equal(cached, np.ravel_multi_index(np.ix_(idx, idx), rp.shape))
-    assert not cached.flags.writeable
-    assert closure._time_major_index(part.sets, d, k) is cached
-
-
 def test_assemble_requires_all_pairs():
     rng = np.random.default_rng(9)
     subs = [random_subprocess_corr(rng, 1, 1) for _ in range(3)]
@@ -379,8 +347,7 @@ def test_assemble_requires_all_pairs():
     [((1, 1), (1, 1)), ((2, 2), (2, 2)), ((1, 2), (1, 2)), ((2, 1), (2, 1))],
 )
 def test_verify_closure_identifies_condition(labels, expected_holds):
-    part, ri, rj, sol, rp = build_two_sub_model(labels)
-    rtm = reorder_time_major(rp, part, 2)
+    part, ri, rj, sol, rtm = build_two_sub_model(labels)
     report = verify_closure(rtm, part, 2)
     assert report.all_pass
     assert tuple(s.holds for s in report.subs) == expected_holds
@@ -424,8 +391,7 @@ def test_coefficient_block_zeros():
     assert not coefficient_block_zeros((1, 1), var_bad, part)
     assert coefficient_block_zeros((2, 1), var_bad, part)  # only sub 2 checked, its row is diagonal
 
-    part2, ri, rj, sol, rp = build_two_sub_model((1, 1))
-    rtm = reorder_time_major(rp, part2, 2)
+    part2, ri, rj, sol, rtm = build_two_sub_model((1, 1))
     d = 2
     slices = [rtm[:d, l * d:(l + 1) * d] for l in range(3)]
     var = durbin_levinson(slices, 2)
@@ -440,7 +406,7 @@ def test_verify_closure_markov_residual_zero_for_true_order():
     lag = fixed_lag_for_labels((1, 1), 2)
     sol = solve_cross_pair(ri, rj, (1, 1), CrossFixedBlock(pair=(0, 1), lag=lag, value=[[0.3]]))
     part = Partition(sets=((0,), (1,)), d=2)
-    rtm = reorder_time_major(assemble_full_R(part, [ri, rj], [sol]), part, 2)
+    rtm = assemble_full_R(part, [ri, rj], [sol])
     report = verify_closure(rtm, part, 2)
     assert report.subs[0].markov_residual < 1e-10
     assert report.subs[1].markov_residual < 1e-10

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import block_toeplitz_oracle, copula_loglik_oracle, random_subprocess_corr
@@ -34,6 +34,7 @@ from mcvar.estimation import (
     portmanteau,
     simulate_model,
 )
+from mcvar.linalg import is_positive_definite
 from mcvar.margins import MarginFit, MarginSpec, fit_margin, pit_to_normal
 from mcvar.varprocess import seeded_normals, simulate
 
@@ -186,9 +187,9 @@ def test_loglik_full_matches_oracle_three_vars_mixed_margins():
 def test_construct_model_properties():
     model = TRUE_MODEL
     assert model.partition.d == 2 and model.k == 2
-    r = model.partitioned_R()
+    r = model.time_major_R()
     assert_allclose(r, r.T, atol=1e-12)
-    report = verify_closure(model.time_major_R(), model.partition, 2)
+    report = verify_closure(r, model.partition, 2)
     assert report.all_pass
     assert tuple(s.holds for s in report.subs) == (2, 2)
     # fixed block preserved
@@ -385,7 +386,7 @@ def test_stage3_affine_map_matches_exact_build(labels01, dims, k, label2, seed):
     for _ in range(3):
         theta = 0.3 * rng.uniform(-1.0, 1.0, size=len(basis))
         fixed = estimation._unpack_fixed(theta, part, labels, k)
-        exact = estimation._build_time_major(part, labels, k, subs, fixed)[1]
+        exact = estimation._build_time_major(part, labels, subs, fixed)[1]
         assert_allclose(r0 + np.tensordot(theta, basis, 1), exact, rtol=0, atol=1e-12)
 
 
@@ -594,3 +595,43 @@ def test_portmanteau_rejects_bad_lags():
         portmanteau(e, 2, 2)
     with pytest.raises(ValueError):
         portmanteau(e, 100, 0)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    d=st.integers(2, 3),
+    n=st.integers(2, 3),
+    labels=st.tuples(*[st.sampled_from((1, 2))] * 3),
+    k=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_model_property_over_random_partitions(d, n, labels, k, seed):
+    # 2-3 sets scattered over 0..d-1; stage 4 runs on the k = 1 draws, where it is cheap
+    n = min(n, d)
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(np.arange(d) % n)
+    part = Partition(sets=tuple(tuple(np.flatnonzero(owner == g).tolist()) for g in range(n)), d=d)
+    labels = labels[:n]
+    subs = [random_subprocess_corr(rng, len(s), k) for s in part.sets]
+    fixed = [
+        CrossFixedBlock(pair=(i, j), lag=closure.fixed_lag_for_labels((labels[i], labels[j]), k),
+                        value=0.15 * rng.uniform(-1.0, 1.0, (len(part.sets[i]), len(part.sets[j]))))
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    margins = tuple(MarginSpec("gaussian", (0.0, 1.0)) for _ in range(d))
+    try:
+        truth = construct_model(part, labels, k, margins, subs, fixed)
+        truth_pd = is_positive_definite(truth.time_major_R())
+    except DegenerateCrossPair:
+        truth_pd = False
+    assume(truth_pd)
+    x = simulate_model(truth, 600, seed)
+    config = ModelConfig(partition=part, labels=labels, k=k, margin_families=("gaussian",) * d)
+    fit = fit_model(x, config, stage4=k == 1)
+    r = fit.model.time_major_R()
+    assert np.isfinite(fit.loglik)
+    assert fit.loglik == loglik_full(x, fit.model.margins, r, k)
+    assert is_positive_definite(r)
+    assert verify_closure(r, part, k).all_pass
+    if k == 1:
+        assert fit.stage_logliks["stage4"] >= fit.stage_logliks["stage3"]
