@@ -14,13 +14,9 @@ from .closure import (
     Partition,
     SubprocessCorr,
     assemble_full_R,
-    backward_predictors,
-    build_G,
-    build_H,
     coefficient_block_zeros,
     cross_pair_residual,
     fixed_lag_for_labels,
-    forward_predictors,
     solve_cross_pair,
     verify_closure,
 )
@@ -72,13 +68,9 @@ __all__ = [
     "Partition",
     "SubprocessCorr",
     "assemble_full_R",
-    "backward_predictors",
-    "build_G",
-    "build_H",
     "coefficient_block_zeros",
     "cross_pair_residual",
     "fixed_lag_for_labels",
-    "forward_predictors",
     "solve_cross_pair",
     "verify_closure",
     "FittedModel",

@@ -100,15 +100,15 @@ def load_csv(path, columns=None):
     else:
         sel = []
         for c in columns:
-            if isinstance(c, int) or (isinstance(c, str) and c.lstrip("-").isdigit()):
-                idx = int(c)
-                if not 0 <= idx < len(header):
-                    raise CliError("column index %d out of range (file has %d columns)"
-                                   % (idx, len(header)))
-            else:
+            if isinstance(c, str) and not c.lstrip("-").isdigit():
                 if c not in header:
                     raise CliError("column %r not found; file has %s" % (c, header))
                 idx = header.index(c)
+            else:
+                idx = int(c) if isinstance(c, str) else _integer(c, '"columns"')
+                if not 0 <= idx < len(header):
+                    raise CliError("column index %d out of range (file has %d columns)"
+                                   % (idx, len(header)))
             sel.append(idx)
 
     names = tuple(header[i] for i in sel)
@@ -217,18 +217,25 @@ def model_file_dict(model, names=None, fit_info=None):
 
 
 def load_model_file(path):
-    """Load a model file; returns (model, doc).
+    """Load a model file; returns (model, doc, fields).
 
-    Files carrying sub-process blocks load as full models.  Files carrying
-    only a ``var`` entry (coefficients plus innovation covariance) load as
-    ``(None, doc)``; verify can still score them through the implied
-    autocovariances.
+    ``fields`` holds the file's ``partition``, ``k`` and ``labels``, each only
+    when present, read as integers before the model is built.  A file with
+    only a ``var`` entry (coefficients plus innovation covariance) loads with
+    ``model`` None; verify scores it through the implied autocovariances.
     """
     doc = _load_json(path, {MODEL_FORMAT})
+    fields = {}
+    if "partition" in doc:
+        fields["partition"] = _parse_partition(doc, path)
+    if "k" in doc:
+        fields["k"] = _integer(doc["k"], '%s: "k"' % path)
+    if "labels" in doc:
+        fields["labels"] = _labels(doc, path)
     if "subprocess_corrs" in doc and "crosses" in doc:
-        return Model.from_dict(doc), doc
+        return Model.from_dict(doc), doc, fields
     if "var" in doc:
-        return None, doc
+        return None, doc, fields
     raise CliError("%s: neither sub-process blocks nor a var entry" % path)
 
 
@@ -242,6 +249,13 @@ def _integer(value, source, nonnegative=False):
 
 def _labels(doc, path):
     return tuple(_integer(c, '%s: "labels"' % path) for c in doc["labels"])
+
+
+def _names(doc, path, d):
+    names = doc.get("names")
+    if names and len(names) != d:
+        raise CliError('%s: "names" has %d entries, expected %d' % (path, len(names), d))
+    return names
 
 
 def _var_from_doc(doc):
@@ -348,7 +362,7 @@ def _build_from_config(doc, path):
             "assembled correlation matrix is not positive definite "
             "(each pair is; the full set jointly is not)"
         )
-    return model, doc.get("names")
+    return model, _names(doc, path, part.d)
 
 
 def cmd_construct(args):
@@ -380,10 +394,9 @@ def cmd_construct(args):
 # -- verify --------------------------------------------------------------------
 
 def cmd_verify(args):
-    model, doc = load_model_file(args.config)
-    part = _parse_partition(doc, args.config)
-    k = _integer(doc["k"], '%s: "k"' % args.config)
-    labels = _labels(doc, args.config) if "labels" in doc else None
+    model, doc, fields = load_model_file(args.config)
+    part, k = fields["partition"], fields["k"]
+    labels = fields.get("labels")
     if model is not None:
         r = model.time_major_R()
     else:
@@ -405,7 +418,7 @@ def cmd_verify(args):
 # -- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args):
-    model, doc = load_model_file(args.config)
+    model, doc, _ = load_model_file(args.config)
     if args.seed is not None:
         seed = _integer(args.seed, "--seed", True)
     else:
@@ -414,12 +427,12 @@ def cmd_simulate(args):
     if T is None:
         raise CliError("simulate needs --length")
     if model is not None:
-        x = simulate_model(model, T, seed)
-        names = doc.get("names") or ["x%d" % i for i in range(x.shape[0])]
+        d, prefix = model.partition.d, "x"
     else:
         var = _var_from_doc(doc)
-        x = simulate(var, T, seed)
-        names = doc.get("names") or ["z%d" % i for i in range(x.shape[0])]
+        d, prefix = var.sigma.shape[0], "z"
+    names = _names(doc, args.config, d) or ["%s%d" % (prefix, i) for i in range(d)]
+    x = simulate_model(model, T, seed) if model is not None else simulate(var, T, seed)
     out = args.out or "mcvar_sim.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)

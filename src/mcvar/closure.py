@@ -39,10 +39,6 @@ __all__ = [
     "CrossSolution",
     "DegenerateCrossPair",
     "fixed_lag_for_labels",
-    "forward_predictors",
-    "backward_predictors",
-    "build_G",
-    "build_H",
     "solve_cross_pair",
     "cross_pair_residual",
     "assemble_full_R",
@@ -175,62 +171,23 @@ class CrossSolution:
         return self.blocks[l + self.order]
 
 
-def forward_predictors(r):
-    """Coefficients Phi_{p,1..k} of the projection of Z_t on Z_{t-1}..Z_{t-k}."""
-    return whittle_recursion(r.blocks, r.order)["forward"]
-
-
-def backward_predictors(r):
-    """Coefficients Psi_{p,1..k} of the projection of Z_{t-k-1} on Z_{t-1}..Z_{t-k}.
-
-    Psi_{p,j} multiplies Z_{t-j}, the same indexing as the forward list.
-    """
-    return whittle_recursion(r.blocks, r.order)["backward"]
-
-
-def build_G(pred, k, d_p):
-    """Banded block matrix of the forward-prediction orthogonality conditions.
-
-    k x (2k+1) blocks of size d_p; row r carries Phi_{p,k}, ..., Phi_{p,1} in
-    block columns r+1..r+k followed by -I in column r+k+1.  Row r of G @ D_ij
-    equals sum_m Phi_{p,m} Sigma_{ij,r+1-m} - Sigma_{ij,r+1}.
-    """
-    phis = list(pred)
-    if len(phis) != k:
-        raise ValueError("expected %d forward coefficient blocks, got %d" % (k, len(phis)))
-    out = np.zeros((k * d_p, (2 * k + 1) * d_p))
-    eye = np.eye(d_p)
-    for r in range(k):
-        for s in range(k):
-            out[r * d_p:(r + 1) * d_p, (r + 1 + s) * d_p:(r + 2 + s) * d_p] = phis[k - 1 - s]
-        c = r + k + 1
-        out[r * d_p:(r + 1) * d_p, c * d_p:(c + 1) * d_p] = -eye
-    return out
-
-
-def build_H(pred, k, d_p):
-    """Banded block matrix of the backward-prediction orthogonality conditions.
-
-    Mirrors :func:`build_G` with -I leading each row: row r carries -I in
-    block column r, then Psi_{p,k}, ..., Psi_{p,1} in columns r+1..r+k.
-    """
-    psis = list(pred)
-    if len(psis) != k:
-        raise ValueError("expected %d backward coefficient blocks, got %d" % (k, len(psis)))
-    out = np.zeros((k * d_p, (2 * k + 1) * d_p))
-    eye = np.eye(d_p)
-    for r in range(k):
-        out[r * d_p:(r + 1) * d_p, r * d_p:(r + 1) * d_p] = -eye
-        for s in range(k):
-            out[r * d_p:(r + 1) * d_p, (r + 1 + s) * d_p:(r + 2 + s) * d_p] = psis[k - 1 - s]
-    return out
-
-
 def _condition_matrix(r, label):
-    """G or H matrix of one sub-process, per its condition label."""
-    if label == 1:
-        return build_G(forward_predictors(r), r.order, r.dim)
-    return build_H(backward_predictors(r), r.order, r.dim)
+    """G (label 1) or H (label 2): k x (2k+1) blocks of size d from one Whittle recursion.
+
+    Block row m holds [Phi_k, ..., Phi_1, -I] from block column m+1 (G), or
+    [-I, Psi_k, ..., Psi_1] from block column m (H).  With D_ij stacking
+    Sigma_{ij,-k}..Sigma_{ij,k}, block row m of G @ D_ij is
+    sum_j Phi_j Sigma_{ij,m+1-j} - Sigma_{ij,m+1} and of H @ D_ij is
+    sum_j Psi_j Sigma_{ij,m+1-j} - Sigma_{ij,m-k}.
+    """
+    k, d = r.order, r.dim
+    pred = whittle_recursion(r.blocks, k)["forward" if label == 1 else "backward"][::-1]
+    band = np.hstack(pred + [-np.eye(d)] if label == 1 else [-np.eye(d)] + pred)
+    out = np.zeros((k * d, (2 * k + 1) * d))
+    for m in range(k):
+        c = m + 1 if label == 1 else m
+        out[m * d:(m + 1) * d, c * d:(c + k + 1) * d] = band
+    return out
 
 
 def solve_cross_pair(ri, rj, labels, fixed):

@@ -373,7 +373,7 @@ def _pacf_to_acf(pi):
 
 
 def _sub_theta_len(d, k):
-    return k if d == 1 else d * (d - 1) // 2 + k * d * d
+    return d * (d - 1) // 2 + k * d * d
 
 
 def _theta_to_corr(theta, d, k):
@@ -735,7 +735,7 @@ def count_params(config, restricted=True):
     """
     margin_p = sum(len(FAMILY_PARAMS[f]) for f in config.margin_families)
     dims = [len(s) for s in config.partition.sets] if restricted else [config.partition.d]
-    dep = sum(di * (di - 1) // 2 + config.k * di * di for di in dims)
+    dep = sum(_sub_theta_len(di, config.k) for di in dims)
     dep += sum(dims[i] * dims[j] for i, j in _pair_list(len(dims)))
     return margin_p + dep
 

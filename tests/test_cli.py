@@ -268,17 +268,24 @@ def test_seed_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys):
     ("verify", ("k",), 2.0, '"k"'),
     ("verify", ("labels", 0), 2.0, '"labels"'),
     ("verify", ("partition", 0, 0), 0.0, '"partition"'),
+    ("simulate", ("k",), 1.9, '"k"'),
+    ("simulate", ("partition", 1, 0), 1.5, '"partition"'),
+    ("simulate", ("labels", 0), 2.7, '"labels"'),
+    ("fit", ("columns", 0), True, '"columns"'),
 ])
 def test_integer_field_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys, command,
                                                                where, bad, field):
     # every integer the CLI reads from a document is refused, never truncated
-    if command == "verify":
-        cfg = write_json(tmp_path / "cfg.json", construct_config())
+    if command in ("verify", "simulate"):
+        # simulate reads a k = 1 model, which a truncated "k": 1.9 would still fit
+        config = construct_config() if command == "verify" else construct_config(k=1, c0=0.2)
+        cfg = write_json(tmp_path / "cfg.json", config)
         assert main(["construct", "--config", cfg, "--out", str(tmp_path / "model.json")]) == 0
         doc = json.loads((tmp_path / "model.json").read_text())
     elif command == "fit":
         doc = {"format": "mcvar-config/1", "k": 2, "partition": [[0], [1]], "labels": [2, 2],
-               "margin_families": ["gaussian", "gaussian"], "transform": [{"log_diff": 1}, {}]}
+               "margin_families": ["gaussian", "gaussian"], "columns": [0, 1],
+               "transform": [{"log_diff": 1}, {}]}
         (tmp_path / "data.csv").write_text("u,v\n" + "".join("%d,%d\n" % (t + 1, t) for t in range(30)))
     else:
         doc = construct_config()
@@ -291,10 +298,33 @@ def test_integer_field_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys, 
     argv = {"construct": ["construct", "--config", path, "--out", str(out)],
             "fit": ["fit", "--config", path, "--data", str(tmp_path / "data.csv"),
                     "--out", str(out)],
-            "verify": ["verify", "--config", path]}[command]
+            "verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
     capsys.readouterr()
     assert main(argv) == 1
     assert "%s must be an integer, got %r" % (field, bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_refuses_names_of_the_wrong_length_exit_1(tmp_path, capsys):
+    # one name for two variables would give a CSV header shorter than its rows
+    cfg = write_json(tmp_path / "cfg.json", dict(construct_config(), names=["only_one"]))
+    model = tmp_path / "model.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 1
+    assert '"names" has 1 entries, expected 2' in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_simulate_refuses_names_of_the_wrong_length_exit_1(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model = tmp_path / "model.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    bad = write_json(tmp_path / "bad.json", dict(doc, names=["only_one"]))
+    out = tmp_path / "sim.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--config", bad, "--length", "30", "--out", str(out)]) == 1
+    assert '"names" has 1 entries, expected 2' in capsys.readouterr().err
     assert not out.exists()
 
 

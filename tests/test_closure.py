@@ -22,17 +22,18 @@ from mcvar.closure import (
     Partition,
     SubprocessCorr,
     assemble_full_R,
-    backward_predictors,
-    build_G,
-    build_H,
     coefficient_block_zeros,
     cross_pair_residual,
     fixed_lag_for_labels,
-    forward_predictors,
     solve_cross_pair,
     verify_closure,
 )
-from mcvar.varprocess import VarRepresentation, durbin_levinson, implied_autocov
+from mcvar.varprocess import (
+    VarRepresentation,
+    durbin_levinson,
+    implied_autocov,
+    whittle_recursion,
+)
 
 
 def scalar_sub(values):
@@ -96,30 +97,39 @@ def test_fixed_lag_for_labels():
 # ------------------------------------------------------------ banded systems
 
 
-def test_predictors_known_ar2():
+def test_condition_matrices_known_ar2():
+    # forward predictors (-8/9, -1/9) and, by scalar reversibility, backward
+    # predictors (-1/9, -8/9) by lag from t
     sub = scalar_sub([1.0, -0.8, 0.6])
-    fwd = forward_predictors(sub)
-    bwd = backward_predictors(sub)
-    assert_allclose(fwd[0][0, 0], -8.0 / 9.0, atol=1e-12)
-    assert_allclose(fwd[1][0, 0], -1.0 / 9.0, atol=1e-12)
-    # scalar reversibility: backward coefficients are the forward reversed
-    assert_allclose(bwd[0][0, 0], -1.0 / 9.0, atol=1e-12)
-    assert_allclose(bwd[1][0, 0], -8.0 / 9.0, atol=1e-12)
+    assert_allclose(closure._condition_matrix(sub, 1), np.array([
+        [0.0, -1.0 / 9.0, -8.0 / 9.0, -1.0, 0.0],
+        [0.0, 0.0, -1.0 / 9.0, -8.0 / 9.0, -1.0],
+    ]), atol=1e-12)
+    assert_allclose(closure._condition_matrix(sub, 2), np.array([
+        [-1.0, -8.0 / 9.0, -1.0 / 9.0, 0.0, 0.0],
+        [0.0, -1.0, -8.0 / 9.0, -1.0 / 9.0, 0.0],
+    ]), atol=1e-12)
 
 
-def test_banded_layout_scalar_k2():
-    p1 = np.array([[0.7]])
-    p2 = np.array([[-0.2]])
-    g = build_G([p1, p2], 2, 1)
-    assert_allclose(g, np.array([
-        [0.0, -0.2, 0.7, -1.0, 0.0],
-        [0.0, 0.0, -0.2, 0.7, -1.0],
-    ]))
-    h = build_H([p1, p2], 2, 1)
-    assert_allclose(h, np.array([
-        [-1.0, -0.2, 0.7, 0.0, 0.0],
-        [0.0, -1.0, -0.2, 0.7, 0.0],
-    ]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), k=st.integers(1, 3), label=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_condition_matrix_rows_are_the_prediction_conditions(d, k, label, seed):
+    # block row m of G @ D is sum_j Phi_j D_{m+1-j} - D_{m+1}; of H @ D,
+    # sum_j Psi_j D_{m+1-j} - D_{m-k}, with D_l the lag-l block of D
+    rng = np.random.default_rng(seed)
+    r = random_subprocess_corr(rng, d, k)
+    big_d = rng.standard_normal(((2 * k + 1) * d, 2))
+    pred = whittle_recursion(r.blocks, k)["forward" if label == 1 else "backward"]
+
+    def lag(l):
+        return big_d[(l + k) * d:(l + k + 1) * d]
+
+    rows = closure._condition_matrix(r, label) @ big_d
+    for m in range(k):
+        own = m + 1 if label == 1 else m - k
+        expected = sum(pred[j - 1] @ lag(m + 1 - j) for j in range(1, k + 1)) - lag(own)
+        assert_allclose(rows[m * d:(m + 1) * d], expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- the solver
