@@ -69,7 +69,9 @@ class Dataset:
 def load_csv(path, columns=None):
     """Read a header-row CSV into a Dataset.
 
-    ``columns`` selects by header name or zero-based index; default all.
+    ``columns`` selects by header name or zero-based index; default all.  A
+    string names a header first and is read as an index only when no header
+    has that name; an integer is always an index.
     Missing, non-numeric or non-finite cells are rejected with their line and column.
     """
     try:
@@ -100,7 +102,7 @@ def load_csv(path, columns=None):
     else:
         sel = []
         for c in columns:
-            if isinstance(c, str) and not c.lstrip("-").isdigit():
+            if isinstance(c, str) and (c in header or not c.lstrip("-").isdigit()):
                 if c not in header:
                     raise CliError("column %r not found; file has %s" % (c, header))
                 idx = header.index(c)

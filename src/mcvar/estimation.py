@@ -12,6 +12,7 @@ latent term alone, on latent scores computed once per fit:
 * stage 4 (optional) refines all dependence parameters from the warm start.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +126,19 @@ class Model:
 
     @classmethod
     def from_dict(cls, d):
-        sets = tuple(tuple(s) for s in d["partition"])
+        """Inverse of :meth:`to_dict`; a bool or non-integer ``k``, label,
+        partition index or cross pair index raises ValueError naming the field."""
+        sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
         dim = sum(len(s) for s in sets)
         part = Partition(sets=sets, d=dim)
-        k = int(d["k"])
+        k = _integer_field(d["k"], "k")
         subs = tuple(
             SubprocessCorr(blocks=tuple(np.asarray(b, dtype=float) for b in e["blocks"]))
             for e in d["subprocess_corrs"]
         )
         crosses = tuple(
             CrossSolution(
-                pair=tuple(e["pair"]),
+                pair=tuple(_integer_field(v, "crosses pair") for v in e["pair"]),
                 order=k,
                 blocks=tuple(np.asarray(b, dtype=float) for b in e["blocks"]),
             )
@@ -144,12 +147,19 @@ class Model:
         margins = tuple(MarginSpec.from_dict(m) for m in d["margins"])
         return cls(
             partition=part,
-            labels=tuple(int(c) for c in d["labels"]),
+            labels=tuple(_integer_field(c, "labels") for c in d["labels"]),
             k=k,
             margins=margins,
             subs=subs,
             crosses=crosses,
         )
+
+
+def _integer_field(value, name):
+    """An integer of a model document; a bool or a fraction is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("model field %r must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 def construct_model(partition, labels, k, margins, subs, fixed_blocks):

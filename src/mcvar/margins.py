@@ -8,15 +8,18 @@ with t = s / sqrt(a + b + s^2); a = b recovers a Student-t with 2a degrees of
 freedom up to scale, unequal parameters tilt the tails, and both parameters
 large together approaches a Gaussian.  Distribution
 function and quantile reduce to the regularized incomplete beta function via
-the monotone map s -> (1+t)/2.
+the monotone map s -> x = (1+t)/2, computed through its logit
+w = log x - log(1 - x) = 2 asinh(s / sqrt(a+b)), so s = sqrt(a+b) sinh(w/2)
+and neither tail rounds to x = 0 or 1.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln, digamma, ndtr, ndtri
+from scipy.special import betainc, betaincinv, betaln, digamma, expit, ndtr, ndtri
 
 from .optim import minimize
 
@@ -25,6 +28,15 @@ from .optim import minimize
 PIT_CLAMP = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# from_normal's skew-t table: a cubic Hermite interpolant of w(z), the logit of
+# the beta quantile at Phi(z), on a fixed grid over the clamped score range.
+# w is nearly quadratic in the tails, and an absolute error in w is a relative
+# error in s, so one grid serves both tails.
+_Z_MAX = float(-ndtri(PIT_CLAMP))
+_NODES = 2048
+_STEP = 2.0 * _Z_MAX / (_NODES - 1)
+_TABLE_RTOL = 1e-10  # in |s|/max(1, |s|), checked at every interval midpoint
 
 # Parameter names of each margin family, in the order of ``MarginSpec.params``.
 FAMILY_PARAMS = {"gaussian": ("loc", "scale"), "skewt": ("loc", "scale", "a", "b")}
@@ -111,18 +123,120 @@ def pdf(x, margin):
     return np.exp(logpdf(x, margin))
 
 
+def _skewt_logit(x, margin):
+    """w = log x - log(1 - x) of the beta argument x = (1 + t)/2 of each value."""
+    loc, scale, a, b = margin.params
+    return 2.0 * np.arcsinh((x - loc) / (scale * math.sqrt(a + b)))
+
+
+def _skewt_s(w, a, b):
+    """The standardized skew-t value at logit w: sqrt(a+b) sinh(w/2) = t sqrt((a+b)/(1-t^2))."""
+    return math.sqrt(a + b) * np.sinh(0.5 * w)
+
+
+def _log_dwdu(w, a, b):
+    """log dw/du = -log(f(x) x (1-x)) at x = expit(w), f the beta(a, b) density."""
+    return betaln(a, b) + a * np.logaddexp(0.0, -w) + b * np.logaddexp(0.0, w)
+
+
+def _lower_side(p, q, w, a, b):
+    """Where the beta(a, b) pair (x, p) is more accurate than (1 - x, q).
+
+    Through ``betainc(a, b, x)`` or ``betaincinv(a, b, p)`` the error in w is
+    about eps (p dw/du + 1/(1-x)); through the mirrored ``(b, a)`` call with
+    1 - x and q it is eps (q dw/du + 1/x).  The lower side wins where
+    (p - q) dw/du <= 1/x - 1/(1-x) = -2 sinh(w); w and p need only be
+    estimates.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (p - q) * np.exp(_log_dwdu(w, a, b)) <= -2.0 * np.sinh(w)
+
+
+def _logit_quantile(p, q, a, b):
+    """Logit w of the beta(a, b) quantile x with P(X <= x) = p and P(X > x) = q.
+
+    Both ``betaincinv(a, b, p)`` (x) and ``betaincinv(b, a, q)`` (1 - x) are
+    computed; each value takes the more accurate (:func:`_lower_side`), judged
+    at the estimate from whichever of x and 1 - x is below 1/2.
+    """
+    with np.errstate(divide="ignore"):
+        x = betaincinv(a, b, p)
+        y = betaincinv(b, a, q)
+        w_lower = np.log(x) - np.log1p(-x)
+        w_upper = np.log1p(-y) - np.log(y)
+    w = np.where(x <= 0.5, w_lower, w_upper)
+    return np.where(_lower_side(p, q, w, a, b), w_lower, w_upper)
+
+
+def _normal_logit(z, a, b):
+    """Exact w(z) = logit of the beta(a, b) quantile at Phi(z), z already clamped.
+
+    A positive score goes through the mirror image w_{a,b}(z) = -w_{b,a}(-z),
+    so every probability passed on is Phi(-|z|) <= 1/2 and none is rounded
+    near 1.  This is ``quantile(ndtr(z))`` below 0 and minus the mirrored
+    margin's ``quantile(ndtr(-z))`` above it.
+    """
+    up = z > 0
+    p = ndtr(-np.abs(z))
+    w = _logit_quantile(p, 1.0 - p, np.where(up, b, a), np.where(up, a, b))
+    return np.where(up, -w, w)
+
+
+def _hermite(coef, z):
+    """Evaluate the table's per-interval cubics in Horner form at clamped z."""
+    pos = (z + _Z_MAX) / _STEP
+    i = np.fmin(pos, _NODES - 2).astype(np.intp)  # fmin maps nan to the last interval
+    pos -= i
+    w = coef[0].take(i)
+    for row in coef[1:]:
+        w *= pos
+        w += row.take(i)
+    return w
+
+
+@functools.lru_cache(maxsize=64)
+def _logit_table(a, b):
+    """Cubic Hermite coefficients of w(z) on the fixed grid, or None.
+
+    Node values and slopes are exact: dw/dz = phi(z) dw/du.  The table is
+    kept only if every node is finite and it meets the exact w at every
+    interval midpoint to _TABLE_RTOL in s; otherwise (a, b) uses the exact
+    path.  Rows are the Horner coefficients from t^3 down, t in [0, 1).
+    """
+    half = -_Z_MAX + 0.5 * _STEP * np.arange(2 * _NODES - 1)  # nodes and midpoints
+    w_half = _normal_logit(half, a, b)
+    z, w = half[::2], w_half[::2]
+    with np.errstate(over="ignore"):
+        slope = _STEP * np.exp(_log_dwdu(w, a, b) - 0.5 * (z * z + _LOG_2PI))
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(slope))):
+        return None
+    dw = np.diff(w)
+    m0, m1 = slope[:-1], slope[1:]
+    coef = np.stack([m0 + m1 - 2.0 * dw, 3.0 * dw - 2.0 * m0 - m1, m0, w[:-1]])
+    exact = _skewt_s(w_half[1::2], a, b)
+    err = np.abs(_skewt_s(_hermite(coef, half[1::2]), a, b) - exact)
+    if not np.all(err <= _TABLE_RTOL * np.maximum(1.0, np.abs(exact))):
+        return None
+    coef.flags.writeable = False
+    return coef
+
+
 def cdf(x, margin):
     x = np.asarray(x, dtype=float)
     if margin.family == "gaussian":
         loc, scale = margin.params
         return ndtr((x - loc) / scale)
-    loc, scale, a, b = margin.params
-    t = _skewt_t((x - loc) / scale, a, b)
-    return betainc(a, b, 0.5 * (1.0 + t))
+    _, _, a, b = margin.params
+    return betainc(a, b, expit(_skewt_logit(x, margin)))
 
 
 def quantile(u, margin):
-    """Inverse distribution function; u outside (0, 1) raises."""
+    """Inverse distribution function; u outside (0, 1) raises.
+
+    The skew-t quantile is exact in both tails: the beta quantile comes from
+    whichever of x and 1 - x is computed more accurately (see
+    ``_logit_quantile``) and enters s through its logit.
+    """
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
@@ -130,9 +244,7 @@ def quantile(u, margin):
         loc, scale = margin.params
         return loc + scale * ndtri(u)
     loc, scale, a, b = margin.params
-    t = 2.0 * betaincinv(a, b, u) - 1.0
-    s = t * np.sqrt((a + b) / (1.0 - t * t))
-    return loc + scale * s
+    return loc + scale * _skewt_s(_logit_quantile(u, 1.0 - u, a, b), a, b)
 
 
 def pit_to_normal(x, margin):
@@ -147,26 +259,47 @@ def pit_to_normal(x, margin):
     if margin.family == "gaussian":
         loc, scale = margin.params
         return (x - loc) / scale
-    u = cdf(x, margin)
-    clamped = int(np.sum((u < PIT_CLAMP) | (u > 1.0 - PIT_CLAMP)))
+    _, _, a, b = margin.params
+    w = np.asarray(_skewt_logit(x, margin))
+    # P(X <= x) or, where the mirrored side is more accurate, P(X > x) from
+    # 1 - x, so neither tail is read off a probability rounded near 1.  Above
+    # both x = 1/2 and the median the upper side wins outright, and the
+    # placeholder p = 1 says so.
+    p = np.ones(w.shape)
+    near = w <= max(0.0, float(_logit_quantile(0.5, 0.5, a, b)))
+    p[near] = betainc(a, b, expit(w[near]))
+    up = ~_lower_side(p, 1.0 - p, w, a, b)
+    p[up] = betainc(b, a, expit(-w[up]))
+    clamped = int(np.sum(p < PIT_CLAMP))
     if clamped:
         warnings.warn(
             "%d observation(s) clamped at the PIT boundary; tail fit is suspect" % clamped,
             RuntimeWarning,
             stacklevel=2,
         )
-    u = np.clip(u, PIT_CLAMP, 1.0 - PIT_CLAMP)
-    return ndtri(u)
+    z = ndtri(np.maximum(p, PIT_CLAMP))
+    return np.where(up, -z, z)
 
 
 def from_normal(z, margin):
-    """Inverse of :func:`pit_to_normal`: normal scores to the data scale."""
+    """Inverse of :func:`pit_to_normal`: normal scores to the data scale.
+
+    Scores are clamped to |z| <= -ndtri(PIT_CLAMP).  A skew-t margin reads
+    each score off one cached table per (a, b): a cubic Hermite interpolant
+    of the logit w(z) on 2,048 fixed nodes with exact values and slopes,
+    within 1e-10 max(1, |s|) of the exact quantile in standardized units.
+    An (a, b) whose table misses that bound at a check point uses the exact
+    quantile path instead.
+    """
     z = np.asarray(z, dtype=float)
     if margin.family == "gaussian":
         loc, scale = margin.params
         return loc + scale * z
-    u = np.clip(ndtr(z), PIT_CLAMP, 1.0 - PIT_CLAMP)
-    return quantile(u, margin)
+    loc, scale, a, b = margin.params
+    z = np.clip(z, -_Z_MAX, _Z_MAX)
+    coef = _logit_table(a, b)
+    w = _normal_logit(z, a, b) if coef is None else _hermite(coef, z)
+    return loc + scale * _skewt_s(w, a, b)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,27 @@ def skewt_quantile_root(u, pdf, lo=-1e6, hi=1e6):
     return optimize.brentq(lambda s: skewt_cdf_quadrature(s, pdf) - u, lo, hi, xtol=1e-12)
 
 
+def from_normal_exact(z, margin):
+    """``margins.from_normal`` of a skew-t margin without its table.
+
+    The exact ``quantile`` of each clamped score's normal probability; a
+    score above 0 goes through the mirror image Q_{a,b}(1 - q) = -Q_{b,a}(q)
+    at q = Phi(-z), so no probability rounded near 1 is formed.
+    """
+    from scipy.special import ndtr, ndtri
+
+    from mcvar.margins import PIT_CLAMP, MarginSpec, quantile
+
+    loc, scale, a, b = margin.params
+    z_max = -ndtri(PIT_CLAMP)
+    z = np.clip(np.asarray(z, dtype=float), -z_max, z_max)
+    up = z > 0
+    s = np.empty_like(z)
+    s[~up] = quantile(ndtr(z[~up]), MarginSpec("skewt", (0.0, 1.0, a, b)))
+    s[up] = -quantile(ndtr(-z[up]), MarginSpec("skewt", (0.0, 1.0, b, a)))
+    return loc + scale * s
+
+
 def copula_loglik_oracle(data, margins, r_tm, k, pit):
     """Joint Gaussian-copula log density through one big T*d covariance.
 

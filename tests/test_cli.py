@@ -66,6 +66,18 @@ def test_load_csv_happy_path(tmp_path):
     assert_allclose(sel.values, [[3.0, -6.25], [1.0, 4.0]])
 
 
+def test_load_csv_string_column_names_a_numeric_header_first(tmp_path):
+    f = tmp_path / "years.csv"
+    f.write_text("2019,2020\n1.5,2.5\n3.5,4.5\n")
+    by_name = load_csv(str(f), columns=["2020"])
+    assert by_name.names == ("2020",)
+    assert_allclose(by_name.values, [[2.5, 4.5]])
+    # a digit string no header has is still an index, and so is an integer
+    assert load_csv(str(f), columns=["1", 0]).names == ("2020", "2019")
+    with pytest.raises(CliError, match="out of range"):
+        load_csv(str(f), columns=["2021"])
+
+
 def test_load_csv_error_messages(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("a,b\n1,2\n3\n")

@@ -231,6 +231,20 @@ def test_model_dict_roundtrip():
     assert back.margins == TRUE_MODEL.margins
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 1.9), ("k", True), ("labels", [2.7, 2]), ("labels", [1, False]),
+    ("partition", [[0.0], [1]]), ("crosses pair", [0, 1.5]),
+])
+def test_model_from_dict_refuses_a_bool_or_fraction(field, value):
+    doc = TRUE_MODEL.to_dict()
+    if field == "crosses pair":
+        doc["crosses"][0]["pair"] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError, match=repr(field)):
+        Model.from_dict(doc)
+
+
 def test_model_var_is_closed_over_partition():
     # labels (1, 1): both latent sub-processes evolve autonomously, so the
     # implied VAR coefficient blocks across sub-processes vanish

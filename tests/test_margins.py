@@ -1,13 +1,20 @@
 """Tests for the Gaussian and skew-t margins."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
+from scipy.special import betainc, expit, ndtri
 
-from oracles import skewt_cdf_quadrature, skewt_quantile_root
+from oracles import from_normal_exact, skewt_cdf_quadrature, skewt_quantile_root
 from mcvar.margins import (
+    PIT_CLAMP,
     MarginSpec,
+    _logit_table,
     cdf,
     fit_margin,
     from_normal,
@@ -122,6 +129,89 @@ def test_skewt_pit_roundtrip():
     assert_allclose(from_normal(z, spec), x, atol=1e-8)
     # monotone map
     assert np.all(np.diff(z) > 0)
+
+
+@pytest.mark.parametrize("a, b, z", [
+    (0.1, 3.0, np.append(seeded_normals(7, 2000), -2.0)),
+    (0.3, 3.0, np.array([-4.4, -4.5, -7.0])),
+])
+def test_skewt_from_normal_is_finite_deep_in_the_lower_tail(a, b, z):
+    # forming t = 2x - 1 rounded it to -1, and the quantile to -inf, once x < 1e-16
+    spec = MarginSpec("skewt", (0.0, 1.0, a, b))
+    assert np.all(np.isfinite(from_normal(z, spec)))
+    assert np.all(np.isfinite(from_normal_exact(z, spec)))
+
+
+def test_skewt_lower_tail_score_round_trips():
+    spec = MarginSpec("skewt", (0.0, 1.0, 0.6, 2.0))
+    assert abs(pit_to_normal(from_normal(np.array([-6.0]), spec), spec)[0] + 6.0) < 1e-9
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 3.0), (0.3, 3.0), (0.6, 2.0), (4.0, 2.0), (20.0, 0.05)])
+def test_skewt_quantile_inverts_betainc_in_both_tails(a, b):
+    spec = MarginSpec("skewt", (0.0, 1.0, a, b))
+    tail = np.geomspace(1e-12, 0.5, 25)
+    for u in (tail, 1.0 - tail):
+        w = 2.0 * np.arcsinh(quantile(u, spec) / math.sqrt(a + b))
+        # P(X <= x) = I_x(a, b) and P(X > x) = I_{1-x}(b, a), each checked on
+        # the side of x = 1/2 where x, or 1 - x, carries it to full precision
+        below = w <= 0.0
+        assert_allclose(betainc(a, b, expit(w[below])), u[below], rtol=1e-12, atol=0)
+        assert_allclose(betainc(b, a, expit(-w[~below])), 1.0 - u[~below], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.6])
+def test_skewt_cdf_inverts_quantile_in_the_lower_tail(a):
+    spec = MarginSpec("skewt", (0.2, 1.3, a, 3.0))
+    u = np.geomspace(1e-12, 0.5, 40)
+    assert_allclose(cdf(quantile(u, spec), spec), u, rtol=1e-12, atol=0)
+
+
+_SKEWT = st.builds(
+    lambda loc, log_scale, log_a, log_b: MarginSpec(
+        "skewt", (loc, math.exp(log_scale), math.exp(log_a), math.exp(log_b))),
+    st.floats(-5.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 12.0), st.floats(-3.0, 12.0))
+_SCORES = st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=16).map(np.array)
+# a = b = e^-3 misses the table's midpoint check and takes the exact path
+_CORNER = MarginSpec("skewt", (0.0, 1.0, math.exp(-3.0), math.exp(-3.0)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=_SKEWT, z=_SCORES)
+@example(spec=_CORNER, z=np.linspace(-8.0, 8.0, 3201))
+def test_from_normal_matches_the_exact_quantile(spec, z):
+    loc, scale = spec.params[:2]
+    got = (from_normal(z, spec) - loc) / scale
+    ref = (from_normal_exact(z, spec) - loc) / scale
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=_SKEWT, z=_SCORES)
+@example(spec=_CORNER, z=np.linspace(-8.0, 8.0, 33))
+def test_from_normal_round_trips_through_pit_to_normal(spec, z):
+    # scores beyond the clamp come back at the clamp
+    z_max = -ndtri(PIT_CLAMP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        back = pit_to_normal(from_normal(z, spec), spec)
+    assert_allclose(back, np.clip(z, -z_max, z_max), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("a, b", [(5.739, 9.344), (3.053, 2.738), (3.0, 5.0), (0.1, 3.0), (20.0, 0.05)])
+def test_skewt_table_passes_its_check(a, b):
+    # the benchmark and paper margins, and both strongly skewed directions,
+    # read their values off the table rather than the exact path
+    assert _logit_table(a, b) is not None
+
+
+def test_from_normal_falls_back_to_the_exact_path_bit_for_bit():
+    # at a = b = e^-6 some table nodes are not finite, so (a, b) takes the exact path
+    a = math.exp(-6.0)
+    spec = MarginSpec("skewt", (0.3, 1.7, a, a))
+    assert _logit_table(a, a) is None
+    z = np.linspace(-8.0, 8.0, 65)
+    assert np.array_equal(from_normal(z, spec), from_normal_exact(z, spec))
 
 
 def test_pit_clamp_warns():
