@@ -404,8 +404,7 @@ def cmd_verify(args):
     else:
         var = _var_from_doc(doc)
         r = _time_major_from_var(var, k)
-    if not is_positive_definite(r):
-        raise InfeasibleError("model correlation matrix is not positive definite")
+    # verify_closure's LinAlgError on a matrix that is not PD exits 2 through main
     report = verify_closure(r, part, k, tol=args.tol)
     print(report)
     ok = report.all_pass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dtrtri
 from scipy.stats import chi2
 
 from .closure import (
@@ -204,19 +204,35 @@ def lag_gram(z, k):
     return LagGram(head=z[:, :k].T.ravel(), gram=w @ w.T, n=n, k=k)
 
 
-def _solve_lower(ch, b, trans=0):
-    """x with ch x = b (trans=0) or ch^T x = b (trans=1), ch lower triangular and C-ordered.
+def _reverse_time(a, k):
+    """Time-major <-> reversed-time block order of a square matrix; its own inverse."""
+    w = a.shape[0]
+    d = w // (k + 1)
+    return a.reshape(k + 1, d, k + 1, d)[::-1, :, ::-1].reshape(w, w)
 
-    This is ``solve_triangular(ch, b, lower=True, trans=trans)`` without its
-    validation layer: the same LAPACK trtrs call on the Fortran-ordered
-    transpose, so the bits match.
+
+def _kernel(g, r, k):
+    """The latent log likelihood of a LagGram and L^-1, L the Cholesky factor of reversed R.
+
+    One LAPACK trtri call inverts L; the head is scored by its leading block,
+    and every later one-step conditional shares the last diagonal block of L
+    and the last d rows M of L^-1, so the data enter only through
+    tr(M C M^T) with the lag Gram matrix C.
     """
-    if b.size == 0:
-        return np.zeros(b.shape)
-    x, info = dtrtrs(ch.T, b, lower=0, trans=1 - trans)
+    w = g.gram.shape[0]
+    d = w // (k + 1)
+    ch = np.linalg.cholesky(_reverse_time(symmetrize(r), k))
+    inv, info = dtrtri(ch, lower=1)
     if info:
         raise np.linalg.LinAlgError("singular triangular factor")
-    return x
+    logdiag = np.log(np.diag(ch))
+    m, p = g.head.size, w - d
+    q = inv[:m, :m] @ g.head
+    mt = inv[p:].T
+    value = -0.5 * (m * _LOG_2PI + 2.0 * float(np.sum(logdiag[:m])) + float(q @ q)
+                    + g.n * (d * _LOG_2PI + 2.0 * float(np.sum(logdiag[p:])))
+                    + float(np.sum((g.gram @ mt) * mt)))
+    return value, inv
 
 
 def gaussian_var_loglik(z, r, k):
@@ -232,26 +248,14 @@ def gaussian_var_loglik(z, r, k):
     k : int
         Autoregressive order.
 
-    One Cholesky factor L of the time-reversed R scores the first k
-    observations through its leading block; every later one-step
-    conditional shares the last diagonal block L_kk and the last d rows M
-    of L^{-1}, so the data enter only through tr(M C M^T) with the lag Gram
-    matrix C, and the cost does not depend on T.
+    One Cholesky factor L of the time-reversed R and its inverse score the
+    first k observations and every later one-step conditional, so the cost
+    does not depend on T.
     """
     g = z if isinstance(z, LagGram) else lag_gram(z, k)
     if g.k != k:
         raise ValueError("lag Gram matrix is for order %d, not %d" % (g.k, k))
-    w = g.gram.shape[0]
-    d = w // (k + 1)
-    rev = symmetrize(r).reshape(k + 1, d, k + 1, d)[::-1, :, ::-1].reshape(w, w)
-    ch = np.linalg.cholesky(rev)
-    logdiag = np.log(np.diag(ch))
-    m = g.head.size
-    q = _solve_lower(ch[:m, :m], g.head)
-    total = -0.5 * (m * _LOG_2PI + 2.0 * float(np.sum(logdiag[:m])) + float(q @ q))
-    mt = _solve_lower(ch, np.eye(w)[:, w - d:], trans=1)
-    steady = g.n * (d * _LOG_2PI + 2.0 * float(np.sum(logdiag[w - d:])))
-    return total - 0.5 * (steady + float(np.sum((g.gram @ mt) * mt)))
+    return _kernel(g, r, k)[0]
 
 
 def _gaussian_var_score(g, r, k):
@@ -264,21 +268,9 @@ def _gaussian_var_score(g, r, k):
     the score; the head and past blocks of L^-1 are leading blocks of the
     window's.
     """
-    w = g.gram.shape[0]
-    d = w // (k + 1)
-
-    def flip(a):  # time-major <-> reversed time; its own inverse
-        return a.reshape(k + 1, d, k + 1, d)[::-1, :, ::-1].reshape(w, w)
-
-    ch = np.linalg.cholesky(flip(symmetrize(r)))
-    inv = _solve_lower(ch, np.eye(w))
-    logdiag = np.log(np.diag(ch))
-    m, p = g.head.size, w - d
-    q = inv[:m, :m] @ g.head
-    mt = inv[p:].T
-    value = -0.5 * (m * _LOG_2PI + 2.0 * float(np.sum(logdiag[:m])) + float(q @ q)
-                    + g.n * (d * _LOG_2PI + 2.0 * float(np.sum(logdiag[p:])))
-                    + float(np.sum((g.gram @ mt) * mt)))
+    value, inv = _kernel(g, r, k)
+    w = inv.shape[0]
+    m, p = g.head.size, w - w // (k + 1)
 
     def block(size, n, s):
         a = inv[:size, :size]
@@ -288,7 +280,7 @@ def _gaussian_var_score(g, r, k):
     score = block(w, g.n, g.gram)
     score[:p, :p] -= block(p, g.n, g.gram[:p, :p])
     score[:m, :m] += block(m, 1, np.outer(g.head, g.head))
-    return value, flip(-0.5 * score)
+    return value, _reverse_time(-0.5 * score, k)
 
 
 def _margin_correction(data, margins, z):

@@ -1,16 +1,16 @@
 """Univariate margins: Gaussian and a skew-t family with separate tail powers.
 
-The skew-t density with location 0 and scale 1 is
+The skew-t (Jones and Faddy 2003) log density with location 0 and scale 1 is
 
-    f(s) = 2^(1-a-b) / (B(a, b) sqrt(a+b)) (1+t)^(a+1/2) (1-t)^(b+1/2)
+    log f(s) = (a - b) asinh(u) - (a+b+1)/2 log1p(u^2) - log(2^(a+b-1) B(a, b) sqrt(a+b))
 
-with t = s / sqrt(a + b + s^2); a = b recovers a Student-t with 2a degrees of
-freedom up to scale, unequal parameters tilt the tails, and both parameters
-large together approaches a Gaussian.  Distribution
+with u = s / sqrt(a + b), finite in both tails; a = b recovers a Student-t
+with 2a degrees of freedom up to scale, unequal parameters tilt the tails,
+and both parameters large together approaches a Gaussian.  Distribution
 function and quantile reduce to the regularized incomplete beta function via
-the monotone map s -> x = (1+t)/2, computed through its logit
-w = log x - log(1 - x) = 2 asinh(s / sqrt(a+b)), so s = sqrt(a+b) sinh(w/2)
-and neither tail rounds to x = 0 or 1.
+the monotone map s -> x = (1 + u / sqrt(1 + u^2))/2, computed through its
+logit w = log x - log(1 - x) = 2 asinh(u), so s = sqrt(a+b) sinh(w/2) and
+neither tail rounds to x = 0 or 1.
 """
 
 import functools
@@ -92,13 +92,17 @@ class MarginSpec:
         return cls(family=d["family"], params=tuple(d["params"]))
 
 
-def _skewt_t(s, a, b):
-    return s / np.sqrt(a + b + s * s)
-
-
 def _skewt_logconst(a, b):
     # log of the standardized density's normalization constant
     return (a + b - 1.0) * np.log(2.0) + betaln(a, b) + 0.5 * np.log(a + b)
+
+
+def _skewt_logpdf(x, loc, scale, a, b):
+    """Elementwise skew-t log density, with the u, asinh(u) and log1p(u^2) it is built from."""
+    u = (x - loc) / (scale * math.sqrt(a + b))
+    asinh_u, log1p_u2 = np.arcsinh(u), np.log1p(u * u)
+    lp = (a - b) * asinh_u - 0.5 * (a + b + 1.0) * log1p_u2 - _skewt_logconst(a, b) - math.log(scale)
+    return lp, u, asinh_u, log1p_u2
 
 
 def logpdf(x, margin):
@@ -108,15 +112,7 @@ def logpdf(x, margin):
         loc, scale = margin.params
         s = (x - loc) / scale
         return -0.5 * (_LOG_2PI + s * s) - np.log(scale)
-    loc, scale, a, b = margin.params
-    s = (x - loc) / scale
-    t = _skewt_t(s, a, b)
-    return (
-        (a + 0.5) * np.log1p(t)
-        + (b + 0.5) * np.log1p(-t)
-        - _skewt_logconst(a, b)
-        - np.log(scale)
-    )
+    return _skewt_logpdf(x, *margin.params)[0]
 
 
 def pdf(x, margin):
@@ -124,18 +120,18 @@ def pdf(x, margin):
 
 
 def _skewt_logit(x, margin):
-    """w = log x - log(1 - x) of the beta argument x = (1 + t)/2 of each value."""
+    """w = 2 asinh(u) = log x - log(1 - x) of the beta argument x of each value."""
     loc, scale, a, b = margin.params
     return 2.0 * np.arcsinh((x - loc) / (scale * math.sqrt(a + b)))
 
 
 def _skewt_s(w, a, b):
-    """The standardized skew-t value at logit w: sqrt(a+b) sinh(w/2) = t sqrt((a+b)/(1-t^2))."""
+    """The standardized skew-t value at logit w: sqrt(a+b) sinh(w/2) = sqrt(a+b) u."""
     return math.sqrt(a + b) * np.sinh(0.5 * w)
 
 
-def _log_dwdu(w, a, b):
-    """log dw/du = -log(f(x) x (1-x)) at x = expit(w), f the beta(a, b) density."""
+def _log_dwdp(w, a, b):
+    """log dw/dp = -log(f(x) x (1-x)) at x = expit(w), f the beta(a, b) density."""
     return betaln(a, b) + a * np.logaddexp(0.0, -w) + b * np.logaddexp(0.0, w)
 
 
@@ -143,13 +139,13 @@ def _lower_side(p, q, w, a, b):
     """Where the beta(a, b) pair (x, p) is more accurate than (1 - x, q).
 
     Through ``betainc(a, b, x)`` or ``betaincinv(a, b, p)`` the error in w is
-    about eps (p dw/du + 1/(1-x)); through the mirrored ``(b, a)`` call with
-    1 - x and q it is eps (q dw/du + 1/x).  The lower side wins where
-    (p - q) dw/du <= 1/x - 1/(1-x) = -2 sinh(w); w and p need only be
+    about eps (p dw/dp + 1/(1-x)); through the mirrored ``(b, a)`` call with
+    1 - x and q it is eps (q dw/dp + 1/x).  The lower side wins where
+    (p - q) dw/dp <= 1/x - 1/(1-x) = -2 sinh(w); w and p need only be
     estimates.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return (p - q) * np.exp(_log_dwdu(w, a, b)) <= -2.0 * np.sinh(w)
+        return (p - q) * np.exp(_log_dwdp(w, a, b)) <= -2.0 * np.sinh(w)
 
 
 def _logit_quantile(p, q, a, b):
@@ -198,7 +194,7 @@ def _hermite(coef, z):
 def _logit_table(a, b):
     """Cubic Hermite coefficients of w(z) on the fixed grid, or None.
 
-    Node values and slopes are exact: dw/dz = phi(z) dw/du.  The table is
+    Node values and slopes are exact: dw/dz = phi(z) dw/dp.  The table is
     kept only if every node is finite and it meets the exact w at every
     interval midpoint to _TABLE_RTOL in s; otherwise (a, b) uses the exact
     path.  Rows are the Horner coefficients from t^3 down, t in [0, 1).
@@ -207,7 +203,7 @@ def _logit_table(a, b):
     w_half = _normal_logit(half, a, b)
     z, w = half[::2], w_half[::2]
     with np.errstate(over="ignore"):
-        slope = _STEP * np.exp(_log_dwdu(w, a, b) - 0.5 * (z * z + _LOG_2PI))
+        slope = _STEP * np.exp(_log_dwdp(w, a, b) - 0.5 * (z * z + _LOG_2PI))
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(slope))):
         return None
     dw = np.diff(w)
@@ -318,29 +314,28 @@ _MAXITER = 4000  # per start
 def _skewt_nll(theta, x):
     """Negative skew-t log likelihood of ``x`` and its score in (loc, log scale, log a, log b).
 
-    With q = a + b + s^2, dt/ds = (a+b) / q^(3/2) and dt/d(a+b) = -s / (2 q^(3/2));
-    the normalising constant's derivatives use digamma.
+    Through u: d asinh(u)/du = 1/sqrt(1+u^2), d log1p(u^2)/du = 2u/(1+u^2),
+    du/d loc = -1/(scale sqrt(a+b)), du/d log scale = -u and
+    du/d(a+b) = -u/(2(a+b)); the normalising constant's derivatives use digamma.
     """
     loc, lsc, la, lb = (float(v) for v in theta)
     scale, a, b = math.exp(lsc), math.exp(la), math.exp(lb)
-    s = (x - loc) / scale
-    q = a + b + s * s
-    t = s / np.sqrt(q)
-    lp, lm = np.log1p(t), np.log1p(-t)
+    lp, u, asinh_u, log1p_u2 = _skewt_logpdf(x, loc, scale, a, b)
     n = x.size
-    ll = (a + 0.5) * np.sum(lp) + (b + 0.5) * np.sum(lm) - n * (_skewt_logconst(a, b) + lsc)
-    dl_dt = (a + 0.5) / (1.0 + t) - (b + 0.5) / (1.0 - t)
-    g = dl_dt / (q * np.sqrt(q))  # dl/dt * dt/ds / (a+b)
-    dl_ds = (a + b) * g
-    dl_dab = -0.5 * float(np.sum(g * s))
-    dconst = math.log(2.0) - digamma(a + b) + 0.5 / (a + b)
+    c = a + b
+    v = 1.0 + u * u
+    dl_du = (a - b) / np.sqrt(v) - (c + 1.0) * u / v
+    sum_u_dl_du = float(np.sum(dl_du * u))
+    sum_asinh, half_sum_log1p = float(np.sum(asinh_u)), 0.5 * float(np.sum(log1p_u2))
+    dl_dc = -0.5 * sum_u_dl_du / c
+    dconst = math.log(2.0) - digamma(c) + 0.5 / c
     score = np.array([
-        -float(np.sum(dl_ds)) / scale,
-        -float(np.sum(dl_ds * s)) - n,
-        a * (float(np.sum(lp)) + dl_dab - n * (dconst + digamma(a))),
-        b * (float(np.sum(lm)) + dl_dab - n * (dconst + digamma(b))),
+        -float(np.sum(dl_du)) / (scale * math.sqrt(c)),
+        -sum_u_dl_du - n,
+        a * (sum_asinh - half_sum_log1p + dl_dc - n * (dconst + digamma(a))),
+        b * (-sum_asinh - half_sum_log1p + dl_dc - n * (dconst + digamma(b))),
     ])
-    return -float(ll), -score
+    return -float(np.sum(lp)), -score
 
 
 def fit_margin(x, family):
@@ -348,10 +343,11 @@ def fit_margin(x, family):
 
     Gaussian margins are closed form.  The skew-t margin is fitted by
     L-BFGS-B on the closed-form score in (loc, log scale, log a, log b) from
-    three deterministic starts, keeping the best, inside the box
-    |log scale - log sd| <= 12, -6 <= log a, log b <= 12; a fit that ends on
-    the box edge reports ``converged=False``.  A sample with non-finite
-    values raises ValueError.
+    three deterministic starts at the sample median, keeping the best, inside
+    the box |log scale - log iqr| <= 12, -6 <= log a, log b <= 12, where iqr
+    is the interquartile range / 1.349 (the standard deviation if that is 0);
+    a fit that ends on the box edge reports ``converged=False``.  A sample
+    with non-finite values raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
     bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -370,15 +366,18 @@ def fit_margin(x, family):
     if family != "skewt":
         raise ValueError("unknown margin family %r" % family)
 
-    m, sd = float(np.mean(x)), float(np.std(x))
-    if sd == 0.0:
+    # a robust centre and spread: a few far tail values cannot drag the starts
+    # and the log-scale box away from the bulk of the sample
+    q1, m, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
+    spread = (q3 - q1) / 1.349 or float(np.std(x))
+    if spread == 0.0:
         raise ValueError("degenerate sample: zero variance")
-    lsd = math.log(sd)
-    lo = np.array([-np.inf, lsd - 12.0, -6.0, -6.0])
-    hi = np.array([np.inf, lsd + 12.0, 12.0, 12.0])
+    lsp = math.log(spread)
+    lo = np.array([-np.inf, lsp - 12.0, -6.0, -6.0])
+    hi = np.array([np.inf, lsp + 12.0, 12.0, 12.0])
     best = minimize(
         lambda theta: _skewt_nll(theta, x),
-        [(m, lsd, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
+        [(m, lsp, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
         _MAXITER,
         jac=True,
         bounds=list(zip(lo, hi)),

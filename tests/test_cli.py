@@ -414,6 +414,21 @@ def test_verify_var_only_model_file(tmp_path, capsys):
     assert "verification FAILED" in out
 
 
+def test_verify_model_file_that_is_not_positive_definite_exit_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model_path = tmp_path / "m.json"
+    assert main(["construct", "--config", cfg, "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    # tripled cross blocks take the joint correlation matrix out of the PD cone
+    for c in doc["crosses"]:
+        c["blocks"] = (3.0 * np.asarray(c["blocks"])).tolist()
+    capsys.readouterr()
+    assert main(["verify", "--config", write_json(tmp_path / "bad.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not positive definite" in err
+
+
 # ------------------------------------------------------------------ failures
 
 

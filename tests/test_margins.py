@@ -142,6 +142,33 @@ def test_skewt_from_normal_is_finite_deep_in_the_lower_tail(a, b, z):
     assert np.all(np.isfinite(from_normal_exact(z, spec)))
 
 
+# a = 0.1 puts the beta argument of this sample below 1e-16 from z = -2 on
+SMALL_A = MarginSpec("skewt", (0.0, 1.0, 0.1, 3.0))
+
+
+def small_a_sample():
+    return from_normal(seeded_normals(5, 2000), SMALL_A)
+
+
+def test_skewt_density_is_the_cdf_slope_deep_in_the_lower_tail():
+    # through t = s/sqrt(a+b+s^2) and log1p(t), 67 of these values had log density -inf
+    x = small_a_sample()
+    lp = logpdf(x, SMALL_A)
+    assert np.all(np.isfinite(lp))
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    slope = (cdf(x + h, SMALL_A) - cdf(x - h, SMALL_A)) / (2.0 * h)
+    assert_allclose(np.exp(lp), slope, rtol=1e-6, atol=0)
+
+
+def test_fit_margin_skewt_deep_lower_tail_sample():
+    # the sample's sd is about 1e28: a box centred on it left out the true scale
+    fit = fit_margin(small_a_sample(), "skewt")
+    loc, _, a, _ = fit.spec.params
+    assert fit.converged
+    assert 0.05 < a < 0.2
+    assert abs(loc) < 1.0
+
+
 def test_skewt_lower_tail_score_round_trips():
     spec = MarginSpec("skewt", (0.0, 1.0, 0.6, 2.0))
     assert abs(pit_to_normal(from_normal(np.array([-6.0]), spec), spec)[0] + 6.0) < 1e-9
