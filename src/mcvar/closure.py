@@ -14,6 +14,7 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as sla
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .linalg import (
@@ -21,6 +22,7 @@ from .linalg import (
     _block_toeplitz,
     _lag_block,
     _lag_toeplitz,
+    _mirror_lags,
     gaussian_condition,
     is_positive_definite,
     vec,
@@ -171,17 +173,20 @@ class CrossSolution:
         return self.blocks[l + self.order]
 
 
-def _condition_matrix(r, label):
-    """G (label 1) or H (label 2): k x (2k+1) blocks of size d from one Whittle recursion.
+def _condition_matrix(blocks, label):
+    """G (label 1) or H (label 2) of a sub-process's blocks Sigma_0..Sigma_k:
+    k x (2k+1) blocks of size d from one Whittle recursion.
 
     Block row m holds [Phi_k, ..., Phi_1, -I] from block column m+1 (G), or
     [-I, Psi_k, ..., Psi_1] from block column m (H).  With D_ij stacking
     Sigma_{ij,-k}..Sigma_{ij,k}, block row m of G @ D_ij is
     sum_j Phi_j Sigma_{ij,m+1-j} - Sigma_{ij,m+1} and of H @ D_ij is
-    sum_j Psi_j Sigma_{ij,m+1-j} - Sigma_{ij,m-k}.
+    sum_j Psi_j Sigma_{ij,m+1-j} - Sigma_{ij,m-k}.  Either way the predictor
+    band [P_k, ..., P_1] sits in block columns m+1..m+k, so it is
+    ``a[:d, d:(k + 1) * d]``.
     """
-    k, d = r.order, r.dim
-    pred = whittle_recursion(r.blocks, k)["forward" if label == 1 else "backward"][::-1]
+    k, d = len(blocks) - 1, blocks[0].shape[0]
+    pred = whittle_recursion(blocks, k)["forward" if label == 1 else "backward"][::-1]
     band = np.hstack(pred + [-np.eye(d)] if label == 1 else [-np.eye(d)] + pred)
     out = np.zeros((k * d, (2 * k + 1) * d))
     for m in range(k):
@@ -221,7 +226,7 @@ def _solve_pairs(subs, labels, pairs, fixed_blocks):
     def condition_matrix(i, pair):
         if i not in matrices:
             try:
-                matrices[i] = _condition_matrix(subs[i], labels[i])
+                matrices[i] = _condition_matrix(subs[i].blocks, labels[i])
             except np.linalg.LinAlgError as exc:
                 raise DegenerateCrossPair(
                     pair, "a sub-process is not positive definite: %s" % exc
@@ -251,18 +256,21 @@ def _solve_pairs(subs, labels, pairs, fixed_blocks):
             out.append(CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks)))
         else:
             a_i = condition_matrix(i, fixed.pair)
-            out.append(_solve_equal_labels(a_i, condition_matrix(j, fixed.pair), fixed, k))
+            stack, _ = _solve_equal_labels(a_i, condition_matrix(j, fixed.pair), fixed.value,
+                                           fixed.pair, k)
+            out.append(CrossSolution(pair=fixed.pair, order=k, blocks=tuple(stack)))
     return out
 
 
-def _solve_equal_labels(a_i, a_j, fixed, k):
-    """Cross blocks of an equal-label pair from its two condition matrices.
+def _solve_equal_labels(a_i, a_j, value, pair, k):
+    """Cross blocks of an equal-label pair from its condition matrices and fixed block.
 
-    M is factorised once (LAPACK getrf); the factors give the 1-norm
-    condition estimate (gecon) tested against CONDITION_LIMIT and the
-    solution (getrs).
+    Returns the (2k+1, d_i, d_j) stack Sigma_{ij,-k}..Sigma_{ij,k} and its
+    ``tangent``.  M is factorised once (LAPACK getrf); the factors give the
+    1-norm condition estimate (gecon) tested against CONDITION_LIMIT, the
+    solution (getrs) and every tangent.
     """
-    di, dj = fixed.value.shape
+    di, dj = value.shape
     # Rows of vec(A_i D_ij) and of vec((A_j D_ji)^T), one column block of
     # di*dj per lag l = -k..k acting on vec(Sigma_{ij,l}):
     # I_dj (x) A_i[:, lag l] and A_j[:, lag -l] (x) I_di, as the products
@@ -279,13 +287,64 @@ def _solve_equal_labels(a_i, a_j, fixed, k):
     cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if cond > CONDITION_LIMIT:
         raise DegenerateCrossPair(
-            fixed.pair, "condition number %.3g exceeds %.3g" % (cond, CONDITION_LIMIT)
+            pair, "condition number %.3g exceeds %.3g" % (cond, CONDITION_LIMIT)
         )
-    x = dgetrs(lu, piv, -N @ vec(fixed.value))[0]
 
-    solved = list(x.reshape(2 * k, dj, di).transpose(0, 2, 1))
-    blocks = solved[:k] + [fixed.value.copy()] + solved[k:]
-    return CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks))
+    def with_fixed(x, fixed):
+        """Lag stacks from solved blocks x (2k di dj, n) and fixed blocks (n, di, dj)."""
+        solved = x.T.reshape(-1, 2 * k, dj, di).transpose(0, 1, 3, 2)
+        return np.concatenate([solved[:, :k], fixed[:, None], solved[:, k:]], axis=1)
+
+    stack = with_fixed(dgetrs(lu, piv, -N @ vec(value))[0][:, None], value[None])[0]
+
+    def tangent(dband_i, dband_j):
+        """Tangents of the stack along (n_i, di, k di) and (n_j, dj, k dj) tangents of the
+        predictor bands [P_k, ..., P_1] of sub-processes i and j, and along each entry of
+        the fixed block in row-major order: (n_i, 2k+1, di, dj), (n_j, ...), (di dj, ...).
+
+        Differentiating A_i D_ij = 0 and A_j D_ji = 0 at the solution gives
+        M dx = -[vec(dA_i D_ij); rows of dA_j D_ji] - N vec(dF); block row m of
+        dA_i D_ij is dband_i times the lags m+1-k..m of D_ij.  All directions are
+        right-hand sides of one getrs on the factors of M.
+        """
+        n_i, n_j, step = len(dband_i), len(dband_j), di * dj
+        rhs = np.zeros((len(M), n_i + n_j + step))
+        rhs[:k * step, :n_i] = _band_product(dband_i, stack).transpose(0, 2, 1).reshape(n_i, -1).T
+        rhs[k * step:, n_i:n_i + n_j] = _band_product(
+            dband_j, stack[::-1].transpose(0, 2, 1)).reshape(n_j, -1).T
+        rhs[:, n_i + n_j:] = N[:, np.arange(step).reshape(dj, di).T.ravel()]
+        fixed = np.zeros((n_i + n_j + step, di, dj))
+        fixed[n_i + n_j:] = np.eye(step).reshape(step, di, dj)
+        out = with_fixed(dgetrs(lu, piv, -rhs)[0], fixed)
+        return out[:n_i], out[n_i:n_i + n_j], out[n_i + n_j:]
+
+    return stack, tangent
+
+
+def _band_product(dband, stack):
+    """Block rows m = 0..k-1 of dA @ D for a condition matrix tangent dA with
+    predictor band tangents ``dband`` (n, d, kd) and a (2k+1, d, e) lag stack D:
+    (n, kd, e), row block m being dband @ [D_{m+1-k}; ...; D_m]."""
+    k = stack.shape[0] // 2
+    windows = np.stack([stack[m + 1:m + k + 1].reshape(-1, stack.shape[2]) for m in range(k)])
+    return np.einsum("npq,mqr->nmpr", dband, windows).reshape(len(dband), -1, stack.shape[2])
+
+
+def _band_tangent(stack, band, label, dstack):
+    """Tangents (n, d, kd) of a sub-process's predictor band [P_k, ..., P_1] along
+    tangents ``dstack`` (n, 2k+1, d, d) of its lag stack Sigma_{-k}..Sigma_k.
+
+    The band is g T^-1 with T the k-slice Toeplitz matrix of (Z_{t-k}, ..., Z_{t-1}),
+    block (r, s) = Sigma_{r-s}, and g = [Sigma_k, ..., Sigma_1] (forward, label 1) or
+    [Sigma_{-1}, ..., Sigma_{-k}] (backward, label 2); so d band = (dg - band dT) T^-1,
+    from one Cholesky factorisation of T.
+    """
+    n, n_lag, d, _ = dstack.shape
+    k = n_lag // 2
+    g = dstack[:, 2 * k:k:-1] if label == 1 else dstack[:, k - 1::-1]
+    rhs = g.transpose(0, 2, 1, 3).reshape(n, d, k * d) - band @ _block_toeplitz(dstack[:, -2:0:-1])
+    factor = sla.cho_factor(_block_toeplitz(stack[-2:0:-1]))
+    return sla.cho_solve(factor, rhs.reshape(n * d, k * d).T).T.reshape(n, d, k * d)
 
 
 def cross_pair_residual(ri, rj, labels, sol):
@@ -297,8 +356,8 @@ def cross_pair_residual(ri, rj, labels, sol):
     k = ri.order
     d_ij = np.vstack([sol.block(l) for l in range(-k, k + 1)])
     d_ji = np.vstack([sol.block(-l).T for l in range(-k, k + 1)])
-    res_i = _condition_matrix(ri, labels[0]) @ d_ij
-    res_j = _condition_matrix(rj, labels[1]) @ d_ji
+    res_i = _condition_matrix(ri.blocks, labels[0]) @ d_ij
+    res_j = _condition_matrix(rj.blocks, labels[1]) @ d_ji
     return max(np.max(np.abs(res_i)), np.max(np.abs(res_j)))
 
 
@@ -334,18 +393,23 @@ def _lag_stack(partition, subs, crosses):
     sets = [np.array(s) for s in partition.sets]
     out = np.zeros((2 * k + 1, partition.d, partition.d))
     for i, (s, r) in enumerate(zip(sets, subs)):
-        out[k:, s[:, None], s] = r.blocks
+        out[:, s[:, None], s] = _mirror_lags(r.blocks)
         for j in range(i + 1, n):
             if (i, j) not in by_pair:
                 raise ValueError("missing cross solution for pair (%d, %d)" % (i, j))
             sol = by_pair[(i, j)]
             if sol.order != k:
                 raise ValueError("cross solution order mismatch for pair (%d, %d)" % (i, j))
-            t = sets[j]
-            out[k:, s[:, None], t] = sol.blocks[k:]
-            out[k:, t[:, None], s] = np.stack(sol.blocks[k::-1]).transpose(0, 2, 1)
-    out[:k] = out[:k:-1].transpose(0, 2, 1)
+            _place_cross(out, s, sets[j], np.stack(sol.blocks))
     return out
+
+
+def _place_cross(out, s, t, stack):
+    """Write a pair's (..., 2k+1, d_i, d_j) stack Sigma_{ij,-k}..Sigma_{ij,k} into the
+    (..., 2k+1, d, d) lag stack ``out`` at rows s, columns t, and its mirror
+    Sigma_{ji,l} = Sigma_{ij,-l}^T at rows t, columns s."""
+    out[..., s[:, None], t] = stack
+    out[..., t[:, None], s] = np.swapaxes(stack[..., ::-1, :, :], -1, -2)
 
 
 @dataclass(frozen=True)

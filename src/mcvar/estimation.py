@@ -25,13 +25,17 @@ from .closure import (
     CrossSolution,
     Partition,
     SubprocessCorr,
+    _band_tangent,
+    _condition_matrix,
     _lag_stack,
+    _place_cross,
+    _solve_equal_labels,
     _solve_pairs,
     assemble_full_R,
     fixed_lag_for_labels,
     solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
-from .linalg import _lag_block, _lag_toeplitz, symmetrize
+from .linalg import _block_toeplitz, _fold_lags, _lag_block, _mirror_lags, symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .optim import minimize
 from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
@@ -306,23 +310,26 @@ def loglik_full(data, margins, r, k):
 
 # -- the estimation engine shared by stages 2-4 ------------------------------
 #
-# A stage supplies ``build(theta)`` returning the time-major R.  The kernel's
-# Cholesky of R is the positive-definiteness test: a point where it fails, or
-# where ``build`` finds a degenerate pair, scores +inf.  Nelder-Mead only
-# compares values, so such a point loses every comparison.  Scalar stage 2
-# has a closed-form score and runs L-BFGS-B through the same driver.
+# A stage supplies ``model(theta)`` returning the time-major R and a pullback
+# that maps the kernel's score dl/dR to dl/dtheta.  The kernel's Cholesky of
+# R is the positive-definiteness test: a point where it fails, or where
+# ``model`` finds a degenerate pair, scores +inf, and a BFGS run of
+# ``minimize`` halves a step that lands there.  Scalar stage 2 is feasible
+# everywhere and runs L-BFGS-B through the same ``minimize``.
 _MAXITER = 4000  # per start, stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
 
-def _objective(gram, k, build):
-    """Negative latent log likelihood of ``build(theta)``, +inf if it raises LinAlgError."""
+def _objective(gram, k, model):
+    """(nll, score) of the R that ``model(theta)`` returns, +inf if a LinAlgError is raised."""
 
     def nll(theta):
         try:
-            return -gaussian_var_loglik(gram, build(theta), k)
+            r, pullback = model(theta)
+            value, score = _gaussian_var_score(gram, r, k)
         except np.linalg.LinAlgError:
-            return np.inf
+            return np.inf, np.zeros(len(theta))
+        return -value, -pullback(score)
 
     return nll
 
@@ -405,21 +412,15 @@ def _theta_to_corr(theta, d, k):
     return SubprocessCorr(blocks=tuple(blocks))
 
 
-def _raw_scatter(d, k):
-    """(r0, pos, take) with ``_theta_to_corr(theta, d, k).toeplitz()`` equal to
-    r0 after ``r0.flat[pos] = theta[take]``, for raw entries (d > 1).
-
-    r0 holds the unit diagonal; every other entry is one parameter, placed by
-    the Toeplitz gather of the parameter indices.
-    """
+def _raw_lags(d, k):
+    """(2k+1, d, d) lag stack of the raw-entry parameter indices (d > 1), -1 on
+    the unit diagonal of lag 0."""
     ii, jj = np.tril_indices(d, -1)
     nh = ii.size
     lag0 = np.full((d, d), -1)
     lag0[ii, jj] = lag0[jj, ii] = np.arange(nh)
-    lags = [lag0] + [nh + l * d * d + np.arange(d * d).reshape(d, d) for l in range(k)]
-    index = _lag_toeplitz(lags).ravel()
-    pos = np.flatnonzero(index >= 0)
-    return np.eye((k + 1) * d), pos, index[pos]
+    return _mirror_lags([lag0] + [nh + l * d * d + np.arange(d * d).reshape(d, d)
+                                  for l in range(k)])
 
 
 def _corr_to_theta(corr):
@@ -466,17 +467,17 @@ def _scalar_objective(gram, k):
     """
     lags = np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1)))
 
-    def nll(theta):
+    def model(theta):
         pi = np.tanh(theta)
         rho, jac = _pacf_to_acf(pi)
-        try:
-            ll, score = _gaussian_var_score(gram, np.concatenate([[1.0], rho])[lags], k)
-        except np.linalg.LinAlgError:
-            return np.inf, np.zeros(k)
-        drho = np.bincount(lags.ravel(), weights=score.ravel(), minlength=k + 1)[1:]
-        return -ll, -(1.0 - pi * pi) * (drho @ jac)
 
-    return nll
+        def pullback(score):
+            drho = np.bincount(lags.ravel(), weights=score.ravel(), minlength=k + 1)[1:]
+            return (1.0 - pi * pi) * (drho @ jac)
+
+        return np.concatenate([[1.0], rho])[lags], pullback
+
+    return _objective(gram, k, model)
 
 
 def fit_stage2(z, indices, k):
@@ -484,8 +485,10 @@ def fit_stage2(z, indices, k):
 
     ``z`` holds the latent scores of every variable; ``indices`` selects the
     sub-process's rows.  Runs from three deterministic starts (zeros, sample
-    moments, half the sample moments) and keeps the best: L-BFGS-B on the
-    closed-form score for a scalar sub-process, Nelder-Mead otherwise.
+    moments, half the sample moments) on the closed-form score and keeps the
+    best: L-BFGS-B at tanh-mapped PACFs for a scalar sub-process, where every
+    point is feasible, and otherwise BFGS on raw entries, scored as the
+    joint model (:func:`_joint_model`) of the sub-process alone.
     """
     indices = list(indices)
     z = np.asarray(z, dtype=float)[indices]
@@ -493,16 +496,10 @@ def fit_stage2(z, indices, k):
     gram = lag_gram(z, k)
     starts = _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k)))
     if d == 1:
-        best = minimize(_scalar_objective(gram, k), starts, _MAXITER, jac=True)
+        best = minimize(_scalar_objective(gram, k), starts, _MAXITER, box=[(None, None)] * k)
     else:
-        r0, pos, take = _raw_scatter(d, k)
-
-        def build(theta):
-            r = r0.copy()
-            r.flat[pos] = theta[take]
-            return r
-
-        best = minimize(_objective(gram, k, build), starts, _MAXITER)
+        alone = _joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k)
+        best = minimize(_objective(gram, k, alone), starts, _MAXITER)
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
@@ -585,7 +582,8 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
 
     Sub-process blocks stay at their stage-2 values, so the time-major R is
     affine in the fixed blocks: n_theta + 1 margin-closure solves give the map
-    up front, evaluations score its weighted sums, and one exact solve at the
+    up front, evaluations score its weighted sums by BFGS, with score
+    <dl/dR, B_m> for each basis matrix B_m, and one exact solve at the
     optimum gives the returned crosses.  A degenerate pair raises LinAlgError.
     """
     subs = list(subproc_corrs)
@@ -593,8 +591,13 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
         r0, basis = _affine_time_major(partition, labels, k, subs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
+    flat = basis.reshape(len(basis), -1)
+
+    def model(theta):
+        return r0 + np.tensordot(theta, basis, 1), lambda score: flat @ score.ravel()
+
     best = minimize(
-        _objective(lag_gram(z, k), k, lambda theta: r0 + np.tensordot(theta, basis, 1)),
+        _objective(lag_gram(z, k), k, model),
         _starts(len(basis), lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
         _MAXITER,
     )
@@ -609,13 +612,111 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     )
 
 
+def _sub_lags(d, k):
+    """theta_i -> (lag stack Sigma_{-k}..Sigma_k, its (n_i, 2k+1, d, d) Jacobian) of
+    one sub-process in the parametrisation of :func:`_theta_to_corr`.
+
+    Raw entries (d > 1) are placed by one index scatter built once,
+    ``stack.flat[pos] = theta[take]``, so the Jacobian is constant.
+    """
+    if d == 1:
+        def lags(theta):
+            pi = np.tanh(theta)
+            rho, jac = _pacf_to_acf(pi)
+            drho = (jac * (1.0 - pi * pi)).T
+            stack = np.concatenate([rho[::-1], [1.0], rho])
+            dstack = np.hstack([drho[:, ::-1], np.zeros((k, 1)), drho])
+            return stack.reshape(-1, 1, 1), dstack.reshape(k, -1, 1, 1)
+
+        return lags
+    index = _raw_lags(d, k)
+    base = (index < 0).astype(float)  # the unit diagonal of lag 0
+    pos = np.flatnonzero(index.ravel() >= 0)
+    take = index.ravel()[pos]
+    dstack = np.zeros((_sub_theta_len(d, k), index.size))
+    dstack[take, pos] = 1.0
+    dstack = dstack.reshape(-1, *index.shape)
+
+    def lags(theta):
+        stack = base.copy()
+        stack.flat[pos] = theta[take]
+        return stack, dstack
+
+    return lags
+
+
+def _joint_model(partition, labels, k):
+    """Stage-4 model: theta (sub-processes as in :func:`_theta_to_corr`, then the
+    fixed blocks as in :func:`_pack_fixed`) to the time-major R and its pullback.
+
+    R is assembled from lag stacks without validated containers; each
+    equal-label pair is solved as in the closure construction.  The pullback
+    builds the Jacobian of the (2k+1, d, d) lag stack of R: sub-process entries
+    directly, cross blocks through the pair tangents (one getrs on the pair's
+    LU factors) of the predictor tangents (one Cholesky per sub-process), and
+    fixed blocks at their lag; then it contracts the Jacobian with the kernel's
+    score folded onto the lags.
+    """
+    sets = [np.array(s) for s in partition.sets]
+    dims = [len(s) for s in sets]
+    pairs = _pair_list(partition.n)
+    sizes = [_sub_theta_len(di, k) for di in dims] + [dims[i] * dims[j] for i, j in pairs]
+    rows = [slice(a, b) for a, b in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes))]
+    sub_lags = [_sub_lags(di, k) for di in dims]
+    n = partition.n
+
+    def model(theta):
+        subs = [f(theta[r]) for f, r in zip(sub_lags, rows)]
+        gamma = np.zeros((2 * k + 1, partition.d, partition.d))
+        for s, (stack, _) in zip(sets, subs):
+            gamma[:, s[:, None], s] = stack
+        mats, crosses = {}, []
+        for m, (i, j) in enumerate(pairs):
+            value = theta[rows[n + m]].reshape(dims[i], dims[j])
+            if labels[i] != labels[j]:
+                stack = np.zeros((2 * k + 1, dims[i], dims[j]))
+                stack[k + fixed_lag_for_labels((labels[i], labels[j]), k)] = value
+                tangent = None
+            else:
+                for c in (i, j):
+                    if c not in mats:
+                        mats[c] = _condition_matrix(subs[c][0][k:], labels[c])
+                stack, tangent = _solve_equal_labels(mats[i], mats[j], value, (i, j), k)
+            _place_cross(gamma, sets[i], sets[j], stack)
+            crosses.append(tangent)
+
+        def pullback(score):
+            jac = np.zeros((len(theta),) + gamma.shape)
+            for s, r, (_, dstack) in zip(sets, rows, subs):
+                jac[r, :, s[:, None], s] = dstack
+            bands = {c: _band_tangent(subs[c][0], a[:dims[c], dims[c]:(k + 1) * dims[c]],
+                                      labels[c], subs[c][1]) for c, a in mats.items()}
+            for m, ((i, j), tangent) in enumerate(zip(pairs, crosses)):
+                s, t, r = sets[i], sets[j], rows[n + m]
+                if tangent is None:
+                    dfix = np.zeros((r.stop - r.start, 2 * k + 1, dims[i], dims[j]))
+                    lag = k + fixed_lag_for_labels((labels[i], labels[j]), k)
+                    dfix[:, lag] = np.eye(len(dfix)).reshape(-1, dims[i], dims[j])
+                    _place_cross(jac[r], s, t, dfix)
+                    continue
+                d_i, d_j, dfix = tangent(bands[i], bands[j])
+                _place_cross(jac[rows[i]], s, t, d_i)
+                _place_cross(jac[rows[j]], s, t, d_j)
+                _place_cross(jac[r], s, t, dfix)
+            return np.tensordot(jac, _fold_lags(score, k), 3)
+
+        return _block_toeplitz(gamma), pullback
+
+    return model
+
+
 def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     """Joint refinement of all dependence parameters from the warm start.
 
-    A single Nelder-Mead run on the latent scores ``z``, started at the
-    stage 2 + 3 solution.  The input point itself is scored too and the
-    better of the two is returned, so the latent log likelihood never falls
-    below the warm start's.
+    A single BFGS run on the latent scores ``z``, started at the stage 2 + 3
+    solution and scored through :func:`_joint_model`.  The input point
+    itself is scored too and the better of the two is returned, so the
+    latent log likelihood never falls below the warm start's.
     """
     dims = [len(s) for s in partition.sets]
     cuts = np.cumsum([_sub_theta_len(d, k) for d in dims])
@@ -625,15 +726,15 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
         return ([_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
                 _unpack_fixed(cross_theta, partition, labels, k))
 
-    def build(theta):
-        return _build_time_major(partition, labels, *unpack(theta))[1]
-
     gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    res = minimize(_objective(gram, k, build), [x0], _MAXITER_REFINE)
+    res = minimize(_objective(gram, k, _joint_model(partition, labels, k)), [x0], _MAXITER_REFINE)
     # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
-    fun_in = _objective(gram, k, lambda _: _build_time_major(
-        partition, labels, subs, fixed_blocks)[1])(None)
+    try:
+        fun_in = -gaussian_var_loglik(
+            gram, _build_time_major(partition, labels, subs, fixed_blocks)[1], k)
+    except np.linalg.LinAlgError:
+        fun_in = np.inf
     loglik = _loglik(min(fun_in, res.fun), "stage 4")
     out_subs, fixed = (list(subs), list(fixed_blocks)) if fun_in < res.fun else unpack(res.x)
     crosses, _ = _build_time_major(partition, labels, out_subs, fixed)

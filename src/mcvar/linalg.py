@@ -64,17 +64,37 @@ def _lag_block(blocks, l):
     return blocks[l] if l >= 0 else blocks[-l].T
 
 
+def _toeplitz_lags(m):
+    """(m+1, m+1) lag index s - r + m of block (r, s) of a block Toeplitz matrix."""
+    return np.arange(m + 1) - np.arange(m + 1)[:, None] + m
+
+
 def _block_toeplitz(stack):
-    """(m+1)a x (m+1)b matrix whose block (r, s) is stack[s - r + m], from a (2m+1, a, b) lag stack."""
-    n_lag, a, b = stack.shape
+    """(m+1)a x (m+1)b matrix whose block (r, s) is stack[..., s - r + m, :, :], from a
+    (..., 2m+1, a, b) lag stack; leading axes are kept."""
+    *lead, n_lag, a, b = stack.shape
     k1 = (n_lag + 1) // 2
-    lag = np.arange(k1) - np.arange(k1)[:, None] + (k1 - 1)
-    return stack[lag].transpose(0, 2, 1, 3).reshape(k1 * a, k1 * b)
+    out = stack[..., _toeplitz_lags(k1 - 1), :, :]
+    return np.swapaxes(out, -3, -2).reshape(*lead, k1 * a, k1 * b)
+
+
+def _fold_lags(a, k):
+    """Adjoint of :func:`_block_toeplitz` on a (k+1)d square matrix: the (2k+1, d, d)
+    stack whose entry k + l sums the blocks (r, r + l) of ``a``."""
+    d = a.shape[0] // (k + 1)
+    out = np.zeros((2 * k + 1, d, d))
+    np.add.at(out, _toeplitz_lags(k), a.reshape(k + 1, d, k + 1, d).transpose(0, 2, 1, 3))
+    return out
+
+
+def _mirror_lags(blocks):
+    """(2m+1, a, a) stack B_{-m}..B_m of lags B_0..B_m with B_{-l} = B_l^T."""
+    return np.stack([b.T for b in blocks[:0:-1]] + list(blocks))
 
 
 def _lag_toeplitz(blocks):
     """:func:`_block_toeplitz` of lags B_0..B_m with B_{-l} = B_l^T: block (r, s) is B_{s-r}."""
-    return _block_toeplitz(np.stack([b.T for b in blocks[:0:-1]] + list(blocks)))
+    return _block_toeplitz(_mirror_lags(blocks))
 
 
 def gaussian_condition(cov, head, tail):

@@ -379,8 +379,7 @@ def fit_margin(x, family):
         lambda theta: _skewt_nll(theta, x),
         [(m, lsp, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
         _MAXITER,
-        jac=True,
-        bounds=list(zip(lo, hi)),
+        box=list(zip(lo, hi)),
     )
     loc, lsc, la, lb = best.x
     spec = MarginSpec("skewt", (float(loc), math.exp(lsc), math.exp(la), math.exp(lb)))

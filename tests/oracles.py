@@ -271,22 +271,100 @@ def scalar_stage2_nelder_mead(z, k):
     from mcvar import estimation as est
 
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    gram = est.lag_gram(z, k)
+    nll = _value_objective(est.lag_gram(z, k), k,
+                           lambda theta: est._theta_to_corr(theta, 1, k).toeplitz())
+    m0 = est._corr_to_theta(est._moment_corr(z, k))
+    best = nelder_mead(nll, (np.zeros(k), m0, 0.5 * m0), 4000)
+    return est._theta_to_corr(best.x, 1, k), -float(best.fun), bool(best.success)
+
+
+def nelder_mead(nll, starts, maxiter):
+    """Multi-start Nelder-Mead on values alone, the first lowest run winning.
+
+    The derivative-free optimiser the dependence stages used before their
+    closed-form scores: a start that scores +inf is skipped, and each run
+    stops on the simplex tolerances xatol 1e-7, fatol 1e-9.
+    """
+    runs = [optimize.minimize(nll, x0, method="Nelder-Mead",
+                              options={"maxiter": maxiter, "xatol": 1e-7, "fatol": 1e-9})
+            for x0 in starts if np.isfinite(nll(x0))]
+    return min(runs, key=lambda res: res.fun)
+
+
+def _value_objective(gram, k, build):
+    """Negative latent log likelihood of ``build(theta)``, +inf if it raises LinAlgError."""
+    from mcvar import estimation as est
 
     def nll(theta):
         try:
-            return -est.gaussian_var_loglik(gram, est._theta_to_corr(theta, 1, k).toeplitz(), k)
+            return -est.gaussian_var_loglik(gram, build(theta), k)
         except np.linalg.LinAlgError:
             return np.inf
 
-    m0 = est._corr_to_theta(est._moment_corr(z, k))
-    best = None
-    for x0 in (np.zeros(k), m0, 0.5 * m0):
-        res = optimize.minimize(nll, x0, method="Nelder-Mead",
-                                options={"maxiter": 4000, "xatol": 1e-7, "fatol": 1e-9})
-        if best is None or res.fun < best.fun:
-            best = res
-    return est._theta_to_corr(best.x, 1, k), -float(best.fun), bool(best.success)
+    return nll
+
+
+def stage2_nelder_mead(z, indices, k):
+    """Raw-entry stage 2 of a sub-process with d > 1 by multi-start Nelder-Mead.
+
+    The value-only kernel at the raw-entry Toeplitz matrix, filled from a
+    table of parameter indices, from the stage's three starts.  Returns the latent log likelihood of the best run.
+    """
+    from mcvar import estimation as est
+
+    z = np.asarray(z, dtype=float)[list(indices)]
+    d = len(indices)
+    # the parameter index of every Toeplitz entry, -1 on the unit diagonal
+    ii, jj = np.tril_indices(d, -1)
+    lag0 = np.full((d, d), -1)
+    lag0[ii, jj] = lag0[jj, ii] = np.arange(ii.size)
+    lags = [lag0] + list(ii.size + np.arange(k * d * d).reshape(k, d, d))
+    index = np.block([[_blk(lags, s - r) for s in range(k + 1)] for r in range(k + 1)])
+    free = index >= 0
+
+    def build(theta):
+        r = np.eye((k + 1) * d)
+        r[free] = theta[index[free]]
+        return r
+
+    starts = est._starts(est._sub_theta_len(d, k),
+                         lambda: est._corr_to_theta(est._moment_corr(z, k)))
+    return -float(nelder_mead(_value_objective(est.lag_gram(z, k), k, build), starts, 4000).fun)
+
+
+def stage3_nelder_mead(z, subs, labels, partition, k):
+    """Stage 3 by multi-start Nelder-Mead on its affine map, from the stage's
+    three starts.  Returns the latent log likelihood of the best run."""
+    from mcvar import estimation as est
+
+    r0, basis = est._affine_time_major(partition, labels, k, list(subs))
+    starts = est._starts(len(basis), lambda: est._pack_fixed(
+        est._moment_fixed_blocks(z, partition, labels, k)))
+    nll = _value_objective(est.lag_gram(z, k), k, lambda theta: r0 + np.tensordot(theta, basis, 1))
+    return -float(nelder_mead(nll, starts, 4000).fun)
+
+
+def stage4_nelder_mead(z, partition, labels, subs, fixed_blocks, k):
+    """Stage 4 by one Nelder-Mead run from the warm start, every evaluation an
+    exact closure build of validated sub-process and fixed-block containers.
+    Returns the better latent log likelihood of the run and the input point."""
+    from mcvar import estimation as est
+
+    dims = [len(s) for s in partition.sets]
+    cuts = np.cumsum([est._sub_theta_len(d, k) for d in dims])
+
+    def build(theta):
+        *sub_thetas, cross_theta = np.split(theta, cuts)
+        return est._build_time_major(
+            partition, labels, [est._theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
+            est._unpack_fixed(cross_theta, partition, labels, k))[1]
+
+    gram = est.lag_gram(z, k)
+    x0 = np.concatenate([est._corr_to_theta(s) for s in subs] + [est._pack_fixed(fixed_blocks)])
+    res = nelder_mead(_value_objective(gram, k, build), [x0], 8000)
+    start = est.gaussian_var_loglik(gram, est._build_time_major(partition, labels, subs,
+                                                                fixed_blocks)[1], k)
+    return max(-float(res.fun), start)
 
 
 def block_toeplitz_oracle(lag_block, k):

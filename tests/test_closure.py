@@ -101,11 +101,11 @@ def test_condition_matrices_known_ar2():
     # forward predictors (-8/9, -1/9) and, by scalar reversibility, backward
     # predictors (-1/9, -8/9) by lag from t
     sub = scalar_sub([1.0, -0.8, 0.6])
-    assert_allclose(closure._condition_matrix(sub, 1), np.array([
+    assert_allclose(closure._condition_matrix(sub.blocks, 1), np.array([
         [0.0, -1.0 / 9.0, -8.0 / 9.0, -1.0, 0.0],
         [0.0, 0.0, -1.0 / 9.0, -8.0 / 9.0, -1.0],
     ]), atol=1e-12)
-    assert_allclose(closure._condition_matrix(sub, 2), np.array([
+    assert_allclose(closure._condition_matrix(sub.blocks, 2), np.array([
         [-1.0, -8.0 / 9.0, -1.0 / 9.0, 0.0, 0.0],
         [0.0, -1.0, -8.0 / 9.0, -1.0 / 9.0, 0.0],
     ]), atol=1e-12)
@@ -125,7 +125,7 @@ def test_condition_matrix_rows_are_the_prediction_conditions(d, k, label, seed):
     def lag(l):
         return big_d[(l + k) * d:(l + k + 1) * d]
 
-    rows = closure._condition_matrix(r, label) @ big_d
+    rows = closure._condition_matrix(r.blocks, label) @ big_d
     for m in range(k):
         own = m + 1 if label == 1 else m - k
         expected = sum(pred[j - 1] @ lag(m + 1 - j) for j in range(1, k + 1)) - lag(own)

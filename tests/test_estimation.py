@@ -34,7 +34,7 @@ from mcvar.estimation import (
     portmanteau,
     simulate_model,
 )
-from mcvar.linalg import is_positive_definite
+from mcvar.linalg import _block_toeplitz, is_positive_definite
 from mcvar.margins import MarginFit, MarginSpec, fit_margin, pit_to_normal
 from mcvar.varprocess import seeded_normals, simulate
 
@@ -332,9 +332,8 @@ def test_fit_stage2_univariate_recovery():
 @given(d=st.integers(2, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_stage2_scatter_matches_the_subprocess_toeplitz(d, k, seed):
     theta = np.random.default_rng(seed).uniform(-1.0, 1.0, estimation._sub_theta_len(d, k))
-    r0, pos, take = estimation._raw_scatter(d, k)
-    r = r0.copy()
-    r.flat[pos] = theta[take]
+    stack, _ = estimation._sub_lags(d, k)(theta)
+    r = _block_toeplitz(stack)
     corr = estimation._theta_to_corr(theta, d, k)
     assert np.array_equal(r, corr.toeplitz())
     assert np.array_equal(r, block_toeplitz_oracle(corr.block, k))
@@ -441,14 +440,19 @@ def test_fit_stage3_near_the_positive_definite_boundary(monkeypatch):
     x = simulate_model(construct_model(part, (2, 2), 1, margins, subs, fixed), 2000, seed=7)
     raised = []
 
-    def recorded(*args):
-        try:
-            return gaussian_var_loglik(*args)
-        except np.linalg.LinAlgError:
-            raised.append(args)
-            raise
+    def recorded(kernel):
+        def call(*args):
+            try:
+                return kernel(*args)
+            except np.linalg.LinAlgError:
+                raised.append(args)
+                raise
 
-    monkeypatch.setattr(estimation, "gaussian_var_loglik", recorded)
+        return call
+
+    # stage 3 scores through the kernel's twin, which returns the score too
+    for name in ("gaussian_var_loglik", "_gaussian_var_score"):
+        monkeypatch.setattr(estimation, name, recorded(getattr(estimation, name)))
     st3 = fit_stage3(estimation.latent_scores(x, margins), subs, (2, 2), part, 1)
     assert np.isfinite(st3.loglik)
     assert abs(st3.fixed_blocks[0].value[0, 0] - 0.10) < 0.01
@@ -505,10 +509,8 @@ def test_fit_model_raises_when_a_stage_finds_no_pd_point(monkeypatch, stage, tar
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(estimation, target, infeasible)
-    if target == "gaussian_var_loglik":  # scalar stage 2 scores through the kernel's twin
+    if target == "gaussian_var_loglik":  # stage 2 scores through the kernel's twin
         monkeypatch.setattr(estimation, "_gaussian_var_score", infeasible)
-    # an all-infeasible simplex never meets the value tolerance; stop it early
-    monkeypatch.setattr(estimation, "_MAXITER", 50)
     with pytest.raises(np.linalg.LinAlgError, match=stage + ".*no positive definite point"):
         fit_model(DATA, CONFIG)
 
@@ -530,7 +532,9 @@ def test_minimize_skips_an_infeasible_start():
 
     def nll(theta):
         calls.append(theta)
-        return np.inf if theta[0] > 5.0 else float(np.sum((theta - 1.0) ** 2))
+        if theta[0] > 5.0:
+            return np.inf, np.zeros(2)
+        return float(np.sum((theta - 1.0) ** 2)), 2.0 * (theta - 1.0)
 
     best = optim.minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER)
     assert len(calls) < 400
@@ -539,10 +543,63 @@ def test_minimize_skips_an_infeasible_start():
 
 
 def test_minimize_with_no_feasible_start_returns_inf_without_a_run():
-    best = optim.minimize(lambda theta: np.inf, [np.ones(3), np.zeros(3)],
+    best = optim.minimize(lambda theta: (np.inf, np.zeros(3)), [np.ones(3), np.zeros(3)],
                           estimation._MAXITER)
     assert best.fun == np.inf and not best.success and best.nfev == 0
     assert_allclose(best.x, np.ones(3))
+
+
+def correlation_nll(theta, n=100, c=0.95):
+    """(nll, score) of a bivariate normal correlation r whose sample correlation is c,
+    +inf outside |r| < 1; the estimate is r = c, next to the wall at r = 1."""
+    r = theta[0]
+    if abs(r) >= 1.0:
+        return np.inf, np.zeros(1)
+    v = 1.0 - r * r
+    value = 0.5 * n * (np.log(v) + (2.0 - 2.0 * r * c) / v)
+    score = 0.5 * n * (-2.0 * r / v + (-2.0 * c * v + 4.0 * r * (1.0 - r * c)) / (v * v))
+    return value, np.array([score])
+
+
+def test_minimize_halves_a_step_into_the_infeasible_region():
+    # the first step from 0.9 moves by 1, to 1.9: four halvings reach |r| < 1
+    best = optim.minimize(correlation_nll, [np.array([0.9])], estimation._MAXITER)
+    assert best.ninf >= 4
+    assert best.success and best.message in optim.CONVERGED
+    assert np.isfinite(best.fun) and abs(best.x[0]) < 1.0
+    assert_allclose(best.x, [0.95], atol=1e-6)
+    assert best.fun < correlation_nll(np.array([0.9]))[0]
+
+
+@pytest.mark.parametrize("wall, message", [(False, optim.FLOOR), (True, optim.WALL)])
+def test_minimize_step_halved_to_its_floor(wall, message):
+    # a score that claims descent along +theta where the value only rises, or is +inf:
+    # the first counts as converged (no lower value exists near x), the second does not
+    def nll(theta):
+        if wall and theta[0] > 0.0:
+            return np.inf, np.zeros(1)
+        return float(theta[0] ** 2), np.array([-1.0])
+
+    best = optim.minimize(nll, [np.zeros(1)], estimation._MAXITER)
+    assert best.message == message and best.success == (not wall)
+    assert best.nit == 0 and best.fun == 0.0 and best.ninf == (best.nfev - 1 if wall else 0)
+
+
+@pytest.mark.parametrize("box", [None, [(-0.999, 0.999)]])
+def test_minimize_run_record(box):
+    # BFGS and L-BFGS-B fill the same fields, and a rerun repeats them exactly
+    starts = [np.array([0.0]), np.array([0.5])]
+    best = optim.minimize(correlation_nll, starts, estimation._MAXITER, box=box)
+    assert best.nfev > 0 and best.nit > 0 and best.ninf >= 0
+    assert best.success and isinstance(best.message, str)
+    again = optim.minimize(correlation_nll, starts, estimation._MAXITER, box=box)
+    fields = ("fun", "success", "message", "nfev", "nit", "ninf")
+    assert [again[f] for f in fields] == [best[f] for f in fields]
+    assert np.array_equal(again.x, best.x)
+    short = optim.minimize(correlation_nll, starts[:1], 1, box=box)
+    assert short.nit <= 1 and short.nfev > 0
+    if box is None:
+        assert not short.success and short.message == optim.MAXITER
 
 
 def test_unrestricted_fit_nests_more_parameters():

@@ -1,18 +1,40 @@
 """Closed-form scores by central differences, and the scored fits against
-the derivative-free multi-start Nelder-Mead oracles they replaced."""
+the derivative-free Nelder-Mead oracles they replaced."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
-from oracles import fit_margin_nelder_mead, random_subprocess_corr, scalar_stage2_nelder_mead
+from oracles import (
+    fit_margin_nelder_mead,
+    random_subprocess_corr,
+    scalar_stage2_nelder_mead,
+    stage2_nelder_mead,
+    stage3_nelder_mead,
+    stage4_nelder_mead,
+)
 import mcvar.estimation as estimation
-from mcvar.closure import SubprocessCorr
-from mcvar.estimation import fit_stage2, gaussian_var_loglik, lag_gram
+from mcvar.closure import (
+    CrossFixedBlock,
+    DegenerateCrossPair,
+    Partition,
+    SubprocessCorr,
+    fixed_lag_for_labels,
+)
+from mcvar.estimation import (
+    construct_model,
+    fit_stage2,
+    fit_stage3,
+    fit_stage4,
+    gaussian_var_loglik,
+    lag_gram,
+    simulate_model,
+)
+from mcvar.linalg import is_positive_definite
 from mcvar.margins import MarginSpec, _skewt_nll, fit_margin, from_normal, logpdf, quantile
 from mcvar.varprocess import durbin_levinson, seeded_normals, simulate
 
@@ -146,3 +168,99 @@ def test_scalar_stage2_never_loses_to_nelder_mead(rho, T, seed):
     assert_allclose(sf.loglik, gaussian_var_loglik(z, sf.corr.toeplitz(), k), rtol=1e-12)
     assert_allclose([sf.corr.block(l)[0, 0] for l in range(1, k + 1)],
                     [corr.block(l)[0, 0] for l in range(1, k + 1)], atol=1e-4)
+
+
+# ------------------------------------------------ stage-4 score and dependence stages
+
+
+def random_model(dims, labels, k, seed):
+    """A margin-closed model on sets of the given sizes scattered over 0..d-1, with
+    standard normal margins, or None when its R is not positive definite."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(sum(dims))
+    sets = tuple(tuple(sorted(s.tolist())) for s in np.split(perm, np.cumsum(dims)[:-1]))
+    part = Partition(sets=sets, d=sum(dims))
+    subs = [random_subprocess_corr(rng, di, k) for di in dims]
+    fixed = [CrossFixedBlock(pair=(i, j), lag=fixed_lag_for_labels((labels[i], labels[j]), k),
+                             value=0.15 * rng.uniform(-1.0, 1.0, (dims[i], dims[j])))
+             for i in range(len(dims)) for j in range(i + 1, len(dims))]
+    margins = (MarginSpec("gaussian", (0.0, 1.0)),) * part.d
+    try:
+        model = construct_model(part, labels, k, margins, subs, fixed)
+    except DegenerateCrossPair:
+        return None
+    return model if is_positive_definite(model.time_major_R()) else None
+
+
+def joint_theta(model):
+    fixed = [CrossFixedBlock(pair=c.pair, lag=lag, value=c.block(lag)) for c in model.crosses
+             for lag in [fixed_lag_for_labels((model.labels[c.pair[0]], model.labels[c.pair[1]]),
+                                              model.k)]]
+    return np.concatenate([estimation._corr_to_theta(s) for s in model.subs]
+                          + [estimation._pack_fixed(fixed)])
+
+
+def exact_build(model, theta):
+    """R of ``theta`` through validated containers and the closure construction."""
+    k, part = model.k, model.partition
+    cuts = np.cumsum([estimation._sub_theta_len(len(s), k) for s in part.sets])
+    *sub_thetas, cross_theta = np.split(theta, cuts)
+    subs = [estimation._theta_to_corr(t, len(s), k) for t, s in zip(sub_thetas, part.sets)]
+    fixed = estimation._unpack_fixed(cross_theta, part, model.labels, k)
+    return estimation._build_time_major(part, model.labels, subs, fixed)[1]
+
+
+JOINT = dict(dims=st.lists(st.integers(1, 2), min_size=2, max_size=3),
+             labels=st.tuples(*[st.sampled_from((1, 2))] * 3), k=st.integers(1, 2),
+             seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(**JOINT)
+def test_stage4_jacobian_matches_differences_of_the_exact_build(dims, labels, k, seed):
+    # the pullback of a unit matrix at (a, b) is dR_ab / dtheta, so the sub-process
+    # and cross-block tangents are compared through every entry of R
+    model = random_model(dims, labels[:len(dims)], k, seed)
+    assume(model is not None)
+    theta = joint_theta(model)
+    r, pullback = estimation._joint_model(model.partition, model.labels, k)(theta)
+    assert np.array_equal(r, exact_build(model, theta))
+    w = r.shape[0]
+    jac = np.array([pullback(np.eye(w * w)[e].reshape(w, w)) for e in range(w * w)]).T
+    fd = central_differences(lambda t: exact_build(model, t).ravel(), theta)
+    assert_allclose(jac, fd, rtol=1e-6, atol=1e-8 * max(1.0, np.max(np.abs(fd))))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(T=st.integers(2, 60), **JOINT)
+def test_stage4_score_matches_central_differences(T, dims, labels, k, seed):
+    model = random_model(dims, labels[:len(dims)], k, seed)
+    assume(model is not None)
+    theta = joint_theta(model)
+    gram = lag_gram(np.random.default_rng(seed + 1).standard_normal((model.partition.d, T)), k)
+    nll = estimation._objective(gram, k, estimation._joint_model(model.partition, model.labels, k))
+    value, score = nll(theta)
+    assert value == -gaussian_var_loglik(gram, model.time_major_R(), k)
+    fd = central_differences(lambda t: nll(t)[0], theta)
+    assert_allclose(score, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
+
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(d0=st.integers(2, 3), labels=st.tuples(*[st.sampled_from((1, 2))] * 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_dependence_stages_never_lose_to_nelder_mead(d0, labels, seed):
+    # a d0-variate and a scalar sub-process at k = 1 keep the Nelder-Mead oracles
+    # within seconds; each scored stage and its oracle start from the same input
+    k = 1
+    model = random_model((d0, 1), labels, k, seed)
+    assume(model is not None)
+    z = simulate_model(model, 400, seed)
+    part = model.partition
+    sub_fits = [fit_stage2(z, s, k) for s in part.sets]
+    assert sub_fits[0].loglik >= stage2_nelder_mead(z, part.sets[0], k) - 1e-6
+    subs = [sf.corr for sf in sub_fits]
+    st3 = fit_stage3(z, subs, labels, part, k)
+    assert st3.loglik >= stage3_nelder_mead(z, subs, labels, part, k) - 1e-6
+    ll4 = fit_stage4(z, part, labels, subs, st3.fixed_blocks, k)[3]
+    assert ll4 >= stage4_nelder_mead(z, part, labels, subs, st3.fixed_blocks, k) - 1e-6
+    assert sub_fits[0].converged and st3.converged
