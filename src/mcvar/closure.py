@@ -212,54 +212,87 @@ def solve_cross_pair(ri, rj, labels, fixed):
     not solved.  For equal labels the remaining 2k blocks solve the stacked
     vec-form linear system built from the banded condition matrices.
     """
-    return _solve_pairs((ri, rj), labels, [(0, 1)], [fixed])[0]
+    return _cross_solutions(dict(zip(fixed.pair, (ri, rj))), dict(zip(fixed.pair, labels)),
+                            [fixed])[0]
 
 
-def _solve_pairs(subs, labels, pairs, fixed_blocks):
-    """:func:`solve_cross_pair` for each index pair (i, j) into ``subs`` and its fixed block.
-
-    Each sub-process's condition matrix is built once, when its first
-    equal-label pair needs it, and shared by all its pairs.
-    """
-    matrices = {}
-
-    def condition_matrix(i, pair):
-        if i not in matrices:
-            try:
-                matrices[i] = _condition_matrix(subs[i].blocks, labels[i])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateCrossPair(
-                    pair, "a sub-process is not positive definite: %s" % exc
-                ) from exc
-        return matrices[i]
-
-    out = []
-    for (i, j), fixed in zip(pairs, fixed_blocks):
-        ri, rj, pair_labels = subs[i], subs[j], (labels[i], labels[j])
-        k = ri.order
-        if rj.order != k:
-            raise ValueError("sub-process orders differ: %d vs %d" % (k, rj.order))
-        want = fixed_lag_for_labels(pair_labels, k)
+def _cross_solutions(subs, labels, fixed_blocks):
+    """:func:`solve_cross_pair` for every fixed block, whose pair (i, j) indexes
+    ``subs`` and ``labels``: the blocks are checked against the labels and
+    sub-processes, then all pairs are solved by one :func:`_solve_pairs`."""
+    for fixed in fixed_blocks:
+        (i, j), k = fixed.pair, subs[fixed.pair[0]].order
+        if subs[j].order != k:
+            raise ValueError("sub-process orders differ: %d vs %d" % (k, subs[j].order))
+        want = fixed_lag_for_labels((labels[i], labels[j]), k)
         if fixed.lag != want:
             raise ValueError(
                 "labels %s fix the lag-%d block, got a lag-%d block"
-                % (pair_labels, want, fixed.lag)
+                % ((labels[i], labels[j]), want, fixed.lag)
             )
-        if fixed.value.shape != (ri.dim, rj.dim):
+        if fixed.value.shape != (subs[i].dim, subs[j].dim):
             raise ValueError(
-                "fixed block shape %s, expected (%d, %d)" % (fixed.value.shape, ri.dim, rj.dim)
+                "fixed block shape %s, expected (%d, %d)"
+                % (fixed.value.shape, subs[i].dim, subs[j].dim)
             )
+    pairs = [fb.pair for fb in fixed_blocks]
+    stacks = {c: _mirror_lags(subs[c].blocks) for c in set(sum(pairs, ()))}
+    solved, _ = _solve_pairs(stacks, labels, pairs, [fb.value for fb in fixed_blocks])
+    return [CrossSolution(pair=fb.pair, order=len(stack) // 2, blocks=tuple(stack))
+            for fb, stack in zip(fixed_blocks, solved)]
+
+
+def _solve_pairs(stacks, labels, pairs, values):
+    """The one pair loop: the (2k+1, d_i, d_j) cross stacks Sigma_{ij,-k}..Sigma_{ij,k}
+    of index pairs (i, j) into the sub-process lag stacks ``stacks`` and
+    ``labels``, from each pair's fixed block in ``values``, and ``tangent``.
+
+    A mixed-label pair has its fixed block at its lag and zeros elsewhere.
+    Each sub-process's condition matrix is built once, when its first
+    equal-label pair needs it; a sub-process that is not positive definite,
+    like a singular system, raises DegenerateCrossPair.  ``tangent(dstacks)``
+    takes (n_c, 2k+1, d_c, d_c) tangents of every sub-process's stack (n_c = 0
+    for one held fixed) and returns per pair the stack's tangents along those
+    of i, of j and of the entries of its fixed block in row-major order.
+    """
+    mats, out = {}, []
+    for (i, j), value in zip(pairs, values):
+        k = len(stacks[i]) // 2
         if labels[i] != labels[j]:
-            # Conditions leave every other block identically zero.
-            blocks = [np.zeros((ri.dim, rj.dim)) for _ in range(2 * k + 1)]
-            blocks[want + k] = fixed.value.copy()
-            out.append(CrossSolution(pair=fixed.pair, order=k, blocks=tuple(blocks)))
-        else:
-            a_i = condition_matrix(i, fixed.pair)
-            stack, _ = _solve_equal_labels(a_i, condition_matrix(j, fixed.pair), fixed.value,
-                                           fixed.pair, k)
-            out.append(CrossSolution(pair=fixed.pair, order=k, blocks=tuple(stack)))
-    return out
+            stack = np.zeros((2 * k + 1,) + value.shape)
+            stack[k + fixed_lag_for_labels((labels[i], labels[j]), k)] = value
+            out.append((stack, None))
+            continue
+        for c in (i, j):
+            if c not in mats:
+                try:
+                    mats[c] = _condition_matrix(stacks[c][k:], labels[c])
+                except np.linalg.LinAlgError as exc:
+                    raise DegenerateCrossPair(
+                        (i, j), "a sub-process is not positive definite: %s" % exc
+                    ) from exc
+        out.append(_solve_equal_labels(mats[i], mats[j], value, (i, j), k))
+
+    def tangent(dstacks):
+        bands = {}
+        for c, a in mats.items():
+            k, d = len(stacks[c]) // 2, len(stacks[c][0])
+            bands[c] = (_band_tangent(stacks[c], a[:d, d:(k + 1) * d], labels[c], dstacks[c])
+                        if len(dstacks[c]) else np.zeros((0, d, k * d)))
+        tangents = []
+        for (i, j), (stack, pair_tangent) in zip(pairs, out):
+            if pair_tangent is not None:
+                tangents.append(pair_tangent(bands[i], bands[j]))
+                continue
+            k = len(stack) // 2
+            lag = k + fixed_lag_for_labels((labels[i], labels[j]), k)
+            dfix = np.zeros((stack[lag].size,) + stack.shape)
+            dfix[:, lag] = np.eye(len(dfix)).reshape(dfix[:, lag].shape)
+            tangents.append((np.zeros((len(dstacks[i]),) + stack.shape),
+                             np.zeros((len(dstacks[j]),) + stack.shape), dfix))
+        return tangents
+
+    return [stack for stack, _ in out], tangent
 
 
 def _solve_equal_labels(a_i, a_j, value, pair, k):
@@ -309,9 +342,10 @@ def _solve_equal_labels(a_i, a_j, value, pair, k):
         """
         n_i, n_j, step = len(dband_i), len(dband_j), di * dj
         rhs = np.zeros((len(M), n_i + n_j + step))
-        rhs[:k * step, :n_i] = _band_product(dband_i, stack).transpose(0, 2, 1).reshape(n_i, -1).T
+        rhs[:k * step, :n_i] = _band_product(dband_i, stack).transpose(0, 2, 1).reshape(
+            n_i, k * step).T
         rhs[k * step:, n_i:n_i + n_j] = _band_product(
-            dband_j, stack[::-1].transpose(0, 2, 1)).reshape(n_j, -1).T
+            dband_j, stack[::-1].transpose(0, 2, 1)).reshape(n_j, k * step).T
         rhs[:, n_i + n_j:] = N[:, np.arange(step).reshape(dj, di).T.ravel()]
         fixed = np.zeros((n_i + n_j + step, di, dj))
         fixed[n_i + n_j:] = np.eye(step).reshape(step, di, dj)
@@ -325,9 +359,9 @@ def _band_product(dband, stack):
     """Block rows m = 0..k-1 of dA @ D for a condition matrix tangent dA with
     predictor band tangents ``dband`` (n, d, kd) and a (2k+1, d, e) lag stack D:
     (n, kd, e), row block m being dband @ [D_{m+1-k}; ...; D_m]."""
-    k = stack.shape[0] // 2
-    windows = np.stack([stack[m + 1:m + k + 1].reshape(-1, stack.shape[2]) for m in range(k)])
-    return np.einsum("npq,mqr->nmpr", dband, windows).reshape(len(dband), -1, stack.shape[2])
+    (n, d, _), k, e = dband.shape, stack.shape[0] // 2, stack.shape[2]
+    windows = np.stack([stack[m + 1:m + k + 1].reshape(-1, e) for m in range(k)])
+    return np.einsum("npq,mqr->nmpr", dband, windows).reshape(n, k * d, e)
 
 
 def _band_tangent(stack, band, label, dstack):

@@ -25,11 +25,9 @@ from .closure import (
     CrossSolution,
     Partition,
     SubprocessCorr,
-    _band_tangent,
-    _condition_matrix,
+    _cross_solutions,
     _lag_stack,
     _place_cross,
-    _solve_equal_labels,
     _solve_pairs,
     assemble_full_R,
     fixed_lag_for_labels,
@@ -173,7 +171,7 @@ def construct_model(partition, labels, k, margins, subs, fixed_blocks):
     for i, j in pairs:
         if (i, j) not in by_pair:
             raise ValueError("missing fixed cross block for pair (%d, %d)" % (i, j))
-    crosses = _solve_pairs(subs, labels, pairs, [by_pair[p] for p in pairs])
+    crosses = _cross_solutions(subs, labels, [by_pair[p] for p in pairs])
     return Model(
         partition=partition,
         labels=tuple(labels),
@@ -311,11 +309,14 @@ def loglik_full(data, margins, r, k):
 # -- the estimation engine shared by stages 2-4 ------------------------------
 #
 # A stage supplies ``model(theta)`` returning the time-major R and a pullback
-# that maps the kernel's score dl/dR to dl/dtheta.  The kernel's Cholesky of
-# R is the positive-definiteness test: a point where it fails, or where
-# ``model`` finds a degenerate pair, scores +inf, and a BFGS run of
-# ``minimize`` halves a step that lands there.  Scalar stage 2 is feasible
-# everywhere and runs L-BFGS-B through the same ``minimize``.
+# that maps the kernel's score dl/dR to dl/dtheta.  Raw-entry stage 2, stage 3
+# and stage 4 take it from one joint model, :func:`_joint_model`: of the
+# sub-process alone, of every pair with the sub-processes held (affine, so
+# built once), and of everything.  The kernel's Cholesky of R is the
+# positive-definiteness test: a point where it fails, or where ``model``
+# finds a degenerate pair, scores +inf, and a BFGS run of ``minimize`` halves
+# a step that lands there.  Scalar stage 2 is feasible everywhere and runs
+# L-BFGS-B through the same ``minimize``.
 _MAXITER = 4000  # per start, stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
@@ -386,41 +387,9 @@ def _sub_theta_len(d, k):
 
 
 def _theta_to_corr(theta, d, k):
-    """Parameter vector to SubprocessCorr.
-
-    Scalar sub-processes use tanh-mapped partial autocorrelations, which keep
-    every parameter point inside the stationary region.  Multivariate
-    sub-processes use raw entries (lower triangle of the lag-0 correlation,
-    then full lag matrices); the likelihood kernel rejects the points whose
-    Toeplitz matrix is not positive definite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if d == 1:
-        rho, _ = _pacf_to_acf(np.tanh(theta))
-        blocks = [np.eye(1)] + [np.array([[r]]) for r in rho]
-        return SubprocessCorr(blocks=tuple(blocks))
-    ii, jj = np.tril_indices(d, -1)
-    nh = ii.size
-    m0 = np.eye(d)
-    m0[ii, jj] = theta[:nh]
-    m0[jj, ii] = theta[:nh]
-    blocks = [m0]
-    off = nh
-    for _ in range(k):
-        blocks.append(theta[off:off + d * d].reshape(d, d))
-        off += d * d
-    return SubprocessCorr(blocks=tuple(blocks))
-
-
-def _raw_lags(d, k):
-    """(2k+1, d, d) lag stack of the raw-entry parameter indices (d > 1), -1 on
-    the unit diagonal of lag 0."""
-    ii, jj = np.tril_indices(d, -1)
-    nh = ii.size
-    lag0 = np.full((d, d), -1)
-    lag0[ii, jj] = lag0[jj, ii] = np.arange(nh)
-    return _mirror_lags([lag0] + [nh + l * d * d + np.arange(d * d).reshape(d, d)
-                                  for l in range(k)])
+    """Parameter vector to SubprocessCorr: the lags 0..k of :func:`_sub_lags`."""
+    stack, _ = _sub_lags(d, k)(np.asarray(theta, dtype=float))
+    return SubprocessCorr(blocks=tuple(stack[k:]))
 
 
 def _corr_to_theta(corr):
@@ -537,7 +506,7 @@ def _unpack_fixed(theta, partition, labels, k):
 
 def _build_time_major(partition, labels, subs, fixed_blocks):
     """Solve all pairs and return (crosses, time-major R)."""
-    crosses = _solve_pairs(subs, labels, _pair_list(partition.n), fixed_blocks)
+    crosses = _cross_solutions(subs, labels, fixed_blocks)
     return crosses, assemble_full_R(partition, subs, crosses)
 
 
@@ -560,47 +529,23 @@ class Stage3Fit:
     converged: bool
 
 
-def _affine_time_major(partition, labels, k, subs):
-    """(r0, basis) with time-major R(theta) = r0 + sum_m theta_m basis[m].
-
-    Given the sub-processes, the closure solve and the assembly are both
-    linear in the fixed blocks, so n_theta + 1 exact builds give the map.
-    """
-    n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
-                  for i, j in _pair_list(partition.n))
-
-    def exact(theta):
-        fixed = _unpack_fixed(theta, partition, labels, k)
-        return _build_time_major(partition, labels, subs, fixed)[1]
-
-    r0 = exact(np.zeros(n_theta))
-    return r0, np.stack([exact(e) - r0 for e in np.eye(n_theta)])
-
-
 def fit_stage3(z, subproc_corrs, labels, partition, k):
     """Joint quasi-MLE of every pair's fixed cross block from the latent scores ``z``.
 
     Sub-process blocks stay at their stage-2 values, so the time-major R is
-    affine in the fixed blocks: n_theta + 1 margin-closure solves give the map
-    up front, evaluations score its weighted sums by BFGS, with score
-    <dl/dR, B_m> for each basis matrix B_m, and one exact solve at the
-    optimum gives the returned crosses.  A degenerate pair raises LinAlgError.
+    affine in the fixed blocks: the joint model with the sub-processes held
+    (:func:`_joint_model`) builds the map once, BFGS scores its points through
+    it, and one exact solve at the optimum gives the returned crosses.  A
+    degenerate pair raises LinAlgError.
     """
     subs = list(subproc_corrs)
     try:
-        r0, basis = _affine_time_major(partition, labels, k, subs)
+        model = _joint_model(partition, labels, k, held=subs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
-    flat = basis.reshape(len(basis), -1)
-
-    def model(theta):
-        return r0 + np.tensordot(theta, basis, 1), lambda score: flat @ score.ravel()
-
-    best = minimize(
-        _objective(lag_gram(z, k), k, model),
-        _starts(len(basis), lambda: _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))),
-        _MAXITER,
-    )
+    start = _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))
+    best = minimize(_objective(lag_gram(z, k), k, model), _starts(len(start), lambda: start),
+                    _MAXITER)
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, subs, fixed)
@@ -614,10 +559,15 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
 
 def _sub_lags(d, k):
     """theta_i -> (lag stack Sigma_{-k}..Sigma_k, its (n_i, 2k+1, d, d) Jacobian) of
-    one sub-process in the parametrisation of :func:`_theta_to_corr`.
+    one sub-process: the parametrisation of every dependence stage.
 
-    Raw entries (d > 1) are placed by one index scatter built once,
-    ``stack.flat[pos] = theta[take]``, so the Jacobian is constant.
+    Scalar sub-processes use tanh-mapped partial autocorrelations, which keep
+    every parameter point inside the stationary region.  Multivariate
+    sub-processes use raw entries (lower triangle of the lag-0 correlation,
+    then full lag matrices), placed by one index scatter built once,
+    ``stack.flat[pos] = theta[take]``, so the Jacobian is constant; the
+    likelihood kernel rejects the points whose Toeplitz matrix is not
+    positive definite.
     """
     if d == 1:
         def lags(theta):
@@ -629,8 +579,12 @@ def _sub_lags(d, k):
             return stack.reshape(-1, 1, 1), dstack.reshape(k, -1, 1, 1)
 
         return lags
-    index = _raw_lags(d, k)
-    base = (index < 0).astype(float)  # the unit diagonal of lag 0
+    # the parameter index of every lag-stack entry, -1 on the unit diagonal of lag 0
+    ii, jj = np.tril_indices(d, -1)
+    lag0 = np.full((d, d), -1)
+    lag0[ii, jj] = lag0[jj, ii] = np.arange(ii.size)
+    index = _mirror_lags([lag0] + list(ii.size + np.arange(k * d * d).reshape(k, d, d)))
+    base = (index < 0).astype(float)
     pos = np.flatnonzero(index.ravel() >= 0)
     take = index.ravel()[pos]
     dstack = np.zeros((_sub_theta_len(d, k), index.size))
@@ -645,67 +599,65 @@ def _sub_lags(d, k):
     return lags
 
 
-def _joint_model(partition, labels, k):
-    """Stage-4 model: theta (sub-processes as in :func:`_theta_to_corr`, then the
-    fixed blocks as in :func:`_pack_fixed`) to the time-major R and its pullback.
+def _joint_model(partition, labels, k, held=None):
+    """The model of every dependence stage: theta (the sub-processes as in
+    :func:`_sub_lags`, then the fixed blocks as in :func:`_pack_fixed`) to the
+    time-major R and its pullback.
 
-    R is assembled from lag stacks without validated containers; each
-    equal-label pair is solved as in the closure construction.  The pullback
-    builds the Jacobian of the (2k+1, d, d) lag stack of R: sub-process entries
-    directly, cross blocks through the pair tangents (one getrs on the pair's
-    LU factors) of the predictor tangents (one Cholesky per sub-process), and
-    fixed blocks at their lag; then it contracts the Jacobian with the kernel's
-    score folded onto the lags.
+    R is the block Toeplitz matrix of the lag stack Gamma(-k)..Gamma(k), built
+    from the sub-process stacks and the one pair loop, :func:`closure._solve_pairs`.
+    The pullback contracts the Jacobian J of Gamma, through the pair tangents,
+    with the kernel's score folded onto the lags.  With ``held``, one
+    SubprocessCorr per sub-process, the sub-processes are held (no tangent
+    directions) and theta is the fixed blocks alone: Gamma = Gamma_0 + J theta
+    is then exact, so one evaluation at theta = 0 gives the whole map.
     """
     sets = [np.array(s) for s in partition.sets]
     dims = [len(s) for s in sets]
     pairs = _pair_list(partition.n)
-    sizes = [_sub_theta_len(di, k) for di in dims] + [dims[i] * dims[j] for i, j in pairs]
+    if held is None:
+        sub_lags = [_sub_lags(di, k) for di in dims]
+        sizes = [_sub_theta_len(di, k) for di in dims]
+    else:
+        stacks = [_mirror_lags(c.blocks) for c in held]
+        sub_lags = [lambda _, s=s: (s, np.zeros((0,) + s.shape)) for s in stacks]
+        sizes = [0] * len(dims)
+    sizes += [dims[i] * dims[j] for i, j in pairs]
     rows = [slice(a, b) for a, b in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes))]
-    sub_lags = [_sub_lags(di, k) for di in dims]
-    n = partition.n
+    fixed_rows = rows[partition.n:]
 
-    def model(theta):
+    def lags(theta):
         subs = [f(theta[r]) for f, r in zip(sub_lags, rows)]
         gamma = np.zeros((2 * k + 1, partition.d, partition.d))
         for s, (stack, _) in zip(sets, subs):
             gamma[:, s[:, None], s] = stack
-        mats, crosses = {}, []
-        for m, (i, j) in enumerate(pairs):
-            value = theta[rows[n + m]].reshape(dims[i], dims[j])
-            if labels[i] != labels[j]:
-                stack = np.zeros((2 * k + 1, dims[i], dims[j]))
-                stack[k + fixed_lag_for_labels((labels[i], labels[j]), k)] = value
-                tangent = None
-            else:
-                for c in (i, j):
-                    if c not in mats:
-                        mats[c] = _condition_matrix(subs[c][0][k:], labels[c])
-                stack, tangent = _solve_equal_labels(mats[i], mats[j], value, (i, j), k)
+        values = [theta[r].reshape(dims[i], dims[j]) for (i, j), r in zip(pairs, fixed_rows)]
+        crosses, tangent = _solve_pairs([stack for stack, _ in subs], labels, pairs, values)
+        for (i, j), stack in zip(pairs, crosses):
             _place_cross(gamma, sets[i], sets[j], stack)
-            crosses.append(tangent)
 
-        def pullback(score):
+        def jacobian():
             jac = np.zeros((len(theta),) + gamma.shape)
             for s, r, (_, dstack) in zip(sets, rows, subs):
                 jac[r, :, s[:, None], s] = dstack
-            bands = {c: _band_tangent(subs[c][0], a[:dims[c], dims[c]:(k + 1) * dims[c]],
-                                      labels[c], subs[c][1]) for c, a in mats.items()}
-            for m, ((i, j), tangent) in enumerate(zip(pairs, crosses)):
-                s, t, r = sets[i], sets[j], rows[n + m]
-                if tangent is None:
-                    dfix = np.zeros((r.stop - r.start, 2 * k + 1, dims[i], dims[j]))
-                    lag = k + fixed_lag_for_labels((labels[i], labels[j]), k)
-                    dfix[:, lag] = np.eye(len(dfix)).reshape(-1, dims[i], dims[j])
-                    _place_cross(jac[r], s, t, dfix)
-                    continue
-                d_i, d_j, dfix = tangent(bands[i], bands[j])
-                _place_cross(jac[rows[i]], s, t, d_i)
-                _place_cross(jac[rows[j]], s, t, d_j)
-                _place_cross(jac[r], s, t, dfix)
-            return np.tensordot(jac, _fold_lags(score, k), 3)
+            tangents = tangent([dstack for _, dstack in subs])
+            for (i, j), r, parts in zip(pairs, fixed_rows, tangents):
+                for rr, dstack in zip((rows[i], rows[j], r), parts):
+                    _place_cross(jac[rr], sets[i], sets[j], dstack)
+            return jac
 
-        return _block_toeplitz(gamma), pullback
+        return gamma, jacobian
+
+    if held is not None:
+        gamma0, jacobian = lags(np.zeros(sum(sizes)))
+        jac = jacobian()
+        lags = lambda theta: (gamma0 + (theta @ jac.reshape(len(jac), -1)).reshape(gamma0.shape),
+                              lambda: jac)
+
+    def model(theta):
+        gamma, jacobian = lags(theta)
+        return _block_toeplitz(gamma), lambda score: (
+            jacobian().reshape(len(theta), -1) @ _fold_lags(score, k).ravel())
 
     return model
 

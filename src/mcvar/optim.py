@@ -102,10 +102,15 @@ def _bfgs(nll, x, f, g, maxiter):
     A step halved to its floor means that no point along a descent direction
     scores lower than x, which happens at the optimum once the predicted
     decrease is below the value's rounding; it counts as converged unless the
-    last trial point scored +inf.
+    last trial point scored +inf.  Two small decreases while the max-abs score
+    still exceeds _GTOL can be a stale H along a flat direction, not the
+    optimum.  The first time, H restarts as the scaled identity s'y / y'y of
+    the last step if that predicts a decrease the test can see, and one more
+    small decrease stops the run.  In one dimension H is that scaled identity
+    already, so nothing restarts.
     """
     h = np.eye(x.size) / max(1.0, float(np.max(np.abs(g), initial=0.0)))
-    nfev, message, small = 1, MAXITER, 0
+    nfev, message, small, restarted = 1, MAXITER, 0, False
     for nit in range(maxiter + 1):
         if float(np.max(np.abs(g), initial=0.0)) <= _GTOL:
             message = SCORE
@@ -140,6 +145,11 @@ def _bfgs(nll, x, f, g, maxiter):
         decrease = f - f_new
         x, f, g = x + s, float(f_new), np.asarray(g_new, dtype=float)
         small = small + 1 if decrease <= _FTOL * max(abs(f), 1.0) else 0
+        if small == 2 and x.size > 1 and not restarted and float(np.max(np.abs(g))) > _GTOL:
+            restarted = True
+            scale = sy / float(y @ y) if sy > 0.0 else 1.0 / max(1.0, float(np.max(np.abs(g))))
+            if 0.5 * scale * float(g @ g) > _FTOL * max(abs(f), 1.0):
+                h, small = np.eye(x.size) * scale, 1
         if small == 2:
             message = DECREASE
             nit += 1

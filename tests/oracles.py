@@ -332,12 +332,34 @@ def stage2_nelder_mead(z, indices, k):
     return -float(nelder_mead(_value_objective(est.lag_gram(z, k), k, build), starts, 4000).fun)
 
 
-def stage3_nelder_mead(z, subs, labels, partition, k):
-    """Stage 3 by multi-start Nelder-Mead on its affine map, from the stage's
-    three starts.  Returns the latent log likelihood of the best run."""
+def affine_time_major(partition, labels, k, subs):
+    """(r0, basis) with time-major R(theta) = r0 + sum_m theta_m basis[m] over the
+    fixed blocks theta, by n_theta + 1 exact closure builds, differenced.
+
+    Given the sub-processes, the closure solve and the assembly are both
+    linear in the fixed blocks, so the differences of the builds at zero and
+    at each unit vector are the whole map.
+    """
     from mcvar import estimation as est
 
-    r0, basis = est._affine_time_major(partition, labels, k, list(subs))
+    n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
+                  for i, j in est._pair_list(partition.n))
+
+    def exact(theta):
+        fixed = est._unpack_fixed(theta, partition, labels, k)
+        return est._build_time_major(partition, labels, list(subs), fixed)[1]
+
+    r0 = exact(np.zeros(n_theta))
+    return r0, np.stack([exact(e) - r0 for e in np.eye(n_theta)])
+
+
+def stage3_nelder_mead(z, subs, labels, partition, k):
+    """Stage 3 by multi-start Nelder-Mead on its affine map from
+    :func:`affine_time_major`, from the stage's three starts.  Returns the
+    latent log likelihood of the best run."""
+    from mcvar import estimation as est
+
+    r0, basis = affine_time_major(partition, labels, k, subs)
     starts = est._starts(len(basis), lambda: est._pack_fixed(
         est._moment_fixed_blocks(z, partition, labels, k)))
     nll = _value_objective(est.lag_gram(z, k), k, lambda theta: r0 + np.tensordot(theta, basis, 1))

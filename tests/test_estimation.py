@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import block_toeplitz_oracle, copula_loglik_oracle, random_subprocess_corr
+from oracles import (
+    affine_time_major,
+    block_toeplitz_oracle,
+    copula_loglik_oracle,
+    random_subprocess_corr,
+)
 from mcvar.closure import (
     CrossFixedBlock,
     DegenerateCrossPair,
@@ -379,6 +384,29 @@ def test_fit_stage3_recovers_cross_given_truth():
     assert st3.crosses[0].pair == (0, 1)
 
 
+def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model():
+    # three multivariate equal-label sets, (5, 6, 8) at k = 3, built like the
+    # benchmark's scale model: 5*6 + 5*8 + 6*8 = 118 fixed-block entries
+    rng = np.random.default_rng(11)
+    sizes, labels, k = (5, 6, 8), (2, 2, 2), 3
+    part = Partition(sets=tuple(tuple(s) for s in np.split(np.arange(19), np.cumsum(sizes)[:-1])),
+                     d=19)
+    subs = [random_subprocess_corr(rng, d, k, radius=0.5) for d in sizes]
+    fixed = [CrossFixedBlock((i, j), 0, 0.02 * rng.uniform(-1.0, 1.0, (sizes[i], sizes[j])))
+             for i in range(3) for j in range(i + 1, 3)]
+    truth = construct_model(part, labels, k, (MarginSpec("gaussian", (0.0, 1.0)),) * 19, subs,
+                            fixed)
+    z = simulate(truth.var(), 2000, seed=11)
+    st3 = fit_stage3(z, subs, labels, part, k)
+    assert st3.converged
+    for got, want in zip(st3.fixed_blocks, fixed):
+        assert_allclose(got.value, want.value, rtol=0, atol=0.1)
+    fitted = Model(partition=part, labels=labels, k=k, margins=truth.margins, subs=tuple(subs),
+                   crosses=st3.crosses)
+    assert verify_closure(fitted.time_major_R(), part, k).all_pass
+    assert st3.loglik >= gaussian_var_loglik(z, truth.time_major_R(), k)
+
+
 @pytest.mark.parametrize("labels01", [(1, 1), (2, 2), (1, 2), (2, 1)])
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(
@@ -395,17 +423,23 @@ def test_stage3_affine_map_matches_exact_build(labels01, dims, k, label2, seed):
     part = Partition(sets=tuple(tuple(sorted(s)) for s in np.split(perm, cuts)), d=sum(dims))
     labels = (labels01 + (label2,))[:len(dims)]
     subs = [random_subprocess_corr(rng, di, k) for di in dims]
-    r0, basis = estimation._affine_time_major(part, labels, k, subs)
+    model = estimation._joint_model(part, labels, k, held=subs)
+    r0, basis = affine_time_major(part, labels, k, subs)
     for _ in range(3):
         theta = 0.3 * rng.uniform(-1.0, 1.0, size=len(basis))
         fixed = estimation._unpack_fixed(theta, part, labels, k)
         exact = estimation._build_time_major(part, labels, subs, fixed)[1]
-        assert_allclose(r0 + np.tensordot(theta, basis, 1), exact, rtol=0, atol=1e-12)
+        r, pullback = model(theta)
+        assert_allclose(r, r0 + np.tensordot(theta, basis, 1), rtol=0, atol=1e-12)
+        assert_allclose(r, exact, rtol=0, atol=1e-12)
+        # the pullback of a score is its inner product with each basis matrix
+        score = rng.standard_normal(r.shape)
+        assert_allclose(pullback(score), np.tensordot(basis, score, 2), rtol=0, atol=1e-12)
 
 
 def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatch):
-    # n_theta + 1 builds for the affine map and one exact build at the optimum,
-    # however many objective evaluations the optimizer makes
+    # one joint-model evaluation for the affine map and one exact build at the
+    # optimum, however many objective evaluations the optimizer makes
     calls = []
     solve = closure._solve_equal_labels
 
@@ -416,9 +450,9 @@ def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatc
     monkeypatch.setattr(closure, "_solve_equal_labels", counted)
     st3 = fit_stage3(estimation.latent_scores(DATA, GAUSS_MARGINS), list(TRUE_MODEL.subs),
                      (2, 2), TRUE_MODEL.partition, 2)
-    n_pairs, n_theta = 1, 1
+    n_pairs = 1
     assert st3.converged
-    assert len(calls) == n_pairs * (n_theta + 2)
+    assert len(calls) == 2 * n_pairs
 
 
 def test_fit_stage3_degenerate_pair_has_no_positive_definite_point():
@@ -502,7 +536,7 @@ def test_fit_model_computes_latent_scores_once(monkeypatch, stage4):
 
 @pytest.mark.parametrize("stage, target", [
     ("stage 2", "gaussian_var_loglik"),
-    ("stage 3", "_build_time_major"),
+    ("stage 3", "_solve_pairs"),  # the pair loop of the one evaluation of the stage-3 map
 ])
 def test_fit_model_raises_when_a_stage_finds_no_pd_point(monkeypatch, stage, target):
     def infeasible(*args):

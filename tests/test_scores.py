@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import optimize
 from scipy.special import ndtr
 
 from oracles import (
@@ -26,12 +27,15 @@ from mcvar.closure import (
     fixed_lag_for_labels,
 )
 from mcvar.estimation import (
+    ModelConfig,
     construct_model,
+    fit_model,
     fit_stage2,
     fit_stage3,
     fit_stage4,
     gaussian_var_loglik,
     lag_gram,
+    latent_scores,
     simulate_model,
 )
 from mcvar.linalg import is_positive_definite
@@ -264,3 +268,29 @@ def test_dependence_stages_never_lose_to_nelder_mead(d0, labels, seed):
     ll4 = fit_stage4(z, part, labels, subs, st3.fixed_blocks, k)[3]
     assert ll4 >= stage4_nelder_mead(z, part, labels, subs, st3.fixed_blocks, k) - 1e-6
     assert sub_fits[0].converged and st3.converged
+
+
+def test_stage4_does_not_stop_short_on_a_flat_direction():
+    # seed 1435 of the draw of test_fit_model_property_over_random_partitions at d = 4,
+    # three sets, labels (2, 2, 1), k = 1: BFGS once stopped stage 4 there on two small
+    # decreases with a max-abs score of 0.35, 1.7e-5 nats short of the optimum
+    seed, d, n, labels, k = 1435, 4, 3, (2, 2, 1), 1
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(np.arange(d) % n)
+    part = Partition(sets=tuple(tuple(np.flatnonzero(owner == g).tolist()) for g in range(n)), d=d)
+    subs = [random_subprocess_corr(rng, len(s), k) for s in part.sets]
+    dims = [len(s) for s in part.sets]
+    fixed = [CrossFixedBlock(pair=(i, j), lag=fixed_lag_for_labels((labels[i], labels[j]), k),
+                             value=0.15 * rng.uniform(-1.0, 1.0, (dims[i], dims[j])))
+             for i in range(n) for j in range(i + 1, n)]
+    margins = (MarginSpec("gaussian", (0.0, 1.0)),) * d
+    x = simulate_model(construct_model(part, labels, k, margins, subs, fixed), 600, seed)
+    fit = fit_model(x, ModelConfig(partition=part, labels=labels, k=k,
+                                   margin_families=("gaussian",) * d), stage4=True)
+    assert fit.converged
+    # scipy's BFGS at a tight gtol, from the fitted point, finds nothing better
+    gram = lag_gram(latent_scores(x, fit.model.margins), k)
+    nll = estimation._objective(gram, k, estimation._joint_model(part, labels, k))
+    polished = optimize.minimize(nll, joint_theta(fit.model), jac=True, method="BFGS",
+                                 options={"gtol": 1e-9})
+    assert fit.stage_logliks["stage4"] >= -polished.fun - 1e-9
