@@ -346,8 +346,8 @@ def fit_margin(x, family):
     three deterministic starts at the sample median, keeping the best, inside
     the box |log scale - log iqr| <= 12, -6 <= log a, log b <= 12, where iqr
     is the interquartile range / 1.349 (the standard deviation if that is 0);
-    a fit that ends on the box edge reports ``converged=False``.  A sample
-    with non-finite values raises ValueError.
+    a fit that ends on the box edge, or within 1e-9 max(1, |x|) of it, reports
+    ``converged=False``.  A sample with non-finite values raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
     bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -383,6 +383,8 @@ def fit_margin(x, family):
     )
     loc, lsc, la, lb = best.x
     spec = MarginSpec("skewt", (float(loc), math.exp(lsc), math.exp(la), math.exp(lb)))
-    # a point on the box edge is a limiting form of the family, not an optimum
-    interior = bool(np.all((best.x > lo) & (best.x < hi)))
+    # a point on the box edge is a limiting form of the family, not an optimum;
+    # L-BFGS-B can stop a rounding error inside a bound it ran into
+    tol = 1e-9 * np.maximum(1.0, np.abs(best.x))
+    interior = bool(np.all((best.x > lo + tol) & (best.x < hi - tol)))
     return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success) and interior)

@@ -105,9 +105,10 @@ def _bfgs(nll, x, f, g, maxiter):
     last trial point scored +inf.  Two small decreases while the max-abs score
     still exceeds _GTOL can be a stale H along a flat direction, not the
     optimum.  The first time, H restarts as the scaled identity s'y / y'y of
-    the last step if that predicts a decrease the test can see, and one more
-    small decrease stops the run.  In one dimension H is that scaled identity
-    already, so nothing restarts.
+    the last step, and two more small decreases in a row stop the run.  The
+    restart does not ask that s'y / y'y predict a decrease the test can see:
+    that prediction comes from the stale curvature it replaces.  In one
+    dimension H is that scaled identity already, so nothing restarts.
     """
     h = np.eye(x.size) / max(1.0, float(np.max(np.abs(g), initial=0.0)))
     nfev, message, small, restarted = 1, MAXITER, 0, False
@@ -148,8 +149,7 @@ def _bfgs(nll, x, f, g, maxiter):
         if small == 2 and x.size > 1 and not restarted and float(np.max(np.abs(g))) > _GTOL:
             restarted = True
             scale = sy / float(y @ y) if sy > 0.0 else 1.0 / max(1.0, float(np.max(np.abs(g))))
-            if 0.5 * scale * float(g @ g) > _FTOL * max(abs(f), 1.0):
-                h, small = np.eye(x.size) * scale, 1
+            h, small = np.eye(x.size) * scale, 0
         if small == 2:
             message = DECREASE
             nit += 1

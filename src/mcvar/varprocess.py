@@ -167,16 +167,55 @@ def seeded_normals(seed, shape):
     return ndtri(u)
 
 
+# Steps per block of the latent recursion, and blocks per GEMM chunk: chunks
+# of 256 blocks keep the GEMM temporaries small beside the T x d path.
+_BLOCK = 16
+_CHUNK = 256
+
+
+def _block_responses(var, m):
+    """Impulse and state responses over m steps of a VAR, for :func:`simulate`.
+
+    Returns the (md x md) block lower-triangular A whose block (i, j) is
+    Psi_{i-j}, the top-left d x d block of F^{i-j} (F the companion matrix),
+    and the (md x kd) C whose row block i is the first d rows of F^{i+1}, its
+    column blocks ordered to act on the window (Z_{t-k}, ..., Z_{t-1}),
+    oldest first.  The rows are formed in long double by the recursion
+    C_{i+1} = C_i F and rounded once to float64: powers of a non-normal F
+    near the unit circle formed in float64 carry rounding that the
+    step-by-step recursion does not.
+    """
+    d, k = var.d, var.k
+    phi = np.hstack(var.phi).astype(np.longdouble)  # the first d rows of F
+    rows = [phi]
+    for _ in range(m - 1):
+        # C_i F: the first column block through F's top rows, the rest
+        # through its shifted identity blocks
+        nxt = rows[-1][:, :d] @ phi
+        nxt[:, :-d] += rows[-1][:, d:]
+        rows.append(nxt)
+    C = np.vstack(rows).astype(float)
+    psi = np.vstack([np.eye(d), C[:(m - 1) * d, :d]])  # Psi_0..Psi_{m-1}
+    A = np.zeros((m * d, m * d))
+    for j in range(m):
+        A[j * d:, j * d:(j + 1) * d] = psi[:(m - j) * d]
+    return A, C.reshape(m * d, k, d)[:, ::-1].reshape(m * d, k * d)
+
+
 def simulate(var, T, seed):
     """Simulate T observations of a stationary VAR, exact stationary start.
 
     The first k observations are drawn from the stationary joint law of
-    (Z_1, ..., Z_k) via a Cholesky factor of its block Toeplitz covariance;
-    later observations follow the recursion.  The path is built in a
-    time-major (T, d) buffer: row t starts as the shock Le eps_t and gains
-    one product of the stacked d x dk coefficients [Phi_k ... Phi_1] with
-    the k rows before it, which are contiguous in the buffer.  Output is
-    d x T, a transposed view of that buffer.
+    (Z_1, ..., Z_k) via a Cholesky factor of its block Toeplitz covariance.
+    Later rows of a time-major (T, d) buffer start as the shocks Le eps_t and
+    follow the recursion in blocks of m = max(16, k) steps: a block's path is
+    its shocks through A plus C applied to the k rows before it
+    (:func:`_block_responses`).  Per chunk of at most 256 blocks, one GEMM
+    forms the zero-state paths in place, a loop over the blocks carries the
+    window of k rows with the last k row blocks of C, and one more GEMM adds
+    every block's carry-in.  A last block of fewer than m steps uses the
+    leading rows of A and C.  Output is d x T, a transposed view of the
+    buffer.
     """
     if not is_stationary(var):
         raise ValueError("simulate requires a stationary VAR")
@@ -193,10 +232,22 @@ def simulate(var, T, seed):
     z = np.empty((T, d))
     z[:k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape(k, d)
     z[k:] = (Le @ eps[:, k:]).T
-    phi = np.hstack(var.phi[::-1])  # oldest lag first, as the rows of a window
-    window = np.lib.stride_tricks.sliding_window_view(z.reshape(-1), k * d)[::d]
-    for t in range(k, T):
-        z[t] += phi @ window[t - k]
+    m = max(_BLOCK, k)
+    A, C = _block_responses(var, m)
+    carry = C[-k * d:]  # a block's last k steps: the next block's window
+    window = z[:k].reshape(-1)
+    n_blocks, rest = divmod(T - k, m)
+    blocks = z[k:k + n_blocks * m].reshape(n_blocks, m * d)
+    for lo in range(0, n_blocks, _CHUNK):
+        chunk = blocks[lo:lo + _CHUNK]
+        chunk[:] = chunk @ A.T
+        windows = np.empty((len(chunk), k * d))
+        for b, path in enumerate(chunk):
+            windows[b] = window
+            window = path[-k * d:] + carry @ window
+        chunk += windows @ C.T
+    tail = z[k + n_blocks * m:].reshape(-1)
+    tail[:] = A[:rest * d, :rest * d] @ tail + C[:rest * d] @ window
     return z.T
 
 

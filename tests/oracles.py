@@ -425,13 +425,15 @@ def time_major_index(partition, k):
     return [labels.index((r, v)) for r in range(k + 1) for v in range(partition.d)]
 
 
-def simulate_oracle(var, T, seed):
+def simulate_oracle(var, T, seed, dtype=float):
     """Stationary VAR path by the per-lag recursion on a d x T buffer.
 
     Same draws and stationary start as ``varprocess.simulate``: the first k
     columns from a Cholesky factor of the block Toeplitz covariance of
     (Z_1, ..., Z_k), then Z_t = Le eps_t + sum_m Phi_m Z_{t-m}, one lag
-    at a time in the order m = 1..k.
+    at a time in the order m = 1..k.  The start and the shocks Le eps_t are
+    float64; the recursion runs in ``dtype`` (``np.longdouble`` for a
+    reference more exact than any float64 path from the same start).
     """
     from mcvar.varprocess import implied_autocov, seeded_normals
 
@@ -440,15 +442,16 @@ def simulate_oracle(var, T, seed):
     init_cov = np.block([[_blk(gam, r - s) for s in range(k)] for r in range(k)])
     L0 = np.linalg.cholesky(0.5 * (init_cov + init_cov.T))
     Le = np.linalg.cholesky(var.sigma)
+    phi = [p.astype(dtype) for p in var.phi]
 
     eps = seeded_normals(seed, (d, T))
-    z = np.empty((d, T))
+    z = np.empty((d, T), dtype=dtype)
     z[:, :k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape((d, k), order="F")
     shocks = Le @ eps[:, k:]
     for t in range(k, T):
-        acc = shocks[:, t - k]
+        acc = shocks[:, t - k].astype(dtype)
         for m in range(k):
-            acc = acc + var.phi[m] @ z[:, t - 1 - m]
+            acc = acc + phi[m] @ z[:, t - 1 - m]
         z[:, t] = acc
     return z
 

@@ -290,10 +290,8 @@ def test_fit_margin_rejects_a_non_finite_sample(family, bad):
         fit_margin(x, family)
 
 
-def test_fit_margin_on_the_box_edge_is_not_converged():
-    # the paper's bivariate k = 2 skew-t model: on this replicate the first
-    # variable's best fit runs to log b = 12, the edge of the box, a limiting
-    # form of the family rather than an optimum; the second fits inside it
+def _edge_replicate():
+    """A paper_k2 replicate whose first variable's skew-t fit runs to the box edge."""
     from mcvar.closure import CrossFixedBlock, Partition, SubprocessCorr
     from mcvar.estimation import construct_model, simulate_model
 
@@ -304,9 +302,33 @@ def test_fit_margin_on_the_box_edge_is_not_converged():
         (MarginSpec("skewt", (0.850, 0.791, 5.739, 9.344)),
          MarginSpec("skewt", (-0.032, 0.172, 3.053, 2.738))),
         subs, [CrossFixedBlock((0, 1), 0, [[0.35]])])
-    x = simulate_model(truth, 2000, 23 * 1_000_003 + 23)
+    return simulate_model(truth, 2000, 23 * 1_000_003 + 23)
+
+
+def test_fit_margin_on_the_box_edge_is_not_converged():
+    # the paper's bivariate k = 2 skew-t model: on this replicate the first
+    # variable's best fit runs to log b = 12, the edge of the box, a limiting
+    # form of the family rather than an optimum; the second fits inside it
+    x = _edge_replicate()
     edge = fit_margin(x[0], "skewt")
     assert np.log(edge.spec.params[3]) == pytest.approx(12.0, abs=1e-12)
     assert not edge.converged
     inside = fit_margin(x[1], "skewt")
     assert inside.converged
+
+
+def test_fit_margin_a_rounding_error_inside_the_box_edge_is_not_converged(monkeypatch):
+    # L-BFGS-B can stop at log b = 12 - 2.7e-14 on a fit that ran into the
+    # edge: that is still the edge, not an interior optimum
+    import mcvar.margins as margins
+
+    real = margins.minimize
+
+    def inside_by_rounding(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = res.x.copy()
+        res.x[3] = 12.0 - 2.7e-14
+        return res
+
+    monkeypatch.setattr(margins, "minimize", inside_by_rounding)
+    assert not fit_margin(_edge_replicate()[0], "skewt").converged

@@ -178,11 +178,40 @@ def test_simulate_matches_per_lag_oracle(d, k, extra, seed):
     z = simulate(var, T, seed)
     ref = simulate_oracle(var, T, seed)
     assert z.shape == (d, T)
-    # the stacked-lag product sums in another order: equal up to roundoff
+    # the block recursion sums in another order: equal up to roundoff
     assert np.all(np.abs(z - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     assert np.array_equal(simulate(var, T, seed), z)
     if extra == 0:  # no recursion step: the stationary start alone, bit for bit
         assert np.array_equal(z, ref)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than float64 on this platform, so the long-double "
+           "recursion is no more exact than the float64 paths it would check")
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    # with m = 16 steps per block (k <= 4): T = k, k + 1, k + m - 1, k + m + 1,
+    # and a T past two chunks of 256 blocks that ends in a partial block
+    steps=st.sampled_from([0, 1, 15, 17, 9_995]),
+)
+@example(d=6, k=4, seed=3, steps=9_995)
+def test_simulate_near_the_unit_circle_matches_a_long_double_recursion(d, k, seed, steps):
+    # spectral radius 0.999: the powers of F behind the block recursion carry
+    # the most rounding here, so the block path must stay as close to the
+    # long-double recursion from the same float64 start and shocks as the
+    # per-lag float64 recursion does
+    var = random_stationary_var(np.random.default_rng(seed), d, k, radius=0.999)
+    T = k + steps
+    ref = simulate_oracle(var, T, seed, dtype=np.longdouble)
+
+    def err(z):
+        return float(np.max(np.abs(z - ref) / np.maximum(1.0, np.abs(ref)), initial=0.0))
+
+    assert err(simulate(var, T, seed)) <= 2.0 * err(simulate_oracle(var, T, seed)) + 1e-13
 
 
 def test_simulate_rejects_bad_inputs():
