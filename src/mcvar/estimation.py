@@ -33,10 +33,10 @@ from .closure import (
     fixed_lag_for_labels,
     solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
-from .linalg import _block_toeplitz, _fold_lags, _lag_block, _mirror_lags, symmetrize
+from .linalg import _block_toeplitz, _fold_lags, _mirror_lags, symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .optim import minimize
-from .varprocess import durbin_levinson, sample_statistics, simulate, _scalar_pacf
+from .varprocess import durbin_levinson, simulate, _scalar_pacf
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -128,15 +128,22 @@ class Model:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of :meth:`to_dict`; a bool or non-integer ``k``, label,
-        partition index or cross pair index raises ValueError naming the field."""
+        """Inverse of :meth:`to_dict`.  A bool or non-integer ``k``, label,
+        partition index or cross pair index, a label other than 1 or 2, and a
+        count of labels, margins, sub-processes or crosses that does not
+        match the partition raise ValueError naming the field."""
         sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
         dim = sum(len(s) for s in sets)
         part = Partition(sets=sets, d=dim)
         k = _integer_field(d["k"], "k")
+        labels = tuple(_integer_field(c, "labels")
+                       for c in _counted_field(d["labels"], "labels", part.n, "partition set"))
+        if any(c not in (1, 2) for c in labels):
+            raise ValueError("model field 'labels' must hold 1 or 2, got %r" % (list(labels),))
         subs = tuple(
             SubprocessCorr(blocks=tuple(np.asarray(b, dtype=float) for b in e["blocks"]))
-            for e in d["subprocess_corrs"]
+            for e in _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n,
+                                    "partition set")
         )
         crosses = tuple(
             CrossSolution(
@@ -144,17 +151,13 @@ class Model:
                 order=k,
                 blocks=tuple(np.asarray(b, dtype=float) for b in e["blocks"]),
             )
-            for e in d["crosses"]
+            for e in _counted_field(d["crosses"], "crosses", len(_pair_list(part.n)),
+                                    "pair of partition sets")
         )
-        margins = tuple(MarginSpec.from_dict(m) for m in d["margins"])
-        return cls(
-            partition=part,
-            labels=tuple(_integer_field(c, "labels") for c in d["labels"]),
-            k=k,
-            margins=margins,
-            subs=subs,
-            crosses=crosses,
-        )
+        margins = tuple(MarginSpec.from_dict(m)
+                        for m in _counted_field(d["margins"], "margins", dim, "variable"))
+        return cls(partition=part, labels=labels, k=k, margins=margins, subs=subs,
+                   crosses=crosses)
 
 
 def _integer_field(value, name):
@@ -162,6 +165,15 @@ def _integer_field(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("model field %r must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def _counted_field(items, name, n, each):
+    """A list of a model document that must hold one entry per ``each``, n in all."""
+    items = list(items)
+    if len(items) != n:
+        raise ValueError("model field %r must hold one entry per %s (%d), got %d"
+                         % (name, each, n, len(items)))
+    return items
 
 
 def construct_model(partition, labels, k, margins, subs, fixed_blocks):
@@ -316,8 +328,10 @@ def loglik_full(data, margins, r, k):
 # positive-definiteness test: a point where it fails, or where ``model``
 # finds a degenerate pair, scores +inf, and a BFGS run of ``minimize`` halves
 # a step that lands there.  Scalar stage 2 is feasible everywhere and runs
-# L-BFGS-B through the same ``minimize``.
-_MAXITER = 4000  # per start, stages 2 and 3
+# L-BFGS-B through the same ``minimize``.  Stages 2 and 3 make one run each,
+# from theta = 0, the independence point (R = I in stage 2, a block-diagonal
+# R in stage 3); stage 4 makes one from its warm start.
+_MAXITER = 4000  # stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
 
@@ -333,15 +347,6 @@ def _objective(gram, k, model):
         return -value, -pullback(score)
 
     return nll
-
-
-def _starts(n_theta, moment):
-    """Zeros, then the moment estimate ``moment()`` and half of it unless it fails."""
-    try:
-        m = moment()
-    except np.linalg.LinAlgError:
-        return [np.zeros(n_theta)]
-    return [np.zeros(n_theta), m, 0.5 * m]
 
 
 def _loglik(fun, stage):
@@ -405,21 +410,6 @@ def _corr_to_theta(corr):
     return np.concatenate(parts)
 
 
-def _sample_corr(z, k):
-    """Sample autocovariances of lags 0..k scaled by the lag-0 standard deviations."""
-    stats = sample_statistics(z, k)
-    scale = 1.0 / np.sqrt(np.diag(stats.autocov[0]))
-    return [stats.autocov[l] * np.outer(scale, scale) for l in range(k + 1)]
-
-
-def _moment_corr(z, k):
-    """Sample correlation blocks of a latent series, normalized to unit diagonal."""
-    blocks = _sample_corr(z, k)
-    b0 = 0.5 * (blocks[0] + blocks[0].T)
-    np.fill_diagonal(b0, 1.0)
-    return SubprocessCorr(blocks=tuple([b0] + blocks[1:]))
-
-
 @dataclass(frozen=True)
 class SubprocessFit:
     indices: tuple
@@ -453,22 +443,22 @@ def fit_stage2(z, indices, k):
     """Quasi-MLE of one sub-process's correlation blocks on the latent scale.
 
     ``z`` holds the latent scores of every variable; ``indices`` selects the
-    sub-process's rows.  Runs from three deterministic starts (zeros, sample
-    moments, half the sample moments) on the closed-form score and keeps the
-    best: L-BFGS-B at tanh-mapped PACFs for a scalar sub-process, where every
-    point is feasible, and otherwise BFGS on raw entries, scored as the
-    joint model (:func:`_joint_model`) of the sub-process alone.
+    sub-process's rows.  One run on the closed-form score from theta = 0, the
+    white-noise point R = I, which is always feasible: L-BFGS-B at
+    tanh-mapped PACFs for a scalar sub-process, where every point is
+    feasible, and otherwise BFGS on raw entries, scored as the joint model
+    (:func:`_joint_model`) of the sub-process alone.
     """
     indices = list(indices)
     z = np.asarray(z, dtype=float)[indices]
     d = len(indices)
     gram = lag_gram(z, k)
-    starts = _starts(_sub_theta_len(d, k), lambda: _corr_to_theta(_moment_corr(z, k)))
+    start = [np.zeros(_sub_theta_len(d, k))]
     if d == 1:
-        best = minimize(_scalar_objective(gram, k), starts, _MAXITER, box=[(None, None)] * k)
+        best = minimize(_scalar_objective(gram, k), start, _MAXITER, box=[(None, None)] * k)
     else:
         alone = _joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k)
-        best = minimize(_objective(gram, k, alone), starts, _MAXITER)
+        best = minimize(_objective(gram, k, alone), start, _MAXITER)
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
@@ -510,17 +500,6 @@ def _build_time_major(partition, labels, subs, fixed_blocks):
     return crosses, assemble_full_R(partition, subs, crosses)
 
 
-def _moment_fixed_blocks(z, partition, labels, k):
-    """Sample cross correlations at each pair's fixed lag."""
-    norm = _sample_corr(z, k)
-    out = []
-    for i, j in _pair_list(partition.n):
-        lag = fixed_lag_for_labels((labels[i], labels[j]), k)
-        block = _lag_block(norm, lag)[np.ix_(list(partition.sets[i]), list(partition.sets[j]))]
-        out.append(CrossFixedBlock(pair=(i, j), lag=lag, value=block))
-    return out
-
-
 @dataclass(frozen=True)
 class Stage3Fit:
     fixed_blocks: tuple
@@ -534,18 +513,20 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
 
     Sub-process blocks stay at their stage-2 values, so the time-major R is
     affine in the fixed blocks: the joint model with the sub-processes held
-    (:func:`_joint_model`) builds the map once, BFGS scores its points through
-    it, and one exact solve at the optimum gives the returned crosses.  A
-    degenerate pair raises LinAlgError.
+    (:func:`_joint_model`) builds the map once, at theta = 0, and one BFGS
+    run from that same point scores its points through it.  Zero fixed
+    blocks give the block-diagonal R of independent sub-processes, feasible
+    whenever the stage-2 fits are.  One exact solve at the optimum gives the
+    returned crosses.  A degenerate pair raises LinAlgError.
     """
     subs = list(subproc_corrs)
     try:
         model = _joint_model(partition, labels, k, held=subs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
-    start = _pack_fixed(_moment_fixed_blocks(z, partition, labels, k))
-    best = minimize(_objective(lag_gram(z, k), k, model), _starts(len(start), lambda: start),
-                    _MAXITER)
+    dims = [len(s) for s in partition.sets]
+    start = np.zeros(sum(dims[i] * dims[j] for i, j in _pair_list(partition.n)))
+    best = minimize(_objective(lag_gram(z, k), k, model), [start], _MAXITER)
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, subs, fixed)

@@ -104,11 +104,12 @@ def _bfgs(nll, x, f, g, maxiter):
     decrease is below the value's rounding; it counts as converged unless the
     last trial point scored +inf.  Two small decreases while the max-abs score
     still exceeds _GTOL can be a stale H along a flat direction, not the
-    optimum.  The first time, H restarts as the scaled identity s'y / y'y of
-    the last step, and two more small decreases in a row stop the run.  The
-    restart does not ask that s'y / y'y predict a decrease the test can see:
-    that prediction comes from the stale curvature it replaces.  In one
-    dimension H is that scaled identity already, so nothing restarts.
+    optimum.  The first time, H restarts as the scaled identity s's / s'y,
+    the last step's own inverse curvature along s, and two more small
+    decreases in a row stop the run.  s'y / y'y would take the largest
+    curvature that y sees, which next to a nearly singular R is stiff enough
+    to leave the flat direction unexplored.  In one dimension nothing
+    restarts: H there is already a secant along the only direction.
     """
     h = np.eye(x.size) / max(1.0, float(np.max(np.abs(g), initial=0.0)))
     nfev, message, small, restarted = 1, MAXITER, 0, False
@@ -148,7 +149,7 @@ def _bfgs(nll, x, f, g, maxiter):
         small = small + 1 if decrease <= _FTOL * max(abs(f), 1.0) else 0
         if small == 2 and x.size > 1 and not restarted and float(np.max(np.abs(g))) > _GTOL:
             restarted = True
-            scale = sy / float(y @ y) if sy > 0.0 else 1.0 / max(1.0, float(np.max(np.abs(g))))
+            scale = float(s @ s) / sy if sy > 0.0 else 1.0 / max(1.0, float(np.max(np.abs(g))))
             h, small = np.eye(x.size) * scale, 0
         if small == 2:
             message = DECREASE

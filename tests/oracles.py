@@ -260,6 +260,53 @@ def fit_margin_nelder_mead(x, family="skewt"):
     return spec, -float(best.fun), bool(best.success)
 
 
+def three_starts(n_theta, moment):
+    """Zeros, then the moment estimate ``moment()`` and half of it unless it fails.
+
+    The starts the dependence stages ran from before one run from zeros
+    sufficed; the Nelder-Mead oracles keep them.
+    """
+    try:
+        m = moment()
+    except np.linalg.LinAlgError:
+        return [np.zeros(n_theta)]
+    return [np.zeros(n_theta), m, 0.5 * m]
+
+
+def sample_corr(z, k):
+    """Sample autocovariances of lags 0..k scaled by the lag-0 standard deviations."""
+    from mcvar.varprocess import sample_statistics
+
+    stats = sample_statistics(z, k)
+    scale = 1.0 / np.sqrt(np.diag(stats.autocov[0]))
+    return [stats.autocov[l] * np.outer(scale, scale) for l in range(k + 1)]
+
+
+def moment_corr(z, k):
+    """Sample correlation blocks of a latent series, normalized to unit diagonal."""
+    from mcvar.closure import SubprocessCorr
+
+    blocks = sample_corr(z, k)
+    b0 = 0.5 * (blocks[0] + blocks[0].T)
+    np.fill_diagonal(b0, 1.0)
+    return SubprocessCorr(blocks=tuple([b0] + blocks[1:]))
+
+
+def moment_fixed_blocks(z, partition, labels, k):
+    """Sample cross correlations at each pair's fixed lag."""
+    from mcvar import estimation as est
+    from mcvar.closure import CrossFixedBlock, fixed_lag_for_labels
+    from mcvar.linalg import _lag_block
+
+    norm = sample_corr(z, k)
+    out = []
+    for i, j in est._pair_list(partition.n):
+        lag = fixed_lag_for_labels((labels[i], labels[j]), k)
+        block = _lag_block(norm, lag)[np.ix_(list(partition.sets[i]), list(partition.sets[j]))]
+        out.append(CrossFixedBlock(pair=(i, j), lag=lag, value=block))
+    return out
+
+
 def scalar_stage2_nelder_mead(z, k):
     """Scalar sub-process quasi-MLE by multi-start Nelder-Mead on values alone.
 
@@ -273,7 +320,7 @@ def scalar_stage2_nelder_mead(z, k):
     z = np.asarray(z, dtype=float).reshape(1, -1)
     nll = _value_objective(est.lag_gram(z, k), k,
                            lambda theta: est._theta_to_corr(theta, 1, k).toeplitz())
-    m0 = est._corr_to_theta(est._moment_corr(z, k))
+    m0 = est._corr_to_theta(moment_corr(z, k))
     best = nelder_mead(nll, (np.zeros(k), m0, 0.5 * m0), 4000)
     return est._theta_to_corr(best.x, 1, k), -float(best.fun), bool(best.success)
 
@@ -327,8 +374,7 @@ def stage2_nelder_mead(z, indices, k):
         r[free] = theta[index[free]]
         return r
 
-    starts = est._starts(est._sub_theta_len(d, k),
-                         lambda: est._corr_to_theta(est._moment_corr(z, k)))
+    starts = three_starts(est._sub_theta_len(d, k), lambda: est._corr_to_theta(moment_corr(z, k)))
     return -float(nelder_mead(_value_objective(est.lag_gram(z, k), k, build), starts, 4000).fun)
 
 
@@ -360,8 +406,8 @@ def stage3_nelder_mead(z, subs, labels, partition, k):
     from mcvar import estimation as est
 
     r0, basis = affine_time_major(partition, labels, k, subs)
-    starts = est._starts(len(basis), lambda: est._pack_fixed(
-        est._moment_fixed_blocks(z, partition, labels, k)))
+    starts = three_starts(len(basis), lambda: est._pack_fixed(
+        moment_fixed_blocks(z, partition, labels, k)))
     nll = _value_objective(est.lag_gram(z, k), k, lambda theta: r0 + np.tensordot(theta, basis, 1))
     return -float(nelder_mead(nll, starts, 4000).fun)
 

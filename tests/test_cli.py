@@ -340,6 +340,29 @@ def test_simulate_refuses_names_of_the_wrong_length_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, field, bad", [
+    ("verify", "labels", [2]),
+    ("simulate", "margins", [{"family": "gaussian", "params": [0.2, 1.3]}]),
+    ("verify", "labels", [2, 3]),
+    ("simulate", "labels", [2, 3]),
+])
+def test_model_file_with_a_malformed_field_is_named_exit_1(tmp_path, capsys, command, field, bad):
+    # one label or margin short once died with an IndexError, and a label 3 passed
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model = tmp_path / "model.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 0
+    path = write_json(tmp_path / "bad.json", dict(json.loads(model.read_text()), **{field: bad}))
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "model field '%s'" % field in captured.err
+    assert "PASSED" not in captured.out
+    assert not out.exists()
+
+
 def test_simulate_var_only_model_file(tmp_path, capsys):
     from mcvar.varprocess import VarRepresentation, simulate
 

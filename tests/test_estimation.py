@@ -9,6 +9,7 @@ from oracles import (
     affine_time_major,
     block_toeplitz_oracle,
     copula_loglik_oracle,
+    moment_corr,
     random_subprocess_corr,
 )
 from mcvar.closure import (
@@ -250,6 +251,20 @@ def test_model_from_dict_refuses_a_bool_or_fraction(field, value):
         Model.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["labels", "margins", "subprocess_corrs", "crosses"])
+@pytest.mark.parametrize("longer", [False, True])
+def test_model_from_dict_refuses_a_count_that_does_not_match_the_partition(field, longer):
+    doc = TRUE_MODEL.to_dict()
+    doc[field] = doc[field] + doc[field][:1] if longer else doc[field][:-1]
+    with pytest.raises(ValueError, match="model field %r must hold one entry per" % field):
+        Model.from_dict(doc)
+
+
+def test_model_from_dict_refuses_a_label_other_than_1_or_2():
+    with pytest.raises(ValueError, match="model field 'labels' must hold 1 or 2"):
+        Model.from_dict(dict(TRUE_MODEL.to_dict(), labels=[2, 3]))
+
+
 def test_model_var_is_closed_over_partition():
     # labels (1, 1): both latent sub-processes evolve autonomously, so the
     # implied VAR coefficient blocks across sub-processes vanish
@@ -384,9 +399,10 @@ def test_fit_stage3_recovers_cross_given_truth():
     assert st3.crosses[0].pair == (0, 1)
 
 
-def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model():
-    # three multivariate equal-label sets, (5, 6, 8) at k = 3, built like the
-    # benchmark's scale model: 5*6 + 5*8 + 6*8 = 118 fixed-block entries
+def scale_model():
+    """Three multivariate equal-label sets, (5, 6, 8) at k = 3, drawn like the
+    benchmark's seed-11 scale model, and its latent path at T = 2000:
+    (truth, fixed blocks, z)."""
     rng = np.random.default_rng(11)
     sizes, labels, k = (5, 6, 8), (2, 2, 2), 3
     part = Partition(sets=tuple(tuple(s) for s in np.split(np.arange(19), np.cumsum(sizes)[:-1])),
@@ -396,7 +412,33 @@ def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model():
              for i in range(3) for j in range(i + 1, 3)]
     truth = construct_model(part, labels, k, (MarginSpec("gaussian", (0.0, 1.0)),) * 19, subs,
                             fixed)
-    z = simulate(truth.var(), 2000, seed=11)
+    return truth, fixed, simulate(truth.var(), 2000, seed=11)
+
+
+def test_fit_stage2_fits_the_5_variable_subprocess_of_the_19_variable_model():
+    # 85 raw entries, fitted in one run from theta = 0
+    truth, _, z = scale_model()
+    indices, k = truth.partition.sets[0], truth.k
+    sf = fit_stage2(z, indices, k)
+    assert sf.converged
+    zi = z[list(indices)]
+    d = len(indices)
+    alone = estimation._joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k)
+    nll = estimation._objective(lag_gram(zi, k), k, alone)
+    value, score = nll(estimation._corr_to_theta(sf.corr))
+    assert value == -sf.loglik
+    assert np.max(np.abs(score)) < 1e-2
+    assert sf.loglik >= gaussian_var_loglik(zi, truth.subs[0].toeplitz(), k)
+    # the sample-moment start's value, and a run from it
+    moment = estimation._corr_to_theta(moment_corr(zi, k))
+    assert sf.loglik >= -nll(moment)[0]
+    assert sf.loglik >= -optim.minimize(nll, [moment], estimation._MAXITER).fun - 1e-6
+
+
+def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model():
+    # 5*6 + 5*8 + 6*8 = 118 fixed-block entries
+    truth, fixed, z = scale_model()
+    part, labels, k, subs = truth.partition, truth.labels, truth.k, list(truth.subs)
     st3 = fit_stage3(z, subs, labels, part, k)
     assert st3.converged
     for got, want in zip(st3.fixed_blocks, fixed):
@@ -435,6 +477,26 @@ def test_stage3_affine_map_matches_exact_build(labels01, dims, k, label2, seed):
         # the pullback of a score is its inner product with each basis matrix
         score = rng.standard_normal(r.shape)
         assert_allclose(pullback(score), np.tensordot(basis, score, 2), rtol=0, atol=1e-12)
+
+
+def test_dependence_stages_run_once_from_zeros(monkeypatch):
+    # stage 2 at d = 1 and d > 1 and stage 3 each pass one start, theta = 0
+    starts = []
+
+    def spy(nll, x0s, *args, **kwargs):
+        starts.append([np.array(x0) for x0 in x0s])
+        return optim.minimize(nll, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "minimize", spy)
+    z = seeded_normals(3, (3, 300))
+    subs = [fit_stage2(z, s, 1).corr for s in ((0, 1), (2,))]
+    fit_stage3(z, subs, (1, 2), Partition(sets=((0, 1), (2,)), d=3), 1)
+    # then the one 2 x 1 fixed block
+    sizes = [estimation._sub_theta_len(2, 1), estimation._sub_theta_len(1, 1), 2]
+    assert len(starts) == 3
+    for got, n in zip(starts, sizes):
+        assert len(got) == 1
+        assert np.array_equal(got[0], np.zeros(n))
 
 
 def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatch):
