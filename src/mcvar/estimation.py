@@ -330,7 +330,10 @@ def loglik_full(data, margins, r, k):
 # a step that lands there.  Scalar stage 2 is feasible everywhere and runs
 # L-BFGS-B through the same ``minimize``.  Stages 2 and 3 make one run each,
 # from theta = 0, the independence point (R = I in stage 2, a block-diagonal
-# R in stage 3); stage 4 makes one from its warm start.
+# R in stage 3); stage 4 makes one from its warm start.  Stages 3 and 4 start
+# next to their optimum and pass the inverse of the expected information
+# there as the starting inverse Hessian; raw-entry stage 2, at R = I, keeps
+# the driver's scaled identity, which took fewer evaluations there.
 _MAXITER = 4000  # stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
@@ -513,20 +516,24 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
 
     Sub-process blocks stay at their stage-2 values, so the time-major R is
     affine in the fixed blocks: the joint model with the sub-processes held
-    (:func:`_joint_model`) builds the map once, at theta = 0, and one BFGS
+    (:func:`_joint_lags`) builds the map once, at theta = 0, and one BFGS
     run from that same point scores its points through it.  Zero fixed
     blocks give the block-diagonal R of independent sub-processes, feasible
-    whenever the stage-2 fits are.  One exact solve at the optimum gives the
-    returned crosses.  A degenerate pair raises LinAlgError.
+    whenever the stage-2 fits are.  The run's inverse Hessian starts as the
+    inverse of the expected information there (:func:`_information`).  One
+    exact solve at the optimum gives the returned crosses.  A degenerate
+    pair raises LinAlgError.
     """
     subs = list(subproc_corrs)
     try:
-        model = _joint_model(partition, labels, k, held=subs)
+        lags = _joint_lags(partition, labels, k, held=subs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
     dims = [len(s) for s in partition.sets]
     start = np.zeros(sum(dims[i] * dims[j] for i, j in _pair_list(partition.n)))
-    best = minimize(_objective(lag_gram(z, k), k, model), [start], _MAXITER)
+    gram = lag_gram(z, k)
+    best = minimize(_objective(gram, k, _lag_model(lags, k)), [start], _MAXITER,
+                    h0=_inverse_information(gram, k, lags))
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, subs, fixed)
@@ -585,13 +592,33 @@ def _joint_model(partition, labels, k, held=None):
     :func:`_sub_lags`, then the fixed blocks as in :func:`_pack_fixed`) to the
     time-major R and its pullback.
 
-    R is the block Toeplitz matrix of the lag stack Gamma(-k)..Gamma(k), built
-    from the sub-process stacks and the one pair loop, :func:`closure._solve_pairs`.
-    The pullback contracts the Jacobian J of Gamma, through the pair tangents,
-    with the kernel's score folded onto the lags.  With ``held``, one
-    SubprocessCorr per sub-process, the sub-processes are held (no tangent
-    directions) and theta is the fixed blocks alone: Gamma = Gamma_0 + J theta
-    is then exact, so one evaluation at theta = 0 gives the whole map.
+    R is the block Toeplitz matrix of the lag stack of :func:`_joint_lags`,
+    and the pullback contracts that stack's Jacobian J with the kernel's
+    score folded onto the lags.
+    """
+    return _lag_model(_joint_lags(partition, labels, k, held), k)
+
+
+def _lag_model(lags, k):
+    """The model theta -> (time-major R, pullback) of a lag stack model ``lags``."""
+
+    def model(theta):
+        gamma, jacobian = lags(theta)
+        return _block_toeplitz(gamma), lambda score: (
+            jacobian().reshape(len(theta), -1) @ _fold_lags(score, k).ravel())
+
+    return model
+
+
+def _joint_lags(partition, labels, k, held=None):
+    """theta -> (lag stack Gamma(-k)..Gamma(k), a function returning its Jacobian J).
+
+    Gamma is built from the sub-process stacks and the one pair loop,
+    :func:`closure._solve_pairs`; J carries the sub-process tangents through
+    the pair tangents.  With ``held``, one SubprocessCorr per sub-process,
+    the sub-processes are held (no tangent directions) and theta is the
+    fixed blocks alone: Gamma = Gamma_0 + J theta is then exact, so one
+    evaluation at theta = 0 gives the whole map.
     """
     sets = [np.array(s) for s in partition.sets]
     dims = [len(s) for s in sets]
@@ -634,21 +661,55 @@ def _joint_model(partition, labels, k, held=None):
         jac = jacobian()
         lags = lambda theta: (gamma0 + (theta @ jac.reshape(len(jac), -1)).reshape(gamma0.shape),
                               lambda: jac)
+    return lags
 
-    def model(theta):
-        gamma, jacobian = lags(theta)
-        return _block_toeplitz(gamma), lambda score: (
-            jacobian().reshape(len(theta), -1) @ _fold_lags(score, k).ravel())
 
-    return model
+def _information(g, k, lags, theta):
+    """The expected (Fisher) information at theta of the latent likelihood of a
+    LagGram, for the lag stack model ``lags``.
+
+    In reversed time, with the three blocks X of :func:`_gaussian_var_score`,
+    I_ab = 1/2 sum_X s_X n_X tr(R_X^-1 R_a R_X^-1 R_b), R_a the block Toeplitz
+    matrix of row a of the Jacobian J.  With A_a = L^-1 R_a L^-T, the trace
+    over X is the inner product of the leading blocks of A_a and A_b, since
+    L^-1 is lower triangular: one kernel factor, two batched products and
+    one Gram matrix per block.
+    """
+    gamma, jacobian = lags(theta)
+    inv = _kernel(g, _block_toeplitz(gamma), k)[1]
+    w = inv.shape[0]
+    # reversed time: block (r, s) is lag r - s, the Toeplitz matrix of the flipped stack
+    a = inv @ _block_toeplitz(jacobian()[:, ::-1]) @ inv.T
+
+    def inner(size):
+        b = a[:, :size, :size].reshape(len(a), -1)
+        return b @ b.T
+
+    return 0.5 * (g.n * (inner(w) - inner(w - w // (k + 1))) + inner(g.head.size))
+
+
+def _inverse_information(g, k, lags):
+    """theta -> the inverse of :func:`_information`, the BFGS start of stages 3 and 4.
+
+    Eigenvalues below 1e-8 of the largest are raised to it, so the inverse
+    stays finite along a direction that the data barely inform.
+    """
+
+    def h0(theta):
+        lam, vec = np.linalg.eigh(_information(g, k, lags, theta))
+        lam = np.maximum(lam, 1e-8 * lam[-1])
+        return (vec / lam) @ vec.T
+
+    return h0
 
 
 def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     """Joint refinement of all dependence parameters from the warm start.
 
     A single BFGS run on the latent scores ``z``, started at the stage 2 + 3
-    solution and scored through :func:`_joint_model`.  The input point
-    itself is scored too and the better of the two is returned, so the
+    solution, from the inverse of the expected information there
+    (:func:`_information`), and scored through the joint model of
+    :func:`_joint_lags`.  The input point itself is scored too and the better of the two is returned, so the
     latent log likelihood never falls below the warm start's.
     """
     dims = [len(s) for s in partition.sets]
@@ -661,7 +722,9 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
 
     gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    res = minimize(_objective(gram, k, _joint_model(partition, labels, k)), [x0], _MAXITER_REFINE)
+    lags = _joint_lags(partition, labels, k)
+    res = minimize(_objective(gram, k, _lag_model(lags, k)), [x0], _MAXITER_REFINE,
+                   h0=_inverse_information(gram, k, lags))
     # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
     try:
         fun_in = -gaussian_var_loglik(

@@ -6,7 +6,9 @@ would only compare +inf values.  Where every point of a box is feasible
 (skew-t margins, tanh-mapped scalar stage 2) each run is scipy's L-BFGS-B
 inside the box.  Elsewhere (raw-entry stage 2, stages 3 and 4) each run is
 :func:`_bfgs`, which halves a step that lands on +inf.  The feasible sets
-are open, so halving from a feasible point ends at a feasible one.
+are open, so halving from a feasible point ends at a feasible one.  Stages 3
+and 4 start next to their optimum and pass the inverse of the expected
+information there as the starting inverse Hessian.
 """
 
 import numpy as np
@@ -31,32 +33,38 @@ _HALVINGS = 40
 _ARMIJO = 1e-4
 _CURVATURE = 0.1
 
-SCORE, DECREASE, FLOOR, WALL, MAXITER = (
+SCORE, DECREASE, FLOOR, NO_DECREASE, WALL, MAXITER = (
     "converged: max-abs score at most %g" % _GTOL,
     "converged: relative decrease at most %g" % _FTOL,
     "converged: step halved to its floor without a decrease",
+    "converged: L-BFGS-B line search found no decrease (ABNORMAL)",
     "stopped: step halved to its floor at +inf",
     "stopped: maxiter reached",
 )
-CONVERGED = (SCORE, DECREASE, FLOOR)
+CONVERGED = (SCORE, DECREASE, FLOOR, NO_DECREASE)
 
 
-def minimize(nll, starts, maxiter, box=None):
+def minimize(nll, starts, maxiter, box=None, h0=None):
     """Minimise ``nll`` from every start that scores finite; the first lowest result wins.
 
     ``nll(x)`` returns (value, score).  With ``box``, a sequence of
     (low, high) pairs (None for no limit) inside which every point scores
     finite, each run is L-BFGS-B inside it; otherwise each run is
-    :func:`_bfgs`.  At most ``maxiter`` iterations are made per run.
+    :func:`_bfgs`, from the inverse Hessian ``h0(x0)`` at its start x0 when
+    ``h0`` is given.  ``h0`` is called only at a start that scores finite.
+    At most ``maxiter`` iterations are made per run.
 
     The result is the winning run's ``x``, ``fun``, ``success`` and
     ``message``, with ``nfev``, ``nit`` and ``ninf`` (the evaluations that
     scored +inf) summed over all runs.  A BFGS run converged (``success``)
     when it stopped on the score, on the relative decrease or on a step
     halved to its floor at a finite value (:data:`CONVERGED`), not when it
-    reached ``maxiter`` or halved a step to its floor at +inf; an L-BFGS-B
-    run reports scipy's verdict and message.  When every start is infeasible
-    the result is +inf at the first start, with no run and no counts.
+    reached ``maxiter`` or halved a step to its floor at +inf.  An L-BFGS-B
+    run reports scipy's verdict and message, except that one whose line
+    search ends ABNORMAL at a finite value converged by the same rule as a
+    BFGS step halved to its floor (:data:`NO_DECREASE`).  When every start
+    is infeasible the result is +inf at the first start, with no run and no
+    counts.
     """
     starts = [np.asarray(x0, dtype=float) for x0 in starts]
     ninf = 0
@@ -73,10 +81,14 @@ def minimize(nll, starts, maxiter, box=None):
         if not np.isfinite(f0):
             continue
         if box is None:
-            runs.append(_bfgs(counted, x0, f0, np.asarray(g0, dtype=float), maxiter))
-        else:
-            runs.append(optimize.minimize(counted, x0, method="L-BFGS-B", jac=True, bounds=box,
-                                          options=dict(_LBFGSB, maxiter=maxiter)))
+            h = None if h0 is None else h0(x0)
+            runs.append(_bfgs(counted, x0, f0, np.asarray(g0, dtype=float), maxiter, h))
+            continue
+        res = optimize.minimize(counted, x0, method="L-BFGS-B", jac=True, bounds=box,
+                                options=dict(_LBFGSB, maxiter=maxiter))
+        if res.message.startswith("ABNORMAL") and np.isfinite(res.fun):
+            res.success, res.message = True, NO_DECREASE
+        runs.append(res)
     if not runs:
         return optimize.OptimizeResult(x=starts[0], fun=np.inf, success=False,
                                        message="no start scores finite", nfev=0, nit=0, ninf=0)
@@ -86,32 +98,40 @@ def minimize(nll, starts, maxiter, box=None):
         nfev=sum(r.nfev for r in runs), nit=sum(r.nit for r in runs), ninf=ninf)
 
 
-def _bfgs(nll, x, f, g, maxiter):
+def _bfgs(nll, x, f, g, maxiter, h=None):
     """BFGS from a feasible x with value f and score g, halving steps that fail.
 
-    The inverse Hessian H starts as the identity over max(1, max-abs score),
-    so the first step moves no parameter by more than 1, is rescaled by
-    s'y / y'y after the first step, and takes the rank-two update whenever
-    s'y > 0.  A trial point that scores +inf or fails the Armijo test halves
-    the step.  A full step that passes, along which the value still falls
-    steeply, is doubled while the doubled step passes: where the first
-    scaling left H far too small along a flat direction, as next to a nearly
-    singular R, the run would otherwise creep along it with tiny decreases
-    and stop there.  The start's evaluation is counted in ``nfev``.
+    The inverse Hessian H starts as ``h`` when it is given.  Otherwise it
+    starts as the identity over max(1, max-abs score), so the first step
+    moves no parameter by more than 1, and is rescaled by s'y / y'y after
+    the first step.  H takes the rank-two update whenever s'y > 0.  A trial
+    point that scores +inf or fails the Armijo test halves the step.  A full
+    step that passes, along which the value still falls steeply, is doubled
+    while the doubled step passes: where the first scaling left H far too
+    small along a flat direction, as next to a nearly singular R, the run
+    would otherwise creep along it with tiny decreases and stop there.  The
+    start's evaluation is counted in ``nfev``.
 
-    A step halved to its floor means that no point along a descent direction
-    scores lower than x, which happens at the optimum once the predicted
-    decrease is below the value's rounding; it counts as converged unless the
-    last trial point scored +inf.  Two small decreases while the max-abs score
-    still exceeds _GTOL can be a stale H along a flat direction, not the
-    optimum.  The first time, H restarts as the scaled identity s's / s'y,
-    the last step's own inverse curvature along s, and two more small
-    decreases in a row stop the run.  s'y / y'y would take the largest
-    curvature that y sees, which next to a nearly singular R is stiff enough
-    to leave the flat direction unexplored.  In one dimension nothing
-    restarts: H there is already a secant along the only direction.
+    A predicted decrease -g'Hg of at most _FTOL max(|f|, 1) means x is at
+    the optimum to the value's rounding, where the Armijo test would fail on
+    noise and halve the step to its floor; the run stops there as converged
+    (:data:`DECREASE`) without a line search.  A step halved to its floor
+    means that no point along a descent direction scores lower than x; it
+    counts as converged unless the last trial point scored +inf.  Two small
+    decreases while the max-abs score still exceeds _GTOL can be a stale H
+    along a flat direction, not the optimum.  The first time, H restarts as
+    the scaled identity s's / s'y, the last step's own inverse curvature
+    along s, and two more small decreases in a row stop the run.  s'y / y'y
+    would take the largest curvature that y sees, which next to a nearly
+    singular R is stiff enough to leave the flat direction unexplored.  In
+    one dimension nothing restarts: H there is already a secant along the
+    only direction.
     """
-    h = np.eye(x.size) / max(1.0, float(np.max(np.abs(g), initial=0.0)))
+    scaled = h is None
+    if scaled:
+        h = np.eye(x.size) / max(1.0, float(np.max(np.abs(g), initial=0.0)))
+    else:
+        h = np.array(h, dtype=float)  # updated in place below
     nfev, message, small, restarted = 1, MAXITER, 0, False
     for nit in range(maxiter + 1):
         if float(np.max(np.abs(g), initial=0.0)) <= _GTOL:
@@ -121,6 +141,9 @@ def _bfgs(nll, x, f, g, maxiter):
             break
         p = -h @ g
         slope = float(g @ p)
+        if -slope <= _FTOL * max(abs(f), 1.0):
+            message = DECREASE
+            break
         t = 1.0
         for _ in range(_HALVINGS + 1):
             f_new, g_new = nll(x + t * p)
@@ -140,7 +163,7 @@ def _bfgs(nll, x, f, g, maxiter):
         s, y = t * p, np.asarray(g_new, dtype=float) - g
         sy = float(s @ y)
         if sy > 0.0:
-            if nit == 0:
+            if nit == 0 and scaled:
                 h = np.eye(x.size) * (sy / float(y @ y))
             hy = h @ y
             h += (sy + float(y @ hy)) / sy ** 2 * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy

@@ -165,15 +165,7 @@ def copula_loglik_oracle(data, margins, r_tm, k, pit):
     """
     data = np.asarray(data, dtype=float)
     d, T = data.shape
-    slices = [np.asarray(r_tm[:d, l * d:(l + 1) * d], dtype=float) for l in range(k + 1)]
-    gram = np.block([[_blk(slices, c - r) for c in range(k)] for r in range(k)])
-    stacked = np.hstack([_blk(slices, l) for l in range(1, k + 1)]) @ np.linalg.inv(gram)
-    phis = [stacked[:, m * d:(m + 1) * d] for m in range(k)]
-    while len(slices) < T:
-        l = len(slices)
-        slices.append(sum(phis[m] @ _blk(slices, l - 1 - m) for m in range(k)))
-
-    big = np.block([[_blk(slices, a - b) for b in range(T)] for a in range(T)])
+    big = dense_covariance(r_tm, d, k, T)
     z = np.vstack([pit(data[i], margins[i]) for i in range(d)])
     zvec = z.T.ravel()  # time-increasing stacking matches block (a, b) = Sigma_{a-b}
 
@@ -187,6 +179,38 @@ def copula_loglik_oracle(data, margins, r_tm, k, pit):
         ll += float(np.sum(margin_logpdf(data[i], margins[i])))
         ll += 0.5 * float(np.sum(np.log(2.0 * np.pi) + z[i] * z[i]))
     return ll
+
+
+def dense_covariance(r_tm, d, k, T):
+    """Block Toeplitz correlation of T consecutive observations, block (a, b) = Sigma_{a-b}.
+
+    The lags 0..k are the first block row of the time-major ``r_tm``; lags
+    beyond k are extended through the autoregression they imply.
+    """
+    slices = [np.asarray(r_tm[:d, l * d:(l + 1) * d], dtype=float) for l in range(k + 1)]
+    gram = np.block([[_blk(slices, c - r) for c in range(k)] for r in range(k)])
+    stacked = np.hstack([_blk(slices, l) for l in range(1, k + 1)]) @ np.linalg.inv(gram)
+    phis = [stacked[:, m * d:(m + 1) * d] for m in range(k)]
+    while len(slices) < T:
+        l = len(slices)
+        slices.append(sum(phis[m] @ _blk(slices, l - 1 - m) for m in range(k)))
+    return np.block([[_blk(slices, a - b) for b in range(T)] for a in range(T)])
+
+
+def information_oracle(build, theta, d, k, T, h=1e-5):
+    """Expected information 1/2 tr(S^-1 S_a S^-1 S_b) of T observations at theta.
+
+    S is the :func:`dense_covariance` of the time-major R that ``build(theta)``
+    returns, inverted explicitly, and S_a its central difference along
+    parameter a at step h.
+    """
+    theta = np.asarray(theta, dtype=float)
+    sinv = np.linalg.inv(dense_covariance(build(theta), d, k, T))
+    tangents = [(dense_covariance(build(theta + h * e), d, k, T)
+                 - dense_covariance(build(theta - h * e), d, k, T)) / (2.0 * h)
+                for e in np.eye(theta.size)]
+    return np.array([[0.5 * np.trace(sinv @ sa @ sinv @ sb) for sb in tangents]
+                     for sa in tangents])
 
 
 def random_stationary_var(rng, d, k, radius=0.6):

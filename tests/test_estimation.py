@@ -399,6 +399,18 @@ def test_fit_stage3_recovers_cross_given_truth():
     assert st3.crosses[0].pair == (0, 1)
 
 
+def recorded_runs(monkeypatch):
+    """The run records of every ``optim.minimize`` call of the dependence stages, in order."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(optim.minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(estimation, "minimize", recorded)
+    return runs
+
+
 def scale_model():
     """Three multivariate equal-label sets, (5, 6, 8) at k = 3, drawn like the
     benchmark's seed-11 scale model, and its latent path at T = 2000:
@@ -435,12 +447,15 @@ def test_fit_stage2_fits_the_5_variable_subprocess_of_the_19_variable_model():
     assert sf.loglik >= -optim.minimize(nll, [moment], estimation._MAXITER).fun - 1e-6
 
 
-def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model():
-    # 5*6 + 5*8 + 6*8 = 118 fixed-block entries
+def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model(monkeypatch):
+    # 5*6 + 5*8 + 6*8 = 118 fixed-block entries, from the inverse information
+    # in a few tens of evaluations (447 from a scaled identity)
+    runs = recorded_runs(monkeypatch)
     truth, fixed, z = scale_model()
     part, labels, k, subs = truth.partition, truth.labels, truth.k, list(truth.subs)
     st3 = fit_stage3(z, subs, labels, part, k)
     assert st3.converged
+    assert len(runs) == 1 and runs[0].nfev <= 40
     for got, want in zip(st3.fixed_blocks, fixed):
         assert_allclose(got.value, want.value, rtol=0, atol=0.1)
     fitted = Model(partition=part, labels=labels, k=k, margins=truth.margins, subs=tuple(subs),
@@ -556,6 +571,71 @@ def test_fit_stage3_near_the_positive_definite_boundary(monkeypatch):
                    crosses=st3.crosses)
     assert np.linalg.eigvalsh(fitted.time_major_R())[0] > 0.0
     assert raised
+
+
+def mixed_model():
+    """The benchmark's mixed_k1_stage4 truth: sets {0, 1} and {2}, labels (1, 1), k = 1."""
+    part = Partition(sets=((0, 1), (2,)), d=3)
+    margins = (MarginSpec("gaussian", (0.0, 0.1)), MarginSpec("gaussian", (0.5, 0.2)),
+               MarginSpec("gaussian", (-0.2, 0.05)))
+    subs = [SubprocessCorr(blocks=(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                                   np.array([[0.5, 0.1], [0.0, 0.4]]))),
+            scalar_sub([1.0, 0.5])]
+    fixed = [CrossFixedBlock(pair=(0, 1), lag=closure.fixed_lag_for_labels((1, 1), 1),
+                             value=[[0.3], [0.2]])]
+    return construct_model(part, (1, 1), 1, margins, subs, fixed)
+
+
+@pytest.mark.parametrize("rep", range(5))
+def test_stages_3_and_4_start_from_the_inverse_information(monkeypatch, rep):
+    # the benchmark's seed-11 replicates: started from a scaled identity, stage 4
+    # took 44.5 evaluations per fit over replicates 0-29 and stage 3 11.5
+    truth = mixed_model()
+    x = simulate_model(truth, 1000, 11 * 1_000_003 + rep)
+    config = ModelConfig(partition=truth.partition, labels=truth.labels, k=1,
+                         margin_families=("gaussian",) * 3)
+    runs = recorded_runs(monkeypatch)
+    fit = fit_model(x, config, stage4=True)
+    assert fit.converged
+    stage3, stage4 = runs[2:]  # after one stage-2 run per sub-process
+    assert stage3.nfev <= 10 and stage4.nfev <= 12
+
+
+def test_stage3_does_not_halve_steps_on_rounding_at_its_optimum(monkeypatch):
+    # the benchmark's paper_k2 seed-11 replicate 12 reaches the optimum within a
+    # few iterations; a line search there would halve its step on noise, about 45
+    # evaluations, since the predicted decrease is below the value's rounding
+    truth = two_sub_model((MarginSpec("skewt", (0.850, 0.791, 5.739, 9.344)),
+                           MarginSpec("skewt", (-0.032, 0.172, 3.053, 2.738))))
+    x = simulate_model(truth, 2000, 11 * 1_000_003 + 12)
+    config = ModelConfig(partition=truth.partition, labels=(2, 2), k=2,
+                         margin_families=("skewt", "skewt"))
+    runs = recorded_runs(monkeypatch)
+    fit = fit_model(x, config)
+    assert fit.converged
+    assert runs[-1].nfev <= 20
+
+
+def test_scalar_stage2_run_ending_abnormal_at_its_optimum_is_converged(monkeypatch):
+    # the draw of test_fit_model_property_over_random_partitions at seed 3049196815:
+    # sub-process 1's L-BFGS-B run ends in a failed line search (ABNORMAL) after
+    # 38 evaluations with a max-abs score of 1.4e-5, at its optimum
+    seed, d, labels, k = 3049196815, 2, (1, 1), 1
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(np.arange(d) % 2)
+    part = Partition(sets=tuple(tuple(np.flatnonzero(owner == g).tolist()) for g in range(2)), d=d)
+    assert part.sets == ((0,), (1,))
+    subs = [random_subprocess_corr(rng, 1, k) for _ in part.sets]
+    fixed = [CrossFixedBlock(pair=(0, 1), lag=closure.fixed_lag_for_labels(labels, k),
+                             value=0.15 * rng.uniform(-1.0, 1.0, (1, 1)))]
+    margins = (MarginSpec("gaussian", (0.0, 1.0)),) * d
+    x = simulate_model(construct_model(part, labels, k, margins, subs, fixed), 600, seed)
+    runs = recorded_runs(monkeypatch)
+    fit = fit_model(x, ModelConfig(partition=part, labels=labels, k=k,
+                                   margin_families=("gaussian",) * d))
+    assert runs[1].message == optim.NO_DECREASE and runs[1].nfev == 38
+    assert_allclose(fit.sub_fits[1].loglik, -708.9483197390211, rtol=0, atol=1e-9)
+    assert fit.sub_fits[1].converged and fit.converged
 
 
 def test_stage4_does_not_degrade_loglik():
@@ -679,6 +759,40 @@ def test_minimize_step_halved_to_its_floor(wall, message):
     best = optim.minimize(nll, [np.zeros(1)], estimation._MAXITER)
     assert best.message == message and best.success == (not wall)
     assert best.nit == 0 and best.fun == 0.0 and best.ninf == (best.nfev - 1 if wall else 0)
+
+
+def test_minimize_starts_from_a_given_inverse_hessian():
+    # on a quadratic the exact inverse Hessian takes one full step to the optimum,
+    # where a scaled identity needs several
+    a = np.array([[100.0, 3.0], [3.0, 0.5]])
+    x_opt = np.array([1.0, -2.0])
+
+    def nll(theta):
+        r = theta - x_opt
+        return 0.5 * float(r @ a @ r), a @ r
+
+    seen = []
+
+    def h0(x0):
+        seen.append(x0)
+        return np.linalg.inv(a)
+
+    best = optim.minimize(nll, [np.zeros(2)], estimation._MAXITER, h0=h0)
+    assert len(seen) == 1 and np.array_equal(seen[0], np.zeros(2))
+    assert best.success and best.nit == 1 and best.nfev == 2
+    assert_allclose(best.x, x_opt, atol=1e-12)
+    assert optim.minimize(nll, [np.zeros(2)], estimation._MAXITER).nfev > 2
+
+
+def test_minimize_stops_when_the_predicted_decrease_is_below_rounding():
+    # a score above the stop's 1e-5 whose predicted decrease -g'Hg is 1e-18 of the value:
+    # no step is tried, so no evaluation is spent halving on noise
+    def nll(theta):
+        return 1e6 + 1e-6 * float(theta @ theta), np.full(2, 3e-5)
+
+    best = optim.minimize(nll, [np.zeros(2)], estimation._MAXITER, h0=lambda x0: 1e-9 * np.eye(2))
+    assert best.message == optim.DECREASE and best.success
+    assert best.nfev == 1 and best.nit == 0
 
 
 @pytest.mark.parametrize("box", [None, [(-0.999, 0.999)]])

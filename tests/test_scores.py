@@ -12,6 +12,7 @@ from scipy.special import ndtr
 
 from oracles import (
     fit_margin_nelder_mead,
+    information_oracle,
     random_subprocess_corr,
     scalar_stage2_nelder_mead,
     stage2_nelder_mead,
@@ -315,3 +316,31 @@ def test_stage4_does_not_stop_short_on_a_flat_direction():
     # value; a restart scaled by s'y / y'y, the stiff curvature 1e9 along the score,
     # stopped 1.3e-8 nats short of it
     assert fit.stage_logliks["stage4"] >= -1015.945272603163 - 1e-10
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(dims=st.lists(st.integers(1, 2), min_size=2, max_size=3),
+       labels=st.tuples(*[st.sampled_from((1, 2))] * 3), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_information_matches_the_dense_covariance_of_every_observation(dims, labels, k, seed):
+    # at T = k + 3 the head, window and past blocks all enter; stage 4's joint
+    # model at the model's parameters, and stage 3's with the sub-processes held
+    model = random_model(dims, labels[:len(dims)], k, seed)
+    assume(model is not None)
+    part, labels, d, T = model.partition, model.labels, model.partition.d, k + 3
+    gram = lag_gram(np.random.default_rng(seed + 1).standard_normal((d, T)), k)
+    theta = joint_theta(model)
+    fixed = theta[sum(estimation._sub_theta_len(len(s), k) for s in part.sets):]
+    held = list(model.subs)
+    cases = [
+        (estimation._joint_lags(part, labels, k), theta, lambda t: exact_build(model, t)),
+        (estimation._joint_lags(part, labels, k, held=held), fixed,
+         lambda t: estimation._build_time_major(
+             part, labels, held, estimation._unpack_fixed(t, part, labels, k))[1]),
+    ]
+    for lags, at, build in cases:
+        info = estimation._information(gram, k, lags, at)
+        oracle = information_oracle(build, at, d, k, T)
+        assert_allclose(info, oracle, rtol=1e-6, atol=1e-8 * np.max(np.abs(oracle)))
+        assert_allclose(info, info.T, rtol=0, atol=1e-12 * np.max(np.abs(info)))
+        assert np.linalg.eigvalsh(info)[0] > 0.0
