@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dtrtri
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .closure import (
     CrossFixedBlock,
@@ -273,7 +273,8 @@ def gaussian_var_loglik(z, r, k):
 
 
 def _gaussian_var_score(g, r, k):
-    """:func:`gaussian_var_loglik` of a LagGram and its score dl/dr, from one Cholesky.
+    """:func:`gaussian_var_loglik` of a LagGram, its score dl/dr and the kernel's
+    L^-1 (reversed time), from one Cholesky.
 
     In reversed time l = -1/2 sum_X s_X [n_X log det R_X + tr(R_X^-1 S_X)] + const
     over three blocks X: the head (S = h h^T, n = 1, s = +1), the window
@@ -294,7 +295,7 @@ def _gaussian_var_score(g, r, k):
     score = block(w, g.n, g.gram)
     score[:p, :p] -= block(p, g.n, g.gram[:p, :p])
     score[:m, :m] += block(m, 1, np.outer(g.head, g.head))
-    return value, _reverse_time(-0.5 * score, k)
+    return value, _reverse_time(-0.5 * score, k), inv
 
 
 def _margin_correction(data, margins, z):
@@ -320,35 +321,55 @@ def loglik_full(data, margins, r, k):
 
 # -- the estimation engine shared by stages 2-4 ------------------------------
 #
-# A stage supplies ``model(theta)`` returning the time-major R and a pullback
-# that maps the kernel's score dl/dR to dl/dtheta.  Raw-entry stage 2, stage 3
-# and stage 4 take it from one joint model, :func:`_joint_model`: of the
-# sub-process alone, of every pair with the sub-processes held (affine, so
-# built once), and of everything.  The kernel's Cholesky of R is the
-# positive-definiteness test: a point where it fails, or where ``model``
-# finds a degenerate pair, scores +inf, and a BFGS run of ``minimize`` halves
-# a step that lands there.  Scalar stage 2 is feasible everywhere and runs
-# L-BFGS-B through the same ``minimize``.  Stages 2 and 3 make one run each,
-# from theta = 0, the independence point (R = I in stage 2, a block-diagonal
-# R in stage 3); stage 4 makes one from its warm start.  Stages 3 and 4 start
-# next to their optimum and pass the inverse of the expected information
-# there as the starting inverse Hessian; raw-entry stage 2, at R = I, keeps
-# the driver's scaled identity, which took fewer evaluations there.
+# Every dependence stage scores one lag stack model, :func:`_joint_model`,
+# theta -> (Gamma(-k)..Gamma(k), its Jacobian J): of the sub-process alone
+# (stage 2), of every pair with the sub-processes held (stage 3; affine, so
+# built once) and of everything (stage 4).  R is the block Toeplitz matrix
+# of Gamma and the score is J . fold(dl/dR).  The kernel's Cholesky of R is
+# the positive-definiteness test: a point where it fails, or where the model
+# finds a degenerate pair, scores +inf, and a run of ``minimize`` halves a
+# step that lands there.  Each stage makes one run: stages 2 and 3 from
+# theta = 0, the independence point (R = I in stage 2, a block-diagonal R
+# in stage 3), stage 4 from its warm start.  The curvature of every run is
+# the expected information (:func:`_information`) from the lag stack,
+# Jacobian and kernel factor that the point's own evaluation built.  Stage 2
+# refreshes it at every iterate (Fisher scoring).  Stages 3 and 4 start next
+# to their optimum and take it once, at the start, then update by BFGS:
+# refreshed at every iterate there, stage 4 of the mixed_k1_stage4 benchmark
+# fits took 4.9 evaluations for 4.3 and its median time rose by 1.1 ms.
 _MAXITER = 4000  # stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
 
 def _objective(gram, k, model):
-    """(nll, score) of the R that ``model(theta)`` returns, +inf if a LinAlgError is raised."""
+    """nll(theta) -> (negative latent log likelihood, score) of the lag stack model
+    ``model``, +inf if a LinAlgError is raised; ``nll.curvature(theta)`` is
+    the expected information (:func:`_information`) there.
+
+    The curvature reuses the Jacobian and kernel factor of the last
+    evaluation, so theta must be that evaluation's point and have scored
+    finite, as ``minimize`` guarantees; anywhere else it raises ValueError.
+    """
+    last = {}
 
     def nll(theta):
         try:
-            r, pullback = model(theta)
-            value, score = _gaussian_var_score(gram, r, k)
+            gamma, jacobian = model(theta)
+            value, score, inv = _gaussian_var_score(gram, _block_toeplitz(gamma), k)
         except np.linalg.LinAlgError:
+            last.clear()
             return np.inf, np.zeros(len(theta))
-        return -value, -pullback(score)
+        jac = jacobian()
+        last.update(theta=np.array(theta), jac=jac, inv=inv)
+        return -value, -(jac.reshape(len(theta), -1) @ _fold_lags(score, k).ravel())
 
+    def curvature(theta):
+        if not np.array_equal(theta, last.get("theta")):
+            raise ValueError("the curvature is taken only at the last point evaluated, "
+                             "which scored finite")
+        return _information(gram, k, last["inv"], last["jac"])
+
+    nll.curvature = curvature
     return nll
 
 
@@ -405,8 +426,7 @@ def _corr_to_theta(corr):
     d, k = corr.dim, corr.order
     if d == 1:
         gam = [float(corr.block(l)[0, 0]) for l in range(k + 1)]
-        pi = _scalar_pacf(np.array(gam), k)
-        return np.arctanh(np.clip(pi, -0.999, 0.999))
+        return np.arctanh(_scalar_pacf(np.array(gam), k))
     ii, jj = np.tril_indices(d, -1)
     parts = [corr.blocks[0][ii, jj]]
     parts += [b.ravel() for b in corr.blocks[1:]]
@@ -421,47 +441,24 @@ class SubprocessFit:
     converged: bool
 
 
-def _scalar_objective(gram, k):
-    """(nll, score) of a scalar sub-process at tanh-mapped PACFs, +inf if R is not PD.
-
-    The kernel's score dl/dR sums over each Toeplitz lag to dl/drho, then
-    chains through the PACF Jacobian and tanh.
-    """
-    lags = np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1)))
-
-    def model(theta):
-        pi = np.tanh(theta)
-        rho, jac = _pacf_to_acf(pi)
-
-        def pullback(score):
-            drho = np.bincount(lags.ravel(), weights=score.ravel(), minlength=k + 1)[1:]
-            return (1.0 - pi * pi) * (drho @ jac)
-
-        return np.concatenate([[1.0], rho])[lags], pullback
-
-    return _objective(gram, k, model)
-
-
 def fit_stage2(z, indices, k):
     """Quasi-MLE of one sub-process's correlation blocks on the latent scale.
 
     ``z`` holds the latent scores of every variable; ``indices`` selects the
-    sub-process's rows.  One run on the closed-form score from theta = 0, the
-    white-noise point R = I, which is always feasible: L-BFGS-B at
-    tanh-mapped PACFs for a scalar sub-process, where every point is
-    feasible, and otherwise BFGS on raw entries, scored as the joint model
-    (:func:`_joint_model`) of the sub-process alone.
+    sub-process's rows.  The model is the joint model (:func:`_joint_model`)
+    of the sub-process alone, at tanh-mapped PACFs for a scalar sub-process
+    and at raw entries otherwise.  One Fisher scoring run on the
+    closed-form score from theta = 0, the white-noise point R = I, which is
+    always feasible: every step is a Newton step on the expected
+    information at its iterate.
     """
     indices = list(indices)
     z = np.asarray(z, dtype=float)[indices]
     d = len(indices)
-    gram = lag_gram(z, k)
-    start = [np.zeros(_sub_theta_len(d, k))]
-    if d == 1:
-        best = minimize(_scalar_objective(gram, k), start, _MAXITER, box=[(None, None)] * k)
-    else:
-        alone = _joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k)
-        best = minimize(_objective(gram, k, alone), start, _MAXITER)
+    nll = _objective(lag_gram(z, k), k,
+                     _joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k))
+    best = minimize(nll, [np.zeros(_sub_theta_len(d, k))], _MAXITER, curvature=nll.curvature,
+                    refresh=True)
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
@@ -516,7 +513,7 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
 
     Sub-process blocks stay at their stage-2 values, so the time-major R is
     affine in the fixed blocks: the joint model with the sub-processes held
-    (:func:`_joint_lags`) builds the map once, at theta = 0, and one BFGS
+    (:func:`_joint_model`) builds the map once, at theta = 0, and one BFGS
     run from that same point scores its points through it.  Zero fixed
     blocks give the block-diagonal R of independent sub-processes, feasible
     whenever the stage-2 fits are.  The run's inverse Hessian starts as the
@@ -526,14 +523,13 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     """
     subs = list(subproc_corrs)
     try:
-        lags = _joint_lags(partition, labels, k, held=subs)
+        model = _joint_model(partition, labels, k, held=subs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
     dims = [len(s) for s in partition.sets]
     start = np.zeros(sum(dims[i] * dims[j] for i, j in _pair_list(partition.n)))
-    gram = lag_gram(z, k)
-    best = minimize(_objective(gram, k, _lag_model(lags, k)), [start], _MAXITER,
-                    h0=_inverse_information(gram, k, lags))
+    nll = _objective(lag_gram(z, k), k, model)
+    best = minimize(nll, [start], _MAXITER, curvature=nll.curvature)
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, subs, fixed)
@@ -588,30 +584,9 @@ def _sub_lags(d, k):
 
 
 def _joint_model(partition, labels, k, held=None):
-    """The model of every dependence stage: theta (the sub-processes as in
-    :func:`_sub_lags`, then the fixed blocks as in :func:`_pack_fixed`) to the
-    time-major R and its pullback.
-
-    R is the block Toeplitz matrix of the lag stack of :func:`_joint_lags`,
-    and the pullback contracts that stack's Jacobian J with the kernel's
-    score folded onto the lags.
-    """
-    return _lag_model(_joint_lags(partition, labels, k, held), k)
-
-
-def _lag_model(lags, k):
-    """The model theta -> (time-major R, pullback) of a lag stack model ``lags``."""
-
-    def model(theta):
-        gamma, jacobian = lags(theta)
-        return _block_toeplitz(gamma), lambda score: (
-            jacobian().reshape(len(theta), -1) @ _fold_lags(score, k).ravel())
-
-    return model
-
-
-def _joint_lags(partition, labels, k, held=None):
-    """theta -> (lag stack Gamma(-k)..Gamma(k), a function returning its Jacobian J).
+    """The lag stack model of every dependence stage: theta (the sub-processes as
+    in :func:`_sub_lags`, then the fixed blocks as in :func:`_pack_fixed`) to
+    (lag stack Gamma(-k)..Gamma(k), a function returning its Jacobian J).
 
     Gamma is built from the sub-process stacks and the one pair loop,
     :func:`closure._solve_pairs`; J carries the sub-process tangents through
@@ -664,22 +639,20 @@ def _joint_lags(partition, labels, k, held=None):
     return lags
 
 
-def _information(g, k, lags, theta):
-    """The expected (Fisher) information at theta of the latent likelihood of a
-    LagGram, for the lag stack model ``lags``.
+def _information(g, k, inv, jac):
+    """The expected (Fisher) information of the latent likelihood of a LagGram at a
+    point, from the kernel's L^-1 there and the (n, 2k+1, d, d) Jacobian J of
+    the point's lag stack.
 
     In reversed time, with the three blocks X of :func:`_gaussian_var_score`,
     I_ab = 1/2 sum_X s_X n_X tr(R_X^-1 R_a R_X^-1 R_b), R_a the block Toeplitz
-    matrix of row a of the Jacobian J.  With A_a = L^-1 R_a L^-T, the trace
-    over X is the inner product of the leading blocks of A_a and A_b, since
-    L^-1 is lower triangular: one kernel factor, two batched products and
-    one Gram matrix per block.
+    matrix of row a of J.  With A_a = L^-1 R_a L^-T, the trace over X is the
+    inner product of the leading blocks of A_a and A_b, since L^-1 is lower
+    triangular: two batched products and one Gram matrix per block.
     """
-    gamma, jacobian = lags(theta)
-    inv = _kernel(g, _block_toeplitz(gamma), k)[1]
     w = inv.shape[0]
     # reversed time: block (r, s) is lag r - s, the Toeplitz matrix of the flipped stack
-    a = inv @ _block_toeplitz(jacobian()[:, ::-1]) @ inv.T
+    a = inv @ _block_toeplitz(jac[:, ::-1]) @ inv.T
 
     def inner(size):
         b = a[:, :size, :size].reshape(len(a), -1)
@@ -688,51 +661,23 @@ def _information(g, k, lags, theta):
     return 0.5 * (g.n * (inner(w) - inner(w - w // (k + 1))) + inner(g.head.size))
 
 
-def _inverse_information(g, k, lags):
-    """theta -> the inverse of :func:`_information`, the BFGS start of stages 3 and 4.
-
-    Eigenvalues below 1e-8 of the largest are raised to it, so the inverse
-    stays finite along a direction that the data barely inform.
-    """
-
-    def h0(theta):
-        lam, vec = np.linalg.eigh(_information(g, k, lags, theta))
-        lam = np.maximum(lam, 1e-8 * lam[-1])
-        return (vec / lam) @ vec.T
-
-    return h0
-
-
 def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     """Joint refinement of all dependence parameters from the warm start.
 
     A single BFGS run on the latent scores ``z``, started at the stage 2 + 3
     solution, from the inverse of the expected information there
     (:func:`_information`), and scored through the joint model of
-    :func:`_joint_lags`.  The input point itself is scored too and the better of the two is returned, so the
-    latent log likelihood never falls below the warm start's.
+    :func:`_joint_model`.  The start is the input point itself, so the run,
+    which never accepts a step that raises the value, ends no worse than it.
     """
     dims = [len(s) for s in partition.sets]
-    cuts = np.cumsum([_sub_theta_len(d, k) for d in dims])
-
-    def unpack(theta):
-        *sub_thetas, cross_theta = np.split(theta, cuts)
-        return ([_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
-                _unpack_fixed(cross_theta, partition, labels, k))
-
-    gram = lag_gram(z, k)
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    lags = _joint_lags(partition, labels, k)
-    res = minimize(_objective(gram, k, _lag_model(lags, k)), [x0], _MAXITER_REFINE,
-                   h0=_inverse_information(gram, k, lags))
-    # x0 clips scalar PACFs at +-0.999, so it may differ from the input point
-    try:
-        fun_in = -gaussian_var_loglik(
-            gram, _build_time_major(partition, labels, subs, fixed_blocks)[1], k)
-    except np.linalg.LinAlgError:
-        fun_in = np.inf
-    loglik = _loglik(min(fun_in, res.fun), "stage 4")
-    out_subs, fixed = (list(subs), list(fixed_blocks)) if fun_in < res.fun else unpack(res.x)
+    nll = _objective(lag_gram(z, k), k, _joint_model(partition, labels, k))
+    res = minimize(nll, [x0], _MAXITER_REFINE, curvature=nll.curvature)
+    loglik = _loglik(res.fun, "stage 4")
+    *sub_thetas, cross_theta = np.split(res.x, np.cumsum([_sub_theta_len(d, k) for d in dims]))
+    out_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
+    fixed = _unpack_fixed(cross_theta, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, out_subs, fixed)
     return tuple(out_subs), tuple(fixed), tuple(crosses), loglik, bool(res.success)
 
@@ -868,7 +813,7 @@ def portmanteau(residuals, max_lag, fitted_lag_count):
         q += float(np.sum(a * b.T)) / (T - l)
     q *= T * T
     df = d * d * (max_lag - fitted_lag_count)
-    return PortmanteauResult(statistic=q, df=df, pvalue=float(chi2.sf(q, df)))
+    return PortmanteauResult(statistic=q, df=df, pvalue=float(chdtrc(df, q)))
 
 
 def simulate_model(model, T, seed):

@@ -560,3 +560,50 @@ def is_positive_definite_oracle(a, tol):
     """True iff the smallest eigenvalue of (a + a.T)/2 exceeds ``tol``, by eigvalsh."""
     a = np.asarray(a, dtype=float)
     return bool(np.linalg.eigvalsh(0.5 * (a + a.T))[0] > tol)
+
+
+
+def scalar_nll_mp(theta, z, dps=60):
+    """Exact stationary Gaussian negative log likelihood of a scalar series ``z`` at
+    tanh-mapped partial autocorrelations ``theta``, in mpmath at ``dps`` digits.
+
+    Each z_t is predicted from the min(t, k) values before it by the
+    Durbin-Levinson recursion run on the partial autocorrelations
+    themselves, with prediction variance prod(1 - pi_m^2); no correlation
+    matrix is formed.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return _scalar_nll_mp([mpmath.mpf(float(t)) for t in theta], z)
+
+
+def scalar_score_mp(theta, z, dps=60):
+    """Gradient of :func:`scalar_nll_mp` by mpmath central differences at step 1e-20,
+    whose truncation and rounding errors lie far below double precision."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(10) ** -20
+        at = [mpmath.mpf(float(t)) for t in theta]
+        steps = [[h if b == a else 0 for b in range(len(at))] for a in range(len(at))]
+        return np.array([float((_scalar_nll_mp([t + s for t, s in zip(at, e)], z)
+                                - _scalar_nll_mp([t - s for t, s in zip(at, e)], z)) / (2 * h))
+                         for e in steps])
+
+
+def _scalar_nll_mp(theta, z):
+    import mpmath
+
+    preds, variances = [[]], [mpmath.mpf(1)]
+    for p in (mpmath.tanh(t) for t in theta):
+        prev = preds[-1]
+        preds.append([a - p * b for a, b in zip(prev, prev[::-1])] + [p])
+        variances.append(variances[-1] * (1 - p * p))
+    zs = [mpmath.mpf(float(v)) for v in np.ravel(z)]
+    total = mpmath.mpf(0)
+    for t, zt in enumerate(zs):
+        m = min(t, len(theta))
+        e = zt - sum(c * zs[t - 1 - j] for j, c in enumerate(preds[m]))
+        total += mpmath.log(2 * mpmath.pi) + mpmath.log(variances[m]) + e * e / variances[m]
+    return total / 2

@@ -1,6 +1,8 @@
 """Every exported name resolves, so a deletion leaves no stale export behind."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -11,3 +13,13 @@ import pytest
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_import_mcvar_loads_neither_scipy_optimize_nor_scipy_stats():
+    # the skew-t margins' L-BFGS-B run imports scipy.optimize when it runs; the
+    # construct, verify, simulate and tables commands need neither module
+    code = ("import sys, mcvar, mcvar.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,8 @@ from oracles import (
     fit_margin_nelder_mead,
     information_oracle,
     random_subprocess_corr,
+    scalar_nll_mp,
+    scalar_score_mp,
     scalar_stage2_nelder_mead,
     stage2_nelder_mead,
     stage3_nelder_mead,
@@ -39,7 +41,7 @@ from mcvar.estimation import (
     latent_scores,
     simulate_model,
 )
-from mcvar.linalg import is_positive_definite
+from mcvar.linalg import _block_toeplitz, is_positive_definite
 from mcvar.margins import MarginSpec, _skewt_nll, fit_margin, from_normal, logpdf, quantile
 from mcvar.varprocess import durbin_levinson, seeded_normals, simulate
 
@@ -49,20 +51,6 @@ H = 1e-6
 def central_differences(f, x):
     x = np.asarray(x, dtype=float)
     return np.array([(f(x + H * e) - f(x - H * e)) / (2.0 * H) for e in np.eye(x.size)])
-
-
-def richardson_differences(f, x, h=1e-2):
-    """Central differences at steps h and h/2, combined to cancel the h^2 error term.
-
-    The truncation error is O(h^4), so the step can be large enough that the
-    value's rounding, divided by the step, stays far below the score.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def central(step):
-        return np.array([(f(x + step * e) - f(x - step * e)) / (2.0 * step) for e in np.eye(x.size)])
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
 def skewt_sample(params, seed, n):
@@ -116,7 +104,7 @@ def test_kernel_score_matches_central_differences(d, k, extra, seed):
     # T runs from 1 to k + 4: T <= k scores the head alone
     T = 1 + extra % (k + 4)
     gram, r = kernel_case(d, k, T, seed)
-    value, score = estimation._gaussian_var_score(gram, r, k)
+    value, score, _ = estimation._gaussian_var_score(gram, r, k)
     assert value == gaussian_var_loglik(gram, r, k)
     w = r.shape[0]
     fd = np.zeros((w, w))
@@ -134,19 +122,31 @@ def test_kernel_score_matches_central_differences(d, k, extra, seed):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(k=st.integers(1, 4), T=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([0.3, 1.0, 2.0]))
-# PACF -0.9998: a value of 3.9e6 nats whose evaluation rounds by ~1e-9 relative,
-# which central differences at 1e-6 turn into a 1e-4 relative error
+# PACFs within 0.006 of +-1: values of 3.9e6, 4.0e9 and 6.9e10 nats, where
+# evaluations 1e-15 apart spread by up to 5e-6 relative, so no finite
+# difference in double precision can check the score; the oracle differentiates
+# the exact value in mpmath
 @example(k=4, T=9, seed=0, scale=2.0)
+@example(k=4, T=25, seed=13, scale=2.0)
+@example(k=4, T=13, seed=4, scale=2.0)
+# cond(R) = 7.5e11: the kernel's Cholesky of R rounds value and score by about
+# cond(R) * 1e-16 relative, and here the value misses the oracle by 1.3e-5
+@example(k=4, T=14, seed=2803643808, scale=2.0).xfail(
+    raises=AssertionError, reason="the kernel loses accuracy on a nearly singular scalar R")
 def test_scalar_stage2_score_matches_central_differences(k, T, seed, scale):
+    # stage 2's model of a scalar sub-process: the one-set joint model at d = 1
     rng = np.random.default_rng(seed)
-    gram = lag_gram(rng.standard_normal((1, T)), k)
+    z = rng.standard_normal((1, T))
+    gram = lag_gram(z, k)
     theta = scale * rng.standard_normal(k)
-    nll = estimation._scalar_objective(gram, k)
-    value, score = nll(theta)
     r = estimation._theta_to_corr(theta, 1, k).toeplitz()
+    nll = estimation._objective(gram, k, estimation._joint_model(Partition(sets=((0,),), d=1),
+                                                                 (1,), k))
+    value, score = nll(theta)
     assert_allclose(value, -gaussian_var_loglik(gram, r, k), rtol=1e-10)
-    fd = richardson_differences(lambda t: nll(t)[0], theta)
-    assert_allclose(score, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+    assert_allclose(value, float(scalar_nll_mp(theta, z)), rtol=1e-5)
+    oracle = scalar_score_mp(theta, z)
+    assert_allclose(score, oracle, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(oracle))))
 
 
 # ------------------------------------- scored fits against Nelder-Mead oracles
@@ -240,15 +240,14 @@ JOINT = dict(dims=st.lists(st.integers(1, 2), min_size=2, max_size=3),
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(**JOINT)
 def test_stage4_jacobian_matches_differences_of_the_exact_build(dims, labels, k, seed):
-    # the pullback of a unit matrix at (a, b) is dR_ab / dtheta, so the sub-process
-    # and cross-block tangents are compared through every entry of R
+    # the block Toeplitz matrix of row a of the lag stack's Jacobian is dR / dtheta_a,
+    # so the sub-process and cross-block tangents are compared through every entry of R
     model = random_model(dims, labels[:len(dims)], k, seed)
     assume(model is not None)
     theta = joint_theta(model)
-    r, pullback = estimation._joint_model(model.partition, model.labels, k)(theta)
-    assert np.array_equal(r, exact_build(model, theta))
-    w = r.shape[0]
-    jac = np.array([pullback(np.eye(w * w)[e].reshape(w, w)) for e in range(w * w)]).T
+    gamma, jacobian = estimation._joint_model(model.partition, model.labels, k)(theta)
+    assert np.array_equal(_block_toeplitz(gamma), exact_build(model, theta))
+    jac = _block_toeplitz(jacobian()).reshape(len(theta), -1)
     fd = central_differences(lambda t: exact_build(model, t).ravel(), theta)
     assert_allclose(jac, fd, rtol=1e-6, atol=1e-8 * max(1.0, np.max(np.abs(fd))))
 
@@ -318,13 +317,16 @@ def test_stage4_does_not_stop_short_on_a_flat_direction():
     assert fit.stage_logliks["stage4"] >= -1015.945272603163 - 1e-10
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(dims=st.lists(st.integers(1, 2), min_size=2, max_size=3),
+@settings(max_examples=55, derandomize=True, deadline=None)
+@given(dims=st.one_of(st.lists(st.integers(1, 3), min_size=1, max_size=1),
+                      st.lists(st.integers(1, 2), min_size=2, max_size=3)),
        labels=st.tuples(*[st.sampled_from((1, 2))] * 3), k=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_information_matches_the_dense_covariance_of_every_observation(dims, labels, k, seed):
-    # at T = k + 3 the head, window and past blocks all enter; stage 4's joint
-    # model at the model's parameters, and stage 3's with the sub-processes held
+    # at T = k + 3 the head, window and past blocks all enter; the joint model at
+    # the model's parameters (stage 2's on one set of d = 1-3, stage 4's on more),
+    # and stage 3's with the sub-processes held; the information is the curvature
+    # that the objective builds from its own evaluation at the point
     model = random_model(dims, labels[:len(dims)], k, seed)
     assume(model is not None)
     part, labels, d, T = model.partition, model.labels, model.partition.d, k + 3
@@ -332,14 +334,15 @@ def test_information_matches_the_dense_covariance_of_every_observation(dims, lab
     theta = joint_theta(model)
     fixed = theta[sum(estimation._sub_theta_len(len(s), k) for s in part.sets):]
     held = list(model.subs)
-    cases = [
-        (estimation._joint_lags(part, labels, k), theta, lambda t: exact_build(model, t)),
-        (estimation._joint_lags(part, labels, k, held=held), fixed,
-         lambda t: estimation._build_time_major(
-             part, labels, held, estimation._unpack_fixed(t, part, labels, k))[1]),
-    ]
-    for lags, at, build in cases:
-        info = estimation._information(gram, k, lags, at)
+    cases = [(estimation._joint_model(part, labels, k), theta, lambda t: exact_build(model, t))]
+    if part.n > 1:
+        cases.append((estimation._joint_model(part, labels, k, held=held), fixed,
+                      lambda t: estimation._build_time_major(
+                          part, labels, held, estimation._unpack_fixed(t, part, labels, k))[1]))
+    for joint, at, build in cases:
+        nll = estimation._objective(gram, k, joint)
+        assert np.isfinite(nll(at)[0])
+        info = nll.curvature(at)
         oracle = information_oracle(build, at, d, k, T)
         assert_allclose(info, oracle, rtol=1e-6, atol=1e-8 * np.max(np.abs(oracle)))
         assert_allclose(info, info.T, rtol=0, atol=1e-12 * np.max(np.abs(info)))
