@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln, digamma, expit, ndtr, ndtri
+from scipy.special import betainc, betaincinv, betaln, digamma, expit, ndtr, ndtri, zeta
 
 from .optim import minimize
 
@@ -311,43 +311,66 @@ _SKEWT_STARTS = ((3.0, 3.0), (2.0, 6.0), (6.0, 2.0))
 _MAXITER = 4000  # per start
 
 
-def _skewt_nll(theta, x):
-    """Negative skew-t log likelihood of ``x`` and its score in (loc, log scale, log a, log b).
-
-    Through u: d asinh(u)/du = 1/sqrt(1+u^2), d log1p(u^2)/du = 2u/(1+u^2),
-    du/d loc = -1/(scale sqrt(a+b)), du/d log scale = -u and
-    du/d(a+b) = -u/(2(a+b)); the normalising constant's derivatives use digamma.
+def _skewt_objective(x):
+    """nll(theta) -> (negative skew-t log likelihood of ``x``, score) in (loc,
+    log scale, log a, log b), through u = (x - loc) / (scale sqrt(a+b)) as
+    README derives; ``nll.curvature(theta)`` is the Hessian, from the arrays
+    of the evaluation at theta, which must be the last one (else ValueError).
     """
-    loc, lsc, la, lb = (float(v) for v in theta)
-    scale, a, b = math.exp(lsc), math.exp(la), math.exp(lb)
-    lp, u, asinh_u, log1p_u2 = _skewt_logpdf(x, loc, scale, a, b)
-    n = x.size
-    c = a + b
-    v = 1.0 + u * u
-    dl_du = (a - b) / np.sqrt(v) - (c + 1.0) * u / v
-    sum_u_dl_du = float(np.sum(dl_du * u))
-    sum_asinh, half_sum_log1p = float(np.sum(asinh_u)), 0.5 * float(np.sum(log1p_u2))
-    dl_dc = -0.5 * sum_u_dl_du / c
-    dconst = math.log(2.0) - digamma(c) + 0.5 / c
-    score = np.array([
-        -float(np.sum(dl_du)) / (scale * math.sqrt(c)),
-        -sum_u_dl_du - n,
-        a * (sum_asinh - half_sum_log1p + dl_dc - n * (dconst + digamma(a))),
-        b * (-sum_asinh - half_sum_log1p + dl_dc - n * (dconst + digamma(b))),
-    ])
-    return -float(np.sum(lp)), -score
+    last = {}
+
+    def nll(theta):
+        loc, lsc, la, lb = (float(v) for v in theta)
+        scale, a, b = math.exp(lsc), math.exp(la), math.exp(lb)
+        lp, u, asinh_u, log1p_u2 = _skewt_logpdf(x, loc, scale, a, b)
+        n, c = x.size, a + b
+        # rows r, m, e_{log a} and e_{log b}, with du/dtheta = -(r + m u)
+        basis = np.eye(4)
+        basis[0, 0], basis[1, 2:] = 1.0 / (scale * math.sqrt(c)), (0.5 * a / c, 0.5 * b / c)
+        inv_v = 1.0 / (1.0 + u * u)
+        inv_root, u_v = np.sqrt(inv_v), u * inv_v
+        dl_du = (a - b) * inv_root - (c + 1.0) * u_v
+        s0, s1 = dl_du.sum(), u @ dl_du
+        sum_asinh, half_sum_log1p = asinh_u.sum(), 0.5 * log1p_u2.sum()
+        dconst = math.log(2.0) - digamma(c) + 0.5 / c
+        direct = np.array([0.0, -n, a * (sum_asinh - half_sum_log1p - n * (dconst + digamma(a))),
+                           b * (-sum_asinh - half_sum_log1p - n * (dconst + digamma(b)))])
+
+        def hessian(at):
+            if not np.array_equal(at, theta):
+                raise ValueError("the curvature is taken only at the last point evaluated")
+            d2l_du2 = -(a - b) * u_v * inv_root - (c + 1.0) * (2.0 * inv_v - 1.0) * inv_v
+            d0, d1, d2 = d2l_du2.sum(), u @ d2l_du2, (u * u) @ d2l_du2
+            root, v = np.array([inv_root.sum(), u @ inv_root]), np.array([u_v.sum(), u @ u_v])
+            mixed_a, mixed_b = -a * (root - v), b * (root + v)
+            tri = zeta(2.0, np.array([a, b, c]))
+            tc, g = tri[2] + 0.5 / c ** 2, 0.5 * a * b / c ** 2 * s1
+            own_a, own_b = direct[2:] - g - n * np.array([a, b]) ** 2 * (tri[:2] - tc)
+            ab = g + n * a * b * tc
+            k = np.array([[d0, d1 + s0, mixed_a[0], mixed_b[0]],
+                          [d1 + s0, d2 + s1, mixed_a[1], mixed_b[1]],
+                          [mixed_a[0], mixed_a[1], own_a, ab],
+                          [mixed_b[0], mixed_b[1], ab, own_b]])
+            return -(basis.T @ k @ basis)
+
+        last["hessian"] = hessian
+        return -float(lp.sum()), s0 * basis[0] + s1 * basis[1] - direct
+
+    nll.curvature = lambda theta: last["hessian"](theta)
+    return nll
 
 
 def fit_margin(x, family):
     """Maximum likelihood fit of one margin family to a sample.
 
     Gaussian margins are closed form.  The skew-t margin is fitted by
-    L-BFGS-B on the closed-form score in (loc, log scale, log a, log b) from
-    three deterministic starts at the sample median, keeping the best, inside
-    the box |log scale - log iqr| <= 12, -6 <= log a, log b <= 12, where iqr
-    is the interquartile range / 1.349 (the standard deviation if that is 0);
-    a fit that ends on the box edge, or within 1e-9 max(1, |x|) of it, reports
-    ``converged=False``.  A sample with non-finite values raises ValueError.
+    projected Newton on the closed-form score and Hessian in (loc, log
+    scale, log a, log b) from three deterministic starts at the sample
+    median, keeping the best, inside the box |log scale - log iqr| <= 12,
+    -6 <= log a, log b <= 12, where iqr is the interquartile range / 1.349
+    (the standard deviation if that is 0); a fit that ends on the box edge,
+    or within 1e-9 max(1, |x|) of it, reports ``converged=False``.  A sample
+    with non-finite values raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
     bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -375,16 +398,13 @@ def fit_margin(x, family):
     lsp = math.log(spread)
     lo = np.array([-np.inf, lsp - 12.0, -6.0, -6.0])
     hi = np.array([np.inf, lsp + 12.0, 12.0, 12.0])
-    best = minimize(
-        lambda theta: _skewt_nll(theta, x),
-        [(m, lsp, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
-        _MAXITER,
-        box=list(zip(lo, hi)),
-    )
+    nll = _skewt_objective(x)
+    best = minimize(nll, [(m, lsp, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
+                    _MAXITER, nll.curvature, box=(lo, hi), refresh=True)
     loc, lsc, la, lb = best.x
     spec = MarginSpec("skewt", (float(loc), math.exp(lsc), math.exp(la), math.exp(lb)))
     # a point on the box edge is a limiting form of the family, not an optimum;
-    # L-BFGS-B can stop a rounding error inside a bound it ran into
+    # a run that nears a bound along a flat ridge can stop a rounding error inside
     tol = 1e-9 * np.maximum(1.0, np.abs(best.x))
     interior = bool(np.all((best.x > lo + tol) & (best.x < hi - tol)))
     return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success) and interior)

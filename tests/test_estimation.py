@@ -444,7 +444,8 @@ def test_fit_stage2_fits_the_5_variable_subprocess_of_the_19_variable_model():
     # the sample-moment start's value, and a run from it
     moment = estimation._corr_to_theta(moment_corr(zi, k))
     assert sf.loglik >= -nll(moment)[0]
-    assert sf.loglik >= -optim.minimize(nll, [moment], estimation._MAXITER).fun - 1e-6
+    assert sf.loglik >= -optim.minimize(nll, [moment], estimation._MAXITER, nll.curvature,
+                                        refresh=True).fun - 1e-6
 
 
 def test_fit_stage3_recovers_the_fixed_blocks_of_a_19_variable_model(monkeypatch):
@@ -742,7 +743,8 @@ def test_minimize_skips_an_infeasible_start():
             return np.inf, np.zeros(2)
         return float(np.sum((theta - 1.0) ** 2)), 2.0 * (theta - 1.0)
 
-    best = optim.minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER)
+    best = optim.minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER,
+                          lambda x: 2.0 * np.eye(2))
     assert len(calls) < 400
     assert_allclose(best.x, [1.0, 1.0], atol=1e-6)
     assert best.fun < 1e-10
@@ -750,7 +752,7 @@ def test_minimize_skips_an_infeasible_start():
 
 def test_minimize_with_no_feasible_start_returns_inf_without_a_run():
     best = optim.minimize(lambda theta: (np.inf, np.zeros(3)), [np.ones(3), np.zeros(3)],
-                          estimation._MAXITER)
+                          estimation._MAXITER, lambda x: np.eye(3))
     assert best.fun == np.inf and not best.success and best.nfev == 0
     assert_allclose(best.x, np.ones(3))
 
@@ -768,8 +770,10 @@ def correlation_nll(theta, n=100, c=0.95):
 
 
 def test_minimize_halves_a_step_into_the_infeasible_region():
-    # the first step from 0.9 moves by 1, to 1.9: four halvings reach |r| < 1
-    best = optim.minimize(correlation_nll, [np.array([0.9])], estimation._MAXITER)
+    # with a unit curvature the first step from 0.9 moves by the score, 251,
+    # and twelve halvings reach |r| < 1
+    best = optim.minimize(correlation_nll, [np.array([0.9])], estimation._MAXITER,
+                          lambda x: np.eye(1))
     assert best.ninf >= 4
     assert best.success and best.message in optim.CONVERGED
     assert np.isfinite(best.fun) and abs(best.x[0]) < 1.0
@@ -786,14 +790,14 @@ def test_minimize_step_halved_to_its_floor(wall, message):
             return np.inf, np.zeros(1)
         return float(theta[0] ** 2), np.array([-1.0])
 
-    best = optim.minimize(nll, [np.zeros(1)], estimation._MAXITER)
+    best = optim.minimize(nll, [np.zeros(1)], estimation._MAXITER, lambda x: np.eye(1))
     assert best.message == message and best.success == (not wall)
     assert best.nit == 0 and best.fun == 0.0 and best.ninf == (best.nfev - 1 if wall else 0)
 
 
 def test_minimize_starts_from_a_given_inverse_hessian():
     # on a quadratic the exact inverse Hessian takes one full step to the optimum,
-    # where a scaled identity needs several
+    # where the identity needs several
     a = np.array([[100.0, 3.0], [3.0, 0.5]])
     x_opt = np.array([1.0, -2.0])
 
@@ -811,7 +815,7 @@ def test_minimize_starts_from_a_given_inverse_hessian():
     assert len(seen) == 1 and np.array_equal(seen[0], np.zeros(2))
     assert best.success and best.nit == 1 and best.nfev == 2
     assert_allclose(best.x, x_opt, atol=1e-12)
-    assert optim.minimize(nll, [np.zeros(2)], estimation._MAXITER).nfev > 2
+    assert optim.minimize(nll, [np.zeros(2)], estimation._MAXITER, lambda x: np.eye(2)).nfev > 2
 
 
 def test_minimize_refreshing_the_curvature_is_fisher_scoring():
@@ -881,21 +885,27 @@ def test_minimize_stops_when_the_predicted_decrease_is_below_rounding():
     assert best.nfev == 1 and best.nit == 0
 
 
-@pytest.mark.parametrize("box", [None, [(-0.999, 0.999)]])
+@pytest.mark.parametrize("box", [None, ((-0.9,), (0.9,))])
 def test_minimize_run_record(box):
-    # BFGS and L-BFGS-B fill the same fields, and a rerun repeats them exactly
+    # a run inside a box and one without fill the same fields, and a rerun
+    # repeats them exactly; the optimum r = 0.95 lies outside the box, so the
+    # run inside it ends exactly on the bound, which it never crosses
     starts = [np.array([0.0]), np.array([0.5])]
-    best = optim.minimize(correlation_nll, starts, estimation._MAXITER, box=box)
+    best = optim.minimize(correlation_nll, starts, estimation._MAXITER, lambda x: np.eye(1),
+                          box=box)
     assert best.nfev > 0 and best.nit > 0 and best.ninf >= 0
     assert best.success and isinstance(best.message, str)
-    again = optim.minimize(correlation_nll, starts, estimation._MAXITER, box=box)
+    again = optim.minimize(correlation_nll, starts, estimation._MAXITER, lambda x: np.eye(1),
+                           box=box)
     fields = ("fun", "success", "message", "nfev", "nit", "ninf")
     assert [getattr(again, f) for f in fields] == [getattr(best, f) for f in fields]
     assert np.array_equal(again.x, best.x)
-    short = optim.minimize(correlation_nll, starts[:1], 1, box=box)
+    short = optim.minimize(correlation_nll, starts[:1], 1, lambda x: np.eye(1), box=box)
     assert short.nit <= 1 and short.nfev > 0
     if box is None:
         assert not short.success and short.message == optim.MAXITER
+    else:
+        assert best.x[0] == 0.9 and best.ninf == 0
 
 
 def test_unrestricted_fit_nests_more_parameters():

@@ -16,9 +16,13 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_import_mcvar_loads_neither_scipy_optimize_nor_scipy_stats():
-    # the skew-t margins' L-BFGS-B run imports scipy.optimize when it runs; the
-    # construct, verify, simulate and tables commands need neither module
-    code = ("import sys, mcvar, mcvar.cli; "
+    # every fit runs the package's own optimiser, so neither importing the
+    # package and its commands nor fitting a skew-t margin loads either module
+    code = ("import sys, numpy as np, mcvar, mcvar.cli; "
+            "from mcvar.margins import fit_margin; "
+            "from mcvar.varprocess import seeded_normals; "
+            "fit = fit_margin(np.sinh(seeded_normals(3, 500)), 'skewt'); "
+            "assert fit.converged; "
             "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
