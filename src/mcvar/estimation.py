@@ -457,7 +457,7 @@ def fit_stage2(z, indices, k):
     d = len(indices)
     nll = _objective(lag_gram(z, k), k,
                      _joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k))
-    best = minimize(nll, [np.zeros(_sub_theta_len(d, k))], _MAXITER, nll.curvature, refresh=True)
+    best = minimize(nll, np.zeros(_sub_theta_len(d, k)), _MAXITER, nll.curvature, refresh=True)
     return SubprocessFit(
         indices=tuple(indices),
         corr=_theta_to_corr(best.x, d, k),
@@ -528,7 +528,7 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     dims = [len(s) for s in partition.sets]
     start = np.zeros(sum(dims[i] * dims[j] for i, j in _pair_list(partition.n)))
     nll = _objective(lag_gram(z, k), k, model)
-    best = minimize(nll, [start], _MAXITER, nll.curvature)
+    best = minimize(nll, start, _MAXITER, nll.curvature)
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
     crosses, _ = _build_time_major(partition, labels, subs, fixed)
@@ -672,7 +672,7 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     dims = [len(s) for s in partition.sets]
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
     nll = _objective(lag_gram(z, k), k, _joint_model(partition, labels, k))
-    res = minimize(nll, [x0], _MAXITER_REFINE, nll.curvature)
+    res = minimize(nll, x0, _MAXITER_REFINE, nll.curvature)
     loglik = _loglik(res.fun, "stage 4")
     *sub_thetas, cross_theta = np.split(res.x, np.cumsum([_sub_theta_len(d, k) for d in dims]))
     out_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]

@@ -305,10 +305,7 @@ class MarginFit:
     converged: bool
 
 
-# deterministic (a, b) starting pairs for the skew-t search: symmetric,
-# left-heavy, right-heavy
-_SKEWT_STARTS = ((3.0, 3.0), (2.0, 6.0), (6.0, 2.0))
-_MAXITER = 4000  # per start
+_MAXITER = 4000
 
 
 def _skewt_objective(x):
@@ -365,8 +362,8 @@ def fit_margin(x, family):
 
     Gaussian margins are closed form.  The skew-t margin is fitted by
     projected Newton on the closed-form score and Hessian in (loc, log
-    scale, log a, log b) from three deterministic starts at the sample
-    median, keeping the best, inside the box |log scale - log iqr| <= 12,
+    scale, log a, log b) from one start, loc at the sample median, scale iqr
+    and a = b = 3, inside the box |log scale - log iqr| <= 12,
     -6 <= log a, log b <= 12, where iqr is the interquartile range / 1.349
     (the standard deviation if that is 0); a fit that ends on the box edge,
     or within 1e-9 max(1, |x|) of it, reports ``converged=False``.  A sample
@@ -389,7 +386,7 @@ def fit_margin(x, family):
     if family != "skewt":
         raise ValueError("unknown margin family %r" % family)
 
-    # a robust centre and spread: a few far tail values cannot drag the starts
+    # a robust centre and spread: a few far tail values cannot drag the start
     # and the log-scale box away from the bulk of the sample
     q1, m, q3 = (float(v) for v in np.percentile(x, [25.0, 50.0, 75.0]))
     spread = (q3 - q1) / 1.349 or float(np.std(x))
@@ -399,8 +396,8 @@ def fit_margin(x, family):
     lo = np.array([-np.inf, lsp - 12.0, -6.0, -6.0])
     hi = np.array([np.inf, lsp + 12.0, 12.0, 12.0])
     nll = _skewt_objective(x)
-    best = minimize(nll, [(m, lsp, math.log(a0), math.log(b0)) for a0, b0 in _SKEWT_STARTS],
-                    _MAXITER, nll.curvature, box=(lo, hi), refresh=True)
+    best = minimize(nll, (m, lsp, math.log(3.0), math.log(3.0)), _MAXITER, nll.curvature,
+                    box=(lo, hi), refresh=True)
     loc, lsc, la, lb = best.x
     spec = MarginSpec("skewt", (float(loc), math.exp(lsc), math.exp(la), math.exp(lb)))
     # a point on the box edge is a limiting form of the family, not an optimum;

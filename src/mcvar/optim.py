@@ -1,10 +1,11 @@
 """The one optimiser of a fit, :func:`minimize`: margins and stages 2-4.
 
-The skew-t margins (exact Hessian) and stage 2 (expected Fisher
-information) refresh their curvature at every iterate: Newton and Fisher
-scoring steps.  Stages 3 and 4 start next to their optimum, take it once
-and update its inverse by BFGS.  The margins' box is kept as in projected
-Newton (Bertsekas 1982, SIAM J. Control Optim. 20, 221-246).
+Every caller makes one run from one start.  The skew-t margins (exact
+Hessian) and stage 2 (expected Fisher information) refresh their curvature
+at every iterate: Newton and Fisher scoring steps.  Stages 3 and 4 start
+next to their optimum, take it once and update its inverse by BFGS.  The
+margins' box is kept as in projected Newton (Bertsekas 1982, SIAM J.
+Control Optim. 20, 221-246).
 """
 
 from types import SimpleNamespace
@@ -40,43 +41,6 @@ SCORE, DECREASE, FLOOR, WALL, MAXITER = (
 CONVERGED = (SCORE, DECREASE, FLOOR)
 
 
-def minimize(nll, starts, maxiter, curvature, box=None, refresh=False):
-    """Minimise ``nll`` from every start that scores finite; the first lowest result wins.
-
-    ``nll(x)`` returns (value, score); a start that scores non-finite is
-    skipped, since a run from it would only compare +inf values.
-    ``curvature(x)`` returns a symmetric Hessian or an approximation of it,
-    asked for only at the point ``nll`` evaluated last, which scored finite,
-    so that it may reuse that evaluation; ``refresh`` takes it at every
-    accepted iterate, not once per run.  ``box``, a pair of arrays (low,
-    high), infinite for no limit, holds the starts and every iterate.  Each
-    run makes at most ``maxiter`` iterations.
-
-    The result is the winning run's ``x``, ``fun``, ``success`` and
-    ``message``, with ``nfev``, ``nit`` and ``ninf`` (the evaluations that
-    scored +inf) summed over all runs.  A run converged (``success``) when
-    it stopped on the score, on the relative decrease or on a step halved to
-    its floor at a finite value (:data:`CONVERGED`), not at ``maxiter`` or
-    on a step halved to its floor at +inf.  When every start is infeasible
-    the result is +inf at the first start, with no run and no counts.
-    """
-    starts = [np.asarray(x0, dtype=float) for x0 in starts]
-    lo, hi = (-np.inf, np.inf) if box is None else np.asarray(box, dtype=float)
-    runs = []
-    for x0 in starts:
-        f0, g0 = nll(x0)
-        if np.isfinite(f0):
-            runs.append(_bfgs(nll, x0, f0, np.asarray(g0, dtype=float), maxiter, curvature,
-                              refresh, lo, hi))
-    if not runs:
-        return SimpleNamespace(x=starts[0], fun=np.inf, success=False,
-                               message="no start scores finite", nfev=0, nit=0, ninf=0)
-    best = min(runs, key=lambda res: res.fun)
-    for count in ("nfev", "nit", "ninf"):
-        setattr(best, count, sum(getattr(r, count) for r in runs))
-    return best
-
-
 def _floored_inverse(c, free):
     """Inverse of the free block of a symmetric curvature, |eigenvalues| floored; zero elsewhere."""
     if not free.all():
@@ -88,8 +52,17 @@ def _floored_inverse(c, free):
     return (vec / np.maximum(lam, _FLOOR * lam.max())) @ vec.T
 
 
-def _bfgs(nll, x, f, g, maxiter, curvature, refresh, lo, hi):
-    """BFGS or Newton from a feasible x in the box [lo, hi] with value f and score g.
+def minimize(nll, x0, maxiter, curvature, box=None, refresh=False):
+    """Minimise ``nll`` from ``x0`` by BFGS or Newton steps inside an optional box.
+
+    ``nll(x)`` returns (value, score).  ``curvature(x)`` returns a symmetric
+    Hessian or an approximation of it, asked for only at the point ``nll``
+    evaluated last, which scored finite, so that it may reuse that
+    evaluation.  ``box``, a pair of arrays (low, high), infinite for no
+    limit, holds ``x0`` and every iterate.  The run makes at most ``maxiter``
+    iterations.  An ``x0`` that scores non-finite gives +inf at ``x0`` with
+    no run and zero counts, since a run from it would only compare +inf
+    values.
 
     A coordinate on a bound whose score points out of the box is held: the
     score stop ignores it, and its row and column leave the curvature before
@@ -97,10 +70,10 @@ def _bfgs(nll, x, f, g, maxiter, curvature, refresh, lo, hi):
     changes and, with ``refresh``, at every accepted iterate; otherwise H
     takes the rank-two BFGS update whenever s'y > 0.  A step leaves no bound
     that its coordinate is on, and is cut at the first bound it would cross,
-    which that coordinate then takes exactly.  A trial point that scores
-    +inf or fails the Armijo test halves the step; the feasible sets are
-    open, so halving from a feasible point ends at a feasible one.  ``nfev``
-    counts the start's evaluation, ``ninf`` the trial points at +inf.
+    which that coordinate then takes exactly.  A run whose bounds are all
+    infinite skips this bookkeeping.  A trial point that scores +inf or
+    fails the Armijo test halves the step; the feasible sets are open, so
+    halving from a feasible point ends at a feasible one.
 
     A predicted decrease -g'Hg of at most _FTOL max(|f|, 1) means x is at
     the optimum to the value's rounding, where the Armijo test would fail on
@@ -108,33 +81,56 @@ def _bfgs(nll, x, f, g, maxiter, curvature, refresh, lo, hi):
     (:data:`DECREASE`) without a line search.  A step halved to its floor
     means that no point along a descent direction scores lower than x; it
     counts as converged unless the last trial point scored +inf.
+
+    The result holds ``x``, ``fun``, ``success``, ``message`` (the stop) and
+    the run record: ``nfev`` counts the start's evaluation, ``nit`` the
+    iterations and ``ninf`` the trial points at +inf.  A run converged
+    (``success``) when it stopped on the score, on the relative decrease or
+    on a step halved to its floor at a finite value (:data:`CONVERGED`).
     """
-    nfev, ninf, message, small, held_h = 1, 0, MAXITER, 0, None
+    x = np.asarray(x0, dtype=float)
+    f, g = nll(x)
+    if not np.isfinite(f):
+        return SimpleNamespace(x=x, fun=np.inf, success=False,
+                               message="the start scores non-finite", nfev=0, nit=0, ninf=0)
+    f, g = float(f), np.asarray(g, dtype=float)
+    lo, hi = (-np.inf, np.inf) if box is None else np.asarray(box, dtype=float)
+    bounded = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
+    held = np.zeros(x.shape, dtype=bool)
+    nfev, ninf, message, small, h = 1, 0, MAXITER, 0, None
     for nit in range(maxiter + 1):
-        held = (x <= lo) & (g > 0.0) | (x >= hi) & (g < 0.0)
-        free_g = np.where(held, 0.0, g)
+        free_g = g
+        if bounded:
+            held_h, held = held, (x <= lo) & (g > 0.0) | (x >= hi) & (g < 0.0)
+            free_g = np.where(held, 0.0, g)
         if float(np.max(np.abs(free_g), initial=0.0)) <= _GTOL:
             message = SCORE
             break
         if nit == maxiter:
             break
-        if refresh or not np.array_equal(held, held_h):
-            h, held_h = _floored_inverse(curvature(x), ~held), held
+        if h is None or refresh or bounded and not np.array_equal(held, held_h):
+            h = _floored_inverse(curvature(x), ~held)
         p = -h @ free_g
-        p[(x <= lo) & (p < 0.0) | (x >= hi) & (p > 0.0)] = 0.0
+        cut = False
+        if bounded:
+            p[(x <= lo) & (p < 0.0) | (x >= hi) & (p > 0.0)] = 0.0
+            share = np.abs(p) / np.maximum(np.where(p > 0.0, hi - x, x - lo),
+                                           np.finfo(float).tiny)
+            j = int(np.argmax(share))
+            cut = share[j] > 1.0
         slope = float(g @ p)
         if -slope <= _FTOL * max(abs(f), 1.0):
             message = DECREASE
             break
-        share = np.abs(p) / np.maximum(np.where(p > 0.0, hi - x, x - lo), np.finfo(float).tiny)
-        j = int(np.argmax(share))
-        if share[j] > 1.0:
+        if cut:
             p, slope = p / share[j], slope / share[j]
         t = 1.0
         for _ in range(_HALVINGS + 1):
-            x_new = np.clip(x + t * p, lo, hi)
-            if t == 1.0 and share[j] > 1.0:
-                x_new[j] = hi[j] if p[j] > 0.0 else lo[j]
+            x_new = x + t * p
+            if bounded:
+                x_new = np.clip(x_new, lo, hi)
+                if t == 1.0 and cut:
+                    x_new[j] = hi[j] if p[j] > 0.0 else lo[j]
             f_new, g_new = nll(x_new)
             nfev += 1
             ninf += not np.isfinite(f_new)

@@ -284,6 +284,31 @@ def fit_margin_nelder_mead(x, family="skewt"):
     return spec, -float(best.fun), bool(best.success)
 
 
+def fit_margin_three_starts(x):
+    """Skew-t maximum likelihood from the three starts ``fit_margin`` ran
+    before one sufficed: (a, b) = (3, 3), (2, 6) and (6, 2) at the sample
+    median and log(IQR/1.349), each a projected Newton run of
+    ``optim.minimize`` on ``margins._skewt_objective`` in the same box,
+    the best kept.  Returns (loglik, interior), interior meaning more than
+    1e-9 max(1, |theta|) inside the box on every coordinate.
+    """
+    from mcvar.margins import _MAXITER, _skewt_objective
+    from mcvar.optim import minimize
+
+    x = np.asarray(x, dtype=float).ravel()
+    q1, m, q3 = np.percentile(x, [25.0, 50.0, 75.0])
+    lsp = np.log((q3 - q1) / 1.349 or np.std(x))
+    lo = np.array([-np.inf, lsp - 12.0, -6.0, -6.0])
+    hi = np.array([np.inf, lsp + 12.0, 12.0, 12.0])
+    nll = _skewt_objective(x)
+    runs = [minimize(nll, np.array([m, lsp, np.log(a0), np.log(b0)]), _MAXITER, nll.curvature,
+                     box=(lo, hi), refresh=True)
+            for a0, b0 in ((3.0, 3.0), (2.0, 6.0), (6.0, 2.0))]
+    best = min(runs, key=lambda res: res.fun)
+    tol = 1e-9 * np.maximum(1.0, np.abs(best.x))
+    return -float(best.fun), bool(np.all((best.x > lo + tol) & (best.x < hi - tol)))
+
+
 def three_starts(n_theta, moment):
     """Zeros, then the moment estimate ``moment()`` and half of it unless it fails.
 

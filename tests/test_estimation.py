@@ -444,7 +444,7 @@ def test_fit_stage2_fits_the_5_variable_subprocess_of_the_19_variable_model():
     # the sample-moment start's value, and a run from it
     moment = estimation._corr_to_theta(moment_corr(zi, k))
     assert sf.loglik >= -nll(moment)[0]
-    assert sf.loglik >= -optim.minimize(nll, [moment], estimation._MAXITER, nll.curvature,
+    assert sf.loglik >= -optim.minimize(nll, moment, estimation._MAXITER, nll.curvature,
                                         refresh=True).fun - 1e-6
 
 
@@ -496,12 +496,12 @@ def test_stage3_affine_map_matches_exact_build(labels01, dims, k, label2, seed):
 
 
 def test_dependence_stages_run_once_from_zeros(monkeypatch):
-    # stage 2 at d = 1 and d > 1 and stage 3 each pass one start, theta = 0
+    # stage 2 at d = 1 and d > 1 and stage 3 each make one run from theta = 0
     starts = []
 
-    def spy(nll, x0s, *args, **kwargs):
-        starts.append([np.array(x0) for x0 in x0s])
-        return optim.minimize(nll, x0s, *args, **kwargs)
+    def spy(nll, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return optim.minimize(nll, x0, *args, **kwargs)
 
     monkeypatch.setattr(estimation, "minimize", spy)
     z = seeded_normals(3, (3, 300))
@@ -511,8 +511,8 @@ def test_dependence_stages_run_once_from_zeros(monkeypatch):
     sizes = [estimation._sub_theta_len(2, 1), estimation._sub_theta_len(1, 1), 2]
     assert len(starts) == 3
     for got, n in zip(starts, sizes):
-        assert len(got) == 1
-        assert np.array_equal(got[0], np.zeros(n))
+        assert got.ndim == 1
+        assert np.array_equal(got, np.zeros(n))
 
 
 def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatch):
@@ -734,25 +734,9 @@ def test_fit_model_converged_includes_the_margin_fits(monkeypatch):
     assert fit.loglik == FIT.loglik
 
 
-def test_minimize_skips_an_infeasible_start():
-    calls = []
-
-    def nll(theta):
-        calls.append(theta)
-        if theta[0] > 5.0:
-            return np.inf, np.zeros(2)
-        return float(np.sum((theta - 1.0) ** 2)), 2.0 * (theta - 1.0)
-
-    best = optim.minimize(nll, [np.full(2, 10.0), np.zeros(2)], estimation._MAXITER,
-                          lambda x: 2.0 * np.eye(2))
-    assert len(calls) < 400
-    assert_allclose(best.x, [1.0, 1.0], atol=1e-6)
-    assert best.fun < 1e-10
-
-
 def test_minimize_with_no_feasible_start_returns_inf_without_a_run():
-    best = optim.minimize(lambda theta: (np.inf, np.zeros(3)), [np.ones(3), np.zeros(3)],
-                          estimation._MAXITER, lambda x: np.eye(3))
+    best = optim.minimize(lambda theta: (np.inf, np.zeros(3)), np.ones(3), estimation._MAXITER,
+                          lambda x: np.eye(3))
     assert best.fun == np.inf and not best.success and best.nfev == 0
     assert_allclose(best.x, np.ones(3))
 
@@ -772,7 +756,7 @@ def correlation_nll(theta, n=100, c=0.95):
 def test_minimize_halves_a_step_into_the_infeasible_region():
     # with a unit curvature the first step from 0.9 moves by the score, 251,
     # and twelve halvings reach |r| < 1
-    best = optim.minimize(correlation_nll, [np.array([0.9])], estimation._MAXITER,
+    best = optim.minimize(correlation_nll, np.array([0.9]), estimation._MAXITER,
                           lambda x: np.eye(1))
     assert best.ninf >= 4
     assert best.success and best.message in optim.CONVERGED
@@ -790,7 +774,7 @@ def test_minimize_step_halved_to_its_floor(wall, message):
             return np.inf, np.zeros(1)
         return float(theta[0] ** 2), np.array([-1.0])
 
-    best = optim.minimize(nll, [np.zeros(1)], estimation._MAXITER, lambda x: np.eye(1))
+    best = optim.minimize(nll, np.zeros(1), estimation._MAXITER, lambda x: np.eye(1))
     assert best.message == message and best.success == (not wall)
     assert best.nit == 0 and best.fun == 0.0 and best.ninf == (best.nfev - 1 if wall else 0)
 
@@ -811,11 +795,11 @@ def test_minimize_starts_from_a_given_inverse_hessian():
         seen.append(x)
         return a
 
-    best = optim.minimize(nll, [np.zeros(2)], estimation._MAXITER, curvature=curvature)
+    best = optim.minimize(nll, np.zeros(2), estimation._MAXITER, curvature=curvature)
     assert len(seen) == 1 and np.array_equal(seen[0], np.zeros(2))
     assert best.success and best.nit == 1 and best.nfev == 2
     assert_allclose(best.x, x_opt, atol=1e-12)
-    assert optim.minimize(nll, [np.zeros(2)], estimation._MAXITER, lambda x: np.eye(2)).nfev > 2
+    assert optim.minimize(nll, np.zeros(2), estimation._MAXITER, lambda x: np.eye(2)).nfev > 2
 
 
 def test_minimize_refreshing_the_curvature_is_fisher_scoring():
@@ -836,7 +820,7 @@ def test_minimize_refreshing_the_curvature_is_fisher_scoring():
         seen.append(x)
         return a
 
-    best = optim.minimize(quadratic, [np.zeros(2)], estimation._MAXITER, curvature=curvature,
+    best = optim.minimize(quadratic, np.zeros(2), estimation._MAXITER, curvature=curvature,
                           refresh=True)
     assert best.success and best.nit == 1 and best.nfev <= 2 and len(seen) == 1
     assert_allclose(best.x, x_opt, atol=1e-12)
@@ -853,7 +837,7 @@ def test_minimize_refreshing_the_curvature_is_fisher_scoring():
         seen.append(x)
         return np.diag(np.exp(x))
 
-    best = optim.minimize(convex, [np.array([2.0, -1.0])], estimation._MAXITER,
+    best = optim.minimize(convex, np.array([2.0, -1.0]), estimation._MAXITER,
                           curvature=hessian, refresh=True)
     assert best.success and best.nit <= 6 and len(seen) == best.nit
     assert_allclose(best.x, np.log(2.0), atol=1e-6)
@@ -879,7 +863,7 @@ def test_minimize_stops_when_the_predicted_decrease_is_below_rounding():
     def nll(theta):
         return 1e6 + 1e-6 * float(theta @ theta), np.full(2, 3e-5)
 
-    best = optim.minimize(nll, [np.zeros(2)], estimation._MAXITER,
+    best = optim.minimize(nll, np.zeros(2), estimation._MAXITER,
                           curvature=lambda x: 1e9 * np.eye(2))
     assert best.message == optim.DECREASE and best.success
     assert best.nfev == 1 and best.nit == 0
@@ -890,22 +874,42 @@ def test_minimize_run_record(box):
     # a run inside a box and one without fill the same fields, and a rerun
     # repeats them exactly; the optimum r = 0.95 lies outside the box, so the
     # run inside it ends exactly on the bound, which it never crosses
-    starts = [np.array([0.0]), np.array([0.5])]
-    best = optim.minimize(correlation_nll, starts, estimation._MAXITER, lambda x: np.eye(1),
-                          box=box)
+    x0 = np.array([0.0])
+    best = optim.minimize(correlation_nll, x0, estimation._MAXITER, lambda x: np.eye(1), box=box)
     assert best.nfev > 0 and best.nit > 0 and best.ninf >= 0
     assert best.success and isinstance(best.message, str)
-    again = optim.minimize(correlation_nll, starts, estimation._MAXITER, lambda x: np.eye(1),
-                           box=box)
+    again = optim.minimize(correlation_nll, x0, estimation._MAXITER, lambda x: np.eye(1), box=box)
     fields = ("fun", "success", "message", "nfev", "nit", "ninf")
     assert [getattr(again, f) for f in fields] == [getattr(best, f) for f in fields]
     assert np.array_equal(again.x, best.x)
-    short = optim.minimize(correlation_nll, starts[:1], 1, lambda x: np.eye(1), box=box)
+    short = optim.minimize(correlation_nll, x0, 1, lambda x: np.eye(1), box=box)
     assert short.nit <= 1 and short.nfev > 0
     if box is None:
         assert not short.success and short.message == optim.MAXITER
     else:
         assert best.x[0] == 0.9 and best.ninf == 0
+
+
+@pytest.mark.parametrize("refresh", [False, True])
+def test_minimize_with_no_finite_bound_runs_as_inside_a_far_box(refresh):
+    # a run with no finite bound skips the box bookkeeping, a box too far
+    # away to bind keeps it, and the two runs agree bit for bit
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+    def nll(theta):
+        e = np.exp(a @ theta)
+        return float(e.sum() - 2.0 * theta.sum()), a.T @ e - 2.0
+
+    def hessian(x):
+        return a.T @ (np.exp(a @ x)[:, None] * a)
+
+    far = (np.full(2, -1e300), np.full(2, 1e300))
+    runs = [optim.minimize(nll, np.array([1.0, -1.0]), estimation._MAXITER, hessian, box=box,
+                           refresh=refresh) for box in (None, far)]
+    assert runs[0].success and runs[0].nit > 2
+    fields = ("fun", "success", "message", "nfev", "nit", "ninf")
+    assert [getattr(runs[1], f) for f in fields] == [getattr(runs[0], f) for f in fields]
+    assert np.array_equal(runs[1].x, runs[0].x)
 
 
 def test_unrestricted_fit_nests_more_parameters():
