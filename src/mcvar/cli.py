@@ -638,7 +638,7 @@ def _worked_example_model(labels, fixed_value):
     return construct_model(part, labels, 2, margins, (r1, r2), [fb])
 
 
-def _table_t1(tol):
+def _table_t1():
     dev = 0.0
     cases = []
     for labels, ref in _T1_REFERENCE.items():
@@ -666,7 +666,7 @@ def _table_t1(tol):
     return dev, {"cases": cases}
 
 
-def _table_t2t3(tol):
+def _table_t2t3():
     dev = 0.0
     cases = []
     for labels, ref in _T3_REFERENCE.items():
@@ -708,7 +708,7 @@ def _pair_model_k1(rho1, rho2, labels, cross0):
     return r1, r2, sol
 
 
-def _table_example1(tol):
+def _table_example1():
     """Closed-form check of the solved lag blocks for two scalar AR(1) subs."""
     grid = np.linspace(-0.9, 0.9, 13)
     dev = 0.0
@@ -732,7 +732,7 @@ def _table_example1(tol):
     return dev, {"rows": rows}
 
 
-def _table_example3(tol):
+def _table_example3():
     rhos = (0.6, 0.7, 0.8)
     subs = tuple(SubprocessCorr(blocks=(np.eye(1), np.array([[r]]))) for r in rhos)
     part = Partition(sets=((0,), (1,), (2,)), d=3)
@@ -763,7 +763,7 @@ def _table_example3(tol):
     }
 
 
-def _table_pdregion(tol):
+def _table_pdregion():
     grid = np.round(np.arange(-0.99, 0.995, 0.01), 2)
 
     def scan(rho1, rho2):
@@ -808,7 +808,7 @@ def cmd_tables(args):
         raise CliError("unknown table %r; choose from %s" % (args.name, sorted(_TABLES)))
     fn, default_tol = _TABLES[args.name]
     tol = args.tol if args.tol is not None else default_tol
-    dev, payload = fn(tol)
+    dev, payload = fn()
     passed = dev <= tol
     print("table %s: max |deviation| %.3e, tolerance %.1e -> %s"
           % (args.name, dev, tol, "PASS" if passed else "FAIL"))

@@ -36,7 +36,7 @@ from .closure import (
 from .linalg import _block_toeplitz, _fold_lags, _mirror_lags, symmetrize
 from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
 from .optim import minimize
-from .varprocess import durbin_levinson, simulate, _scalar_pacf
+from .varprocess import durbin_levinson, simulate
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -382,35 +382,6 @@ def _loglik(fun, stage):
 
 # -- stage 2: per-sub-process dependence ------------------------------------
 
-def _pacf_to_acf(pi):
-    """Autocorrelations rho_1..rho_k from partial autocorrelations in (-1, 1).
-
-    Returns rho and its k x k Jacobian d rho / d pi, carried through the
-    Durbin-Levinson recursion alongside the predictor phi and the
-    prediction variance v.
-    """
-    pi = np.asarray(pi, dtype=float)
-    kk = pi.size
-    eye = np.eye(kk)
-    rho, jac = np.zeros(kk), np.zeros((kk, kk))
-    phi, dphi = np.zeros(0), np.zeros((0, kk))
-    v, dv = 1.0, np.zeros(kk)
-    for m in range(1, kk + 1):
-        p = pi[m - 1]
-        if m == 1:
-            rho[0] = p
-            jac[0] = eye[0]
-            phi, dphi = np.array([p]), eye[:1]
-        else:
-            rho[m - 1] = phi @ rho[m - 2::-1] + p * v
-            jac[m - 1] = rho[m - 2::-1] @ dphi + phi @ jac[m - 2::-1] + v * eye[m - 1] + p * dv
-            dphi = np.vstack([dphi - p * dphi[::-1] - np.outer(phi[::-1], eye[m - 1]), eye[m - 1]])
-            phi = np.concatenate([phi - p * phi[::-1], [p]])
-        dv = (1.0 - p * p) * dv - 2.0 * p * v * eye[m - 1]
-        v *= 1.0 - p * p
-    return rho, jac
-
-
 def _sub_theta_len(d, k):
     return d * (d - 1) // 2 + k * d * d
 
@@ -423,14 +394,8 @@ def _theta_to_corr(theta, d, k):
 
 def _corr_to_theta(corr):
     """Inverse of :func:`_theta_to_corr`, used to seed warm starts."""
-    d, k = corr.dim, corr.order
-    if d == 1:
-        gam = [float(corr.block(l)[0, 0]) for l in range(k + 1)]
-        return np.arctanh(_scalar_pacf(np.array(gam), k))
-    ii, jj = np.tril_indices(d, -1)
-    parts = [corr.blocks[0][ii, jj]]
-    parts += [b.ravel() for b in corr.blocks[1:]]
-    return np.concatenate(parts)
+    ii, jj = np.tril_indices(corr.dim, -1)
+    return np.concatenate([corr.blocks[0][ii, jj]] + [b.ravel() for b in corr.blocks[1:]])
 
 
 @dataclass(frozen=True)
@@ -446,8 +411,8 @@ def fit_stage2(z, indices, k):
 
     ``z`` holds the latent scores of every variable; ``indices`` selects the
     sub-process's rows.  The model is the joint model (:func:`_joint_model`)
-    of the sub-process alone, at tanh-mapped PACFs for a scalar sub-process
-    and at raw entries otherwise.  One Fisher scoring run on the
+    of the sub-process alone, on the raw entries of :func:`_sub_lags` at every
+    dimension, a scalar sub-process included.  One Fisher scoring run on the
     closed-form score from theta = 0, the white-noise point R = I, which is
     always feasible: every step is a Newton step on the expected
     information at its iterate.
@@ -493,12 +458,6 @@ def _unpack_fixed(theta, partition, labels, k):
     return out
 
 
-def _build_time_major(partition, labels, subs, fixed_blocks):
-    """Solve all pairs and return (crosses, time-major R)."""
-    crosses = _cross_solutions(subs, labels, fixed_blocks)
-    return crosses, assemble_full_R(partition, subs, crosses)
-
-
 @dataclass(frozen=True)
 class Stage3Fit:
     fixed_blocks: tuple
@@ -531,7 +490,7 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     best = minimize(nll, start, _MAXITER, nll.curvature)
     loglik = _loglik(best.fun, "stage 3")
     fixed = _unpack_fixed(best.x, partition, labels, k)
-    crosses, _ = _build_time_major(partition, labels, subs, fixed)
+    crosses = _cross_solutions(subs, labels, fixed)
     return Stage3Fit(
         fixed_blocks=tuple(fixed),
         crosses=tuple(crosses),
@@ -544,24 +503,13 @@ def _sub_lags(d, k):
     """theta_i -> (lag stack Sigma_{-k}..Sigma_k, its (n_i, 2k+1, d, d) Jacobian) of
     one sub-process: the parametrisation of every dependence stage.
 
-    Scalar sub-processes use tanh-mapped partial autocorrelations, which keep
-    every parameter point inside the stationary region.  Multivariate
-    sub-processes use raw entries (lower triangle of the lag-0 correlation,
-    then full lag matrices), placed by one index scatter built once,
-    ``stack.flat[pos] = theta[take]``, so the Jacobian is constant; the
-    likelihood kernel rejects the points whose Toeplitz matrix is not
-    positive definite.
+    Every sub-process, scalar or not, uses raw entries: the lower triangle of
+    the lag-0 correlation, then the full lag matrices, which for a scalar
+    sub-process are its autocorrelations rho_1..rho_k.  They are placed by one
+    index scatter built once, ``stack.flat[pos] = theta[take]``, so the
+    Jacobian is constant; the likelihood kernel rejects the points whose
+    Toeplitz matrix is not positive definite, the nonstationary ones.
     """
-    if d == 1:
-        def lags(theta):
-            pi = np.tanh(theta)
-            rho, jac = _pacf_to_acf(pi)
-            drho = (jac * (1.0 - pi * pi)).T
-            stack = np.concatenate([rho[::-1], [1.0], rho])
-            dstack = np.hstack([drho[:, ::-1], np.zeros((k, 1)), drho])
-            return stack.reshape(-1, 1, 1), dstack.reshape(k, -1, 1, 1)
-
-        return lags
     # the parameter index of every lag-stack entry, -1 on the unit diagonal of lag 0
     ii, jj = np.tril_indices(d, -1)
     lag0 = np.full((d, d), -1)
@@ -677,7 +625,7 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     *sub_thetas, cross_theta = np.split(res.x, np.cumsum([_sub_theta_len(d, k) for d in dims]))
     out_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
     fixed = _unpack_fixed(cross_theta, partition, labels, k)
-    crosses, _ = _build_time_major(partition, labels, out_subs, fixed)
+    crosses = _cross_solutions(out_subs, labels, fixed)
     return tuple(out_subs), tuple(fixed), tuple(crosses), loglik, bool(res.success)
 
 

@@ -360,18 +360,49 @@ def scalar_stage2_nelder_mead(z, k):
     """Scalar sub-process quasi-MLE by multi-start Nelder-Mead on values alone.
 
     The derivative-free stage 2 the package used before its closed-form
-    score: the value-only likelihood kernel at tanh-mapped partial
-    autocorrelations, from zeros, the sample moments and half of them.
-    ``z`` is a (1, T) latent series.  Returns (corr, loglik, converged).
+    score, on the parametrisation it used then: the value-only likelihood
+    kernel at tanh-mapped partial autocorrelations, mapped to
+    autocorrelations by this module's own Durbin-Levinson recursion
+    (:func:`durbin_levinson_scalar`), from zeros, the sample moments and half
+    of them.  ``z`` is a (1, T) latent series.  Returns (corr, loglik,
+    converged).
     """
     from mcvar import estimation as est
+    from mcvar.closure import SubprocessCorr
+
+    def corr(theta):
+        rho = durbin_levinson_scalar(np.tanh(theta), given="pacf")[0]
+        return SubprocessCorr(blocks=tuple(np.array([[v]]) for v in [1.0] + rho))
 
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    nll = _value_objective(est.lag_gram(z, k), k,
-                           lambda theta: est._theta_to_corr(theta, 1, k).toeplitz())
-    m0 = est._corr_to_theta(moment_corr(z, k))
+    nll = _value_objective(est.lag_gram(z, k), k, lambda theta: corr(theta).toeplitz())
+    moments = moment_corr(z, k)
+    m0 = np.arctanh(durbin_levinson_scalar([moments.block(l)[0, 0] for l in range(1, k + 1)],
+                                           given="acf")[1])
     best = nelder_mead(nll, (np.zeros(k), m0, 0.5 * m0), 4000)
-    return est._theta_to_corr(best.x, 1, k), -float(best.fun), bool(best.success)
+    return corr(best.x), -float(best.fun), bool(best.success)
+
+
+def durbin_levinson_scalar(values, given):
+    """Scalar Durbin-Levinson recursion in plain arithmetic, so on floats and on
+    mpmath numbers alike.
+
+    ``values`` are the autocorrelations rho_1..rho_k (``given="acf"``) or the
+    partial autocorrelations pi_1..pi_k (``given="pacf"``).  Returns (rho,
+    pi, predictors, variances) as lists: the predictor of order m holds the
+    coefficients of z_{t-1}..z_{t-m} and the variance of order m is
+    prod_{j <= m} (1 - pi_j^2), for m = 0..k.
+    """
+    rho, pacf, preds, variances = [], [], [[]], [1]
+    for m, x in enumerate(values):
+        phi, v = preds[-1], variances[-1]
+        fitted = sum(c * rho[m - 1 - j] for j, c in enumerate(phi))
+        p = x if given == "pacf" else (x - fitted) / v
+        rho.append(fitted + p * v if given == "pacf" else x)
+        pacf.append(p)
+        preds.append([a - p * b for a, b in zip(phi, phi[::-1])] + [p])
+        variances.append(v * (1 - p * p))
+    return rho, pacf, preds, variances
 
 
 def nelder_mead(nll, starts, maxiter):
@@ -436,13 +467,14 @@ def affine_time_major(partition, labels, k, subs):
     at each unit vector are the whole map.
     """
     from mcvar import estimation as est
+    from mcvar.closure import _cross_solutions, assemble_full_R
 
     n_theta = sum(len(partition.sets[i]) * len(partition.sets[j])
                   for i, j in est._pair_list(partition.n))
 
     def exact(theta):
         fixed = est._unpack_fixed(theta, partition, labels, k)
-        return est._build_time_major(partition, labels, list(subs), fixed)[1]
+        return assemble_full_R(partition, subs, _cross_solutions(subs, labels, fixed))
 
     r0 = exact(np.zeros(n_theta))
     return r0, np.stack([exact(e) - r0 for e in np.eye(n_theta)])
@@ -466,21 +498,23 @@ def stage4_nelder_mead(z, partition, labels, subs, fixed_blocks, k):
     exact closure build of validated sub-process and fixed-block containers.
     Returns the better latent log likelihood of the run and the input point."""
     from mcvar import estimation as est
+    from mcvar.closure import _cross_solutions, assemble_full_R
 
     dims = [len(s) for s in partition.sets]
     cuts = np.cumsum([est._sub_theta_len(d, k) for d in dims])
 
+    def exact(subs, fixed):
+        return assemble_full_R(partition, subs, _cross_solutions(subs, labels, fixed))
+
     def build(theta):
         *sub_thetas, cross_theta = np.split(theta, cuts)
-        return est._build_time_major(
-            partition, labels, [est._theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
-            est._unpack_fixed(cross_theta, partition, labels, k))[1]
+        return exact([est._theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
+                     est._unpack_fixed(cross_theta, partition, labels, k))
 
     gram = est.lag_gram(z, k)
     x0 = np.concatenate([est._corr_to_theta(s) for s in subs] + [est._pack_fixed(fixed_blocks)])
     res = nelder_mead(_value_objective(gram, k, build), [x0], 8000)
-    start = est.gaussian_var_loglik(gram, est._build_time_major(partition, labels, subs,
-                                                                fixed_blocks)[1], k)
+    start = est.gaussian_var_loglik(gram, exact(subs, fixed_blocks), k)
     return max(-float(res.fun), start)
 
 
@@ -588,47 +622,43 @@ def is_positive_definite_oracle(a, tol):
 
 
 
-def scalar_nll_mp(theta, z, dps=60):
+def scalar_nll_mp(rho, z, dps=60):
     """Exact stationary Gaussian negative log likelihood of a scalar series ``z`` at
-    tanh-mapped partial autocorrelations ``theta``, in mpmath at ``dps`` digits.
+    autocorrelations ``rho`` = rho_1..rho_k, in mpmath at ``dps`` digits.
 
     Each z_t is predicted from the min(t, k) values before it by the
-    Durbin-Levinson recursion run on the partial autocorrelations
-    themselves, with prediction variance prod(1 - pi_m^2); no correlation
-    matrix is formed.
+    Durbin-Levinson recursion (:func:`durbin_levinson_scalar`) run in mpmath
+    on the autocorrelations, with prediction variance prod(1 - pi_m^2) over
+    the partial autocorrelations pi_m; no correlation matrix is formed.
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        return _scalar_nll_mp([mpmath.mpf(float(t)) for t in theta], z)
+        return _scalar_nll_mp([mpmath.mpf(float(r)) for r in rho], z)
 
 
-def scalar_score_mp(theta, z, dps=60):
+def scalar_score_mp(rho, z, dps=60):
     """Gradient of :func:`scalar_nll_mp` by mpmath central differences at step 1e-20,
     whose truncation and rounding errors lie far below double precision."""
     import mpmath
 
     with mpmath.workdps(dps):
         h = mpmath.mpf(10) ** -20
-        at = [mpmath.mpf(float(t)) for t in theta]
+        at = [mpmath.mpf(float(r)) for r in rho]
         steps = [[h if b == a else 0 for b in range(len(at))] for a in range(len(at))]
         return np.array([float((_scalar_nll_mp([t + s for t, s in zip(at, e)], z)
                                 - _scalar_nll_mp([t - s for t, s in zip(at, e)], z)) / (2 * h))
                          for e in steps])
 
 
-def _scalar_nll_mp(theta, z):
+def _scalar_nll_mp(rho, z):
     import mpmath
 
-    preds, variances = [[]], [mpmath.mpf(1)]
-    for p in (mpmath.tanh(t) for t in theta):
-        prev = preds[-1]
-        preds.append([a - p * b for a, b in zip(prev, prev[::-1])] + [p])
-        variances.append(variances[-1] * (1 - p * p))
+    _, _, preds, variances = durbin_levinson_scalar(rho, given="acf")
     zs = [mpmath.mpf(float(v)) for v in np.ravel(z)]
     total = mpmath.mpf(0)
     for t, zt in enumerate(zs):
-        m = min(t, len(theta))
+        m = min(t, len(rho))
         e = zt - sum(c * zs[t - 1 - j] for j, c in enumerate(preds[m]))
         total += mpmath.log(2 * mpmath.pi) + mpmath.log(variances[m]) + e * e / variances[m]
     return total / 2
