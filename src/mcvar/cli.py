@@ -222,9 +222,10 @@ def load_model_file(path):
     """Load a model file; returns (model, doc, fields).
 
     ``fields`` holds the file's ``partition``, ``k`` and ``labels``, each only
-    when present, read as integers before the model is built.  A file with
-    only a ``var`` entry (coefficients plus innovation covariance) loads with
-    ``model`` None; verify scores it through the implied autocovariances.
+    when present, read as integers before the model is built; a ``k`` below 1
+    is refused.  A file with only a ``var`` entry (coefficients plus
+    innovation covariance) loads with ``model`` None; verify scores it
+    through the implied autocovariances.
     """
     doc = _load_json(path, {MODEL_FORMAT})
     fields = {}
@@ -232,6 +233,8 @@ def load_model_file(path):
         fields["partition"] = _parse_partition(doc, path)
     if "k" in doc:
         fields["k"] = _integer(doc["k"], '%s: "k"' % path)
+        if fields["k"] < 1:
+            raise CliError('%s: "k" must be at least 1, got %d' % (path, fields["k"]))
     if "labels" in doc:
         fields["labels"] = _labels(doc, path)
     if "subprocess_corrs" in doc and "crosses" in doc:

@@ -14,8 +14,7 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrs
 
 from .linalg import (
     PD_TOL,
@@ -175,7 +174,13 @@ class CrossSolution:
 
 def _condition_matrix(blocks, label):
     """G (label 1) or H (label 2) of a sub-process's blocks Sigma_0..Sigma_k:
-    k x (2k+1) blocks of size d from one Whittle recursion.
+    :func:`_condition_rows` of their one :func:`whittle_recursion` solve."""
+    return _condition_rows(whittle_recursion(blocks, len(blocks) - 1), label)
+
+
+def _condition_rows(state, label):
+    """G (label 1) or H (label 2), k x (2k+1) blocks of size d, from the
+    forward or backward predictors of a :func:`whittle_recursion` state.
 
     Block row m holds [Phi_k, ..., Phi_1, -I] from block column m+1 (G), or
     [-I, Psi_k, ..., Psi_1] from block column m (H).  With D_ij stacking
@@ -185,8 +190,8 @@ def _condition_matrix(blocks, label):
     band [P_k, ..., P_1] sits in block columns m+1..m+k, so it is
     ``a[:d, d:(k + 1) * d]``.
     """
-    k, d = len(blocks) - 1, blocks[0].shape[0]
-    pred = whittle_recursion(blocks, k)["forward" if label == 1 else "backward"][::-1]
+    pred = state["forward" if label == 1 else "backward"][::-1]
+    k, d = len(pred), len(pred[0])
     band = np.hstack(pred + [-np.eye(d)] if label == 1 else [-np.eye(d)] + pred)
     out = np.zeros((k * d, (2 * k + 1) * d))
     for m in range(k):
@@ -249,8 +254,9 @@ def _solve_pairs(stacks, labels, pairs, values):
 
     A mixed-label pair has its fixed block at its lag and zeros elsewhere.
     Each sub-process's condition matrix is built once, when its first
-    equal-label pair needs it; a sub-process that is not positive definite,
-    like a singular system, raises DegenerateCrossPair.  ``tangent(dstacks)``
+    equal-label pair needs it, by a :func:`whittle_recursion` whose factor the
+    tangents reuse; a sub-process that is not positive definite, like a
+    singular system, raises DegenerateCrossPair.  ``tangent(dstacks)``
     takes (n_c, 2k+1, d_c, d_c) tangents of every sub-process's stack (n_c = 0
     for one held fixed) and returns per pair the stack's tangents along those
     of i, of j and of the entries of its fixed block in row-major order.
@@ -266,18 +272,19 @@ def _solve_pairs(stacks, labels, pairs, values):
         for c in (i, j):
             if c not in mats:
                 try:
-                    mats[c] = _condition_matrix(stacks[c][k:], labels[c])
+                    state = whittle_recursion(stacks[c][k:], k)
                 except np.linalg.LinAlgError as exc:
                     raise DegenerateCrossPair(
                         (i, j), "a sub-process is not positive definite: %s" % exc
                     ) from exc
-        out.append(_solve_equal_labels(mats[i], mats[j], value, (i, j), k))
+                mats[c] = (_condition_rows(state, labels[c]), state["factor"])
+        out.append(_solve_equal_labels(mats[i][0], mats[j][0], value, (i, j), k))
 
     def tangent(dstacks):
         bands = {}
-        for c, a in mats.items():
+        for c, (a, factor) in mats.items():
             k, d = len(stacks[c]) // 2, len(stacks[c][0])
-            bands[c] = (_band_tangent(stacks[c], a[:d, d:(k + 1) * d], labels[c], dstacks[c])
+            bands[c] = (_band_tangent(factor, a[:d, d:(k + 1) * d], labels[c], dstacks[c])
                         if len(dstacks[c]) else np.zeros((0, d, k * d)))
         tangents = []
         for (i, j), (stack, pair_tangent) in zip(pairs, out):
@@ -364,21 +371,24 @@ def _band_product(dband, stack):
     return np.einsum("npq,mqr->nmpr", dband, windows).reshape(n, k * d, e)
 
 
-def _band_tangent(stack, band, label, dstack):
+def _band_tangent(factor, band, label, dstack):
     """Tangents (n, d, kd) of a sub-process's predictor band [P_k, ..., P_1] along
     tangents ``dstack`` (n, 2k+1, d, d) of its lag stack Sigma_{-k}..Sigma_k.
 
     The band is g T^-1 with T the k-slice Toeplitz matrix of (Z_{t-k}, ..., Z_{t-1}),
     block (r, s) = Sigma_{r-s}, and g = [Sigma_k, ..., Sigma_1] (forward, label 1) or
-    [Sigma_{-1}, ..., Sigma_{-k}] (backward, label 2); so d band = (dg - band dT) T^-1,
-    from one Cholesky factorisation of T.
+    [Sigma_{-1}, ..., Sigma_{-k}] (backward, label 2); so d band = (dg - band dT) T^-1.
+    T is the block reversal of the newest-first window matrix whose Cholesky factor
+    :func:`whittle_recursion` returned (``factor``): the right-hand side is reversed,
+    solved with that factor and reversed back.
     """
     n, n_lag, d, _ = dstack.shape
     k = n_lag // 2
     g = dstack[:, 2 * k:k:-1] if label == 1 else dstack[:, k - 1::-1]
     rhs = g.transpose(0, 2, 1, 3).reshape(n, d, k * d) - band @ _block_toeplitz(dstack[:, -2:0:-1])
-    factor = sla.cho_factor(_block_toeplitz(stack[-2:0:-1]))
-    return sla.cho_solve(factor, rhs.reshape(n * d, k * d).T).T.reshape(n, d, k * d)
+    rev = rhs.reshape(n * d, k, d)[:, ::-1].reshape(n * d, k * d)
+    x = dpotrs(factor, rev.T, lower=1)[0].T
+    return x.reshape(n, d, k, d)[:, :, ::-1].reshape(n, d, k * d)
 
 
 def cross_pair_residual(ri, rj, labels, sol):

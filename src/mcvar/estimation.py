@@ -129,13 +129,15 @@ class Model:
     @classmethod
     def from_dict(cls, d):
         """Inverse of :meth:`to_dict`.  A bool or non-integer ``k``, label,
-        partition index or cross pair index, a label other than 1 or 2, and a
-        count of labels, margins, sub-processes or crosses that does not
-        match the partition raise ValueError naming the field."""
+        partition index or cross pair index, a ``k`` below 1, a label other
+        than 1 or 2, and a count of labels, margins, sub-processes or crosses
+        that does not match the partition raise ValueError naming the field."""
         sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
         dim = sum(len(s) for s in sets)
         part = Partition(sets=sets, d=dim)
         k = _integer_field(d["k"], "k")
+        if k < 1:
+            raise ValueError("model field 'k' must be at least 1, got %d" % k)
         labels = tuple(_integer_field(c, "labels")
                        for c in _counted_field(d["labels"], "labels", part.n, "partition set"))
         if any(c not in (1, 2) for c in labels):

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtri
 
-from .linalg import PD_TOL, _lag_toeplitz, symmetrize
+from .linalg import PD_TOL, _block_toeplitz, _lag_toeplitz, symmetrize
 
 STATIONARITY_TOL = 1e-8
 
@@ -65,61 +66,44 @@ class VarRepresentation:
 
 
 def whittle_recursion(acov, k):
-    """Multivariate Durbin-Levinson recursion on autocovariance blocks.
+    """Forward and backward order-k predictors by one Yule-Walker solve.
 
-    Parameters
-    ----------
-    acov : sequence of ndarray
-        Gamma(0)..Gamma(m) with m >= k.
-    k : int
-        Target order.
-
-    Returns
-    -------
-    dict with keys ``forward`` (Phi_{k,1..k}) and ``backward`` (Psi_{k,1..k}):
-    element j of either list multiplies Z_{t-1-j}, predicting Z_t forward and
-    Z_{t-k-1} backward from the same window Z_{t-1}..Z_{t-k}.  The
-    ``forward_error`` / ``backward_error`` entries are the prediction-error
-    covariances after k steps.
+    ``acov`` holds Gamma(0)..Gamma(m), m >= k >= 1.  Element j of ``forward``
+    (Phi_{k,1..k}) or ``backward`` (Psi_{k,1..k}) multiplies Z_{t-1-j},
+    predicting Z_t or Z_{t-k-1} from the window Z_{t-1}..Z_{t-k}.  Both solve
+    P T = g through one Cholesky factor T = L L^T (``factor``), with T the
+    window's block Toeplitz covariance, newest first (block (r, s) is
+    Gamma(s - r)), and g = [Gamma(1) ... Gamma(k)] or [Gamma(k)^T ... Gamma(1)^T];
+    ``forward_error`` and ``backward_error`` are Gamma(0) - P g^T.  Raises
+    LinAlgError unless T is positive definite and the smallest eigenvalue of
+    both errors exceeds PD_TOL; an error covariance only falls as the order
+    grows, so this covers every lower order too.
     """
-    gam = [np.atleast_2d(np.asarray(g, dtype=float)) for g in acov]
-    if len(gam) < k + 1:
-        raise ValueError("need autocovariances up to lag k=%d, got %d blocks" % (k, len(gam)))
-    vf = gam[0].copy()  # forward prediction error covariance
-    vb = gam[0].copy()  # backward prediction error covariance
-    eye = np.eye(vf.shape[0])
-    fwd, bwd = [], []
-    for n in range(1, k + 1):
-        delta = gam[n] - sum((fwd[j] @ gam[n - 1 - j] for j in range(n - 1)), np.zeros_like(vf))
-        try:
-            a_nn = np.linalg.solve(vb.T, delta.T).T
-            b_nn = np.linalg.solve(vf.T, delta).T
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "Durbin-Levinson breakdown at stage %d: %s" % (n, exc)
-            ) from exc
-        new_fwd = [fwd[j] - a_nn @ bwd[n - 2 - j] for j in range(n - 1)] + [a_nn]
-        new_bwd = [bwd[j] - b_nn @ fwd[n - 2 - j] for j in range(n - 1)] + [b_nn]
-        vf = vf - a_nn @ delta.T
-        vb = vb - b_nn @ delta
-        vf = 0.5 * (vf + vf.T)
-        vb = 0.5 * (vb + vb.T)
-        try:  # smallest eigenvalue above PD_TOL, as a Cholesky of the shifted matrices
-            np.linalg.cholesky(vf - PD_TOL * eye)
-            np.linalg.cholesky(vb - PD_TOL * eye)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "prediction-error covariance lost positive definiteness at stage %d" % n
-            ) from exc
-        fwd, bwd = new_fwd, new_bwd
-    # The recursion indexes backward coefficients from the predicted point
-    # (coefficient j on Z_{t-k-1+j}); flip so both lists index by lag from t.
-    return {
-        "forward": fwd,
-        "backward": list(reversed(bwd)),
-        "forward_error": vf,
-        "backward_error": vb,
-    }
+    if k < 1:
+        raise ValueError("order k must be at least 1, got %d" % k)
+    if len(acov) < k + 1:
+        raise ValueError("need autocovariances up to lag k=%d, got %d blocks" % (k, len(acov)))
+    gam = np.array([np.atleast_2d(g) for g in acov[:k + 1]], dtype=float)
+    d = gam.shape[1]
+    lags = np.concatenate([gam[:0:-1].swapaxes(1, 2), gam])  # Gamma(-k)..Gamma(k)
+    try:
+        factor = np.linalg.cholesky(_block_toeplitz(lags[1:-1]))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "order-%d window covariance is not positive definite" % k) from exc
+    # g^T of both predictors: row block j is [Gamma(-1-j), Gamma(k-j)]
+    rhs = np.concatenate([lags[k - 1::-1], lags[:k:-1]], axis=2).reshape(k * d, 2 * d)
+    coef = dpotrs(factor, rhs, lower=1)[0].T.reshape(2, d, k * d)
+    err = gam[0] - coef @ rhs.T.reshape(2, d, k * d).swapaxes(1, 2)
+    err = 0.5 * (err + err.swapaxes(1, 2))
+    try:  # smallest eigenvalues above PD_TOL, as Choleskys of the shifted matrices
+        np.linalg.cholesky(err - PD_TOL * np.eye(d))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "order-%d prediction-error covariance is not positive definite" % k) from exc
+    fwd, bwd = coef.reshape(2, d, k, d).swapaxes(1, 2)
+    return {"forward": list(fwd), "backward": list(bwd), "forward_error": err[0],
+            "backward_error": err[1], "factor": factor}
 
 
 def durbin_levinson(acov, k):
@@ -291,22 +275,7 @@ def sample_statistics(series, max_lag):
         autocov.append(xc[:, l:] @ xc[:, : T - l].T / T)
     pacf = np.empty((d, max_lag))
     for i in range(d):
-        rho = [autocov[l][i, i] / autocov[0][i, i] for l in range(max_lag + 1)]
-        pacf[i] = _scalar_pacf(rho, max_lag)
+        rho = [a[i, i] / autocov[0][i, i] for a in autocov]
+        for n in range(1, max_lag + 1):  # the last order-n forward coefficient
+            pacf[i, n - 1] = whittle_recursion(rho, n)["forward"][-1][0, 0]
     return SampleStats(autocov=tuple(autocov), pacf=pacf)
-
-
-def _scalar_pacf(rho, max_lag):
-    """Scalar Durbin-Levinson: autocorrelations rho_0..rho_m to PACFs."""
-    out = np.empty(max_lag)
-    phi = []
-    v = 1.0
-    for n in range(1, max_lag + 1):
-        delta = rho[n] - sum(phi[j] * rho[n - 1 - j] for j in range(n - 1))
-        a = delta / v
-        phi = [phi[j] - a * phi[n - 2 - j] for j in range(n - 1)] + [a]
-        v *= 1.0 - a * a
-        if v <= 0:
-            raise np.linalg.LinAlgError("sample autocorrelations are not a PD sequence")
-        out[n - 1] = a
-    return out

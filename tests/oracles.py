@@ -15,21 +15,24 @@ def _blk(blocks, l):
 
 
 def predictors_oracle(blocks):
-    """Forward and backward prediction coefficients by explicit inverse.
+    """Forward and backward prediction coefficients and errors by explicit inverse.
 
-    blocks: list of correlation blocks Sigma_0..Sigma_k.  Returns (fwd, bwd),
-    element m-1 multiplying Z_{t-m} when predicting Z_t (forward) or
-    Z_{t-k-1} (backward).
+    blocks: list of covariance blocks Sigma_0..Sigma_k.  Returns (fwd, bwd,
+    fwd_err, bwd_err): element m-1 of fwd or bwd multiplies Z_{t-m} when
+    predicting Z_t (forward) or Z_{t-k-1} (backward), and the errors are the
+    covariances Sigma_0 - c gram^-1 c^T of the two predictions, c the
+    covariance of the predicted point with the window.
     """
     k = len(blocks) - 1
     d = blocks[0].shape[0]
     gram = np.block([[_blk(blocks, c - r) for c in range(k)] for r in range(k)])
     gi = np.linalg.inv(gram)
-    fs = np.hstack([_blk(blocks, l) for l in range(1, k + 1)]) @ gi
-    bs = np.hstack([_blk(blocks, l) for l in range(-k, 0)]) @ gi
+    cf = np.hstack([_blk(blocks, l) for l in range(1, k + 1)])
+    cb = np.hstack([_blk(blocks, l) for l in range(-k, 0)])
+    fs, bs = cf @ gi, cb @ gi
     fwd = [fs[:, m * d:(m + 1) * d] for m in range(k)]
     bwd = [bs[:, m * d:(m + 1) * d] for m in range(k)]
-    return fwd, bwd
+    return fwd, bwd, blocks[0] - fs @ cf.T, blocks[0] - bs @ cb.T
 
 
 def cross_condition_residuals(blocks_i, blocks_j, labels, cross):
@@ -40,8 +43,8 @@ def cross_condition_residuals(blocks_i, blocks_j, labels, cross):
     for r = 1..k; the j-side conditions are the transposed analogues.
     """
     k = len(blocks_i) - 1
-    fwd_i, bwd_i = predictors_oracle(blocks_i)
-    fwd_j, bwd_j = predictors_oracle(blocks_j)
+    fwd_i, bwd_i, _, _ = predictors_oracle(blocks_i)
+    fwd_j, bwd_j, _, _ = predictors_oracle(blocks_j)
 
     def s(l):
         return cross[l]

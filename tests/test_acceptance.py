@@ -37,7 +37,6 @@ from mcvar.varprocess import (
     VarRepresentation,
     durbin_levinson,
     implied_autocov,
-    _scalar_pacf,
 )
 from oracles import copula_loglik_oracle
 
@@ -198,7 +197,7 @@ def test_criterion_06_closure_counterexample():
     var = VarRepresentation(phi=(np.array([[0.0, a12], [0.0, a22]]),), sigma=np.eye(2))
     gam = implied_autocov(var, 2)
     rho = [gam[l][0, 0] / gam[0][0, 0] for l in range(3)]
-    pacf2 = _scalar_pacf(rho, 2)[1]
+    pacf2 = durbin_levinson([np.array([[r]]) for r in rho], 2).phi[1][0, 0]
     closed_form = (
         a12 ** 2 * a22 ** 2 * (1.0 - a22 ** 2)
         / ((1.0 + a12 ** 2 - a22 ** 2) ** 2 - a12 ** 4 * a22 ** 2)

@@ -363,6 +363,38 @@ def test_model_file_with_a_malformed_field_is_named_exit_1(tmp_path, capsys, com
     assert not out.exists()
 
 
+_ORDER_0_MODEL = {
+    "format": "mcvar-model/1", "k": 0, "partition": [[0], [1]], "labels": [2, 2],
+    "margins": [{"family": "gaussian", "params": [0.0, 1.0]}] * 2,
+    "subprocess_corrs": [{"blocks": [[[1.0]]]}, {"blocks": [[[1.0]]]}],
+    "crosses": [{"pair": [0, 1], "blocks": [[[0.35]]]}],
+}
+_ORDER_MINUS_1_VAR = {
+    "format": "mcvar-model/1", "k": -1, "partition": [[0, 1]],
+    "var": {"phi": [[[0.5, 0.1], [0.0, -0.4]]], "sigma": [[1.0, 0.3], [0.3, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("verify", _ORDER_0_MODEL),
+    ("simulate", _ORDER_0_MODEL),
+    ("verify", _ORDER_MINUS_1_VAR),
+])
+def test_model_file_with_an_order_below_1_is_named_exit_1(tmp_path, capsys, command, doc):
+    # k = 0 with blocks of matching length once passed verify and broke simulate
+    # with a bare numpy error; a var-only k = -1 died in verify with an IndexError
+    path = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert '"k" must be at least 1, got %d' % doc["k"] in captured.err
+    assert "Traceback" not in captured.err
+    assert "PASSED" not in captured.out
+    assert not out.exists()
+
+
 def test_simulate_var_only_model_file(tmp_path, capsys):
     from mcvar.varprocess import VarRepresentation, simulate
 

@@ -265,6 +265,12 @@ def test_model_from_dict_refuses_a_label_other_than_1_or_2():
         Model.from_dict(dict(TRUE_MODEL.to_dict(), labels=[2, 3]))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_model_from_dict_refuses_an_order_below_1(k):
+    with pytest.raises(ValueError, match="model field 'k' must be at least 1"):
+        Model.from_dict(dict(TRUE_MODEL.to_dict(), k=k))
+
+
 def test_model_var_is_closed_over_partition():
     # labels (1, 1): both latent sub-processes evolve autonomously, so the
     # implied VAR coefficient blocks across sub-processes vanish

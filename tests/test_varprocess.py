@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import predictors_oracle, random_stationary_var, simulate_oracle
+from oracles import (
+    durbin_levinson_scalar,
+    partial_autocorr_oracle,
+    predictors_oracle,
+    random_stationary_var,
+    simulate_oracle,
+)
 from mcvar.varprocess import (
     SampleStats,
     VarRepresentation,
@@ -81,21 +87,58 @@ def test_whittle_scalar_backward_is_reversed_forward():
     assert_allclose(state["backward_error"], state["forward_error"], atol=1e-12)
 
 
-def test_whittle_matches_explicit_inverse_oracle():
-    rng = np.random.default_rng(7)
-    for d, k in [(1, 3), (2, 1), (2, 2), (3, 2)]:
-        var = random_stationary_var(rng, d, k)
-        gam = implied_autocov(var, k)
-        state = whittle_recursion(gam, k)
-        fwd, bwd = predictors_oracle(gam)
-        for m in range(k):
-            assert_allclose(state["forward"][m], fwd[m], atol=1e-9)
-            assert_allclose(state["backward"][m], bwd[m], atol=1e-9)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_whittle_matches_explicit_inverse_oracle(d, k, seed):
+    rng = np.random.default_rng(seed)
+    var = random_stationary_var(rng, d, k)
+    gam = implied_autocov(var, k)
+    state = whittle_recursion(gam, k)
+    fwd, bwd, fwd_err, bwd_err = predictors_oracle(gam)
+    for m in range(k):
+        assert_allclose(state["forward"][m], fwd[m], atol=1e-9)
+        assert_allclose(state["backward"][m], bwd[m], atol=1e-9)
+    assert_allclose(state["forward_error"], fwd_err, atol=1e-9)
+    assert_allclose(state["backward_error"], bwd_err, atol=1e-9)
+    if d == 1:
+        # a recursion on the autocorrelations, not the same algebra as the solve
+        _, _, preds, variances = durbin_levinson_scalar(
+            [g[0, 0] / gam[0][0, 0] for g in gam[1:]], given="acf")
+        assert_allclose([p[0, 0] for p in state["forward"]], preds[k], atol=1e-9)
+        assert_allclose(state["forward_error"][0, 0], variances[k] * gam[0][0, 0], atol=1e-9)
+    # sample PACFs at every lag against conditional correlations by explicit inverse
+    stats = sample_statistics(simulate(var, 200, seed), k + 1)
+    for i in range(d):
+        acov = [a[i, i] for a in stats.autocov]
+        for lag in range(1, k + 2):
+            assert_allclose(stats.pacf[i, lag - 1], partial_autocorr_oracle(acov, lag),
+                            atol=1e-10)
 
 
 def test_whittle_rejects_non_pd_sequence():
     with pytest.raises(np.linalg.LinAlgError):
         whittle_recursion(scalar_blocks([1.0, 1.0, 1.0]), 2)
+
+
+def test_whittle_rejects_an_order_k_error_below_pd_tol():
+    # the window matrix [1] is PD at k = 1; the check falls on the order-1 error,
+    # 1 - (1 - 1e-12)^2 = 2e-12 < PD_TOL, where 1 - 0.99^2 = 0.0199 passes
+    with pytest.raises(np.linalg.LinAlgError):
+        whittle_recursion(scalar_blocks([1.0, 1.0 - 1e-12]), 1)
+    state = whittle_recursion(scalar_blocks([1.0, 0.99]), 1)
+    assert_allclose(state["forward_error"][0, 0], 1.0 - 0.99 ** 2, atol=1e-15)
+    # d = 2, Gamma(0) = diag(1, 1e-4), Gamma(1) = a e_1 e_2^T with a^2 = 1e-4 - 1e-12:
+    # the forward error diag(1e-8, 1e-4) passes and the backward diag(1, 1e-12) does
+    # not; the transposed lag block swaps the two, so each error is checked
+    lag1 = np.array([[0.0, np.sqrt(1e-4 - 1e-12)], [0.0, 0.0]])
+    for g1 in (lag1, lag1.T):
+        with pytest.raises(np.linalg.LinAlgError):
+            whittle_recursion([np.diag([1.0, 1e-4]), g1], 1)
+
+
+def test_whittle_refuses_an_order_below_1():
+    with pytest.raises(ValueError):
+        whittle_recursion(scalar_blocks([1.0, 0.5]), 0)
 
 
 def test_implied_autocov_roundtrip():
