@@ -130,8 +130,10 @@ class Model:
     def from_dict(cls, d):
         """Inverse of :meth:`to_dict`.  A bool or non-integer ``k``, label,
         partition index or cross pair index, a ``k`` below 1, a label other
-        than 1 or 2, and a count of labels, margins, sub-processes or crosses
-        that does not match the partition raise ValueError naming the field."""
+        than 1 or 2, a count of labels, margins, sub-processes or crosses
+        that does not match the partition, a cross pair not i < j within it,
+        and lag blocks that are not k+1 (sub-process) or 2k+1 (cross) finite
+        d_i x d_j blocks raise ValueError naming the field."""
         sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
         dim = sum(len(s) for s in sets)
         part = Partition(sets=sets, d=dim)
@@ -143,23 +145,24 @@ class Model:
         if any(c not in (1, 2) for c in labels):
             raise ValueError("model field 'labels' must hold 1 or 2, got %r" % (list(labels),))
         subs = tuple(
-            SubprocessCorr(blocks=tuple(np.asarray(b, dtype=float) for b in e["blocks"]))
-            for e in _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n,
-                                    "partition set")
+            SubprocessCorr(blocks=_lag_blocks(e["blocks"], "subprocess_corrs", k + 1,
+                                              (len(s), len(s))))
+            for e, s in zip(_counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n,
+                                           "partition set"), sets)
         )
-        crosses = tuple(
-            CrossSolution(
-                pair=tuple(_integer_field(v, "crosses pair") for v in e["pair"]),
-                order=k,
-                blocks=tuple(np.asarray(b, dtype=float) for b in e["blocks"]),
-            )
-            for e in _counted_field(d["crosses"], "crosses", len(_pair_list(part.n)),
-                                    "pair of partition sets")
-        )
+        pairs = _pair_list(part.n)
+        crosses = []
+        for e in _counted_field(d["crosses"], "crosses", len(pairs), "pair of partition sets"):
+            pair = tuple(_integer_field(v, "crosses pair") for v in e["pair"])
+            if pair not in pairs:
+                raise ValueError("model field 'crosses pair' must name sets i < j of the "
+                                 "partition, got %r" % (list(pair),))
+            crosses.append(CrossSolution(pair=pair, order=k, blocks=_lag_blocks(
+                e["blocks"], "crosses", 2 * k + 1, (len(sets[pair[0]]), len(sets[pair[1]])))))
         margins = tuple(MarginSpec.from_dict(m)
                         for m in _counted_field(d["margins"], "margins", dim, "variable"))
         return cls(partition=part, labels=labels, k=k, margins=margins, subs=subs,
-                   crosses=crosses)
+                   crosses=tuple(crosses))
 
 
 def _integer_field(value, name):
@@ -167,6 +170,18 @@ def _integer_field(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("model field %r must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def _lag_blocks(blocks, name, n, shape):
+    """The n lag blocks of one entry of a model document, each finite and of ``shape``."""
+    try:
+        stack = np.asarray(blocks, dtype=float)
+    except (TypeError, ValueError):  # a ragged or non-numeric block
+        stack = np.empty(0)
+    if stack.shape != (n, *shape) or not np.isfinite(stack).all():
+        raise ValueError("model field %r must hold %d finite %d x %d blocks per entry"
+                         % (name, n, *shape))
+    return tuple(stack)
 
 
 def _counted_field(items, name, n, each):

@@ -5,6 +5,7 @@ Lag convention used throughout: ``Gamma(l) = Cov(Z_t, Z_{t-l})`` so that
 variable).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,47 +144,36 @@ def implied_autocov(var, m):
 def seeded_normals(seed, shape):
     """Deterministic standard normals: PCG64 53-bit uniforms through the inverse CDF.
 
-    The uniform draw is (n + 0.5) * 2^-53 with n a 53-bit PCG64 integer, so the
-    output is reproducible bit-for-bit for a given seed on any platform.
+    ``shape`` is an int or a tuple.  Each uniform is PCG64's 53-bit draw
+    n * 2^-53 plus 2^-54, that is (n + 0.5) * 2^-53 rounded once, so it lies
+    strictly inside (0, 1); it goes through the inverse normal CDF in place.
+    The output is reproducible bit-for-bit for a given seed on any platform.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = (rng.integers(0, 2**53, size=shape).astype(float) + 0.5) * 2.0**-53
-    return ndtri(u)
+    u = np.random.Generator(np.random.PCG64(seed)).random(shape)
+    u += 2.0**-54
+    return ndtri(u, out=u)
 
 
-# Steps per block of the latent recursion, and blocks per GEMM chunk: chunks
-# of 256 blocks keep the GEMM temporaries small beside the T x d path.
-_BLOCK = 16
-_CHUNK = 256
+def _state_responses(var, m):
+    """The first d rows of F, F^2, ..., F^m (F the companion matrix), for :func:`simulate`.
 
-
-def _block_responses(var, m):
-    """Impulse and state responses over m steps of a VAR, for :func:`simulate`.
-
-    Returns the (md x md) block lower-triangular A whose block (i, j) is
-    Psi_{i-j}, the top-left d x d block of F^{i-j} (F the companion matrix),
-    and the (md x kd) C whose row block i is the first d rows of F^{i+1}, its
-    column blocks ordered to act on the window (Z_{t-k}, ..., Z_{t-1}),
-    oldest first.  The rows are formed in long double by the recursion
-    C_{i+1} = C_i F and rounded once to float64: powers of a non-normal F
-    near the unit circle formed in float64 carry rounding that the
-    step-by-step recursion does not.
+    Returns the (md x kd) C whose row block i is the first d rows of F^{i+1},
+    its column blocks ordered to act on the window (Z_{t-k}, ..., Z_{t-1}),
+    oldest first: row block i maps the k observations before a block to its
+    step i when the block's shocks are zero.  The rows are formed in long
+    double by the recursion C_{i+1} = C_i F and rounded once to float64:
+    powers of a non-normal F near the unit circle formed in float64 carry
+    rounding that the step-by-step recursion does not.
     """
     d, k = var.d, var.k
-    phi = np.hstack(var.phi).astype(np.longdouble)  # the first d rows of F
-    rows = [phi]
-    for _ in range(m - 1):
+    C = np.empty((m, d, k * d), dtype=np.longdouble)
+    C[0] = np.hstack(var.phi)  # the first d rows of F
+    for i in range(1, m):
         # C_i F: the first column block through F's top rows, the rest
         # through its shifted identity blocks
-        nxt = rows[-1][:, :d] @ phi
-        nxt[:, :-d] += rows[-1][:, d:]
-        rows.append(nxt)
-    C = np.vstack(rows).astype(float)
-    psi = np.vstack([np.eye(d), C[:(m - 1) * d, :d]])  # Psi_0..Psi_{m-1}
-    A = np.zeros((m * d, m * d))
-    for j in range(m):
-        A[j * d:, j * d:(j + 1) * d] = psi[:(m - j) * d]
-    return A, C.reshape(m * d, k, d)[:, ::-1].reshape(m * d, k * d)
+        np.matmul(C[i - 1, :, :d], C[0], out=C[i])
+        C[i, :, :-d] += C[i - 1, :, d:]
+    return C.astype(float).reshape(m * d, k, d)[:, ::-1].reshape(m * d, k * d)
 
 
 def simulate(var, T, seed):
@@ -191,48 +181,56 @@ def simulate(var, T, seed):
 
     The first k observations are drawn from the stationary joint law of
     (Z_1, ..., Z_k) via a Cholesky factor of its block Toeplitz covariance.
-    Later rows of a time-major (T, d) buffer start as the shocks Le eps_t and
-    follow the recursion in blocks of m = max(16, k) steps: a block's path is
-    its shocks through A plus C applied to the k rows before it
-    (:func:`_block_responses`).  Per chunk of at most 256 blocks, one GEMM
-    forms the zero-state paths in place, a loop over the blocks carries the
-    window of k rows with the last k row blocks of C, and one more GEMM adds
-    every block's carry-in.  A last block of fewer than m steps uses the
-    leading rows of A and C.  Output is d x T, a transposed view of the
-    buffer.
+    Later rows of a time-major buffer start as the shocks Le eps_t and are
+    cut into blocks of m = max(16, k, isqrt(T) // 4) steps, the last one
+    padded with zero shocks.  Each block's zero-state path, its shocks
+    through the recursion from a zero window, comes from the per-lag
+    recursion run for every block at once: step i is one GEMM of the
+    blocks' previous min(i, k) rows with the stacked coefficients, added in
+    place.  A loop over the blocks then carries the window of k rows with
+    the last k row blocks of :func:`_state_responses`, and chunks of m
+    blocks add each block's carry-in, C applied to the window before it.
+    Output is d x T, a transposed view of the buffer.
     """
-    if not is_stationary(var):
-        raise ValueError("simulate requires a stationary VAR")
     d, k = var.d, var.k
+    try:  # implied_autocov refuses a VAR that is not stationary
+        gam = implied_autocov(var, max(k - 1, 0))
+    except ValueError:
+        raise ValueError("simulate requires a stationary VAR") from None
     if T < k:
         raise ValueError("T=%d shorter than order k=%d" % (T, k))
-    gam = implied_autocov(var, max(k - 1, 0))
     # block (r, s) is Gamma(r - s), the lag-(s - r) block of the transposes
     init_cov = _lag_toeplitz([g.T for g in gam])
     L0 = np.linalg.cholesky(symmetrize(init_cov, tol=1e-8))
     Le = np.linalg.cholesky(var.sigma)
 
     eps = seeded_normals(seed, (d, T))
-    z = np.empty((T, d))
+    m = max(16, k, math.isqrt(T) // 4)
+    n_blocks = -(-(T - k) // m)
+    z = np.empty((k + n_blocks * m, d))
     z[:k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape(k, d)
-    z[k:] = (Le @ eps[:, k:]).T
-    m = max(_BLOCK, k)
-    A, C = _block_responses(var, m)
+    z[k:T] = (Le @ eps[:, k:]).T
+    z[T:] = 0.0
+    blocks = z[k:].reshape(n_blocks, m * d)
+    coef = np.vstack([p.T for p in var.phi[::-1]])  # acts on Z_{t-k}, ..., Z_{t-1}
+    tmp = np.empty((n_blocks, d))
+    for i in range(1, m):
+        j = min(i, k)
+        step = blocks[:, i * d:(i + 1) * d]
+        np.add(step, np.matmul(blocks[:, (i - j) * d:i * d], coef[-j * d:], out=tmp), out=step)
+    C = _state_responses(var, m)
     carry = C[-k * d:]  # a block's last k steps: the next block's window
-    window = z[:k].reshape(-1)
-    n_blocks, rest = divmod(T - k, m)
-    blocks = z[k:k + n_blocks * m].reshape(n_blocks, m * d)
-    for lo in range(0, n_blocks, _CHUNK):
-        chunk = blocks[lo:lo + _CHUNK]
-        chunk[:] = chunk @ A.T
-        windows = np.empty((len(chunk), k * d))
-        for b, path in enumerate(chunk):
-            windows[b] = window
-            window = path[-k * d:] + carry @ window
-        chunk += windows @ C.T
-    tail = z[k + n_blocks * m:].reshape(-1)
-    tail[:] = A[:rest * d, :rest * d] @ tail + C[:rest * d] @ window
-    return z.T
+    # row b: the k rows before block b, block b-1's zero-state last k steps
+    # plus the carry of the window before it
+    windows = np.empty((n_blocks, k * d))
+    windows[:1] = z[:k].reshape(1, -1)
+    windows[1:] = blocks[:-1, -k * d:]
+    rows = list(windows)
+    for prev, window in zip(rows, rows[1:]):
+        window += carry @ prev
+    for lo in range(0, n_blocks, m):
+        blocks[lo:lo + m] += windows[lo:lo + m] @ C.T
+    return z[:T].T
 
 
 def residuals(z, var):

@@ -557,6 +557,15 @@ def time_major_index(partition, k):
     return [labels.index((r, v)) for r in range(k + 1) for v in range(partition.d)]
 
 
+def seeded_normals_oracle(seed, shape):
+    """``varprocess.seeded_normals`` from integer draws: PCG64's 53-bit integers
+    n, the uniforms (n + 0.5) * 2^-53, then the inverse normal CDF."""
+    from scipy.special import ndtri
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return ndtri((rng.integers(0, 2**53, size=shape).astype(float) + 0.5) * 2.0**-53)
+
+
 def simulate_oracle(var, T, seed, dtype=float):
     """Stationary VAR path by the per-lag recursion on a d x T buffer.
 

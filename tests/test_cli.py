@@ -363,6 +363,49 @@ def test_model_file_with_a_malformed_field_is_named_exit_1(tmp_path, capsys, com
     assert not out.exists()
 
 
+def _cut_cross(doc):
+    doc["crosses"][0]["blocks"] = doc["crosses"][0]["blocks"][:1]
+
+
+def _nan_in_sub(doc):
+    doc["subprocess_corrs"][1]["blocks"][1][0][0] = float("nan")
+
+
+def _nan_in_cross(doc):
+    doc["crosses"][0]["blocks"][2][0][0] = float("nan")
+
+
+def _wide_sub_block(doc):
+    doc["subprocess_corrs"][0]["blocks"][1] = [[0.5, 0.0]]
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("field, edit", [
+    ("crosses", _cut_cross), ("subprocess_corrs", _nan_in_sub),
+    ("crosses", _nan_in_cross), ("subprocess_corrs", _wide_sub_block),
+])
+def test_model_file_with_malformed_blocks_is_named_exit_1(tmp_path, capsys, command, field, edit):
+    # a cross cut to 1 of its 2k+1 blocks was broadcast over every lag, so
+    # simulate wrote data from a model that is not closed; a NaN made simulate
+    # exit 2 with a numerical failure
+    cfg = write_json(tmp_path / "cfg.json", construct_config(k=1, c0=0.2))
+    model = tmp_path / "model.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    edit(doc)
+    path = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "model field '%s'" % field in captured.err
+    assert "Traceback" not in captured.err
+    assert "PASSED" not in captured.out
+    assert not out.exists()
+
+
 _ORDER_0_MODEL = {
     "format": "mcvar-model/1", "k": 0, "partition": [[0], [1]], "labels": [2, 2],
     "margins": [{"family": "gaussian", "params": [0.0, 1.0]}] * 2,

@@ -260,6 +260,22 @@ def test_model_from_dict_refuses_a_count_that_does_not_match_the_partition(field
         Model.from_dict(doc)
 
 
+@pytest.mark.parametrize("field, entry, key, value", [
+    ("crosses", "crosses", "blocks", lambda b: b[:1]),
+    ("crosses", "crosses", "blocks", lambda b: [[row + [0.0] for row in x] for x in b]),
+    ("crosses", "crosses", "blocks", lambda b: [b[0]] + [[[np.inf]]] * (len(b) - 1)),
+    ("subprocess_corrs", "subprocess_corrs", "blocks", lambda b: b + b[-1:]),
+    ("subprocess_corrs", "subprocess_corrs", "blocks", lambda b: b[:1] + [[[np.nan]]] * (len(b) - 1)),
+    ("crosses pair", "crosses", "pair", lambda p: p[::-1]),
+    ("crosses pair", "crosses", "pair", lambda p: [0, 2]),
+])
+def test_model_from_dict_refuses_blocks_that_do_not_fit_the_model(field, entry, key, value):
+    doc = TRUE_MODEL.to_dict()
+    doc[entry][0][key] = value(doc[entry][0][key])
+    with pytest.raises(ValueError, match="model field %r" % field):
+        Model.from_dict(doc)
+
+
 def test_model_from_dict_refuses_a_label_other_than_1_or_2():
     with pytest.raises(ValueError, match="model field 'labels' must hold 1 or 2"):
         Model.from_dict(dict(TRUE_MODEL.to_dict(), labels=[2, 3]))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from mcvar.margins import (
     quantile,
 )
 from mcvar.varprocess import seeded_normals
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_margin_spec_validation():
@@ -296,18 +299,18 @@ def test_fit_margin_rejects_a_non_finite_sample(family, bad):
 
 
 def _edge_replicate():
-    """A paper_k2 replicate whose first variable's skew-t fit runs to the box edge."""
-    from mcvar.closure import CrossFixedBlock, Partition, SubprocessCorr
-    from mcvar.estimation import construct_model, simulate_model
+    """A paper_k2 replicate whose first variable's skew-t fit runs to the box edge.
 
-    subs = [SubprocessCorr(blocks=tuple(np.array([[v]]) for v in values))
-            for values in ([1.0, -0.8, 0.6], [1.0, 0.6, 0.5])]
-    truth = construct_model(
-        Partition(sets=((0,), (1,)), d=2), (2, 2), 2,
-        (MarginSpec("skewt", (0.850, 0.791, 5.739, 9.344)),
-         MarginSpec("skewt", (-0.032, 0.172, 3.053, 2.738))),
-        subs, [CrossFixedBlock((0, 1), 0, [[0.35]])])
-    return simulate_model(truth, 2000, 23 * 1_000_003 + 23)
+    The 2 x 2000 sample is stored, not simulated here, so that the margin tests
+    on it do not move with the last bits of ``simulate_model``.  It was drawn
+    by ``simulate_model(truth, 2000, 23 * 1_000_003 + 23)`` with the latent
+    recursion in blocks of 16 steps through a dense impulse-response matrix,
+    truth being the paper's bivariate k = 2 model: skew-t margins
+    (0.850, 0.791, 5.739, 9.344) and (-0.032, 0.172, 3.053, 2.738), scalar
+    sub-processes with autocorrelations (1, -0.8, 0.6) and (1, 0.6, 0.5),
+    labels (2, 2) and the lag-0 cross block 0.35.
+    """
+    return np.load(DATA / "edge_replicate.npy")
 
 
 def test_fit_margin_on_the_box_edge_is_not_converged():

@@ -10,6 +10,7 @@ from oracles import (
     partial_autocorr_oracle,
     predictors_oracle,
     random_stationary_var,
+    seeded_normals_oracle,
     simulate_oracle,
 )
 from mcvar.varprocess import (
@@ -190,6 +191,15 @@ def test_seeded_normals_frozen_values():
     assert np.any(seeded_normals(9, 10) != seeded_normals(10, 10))
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**32 + 7, 2**63 + 5])
+@pytest.mark.parametrize("shape", [(), 5, (19, 100_000)])
+def test_seeded_normals_matches_the_integer_draw_oracle(seed, shape):
+    # the float draw plus 2^-54 rounds once to the integer formula's value
+    got = seeded_normals(seed, shape)
+    assert np.shape(got) == np.empty(shape).shape
+    assert np.array_equal(got, seeded_normals_oracle(seed, shape))
+
+
 def test_simulate_is_deterministic_and_stationary():
     rng = np.random.default_rng(17)
     var = random_stationary_var(rng, 2, 2)
@@ -215,6 +225,11 @@ def test_simulate_is_deterministic_and_stationary():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(d=3, k=4, extra=0, seed=2)
+# near T = 10,000 a block is m = isqrt(T) // 4 = 25 steps: T - k = 400 m - 1,
+# 400 m and 400 m + 1 end one step short of, on and one step past a boundary
+@example(d=2, k=1, extra=9_999, seed=5)
+@example(d=3, k=2, extra=10_000, seed=6)
+@example(d=4, k=4, extra=10_001, seed=7)
 def test_simulate_matches_per_lag_oracle(d, k, extra, seed):
     var = random_stationary_var(np.random.default_rng(seed), d, k)
     T = k + extra
@@ -237,11 +252,15 @@ def test_simulate_matches_per_lag_oracle(d, k, extra, seed):
     d=st.integers(1, 6),
     k=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
-    # with m = 16 steps per block (k <= 4): T = k, k + 1, k + m - 1, k + m + 1,
-    # and a T past two chunks of 256 blocks that ends in a partial block
+    # with m = 16 steps per block (k <= 4): T = k, k + 1, k + m - 1, k + m + 1;
+    # at T = k + 9,995 a block is m = isqrt(T) // 4 = 24 steps and the last is partial
     steps=st.sampled_from([0, 1, 15, 17, 9_995]),
 )
 @example(d=6, k=4, seed=3, steps=9_995)
+# m = 25 steps: T - k = 400 m - 1, 400 m and 400 m + 1
+@example(d=6, k=4, seed=4, steps=9_999)
+@example(d=5, k=3, seed=5, steps=10_000)
+@example(d=4, k=1, seed=6, steps=10_001)
 def test_simulate_near_the_unit_circle_matches_a_long_double_recursion(d, k, seed, steps):
     # spectral radius 0.999: the powers of F behind the block recursion carry
     # the most rounding here, so the block path must stay as close to the
