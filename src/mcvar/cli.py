@@ -179,9 +179,17 @@ def _load_json(path, expect_format):
 
 
 def _dump_json(path, doc):
+    """Write the JSON object ``doc`` with one top-level field per line.
+
+    Each value is encoded by ``json.dumps`` with no ``indent``, the one call
+    that takes CPython's C encoder (``json.dump``, and any ``indent``, take
+    the pure-Python one).  Floats are written as their shortest round-trip
+    repr either way, so a file reads back to the same numbers.
+    """
+    fields = ",\n".join("  %s: %s" % (json.dumps(key), json.dumps(value))
+                         for key, value in doc.items())
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n%s\n}\n" % fields)
 
 
 def _parse_partition(doc, path):
@@ -223,9 +231,10 @@ def load_model_file(path):
 
     ``fields`` holds the file's ``partition``, ``k`` and ``labels``, each only
     when present, read as integers before the model is built; a ``k`` below 1
-    is refused.  A file with only a ``var`` entry (coefficients plus
-    innovation covariance) loads with ``model`` None; verify scores it
-    through the implied autocovariances.
+    is refused.  It also holds ``names``, None when absent; a list that is
+    not one name per variable is refused.  A file with only a ``var`` entry
+    (coefficients plus innovation covariance) loads with ``model`` None;
+    verify scores it through the implied autocovariances.
     """
     doc = _load_json(path, {MODEL_FORMAT})
     fields = {}
@@ -238,10 +247,14 @@ def load_model_file(path):
     if "labels" in doc:
         fields["labels"] = _labels(doc, path)
     if "subprocess_corrs" in doc and "crosses" in doc:
-        return Model.from_dict(doc), doc, fields
-    if "var" in doc:
-        return None, doc, fields
-    raise CliError("%s: neither sub-process blocks nor a var entry" % path)
+        model = Model.from_dict(doc)
+        d = model.partition.d
+    elif "var" in doc:
+        model, d = None, len(doc["var"]["sigma"])
+    else:
+        raise CliError("%s: neither sub-process blocks nor a var entry" % path)
+    fields["names"] = _names(doc, path, d)
+    return model, doc, fields
 
 
 def _integer(value, source, nonnegative=False):
@@ -422,7 +435,7 @@ def cmd_verify(args):
 # -- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args):
-    model, doc, _ = load_model_file(args.config)
+    model, doc, fields = load_model_file(args.config)
     if args.seed is not None:
         seed = _integer(args.seed, "--seed", True)
     else:
@@ -435,7 +448,7 @@ def cmd_simulate(args):
     else:
         var = _var_from_doc(doc)
         d, prefix = var.sigma.shape[0], "z"
-    names = _names(doc, args.config, d) or ["%s%d" % (prefix, i) for i in range(d)]
+    names = fields["names"] or ["%s%d" % (prefix, i) for i in range(d)]
     x = simulate_model(model, T, seed) if model is not None else simulate(var, T, seed)
     out = args.out or "mcvar_sim.csv"
     with open(out, "w", newline="") as fh:

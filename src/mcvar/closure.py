@@ -501,16 +501,20 @@ def verify_closure(r, partition, k, tol=1e-8):
     """Check the two sufficient closure conditions on a time-major correlation matrix.
 
     The matrix is extended to k+2 time slices through the implied VAR
-    autocovariances, then for each sub-process the conditional cross
-    covariances of both conditions are evaluated at lag k+1:
+    autocovariances.  Each sub-process then takes one conditioning: the
+    covariance of Z_{S_i,t}, Z_{S_i,t-k-1} and the other sub-processes'
+    intermediates Z_{-S_i,t-1..t-k}, given the sub-process's own
+    intermediates Z_{S_i,t-1..t-k}.  Three off-diagonal blocks of that one
+    Schur complement are the residuals, each its largest absolute entry:
 
-    * condition 1: Z_{S_i,t} against the other sub-processes' intermediates,
-      given the sub-process's own intermediates;
+    * condition 1: Z_{S_i,t} against the others' intermediates;
     * condition 2: the same with Z_{S_i,t-k-1} in place of Z_{S_i,t};
-    * the Markov residual between Z_{S_i,t} and Z_{S_i,t-k-1} given the own
-      intermediates (zero when the sub-process is Markov of order <= k).
+    * the Markov residual between Z_{S_i,t} and Z_{S_i,t-k-1} (zero when
+      the sub-process is Markov of order <= k).
 
-    A sub-process passes when either condition's residual is below ``tol``.
+    With a single partition set there are no other intermediates, and both
+    condition residuals are 0.0.  A sub-process passes when either
+    condition's residual is below ``tol``.
     """
     d = partition.d
     r = np.asarray(r, dtype=float)
@@ -524,21 +528,15 @@ def verify_closure(r, partition, k, tol=1e-8):
     reports = []
     for i, s in enumerate(partition.sets):
         own = list(s)
-        other = list(partition.complement(i))
-        a = [v for v in own]
-        b = [(k + 1) * d + v for v in own]
+        n = len(own)
+        far = [(k + 1) * d + v for v in own]
         v_idx = [r_ * d + v for r_ in range(1, k + 1) for v in own]
-        w_idx = [r_ * d + w for r_ in range(1, k + 1) for w in other]
-
-        def cross_residual(head_a, head_b):
-            if not head_b:
-                return 0.0
-            _, cc = gaussian_condition(big, head_a + head_b, v_idx)
-            return float(np.max(np.abs(cc[: len(head_a), len(head_a):])))
-
-        c1 = cross_residual(a, w_idx)
-        c2 = cross_residual(b, w_idx)
-        mk = cross_residual(a, b)
+        w_idx = [r_ * d + w for r_ in range(1, k + 1) for w in partition.complement(i)]
+        _, cc = gaussian_condition(big, own + far + w_idx, v_idx)
+        # initial=0.0 gives the empty w blocks of a one-set partition a zero residual
+        c1 = float(np.abs(cc[:n, 2 * n:]).max(initial=0.0))
+        c2 = float(np.abs(cc[n:2 * n, 2 * n:]).max(initial=0.0))
+        mk = float(np.abs(cc[:n, n:2 * n]).max())
         holds = 1 if c1 < tol else (2 if c2 < tol else None)
         reports.append(
             SubprocessClosure(

@@ -12,6 +12,7 @@ latent term alone, on latent scores computed once per fit:
 * stage 4 (optional) refines all dependence parameters from the warm start.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -85,12 +86,36 @@ class ModelConfig:
             raise ValueError("model order k must be >= 1")
 
 
+def _computed_once(method):
+    """Keep the first result of a no-argument method in the instance ``__dict__``.
+
+    As :class:`functools.cached_property` does, the value is written to the
+    ``__dict__`` directly, so a frozen dataclass needs no ``__setattr__``; it is
+    kept under the method's name with a leading underscore, and every later
+    call returns that same object.
+    """
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def once(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+
+    return once
+
+
 @dataclass(frozen=True)
 class Model:
     """A fully specified margin-closed model.
 
     ``margins`` follows the natural variable order 0..d-1; ``subs`` and
     ``crosses`` follow the partition (pairs in lexicographic order).
+    :meth:`time_major_R` and :meth:`var` are computed on their first call
+    and kept; the arrays they return are read-only, so no caller can alter
+    what later callers get.
     """
 
     partition: Partition
@@ -100,13 +125,21 @@ class Model:
     subs: tuple
     crosses: tuple
 
+    @_computed_once
     def time_major_R(self):
-        return assemble_full_R(self.partition, self.subs, self.crosses)
+        """Correlation matrix of (Z_t, ..., Z_{t-k}), from :func:`assemble_full_R`."""
+        r = assemble_full_R(self.partition, self.subs, self.crosses)
+        r.flags.writeable = False
+        return r
 
+    @_computed_once
     def var(self):
         """Implied VAR(k) coefficients on the latent (correlation) scale."""
         gamma = _lag_stack(self.partition, self.subs, self.crosses)
-        return durbin_levinson(gamma[self.k:], self.k)
+        var = durbin_levinson(gamma[self.k:], self.k)
+        for a in (*var.phi, var.sigma):
+            a.flags.writeable = False
+        return var
 
     def to_dict(self):
         return {

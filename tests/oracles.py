@@ -544,6 +544,38 @@ def assemble_oracle(subs, crosses):
     return np.block(rows)
 
 
+def closure_residuals_oracle(r, partition, k):
+    """(cond1, cond2, markov) residuals of each sub-process, one conditioning per residual.
+
+    The slow form of :func:`mcvar.closure.verify_closure`: the time-major R
+    is extended to k+2 slices with the VAR(k) coefficients of
+    :func:`predictors_oracle`, and each residual is the largest absolute
+    entry of its own conditional cross covariance Sigma_xy - Sigma_xv
+    Sigma_vv^-1 Sigma_vy given the own intermediates v, by an explicit solve.
+    """
+    d = partition.d
+    blocks = [r[:d, l * d:(l + 1) * d] for l in range(k + 1)]
+    fwd = predictors_oracle(blocks)[0]
+    blocks.append(sum(fwd[m] @ blocks[k - m] for m in range(k)))
+    big = block_toeplitz_oracle(lambda l: _blk(blocks, l), k + 1)
+    out = []
+    for s in partition.sets:
+        now = list(s)
+        far = [(k + 1) * d + v for v in s]
+        given = [r_ * d + v for r_ in range(1, k + 1) for v in s]
+        others = [r_ * d + v for r_ in range(1, k + 1) for v in range(d) if v not in s]
+
+        def residual(x, y):
+            if not y:
+                return 0.0
+            cov = big[np.ix_(x, y)] - big[np.ix_(x, given)] @ np.linalg.solve(
+                big[np.ix_(given, given)], big[np.ix_(given, y)])
+            return float(np.max(np.abs(cov)))
+
+        out.append((residual(now, others), residual(far, others), residual(now, far)))
+    return out
+
+
 def time_major_index(partition, k):
     """Positions of the time-major order in the sub-process-major order, by labels.
 

@@ -1,13 +1,17 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import functools
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcvar.cli import CliError, Dataset, _fmt_matrix, load_csv, main, transform
+from mcvar.cli import (CliError, Dataset, _fmt_matrix, load_csv, main, model_file_dict,
+                       transform)
 
 
 def write_json(path, doc):
@@ -39,6 +43,16 @@ def construct_config(labels=(2, 2), k=2, c0=0.35, blocks1=None, blocks2=None):
         ],
         "seed": 7,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, which builds each workload's model and config."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ------------------------------------------------------------- output helpers
@@ -338,6 +352,48 @@ def test_simulate_refuses_names_of_the_wrong_length_exit_1(tmp_path, capsys):
     assert main(["simulate", "--config", bad, "--length", "30", "--out", str(out)]) == 1
     assert '"names" has 1 entries, expected 2' in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, var_only", [("verify", False), ("simulate", False),
+                                               ("verify", True)])
+def test_model_file_with_names_of_the_wrong_length_is_named_exit_1(tmp_path, capsys, command,
+                                                                   var_only):
+    # verify once passed a model file whose names were cut short, while simulate refused it
+    workloads = bench_workloads()
+    doc = workloads.config_doc(workloads.build("mixed_k1_stage4", 41).sim_model)
+    cfg = write_json(tmp_path / "cfg.json", dict(doc, names=["x", "y", "w"]))
+    model = tmp_path / "model.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    if var_only:
+        doc = {key: doc[key] for key in ("format", "k", "partition", "var", "names")}
+    path = write_json(tmp_path / "bad.json", dict(doc, names=doc["names"][:2]))
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert '"names" has 2 entries, expected 3' in captured.err
+    assert "Traceback" not in captured.err
+    assert "PASSED" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workload", ["paper_k2", "mixed_k1_stage4", "scale_k3_d19"])
+def test_construct_writes_the_model_file_dict_one_field_per_line(tmp_path, workload):
+    workloads = bench_workloads()
+    model = workloads.build(workload, 41).sim_model
+    cfg = write_json(tmp_path / "cfg.json", workloads.config_doc(model))
+    out = tmp_path / "model.json"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    want = model_file_dict(model)
+    with open(out) as fh:
+        assert json.load(fh) == want
+    lines = out.read_text().splitlines()
+    assert (lines[0], lines[-1]) == ("{", "}")
+    fields = [json.loads("{%s}" % line.rstrip(",")) for line in lines[1:-1]]
+    assert [key for field in fields for key in field] == list(want)
 
 
 @pytest.mark.parametrize("command, field, bad", [

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
     assemble_oracle,
     block_toeplitz_oracle,
+    closure_residuals_oracle,
     cross_condition_residuals,
     dense_cross_solve,
     partial_autocorr_oracle,
@@ -28,6 +29,9 @@ from mcvar.closure import (
     solve_cross_pair,
     verify_closure,
 )
+from mcvar.estimation import construct_model
+from mcvar.linalg import is_positive_definite
+from mcvar.margins import MarginSpec
 from mcvar.varprocess import (
     VarRepresentation,
     durbin_levinson,
@@ -421,3 +425,36 @@ def test_verify_closure_markov_residual_zero_for_true_order():
     assert report.subs[0].markov_residual < 1e-10
     assert report.subs[1].markov_residual < 1e-10
     assert report.subs[0].holds == 1
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    labels=st.lists(st.sampled_from([1, 2]), min_size=4, max_size=4),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_closure_matches_one_conditioning_per_residual_oracle(sizes, labels, k, seed):
+    # one Schur complement per sub-process gives the residuals of three separate ones
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(sizes)).tolist()
+    cuts = np.cumsum([0] + sizes)
+    part = Partition(sets=tuple(tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:])),
+                     d=sum(sizes))
+    labels = tuple(labels[:part.n])
+    subs = [random_subprocess_corr(rng, n, k) for n in sizes]
+    fixed = [CrossFixedBlock(pair=(i, j), lag=fixed_lag_for_labels((labels[i], labels[j]), k),
+                             value=0.1 * rng.uniform(-1.0, 1.0, (sizes[i], sizes[j])))
+             for i in range(part.n) for j in range(i + 1, part.n)]
+    try:
+        model = construct_model(part, labels, k, (MarginSpec("gaussian", (0.0, 1.0)),) * part.d,
+                                subs, fixed)
+    except DegenerateCrossPair:
+        assume(False)
+    r = model.time_major_R()
+    assume(is_positive_definite(r))
+    report = verify_closure(r, part, k)
+    for got, want in zip(report.subs, closure_residuals_oracle(r, part, k)):
+        assert_allclose((got.cond1_residual, got.cond2_residual, got.markov_residual), want,
+                        rtol=0, atol=1e-12)
+        assert got.holds == (1 if want[0] < report.tol else (2 if want[1] < report.tol else None))

@@ -17,6 +17,8 @@ from mcvar.closure import (
     DegenerateCrossPair,
     Partition,
     SubprocessCorr,
+    _lag_stack,
+    assemble_full_R,
     coefficient_block_zeros,
     solve_cross_pair,
     verify_closure,
@@ -42,7 +44,7 @@ from mcvar.estimation import (
 )
 from mcvar.linalg import _block_toeplitz, is_positive_definite
 from mcvar.margins import MarginFit, MarginSpec, fit_margin, pit_to_normal
-from mcvar.varprocess import seeded_normals, simulate
+from mcvar.varprocess import durbin_levinson, seeded_normals, simulate
 
 
 def scalar_sub(values):
@@ -295,6 +297,28 @@ def test_model_var_is_closed_over_partition():
     for p in var.phi:
         assert abs(p[0, 1]) < 1e-10
         assert abs(p[1, 0]) < 1e-10
+
+
+def test_model_computes_R_and_var_once_as_read_only_arrays():
+    model = two_sub_model(GAUSS_MARGINS, labels=(1, 1))
+    r, var = model.time_major_R(), model.var()
+    assert model.time_major_R() is r and model.var() is var
+    assert np.array_equal(r, assemble_full_R(model.partition, model.subs, model.crosses))
+    fresh = durbin_levinson(_lag_stack(model.partition, model.subs, model.crosses)[model.k:],
+                            model.k)
+    assert all(np.array_equal(a, b) for a, b in zip(var.phi, fresh.phi))
+    assert np.array_equal(var.sigma, fresh.sigma)
+    for a in (r, var.phi[1], var.sigma):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.5
+
+
+def test_simulate_model_on_a_kept_var_repeats_its_bits():
+    model = two_sub_model((MarginSpec("skewt", (1.0, 0.5, 3.0, 9.0)),
+                           MarginSpec("gaussian", (0.0, 1.0))))
+    first = simulate_model(model, 300, seed=5)
+    assert np.array_equal(simulate_model(model, 300, seed=5), first)
+    assert np.array_equal(simulate_model(Model.from_dict(model.to_dict()), 300, seed=5), first)
 
 
 # ---------------------------------------------------------------- simulation
