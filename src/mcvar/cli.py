@@ -10,6 +10,7 @@ infeasibility (positive definiteness), 3 tolerance failure in ``tables``.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .closure import (
 from .estimation import (
     Model,
     ModelConfig,
+    _lag_blocks,
     construct_model,
     fit_model,
     fit_unrestricted,
@@ -162,7 +164,11 @@ def transform(series, spec):
 
 # -- config / model files ----------------------------------------------------
 
-def _load_json(path, expect_format):
+def _load_document(path, expect_format):
+    """The document at ``path``, whose format tag must be in ``expect_format``,
+    and its integer fields ``partition`` (a Partition), ``k`` (at least 1) and
+    ``labels``, each when present; each ``cross_fixed`` pair and lag is
+    checked too.  A bool, fraction or string exits 1, naming path and field."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -175,7 +181,24 @@ def _load_json(path, expect_format):
         raise CliError(
             "%s: format tag %r, expected one of %s" % (path, fmt, sorted(expect_format))
         )
-    return doc
+
+    def integers(values, field):
+        return tuple(_integer(v, "%s: %s" % (path, field)) for v in values)
+
+    fields = {}
+    if "partition" in doc:
+        sets = tuple(integers(s, '"partition"') for s in doc["partition"])
+        fields["partition"] = Partition(sets=sets, d=sum(len(s) for s in sets))
+    if "k" in doc:
+        fields["k"] = _integer(doc["k"], '%s: "k"' % path)
+        if fields["k"] < 1:
+            raise CliError('%s: "k" must be at least 1, got %d' % (path, fields["k"]))
+    if "labels" in doc:
+        fields["labels"] = integers(doc["labels"], '"labels"')
+    for e in doc.get("cross_fixed", ()):
+        integers(e["pair"], '"cross_fixed" pair')
+        _integer(e["lag"], '%s: "cross_fixed" lag' % path)
+    return doc, fields
 
 
 def _dump_json(path, doc):
@@ -190,13 +213,6 @@ def _dump_json(path, doc):
                          for key, value in doc.items())
     with open(path, "w") as fh:
         fh.write("{\n%s\n}\n" % fields)
-
-
-def _parse_partition(doc, path):
-    where = '%s: "partition"' % path
-    sets = tuple(tuple(_integer(v, where) for v in s) for s in doc["partition"])
-    d = sum(len(s) for s in sets)
-    return Partition(sets=sets, d=d)
 
 
 def _margin_families(doc, d):
@@ -229,28 +245,24 @@ def model_file_dict(model, names=None, fit_info=None):
 def load_model_file(path):
     """Load a model file; returns (model, doc, fields).
 
-    ``fields`` holds the file's ``partition``, ``k`` and ``labels``, each only
-    when present, read as integers before the model is built; a ``k`` below 1
-    is refused.  It also holds ``names``, None when absent; a list that is
-    not one name per variable is refused.  A file with only a ``var`` entry
-    (coefficients plus innovation covariance) loads with ``model`` None;
-    verify scores it through the implied autocovariances.
+    ``fields`` holds the integer fields of :func:`_load_document` and
+    ``names``, None when absent or else one per variable.  The model is read
+    by :meth:`Model.from_dict`.  A file with only a ``var`` entry loads with
+    ``model`` None and ``fields["var"]``: k finite d x d ``phi`` blocks and a
+    finite, positive definite d x d ``sigma`` (exit 2 if not), d being the
+    variables of its ``partition``.
     """
-    doc = _load_json(path, {MODEL_FORMAT})
-    fields = {}
-    if "partition" in doc:
-        fields["partition"] = _parse_partition(doc, path)
-    if "k" in doc:
-        fields["k"] = _integer(doc["k"], '%s: "k"' % path)
-        if fields["k"] < 1:
-            raise CliError('%s: "k" must be at least 1, got %d' % (path, fields["k"]))
-    if "labels" in doc:
-        fields["labels"] = _labels(doc, path)
+    doc, fields = _load_document(path, {MODEL_FORMAT})
     if "subprocess_corrs" in doc and "crosses" in doc:
         model = Model.from_dict(doc)
         d = model.partition.d
     elif "var" in doc:
-        model, d = None, len(doc["var"]["sigma"])
+        model, d = None, fields["partition"].d
+        phi = _lag_blocks(doc["var"]["phi"], "var", fields["k"], (d, d))
+        sigma = _lag_blocks([doc["var"]["sigma"]], "var", 1, (d, d))[0]
+        if not is_positive_definite(sigma):
+            raise InfeasibleError("model field 'var': sigma is not positive definite")
+        fields["var"] = VarRepresentation(phi=phi, sigma=sigma)
     else:
         raise CliError("%s: neither sub-process blocks nor a var entry" % path)
     fields["names"] = _names(doc, path, d)
@@ -265,21 +277,11 @@ def _integer(value, source, nonnegative=False):
     return value
 
 
-def _labels(doc, path):
-    return tuple(_integer(c, '%s: "labels"' % path) for c in doc["labels"])
-
-
 def _names(doc, path, d):
     names = doc.get("names")
     if names and len(names) != d:
         raise CliError('%s: "names" has %d entries, expected %d' % (path, len(names), d))
     return names
-
-
-def _var_from_doc(doc):
-    phi = tuple(np.asarray(p, dtype=float) for p in doc["var"]["phi"])
-    sigma = np.asarray(doc["var"]["sigma"], dtype=float)
-    return VarRepresentation(phi=phi, sigma=sigma)
 
 
 def _time_major_from_var(var, k):
@@ -318,73 +320,39 @@ def _print_side_by_side(label, computed, reference, nd=3):
 # -- construct ----------------------------------------------------------------
 
 def _build_from_config(doc, path):
-    part = _parse_partition(doc, path)
-    labels = _labels(doc, path)
-    k = _integer(doc["k"], '%s: "k"' % path)
+    """The model of the construct config ``doc`` at ``path``, and its ``names``.
+
+    :meth:`Model.from_dict` reads the config and solves its crosses.  When
+    the assembled R is not positive definite, the first part whose own
+    correlation matrix is not names the failure (exit 2): a sub-process,
+    then a pair, then the full set.
+    """
     if "margins" not in doc:
         raise CliError("construct needs fully specified 'margins'")
-    margins = tuple(MarginSpec.from_dict(m) for m in doc["margins"])
-    if len(margins) != part.d:
-        raise CliError("need %d margins, got %d" % (part.d, len(margins)))
-    if len(labels) != part.n:
-        raise CliError("need %d labels, got %d" % (part.n, len(labels)))
-    if len(doc["subprocess_corrs"]) != part.n:
-        raise CliError("need %d subprocess_corrs entries, one per partition set, got %d"
-                       % (part.n, len(doc["subprocess_corrs"])))
-    subs = []
-    for i, e in enumerate(doc["subprocess_corrs"]):
-        blocks = tuple(np.asarray(b, dtype=float) for b in e["blocks"])
-        if len(blocks) != k + 1:
-            raise CliError("sub-process %d needs %d lag blocks, got %d"
-                           % (i, k + 1, len(blocks)))
-        try:
-            sub = SubprocessCorr(blocks=blocks)
-        except ValueError as exc:
-            raise CliError("sub-process %d: %s" % (i, exc)) from exc
-        if sub.dim != len(part.sets[i]):
-            raise CliError("sub-process %d blocks are %dx%d but the index set has %d entries"
-                           % (i, sub.dim, sub.dim, len(part.sets[i])))
-        if not sub.is_pd():
-            raise InfeasibleError(
-                "sub-process %d correlation structure is not positive definite" % i
-            )
-        subs.append(sub)
-    fixed = []
-    for e in doc["cross_fixed"]:
-        fixed.append(
-            CrossFixedBlock(
-                pair=tuple(_integer(v, '%s: "cross_fixed" pair' % path) for v in e["pair"]),
-                lag=_integer(e["lag"], '%s: "cross_fixed" lag' % path),
-                value=np.asarray(e["value"], dtype=float),
-            )
-        )
-    try:
-        model = construct_model(part, labels, k, margins, tuple(subs), fixed)
-    except DegenerateCrossPair:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
+    model = Model.from_dict(doc)
     r = model.time_major_R()
     if not is_positive_definite(r):
-        # name a pair whose own joint matrix fails before blaming the full set
+        part = model.partition
+
+        def fails(*sets):
+            idx = [l * part.d + v for l in range(model.k + 1) for i in sets for v in part.sets[i]]
+            return not is_positive_definite(r[np.ix_(idx, idx)])
+
+        for i in range(part.n):
+            if fails(i):
+                raise InfeasibleError("sub-process %d correlation structure is not positive "
+                                      "definite" % i)
         for c in model.crosses:
-            i, j = c.pair
-            idx = [l * part.d + v for l in range(k + 1) for v in part.sets[i] + part.sets[j]]
-            if not is_positive_definite(r[np.ix_(idx, idx)]):
-                raise InfeasibleError(
-                    "pair (%d, %d): fixed cross block makes the pair's joint "
-                    "correlation matrix non positive definite" % (i, j)
-                )
-        raise InfeasibleError(
-            "assembled correlation matrix is not positive definite "
-            "(each pair is; the full set jointly is not)"
-        )
-    return model, _names(doc, path, part.d)
+            if fails(*c.pair):
+                raise InfeasibleError("pair (%d, %d): fixed cross block makes the pair's joint "
+                                      "correlation matrix non positive definite" % c.pair)
+        raise InfeasibleError("assembled correlation matrix is not positive definite "
+                              "(each pair is; the full set jointly is not)")
+    return model, _names(doc, path, model.partition.d)
 
 
 def cmd_construct(args):
-    doc = _load_json(args.config, {CONFIG_FORMAT})
+    doc, _ = _load_document(args.config, {CONFIG_FORMAT})
     seed = _integer(doc["seed"], '%s: "seed"' % args.config, True) if "seed" in doc else None
     model, names = _build_from_config(doc, args.config)
     r = model.time_major_R()
@@ -415,11 +383,7 @@ def cmd_verify(args):
     model, doc, fields = load_model_file(args.config)
     part, k = fields["partition"], fields["k"]
     labels = fields.get("labels")
-    if model is not None:
-        r = model.time_major_R()
-    else:
-        var = _var_from_doc(doc)
-        r = _time_major_from_var(var, k)
+    r = model.time_major_R() if model is not None else _time_major_from_var(fields["var"], k)
     # verify_closure's LinAlgError on a matrix that is not PD exits 2 through main
     report = verify_closure(r, part, k, tol=args.tol)
     print(report)
@@ -444,12 +408,10 @@ def cmd_simulate(args):
     if T is None:
         raise CliError("simulate needs --length")
     if model is not None:
-        d, prefix = model.partition.d, "x"
+        d, prefix, x = model.partition.d, "x", simulate_model(model, T, seed)
     else:
-        var = _var_from_doc(doc)
-        d, prefix = var.sigma.shape[0], "z"
+        d, prefix, x = fields["var"].d, "z", simulate(fields["var"], T, seed)
     names = fields["names"] or ["%s%d" % (prefix, i) for i in range(d)]
-    x = simulate_model(model, T, seed) if model is not None else simulate(var, T, seed)
     out = args.out or "mcvar_sim.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -493,23 +455,23 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
-def _model_config(doc, path, part, d, args):
-    """ModelConfig of the fit config at ``path`` with d margin families, and whether stage 4 runs.
+def _model_config(doc, fields, part, d, args):
+    """ModelConfig of a fit config with integer ``fields``, partition ``part`` and
+    d margin families, and whether stage 4 runs.
 
     ``--k`` overrides the config's order and ``--stage4`` switches stage 4 on.
     """
-    k = args.k if args.k is not None else _integer(doc["k"], '%s: "k"' % path)
-    fams = _margin_families(doc, d)
-    config = ModelConfig(partition=part, labels=_labels(doc, path),
-                         k=k, margin_families=fams)
+    k = args.k if args.k is not None else fields["k"]
+    config = ModelConfig(partition=part, labels=fields["labels"], k=k,
+                         margin_families=_margin_families(doc, d))
     return config, args.stage4 or bool(doc.get("stage4", False))
 
 
 def cmd_fit(args):
-    doc = _load_json(args.config, {CONFIG_FORMAT})
+    doc, fields = _load_document(args.config, {CONFIG_FORMAT})
     ds = _dataset_from_args(args, doc)
-    part = _parse_partition(doc, args.config)
-    config, stage4 = _model_config(doc, args.config, part, part.d, args)
+    part = fields["partition"]
+    config, stage4 = _model_config(doc, fields, part, part.d, args)
     if ds.values.shape[0] != part.d:
         raise CliError("data has %d columns, config expects %d" % (ds.values.shape[0], part.d))
     fm = fit_model(ds.values, config, stage4=stage4)
@@ -537,17 +499,15 @@ def cmd_fit(args):
 
 # -- compare ----------------------------------------------------------------------
 
-def _fit_config_doc(doc, path, ds, args):
+def _fit_config_doc(doc, fields, ds, args):
     d = ds.values.shape[0]
-    part = _parse_partition(doc, path) if "partition" in doc else Partition(
-        sets=(tuple(range(d)),), d=d
-    )
+    part = fields.get("partition") or Partition(sets=(tuple(range(d)),), d=d)
     if doc.get("kind", "margin-closed") == "unrestricted":
         # the one-sub-process fit; stage 4 does not apply to the benchmark
-        k = args.k if args.k is not None else _integer(doc["k"], '%s: "k"' % path)
+        k = args.k if args.k is not None else fields["k"]
         kind, fm = "unrestricted", fit_unrestricted(ds.values, _margin_families(doc, d), k)
     else:
-        config, stage4 = _model_config(doc, path, part, d, args)
+        config, stage4 = _model_config(doc, fields, part, d, args)
         k = config.k
         kind, fm = "margin-closed", fit_model(ds.values, config, stage4=stage4)
     return {
@@ -560,10 +520,10 @@ def _fit_config_doc(doc, path, ds, args):
 def cmd_compare(args):
     if not args.config or len(args.config) != 2:
         raise CliError("compare needs exactly two --config files")
-    docs = [_load_json(path, {CONFIG_FORMAT}) for path in args.config]
-    ds = _dataset_from_args(args, docs[0])
-    rows = [dict(name=path, **_fit_config_doc(doc, path, ds, args))
-            for path, doc in zip(args.config, docs)]
+    docs = [_load_document(path, {CONFIG_FORMAT}) for path in args.config]
+    ds = _dataset_from_args(args, docs[0][0])
+    rows = [dict(name=path, **_fit_config_doc(doc, fields, ds, args))
+            for path, (doc, fields) in zip(args.config, docs)]
     print("%-28s %-14s %3s %10s %5s %12s %12s"
           % ("config", "kind", "k", "loglik", "par", "AIC", "BIC"))
     for r in rows:
@@ -854,7 +814,9 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once; a subcommand runs the ``cmd_<name>`` bound when it runs."""
     p = argparse.ArgumentParser(
         prog="mcvar",
         description="Margin-closed Gaussian VAR(k) models: construct, verify, "
@@ -862,31 +824,31 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(sp, func, *names, **defaults):
-        """Register only the options ``func`` reads."""
+    def add(sp, *names, **defaults):
+        """Register only the options the subcommand reads."""
         for name in names:
             sp.add_argument("--" + name, **_OPTIONS[name])
-        sp.set_defaults(func=func, **defaults)
+        sp.set_defaults(**defaults)
 
     sp = sub.add_parser("construct", help="solve cross blocks and write a model file")
-    add(sp, cmd_construct, "config", "out", "tol", tol=1e-8)
+    add(sp, "config", "out", "tol", tol=1e-8)
 
     sp = sub.add_parser("verify", help="check margin closure of a model file")
-    add(sp, cmd_verify, "config", "tol", tol=1e-8)
+    add(sp, "config", "tol", tol=1e-8)
 
     sp = sub.add_parser("simulate", help="simulate observations from a model file")
-    add(sp, cmd_simulate, "config", "length", "seed", "out")
+    add(sp, "config", "length", "seed", "out")
 
     sp = sub.add_parser("fit", help="multi-stage fit of a config to CSV data")
-    add(sp, cmd_fit, "config", "data", "out", "k", "stage4")
+    add(sp, "config", "data", "out", "k", "stage4")
 
     sp = sub.add_parser("compare", help="fit two configs to the same data, report AIC")
     sp.add_argument("--config", action="append", help="config JSON file; give it twice")
-    add(sp, cmd_compare, "data", "out", "k", "stage4")
+    add(sp, "data", "out", "k", "stage4")
 
     sp = sub.add_parser("tables", help="reproduce reference tables and check tolerances")
     sp.add_argument("name", help="one of: %s" % ", ".join(sorted(_TABLES)))
-    add(sp, cmd_tables, "tol", "out")
+    add(sp, "tol", "out")
     return p
 
 
@@ -896,7 +858,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (DegenerateCrossPair, InfeasibleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -275,7 +275,7 @@ def _solve_pairs(stacks, labels, pairs, values):
                     state = whittle_recursion(stacks[c][k:], k)
                 except np.linalg.LinAlgError as exc:
                     raise DegenerateCrossPair(
-                        (i, j), "a sub-process is not positive definite: %s" % exc
+                        (i, j), "sub-process %d is not positive definite: %s" % (c, exc)
                     ) from exc
                 mats[c] = (_condition_rows(state, labels[c]), state["factor"])
         out.append(_solve_equal_labels(mats[i][0], mats[j][0], value, (i, j), k))

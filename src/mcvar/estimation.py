@@ -161,12 +161,16 @@ class Model:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of :meth:`to_dict`.  A bool or non-integer ``k``, label,
-        partition index or cross pair index, a ``k`` below 1, a label other
-        than 1 or 2, a count of labels, margins, sub-processes or crosses
-        that does not match the partition, a cross pair not i < j within it,
-        and lag blocks that are not k+1 (sub-process) or 2k+1 (cross) finite
-        d_i x d_j blocks raise ValueError naming the field."""
+        """Inverse of :meth:`to_dict`, and the reader of a ``construct`` config,
+        which holds ``cross_fixed`` in place of ``crosses``: per pair i < j one
+        finite d_i x d_j ``value`` at the ``lag`` its labels fix, from which
+        :func:`construct_model` solves the crosses.  A document with both, a
+        bool or non-integer ``k``, label, partition index, pair index or lag, a
+        ``k`` below 1, a label other than 1 or 2, a count of labels, margins,
+        sub-processes, crosses or fixed blocks that does not match the
+        partition, a pair not i < j within it or named twice, a lag other than
+        its labels fix, and lag blocks that are not k+1 (sub-process) or 2k+1
+        (cross) finite d_i x d_j blocks raise ValueError naming the field."""
         sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
         dim = sum(len(s) for s in sets)
         part = Partition(sets=sets, d=dim)
@@ -177,25 +181,34 @@ class Model:
                        for c in _counted_field(d["labels"], "labels", part.n, "partition set"))
         if any(c not in (1, 2) for c in labels):
             raise ValueError("model field 'labels' must hold 1 or 2, got %r" % (list(labels),))
-        subs = tuple(
-            SubprocessCorr(blocks=_lag_blocks(e["blocks"], "subprocess_corrs", k + 1,
-                                              (len(s), len(s))))
-            for e, s in zip(_counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n,
-                                           "partition set"), sets)
-        )
-        pairs = _pair_list(part.n)
-        crosses = []
-        for e in _counted_field(d["crosses"], "crosses", len(pairs), "pair of partition sets"):
-            pair = tuple(_integer_field(v, "crosses pair") for v in e["pair"])
-            if pair not in pairs:
-                raise ValueError("model field 'crosses pair' must name sets i < j of the "
-                                 "partition, got %r" % (list(pair),))
-            crosses.append(CrossSolution(pair=pair, order=k, blocks=_lag_blocks(
-                e["blocks"], "crosses", 2 * k + 1, (len(sets[pair[0]]), len(sets[pair[1]])))))
+        blocks = _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n, "partition set")
+        subs = tuple(_subprocess(e, i, k, len(s)) for i, (e, s) in enumerate(zip(blocks, sets)))
         margins = tuple(MarginSpec.from_dict(m)
                         for m in _counted_field(d["margins"], "margins", dim, "variable"))
+        fixed = "cross_fixed" in d
+        if fixed and "crosses" in d:
+            raise ValueError("model fields 'crosses' and 'cross_fixed' exclude each other")
+        name, pairs, entries = ("cross_fixed" if fixed else "crosses"), _pair_list(part.n), {}
+        for e in _counted_field(d[name], name, len(pairs), "pair of partition sets"):
+            pair = tuple(_integer_field(v, name + " pair") for v in e["pair"])
+            if pair not in pairs or pair in entries:
+                raise ValueError("model field '%s pair' must name each pair i < j of the "
+                                 "partition once, got %r" % (name, list(pair)))
+            shape = (len(sets[pair[0]]), len(sets[pair[1]]))
+            if fixed:
+                lag = _integer_field(e["lag"], "cross_fixed lag")
+                if lag != fixed_lag_for_labels((labels[pair[0]], labels[pair[1]]), k):
+                    raise ValueError("model field 'cross_fixed lag' %d does not match the labels "
+                                     "of pair %r" % (lag, list(pair)))
+                entries[pair] = CrossFixedBlock(pair, lag,
+                                                _lag_blocks([e["value"]], name, 1, shape)[0])
+            else:
+                entries[pair] = CrossSolution(pair, k,
+                                              _lag_blocks(e["blocks"], name, 2 * k + 1, shape))
+        if fixed:
+            return construct_model(part, labels, k, margins, subs, entries.values())
         return cls(partition=part, labels=labels, k=k, margins=margins, subs=subs,
-                   crosses=tuple(crosses))
+                   crosses=tuple(entries.values()))
 
 
 def _integer_field(value, name):
@@ -203,6 +216,15 @@ def _integer_field(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("model field %r must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def _subprocess(entry, i, k, dim):
+    """Sub-process i of a model document, k+1 finite dim x dim lag blocks."""
+    blocks = _lag_blocks(entry["blocks"], "subprocess_corrs", k + 1, (dim, dim))
+    try:
+        return SubprocessCorr(blocks=blocks)
+    except ValueError as exc:  # a lag-0 block that is not a correlation matrix
+        raise ValueError("model field 'subprocess_corrs' entry %d: %s" % (i, exc)) from None
 
 
 def _lag_blocks(blocks, name, n, shape):
@@ -221,8 +243,8 @@ def _counted_field(items, name, n, each):
     """A list of a model document that must hold one entry per ``each``, n in all."""
     items = list(items)
     if len(items) != n:
-        raise ValueError("model field %r must hold one entry per %s (%d), got %d"
-                         % (name, each, n, len(items)))
+        raise ValueError("model field %r must hold one entry per %s: need %d %s entries, got %d"
+                         % (name, each, n, name, len(items)))
     return items
 
 

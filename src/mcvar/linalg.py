@@ -47,10 +47,14 @@ def is_positive_definite(a, tol=PD_TOL):
     """True iff the smallest eigenvalue of the symmetrized input exceeds ``tol``.
 
     Decided by one Cholesky factorisation of the symmetrized input minus
-    ``tol`` times the identity.  Raises ``ValueError`` when the input is
-    asymmetric beyond the symmetry tolerance; symmetrization only absorbs
-    roundoff, not modelling errors.
+    ``tol`` times the identity; an input with a NaN or infinite entry is not
+    positive definite.  Raises ``ValueError`` when the input is asymmetric
+    beyond the symmetry tolerance; symmetrization only absorbs roundoff, not
+    modelling errors.
     """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        return False
     s = symmetrize(a)
     try:
         np.linalg.cholesky(s - tol * np.eye(s.shape[0]))

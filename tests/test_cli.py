@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mcvar.cli as cli
 from mcvar.cli import (CliError, Dataset, _fmt_matrix, load_csv, main, model_file_dict,
                        transform)
 
@@ -674,6 +675,110 @@ def test_construct_miscounted_subprocess_corrs_exit_1(tmp_path, capsys, count):
     err = capsys.readouterr().err
     assert "need 2 subprocess_corrs entries" in err
     assert "got %d" % count in err
+
+
+def _nan_fixed_block(doc):
+    doc["cross_fixed"][0]["value"] = [[float("nan")]]
+
+
+def _duplicated_pair(doc):
+    doc["cross_fixed"].append(dict(doc["cross_fixed"][0], value=[[0.1]]))
+
+
+def _pair_outside_the_partition(doc):
+    doc["cross_fixed"].append({"pair": [0, 2], "lag": -1, "value": [[0.1]]})
+
+
+def _nan_in_a_subprocess_block(doc):
+    doc["subprocess_corrs"][1]["blocks"][1] = [[float("nan")]]
+
+
+def _both_crosses_and_fixed_blocks(doc):
+    doc["crosses"] = [{"pair": [0, 1], "blocks": [[[0.0]], [[0.2]], [[0.0]]]}]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_nan_fixed_block, "model field 'cross_fixed'"),
+    (_duplicated_pair, "model field 'cross_fixed'"),
+    (_pair_outside_the_partition, "model field 'cross_fixed'"),
+    (_nan_in_a_subprocess_block, "model field 'subprocess_corrs'"),
+    (_both_crosses_and_fixed_blocks, "model fields 'crosses' and 'cross_fixed'"),
+])
+def test_construct_refuses_a_config_its_model_file_could_not_hold_exit_1(tmp_path, capsys,
+                                                                         edit, field):
+    # with labels (1, 2) nothing is solved, so a NaN fixed block once went into the
+    # model file, which verify and simulate then refused; a second entry for a pair
+    # silently replaced the first, one for a pair outside the partition was ignored,
+    # and a NaN sub-process block was reported positive definite
+    doc = construct_config(labels=(1, 2), k=1, c0=0.2)
+    edit(doc)
+    model = tmp_path / "model.json"
+    assert main(["construct", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+    assert "positive definite: yes" not in captured.out
+    assert not model.exists()
+
+
+_VAR_ONLY = {"format": "mcvar-model/1", "k": 1, "partition": [[0, 1]],
+             "var": {"phi": [[[0.5, 0.1], [0.0, -0.4]]], "sigma": [[1.0, 0.3], [0.3, 1.0]]}}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("doc", [
+    dict(_VAR_ONLY, partition=[[0], [1], [2]]),
+    dict(_VAR_ONLY, var=dict(_VAR_ONLY["var"], phi=_VAR_ONLY["var"]["phi"] * 2)),
+    dict(_VAR_ONLY, var=dict(_VAR_ONLY["var"], phi=[[[float("nan"), 0.1], [0.0, -0.4]]])),
+], ids=["three-set partition of two variables", "two phi blocks at k = 1", "nan in phi"])
+def test_var_only_model_file_that_does_not_fit_its_fields_is_named_exit_1(tmp_path, capsys,
+                                                                          command, doc):
+    # verify and simulate once disagreed on each: a numpy error against a written
+    # CSV, closure judged at order 1 against a simulated VAR(2), exit 2 against 1
+    path = write_json(tmp_path / "var.json", doc)
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "model field 'var'" in captured.err
+    assert "Traceback" not in captured.err
+    assert "PASSED" not in captured.out and "FAILED" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("sigma", [[[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 0.0]]])
+def test_var_only_model_file_whose_sigma_is_not_positive_definite_exit_2(tmp_path, capsys,
+                                                                        command, sigma):
+    # verify once exited 1 here, through the NaN of a negative variance's square root
+    doc = dict(_VAR_ONLY, var=dict(_VAR_ONLY["var"], sigma=sigma))
+    path = write_json(tmp_path / "var.json", doc)
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    assert main(argv) == 2
+    assert "model field 'var': sigma is not positive definite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_parser_is_built_once_and_each_parse_starts_empty(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    configs = [write_json(tmp_path / ("cfg%d.json" % i), construct_config()) for i in range(2)]
+    missing = str(tmp_path / "missing.csv")
+    assert main(["compare", "--config", configs[0], "--config", configs[1], "--data", missing]) == 1
+    assert "cannot read %s" % missing in capsys.readouterr().err
+    # a second parse that kept the first's --config values would see three files
+    assert main(["compare", "--config", configs[0], "--data", missing]) == 1
+    assert "compare needs exactly two --config files" in capsys.readouterr().err
+
+
+def test_a_subcommand_runs_the_module_binding_of_its_command(monkeypatch):
+    # the parser is built once, so a wrapper put on cmd_<name> later must still run
+    cli._build_parser()
+    monkeypatch.setattr(cli, "cmd_tables", lambda args: 7)
+    assert main(["tables", "t1"]) == 7
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -375,6 +375,17 @@ def test_verify_closure_rejects_non_pd():
         verify_closure(np.ones((4, 4)), part, 1)
 
 
+@pytest.mark.parametrize("row, col, value", [(0, 3, np.nan), (2, 2, np.inf)])
+def test_verify_closure_refuses_a_non_finite_matrix(row, col, value):
+    # such a matrix once passed the positive-definiteness gate and died in a
+    # later solve with a ValueError
+    part = Partition(sets=((0,), (1,)), d=2)
+    r = 0.5 * (np.eye(4) + 1.0)  # equicorrelated 0.5, positive definite
+    r[row, col] = r[col, row] = value
+    with pytest.raises(np.linalg.LinAlgError):
+        verify_closure(r, part, 1)
+
+
 def test_closure_fails_for_nonclosed_var():
     # VAR(1) with A = [[0, 1/2], [0, 1/2]]: the first variable alone is not
     # an AR(1) (its lag-2 partial autocorrelation is 1/21), the second is.

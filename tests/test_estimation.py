@@ -289,6 +289,42 @@ def test_model_from_dict_refuses_an_order_below_1(k):
         Model.from_dict(dict(TRUE_MODEL.to_dict(), k=k))
 
 
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4), k=st.integers(1, 3),
+       labels=st.lists(st.sampled_from([1, 2]), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_model_from_dict_reads_a_config_as_construct_model_bit_for_bit(sizes, k, labels, seed):
+    # a construct config is a model document with one fixed block per pair in place
+    # of the solved crosses; both read through the one reader
+    rng = np.random.default_rng(seed)
+    n, labels = len(sizes), tuple(labels[:len(sizes)])
+    ends = np.cumsum(sizes)
+    part = Partition(sets=tuple(tuple(range(e - s, e)) for s, e in zip(sizes, ends)),
+                     d=int(ends[-1]))
+    subs = tuple(random_subprocess_corr(rng, size, k) for size in sizes)
+    margins = tuple(MarginSpec("gaussian", (float(m), 1.0)) for m in rng.normal(size=part.d))
+    fixed = [CrossFixedBlock((i, j), closure.fixed_lag_for_labels((labels[i], labels[j]), k),
+                             rng.uniform(-0.1, 0.1, (sizes[i], sizes[j])))
+             for i in range(n) for j in range(i + 1, n)]
+    doc = {"k": k, "partition": [list(s) for s in part.sets], "labels": list(labels),
+           "margins": [m.to_dict() for m in margins],
+           "subprocess_corrs": [{"blocks": [b.tolist() for b in sub.blocks]} for sub in subs],
+           "cross_fixed": [{"pair": list(fb.pair), "lag": fb.lag, "value": fb.value.tolist()}
+                           for fb in fixed]}
+    try:
+        want = construct_model(part, labels, k, margins, subs, fixed)
+    except DegenerateCrossPair:
+        with pytest.raises(DegenerateCrossPair):
+            Model.from_dict(doc)
+        return
+    for got in (Model.from_dict(doc), Model.from_dict(want.to_dict())):
+        assert (got.partition, got.labels, got.k, got.margins) == (part, labels, k, margins)
+        assert np.array_equal(got.time_major_R(), want.time_major_R())
+        assert [c.pair for c in got.crosses] == [c.pair for c in want.crosses]
+        for c, w in zip(got.crosses, want.crosses):
+            assert all(np.array_equal(a, b) for a, b in zip(c.blocks, w.blocks))
+
+
 def test_model_var_is_closed_over_partition():
     # labels (1, 1): both latent sub-processes evolve autonomously, so the
     # implied VAR coefficient blocks across sub-processes vanish

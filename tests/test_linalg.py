@@ -62,6 +62,15 @@ def test_is_positive_definite_boundary():
     assert not is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("row, col, value", [(0, 1, np.nan), (1, 1, np.inf)])
+def test_is_positive_definite_refuses_a_non_finite_entry(row, col, value):
+    # the symmetry gap of a NaN is NaN, which no tolerance test rejects, and the
+    # Cholesky of such a matrix need not raise
+    a = np.eye(3)
+    a[row, col] = a[col, row] = value
+    assert not is_positive_definite(a)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     n=st.integers(1, 8),
