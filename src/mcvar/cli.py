@@ -31,6 +31,7 @@ from .closure import (
 from .estimation import (
     Model,
     ModelConfig,
+    _label_field,
     _lag_blocks,
     construct_model,
     fit_model,
@@ -250,7 +251,8 @@ def load_model_file(path):
     by :meth:`Model.from_dict`.  A file with only a ``var`` entry loads with
     ``model`` None and ``fields["var"]``: k finite d x d ``phi`` blocks and a
     finite, positive definite d x d ``sigma`` (exit 2 if not), d being the
-    variables of its ``partition``.
+    variables of its ``partition``; its ``labels``, when present, are checked
+    as a model's are.
     """
     doc, fields = _load_document(path, {MODEL_FORMAT})
     if "subprocess_corrs" in doc and "crosses" in doc:
@@ -258,6 +260,8 @@ def load_model_file(path):
         d = model.partition.d
     elif "var" in doc:
         model, d = None, fields["partition"].d
+        if "labels" in fields:
+            _label_field(fields["labels"], fields["partition"].n)
         phi = _lag_blocks(doc["var"]["phi"], "var", fields["k"], (d, d))
         sigma = _lag_blocks([doc["var"]["sigma"]], "var", 1, (d, d))[0]
         if not is_positive_definite(sigma):
@@ -388,8 +392,9 @@ def cmd_verify(args):
     report = verify_closure(r, part, k, tol=args.tol)
     print(report)
     ok = report.all_pass
-    if labels is not None and model is not None:
-        zeros_ok = coefficient_block_zeros(labels, model.var(), part, tol=max(args.tol, 1e-8))
+    if labels is not None:
+        var = model.var() if model is not None else fields["var"]
+        zeros_ok = coefficient_block_zeros(labels, var, part, tol=max(args.tol, 1e-8))
         print("condition-1 coefficient blocks vanish: %s" % ("yes" if zeros_ok else "no"))
         ok = ok and zeros_ok
     print("verification %s" % ("PASSED" if ok else "FAILED"))

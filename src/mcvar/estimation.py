@@ -177,10 +177,7 @@ class Model:
         k = _integer_field(d["k"], "k")
         if k < 1:
             raise ValueError("model field 'k' must be at least 1, got %d" % k)
-        labels = tuple(_integer_field(c, "labels")
-                       for c in _counted_field(d["labels"], "labels", part.n, "partition set"))
-        if any(c not in (1, 2) for c in labels):
-            raise ValueError("model field 'labels' must hold 1 or 2, got %r" % (list(labels),))
+        labels = _label_field(d["labels"], part.n)
         blocks = _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n, "partition set")
         subs = tuple(_subprocess(e, i, k, len(s)) for i, (e, s) in enumerate(zip(blocks, sets)))
         margins = tuple(MarginSpec.from_dict(m)
@@ -216,6 +213,15 @@ def _integer_field(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("model field %r must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def _label_field(values, n):
+    """The condition labels of a model document: one per partition set, each 1 or 2."""
+    labels = tuple(_integer_field(c, "labels")
+                   for c in _counted_field(values, "labels", n, "partition set"))
+    if any(c not in (1, 2) for c in labels):
+        raise ValueError("model field 'labels' must hold 1 or 2, got %r" % (list(labels),))
+    return labels
 
 
 def _subprocess(entry, i, k, dim):
@@ -393,16 +399,17 @@ def loglik_full(data, margins, r, k):
 
 # -- the estimation engine shared by stages 2-4 ------------------------------
 #
-# Every dependence stage scores one lag stack model, :func:`_joint_model`,
-# theta -> (Gamma(-k)..Gamma(k), its Jacobian J): of the sub-process alone
-# (stage 2), of every pair with the sub-processes held (stage 3; affine, so
-# built once) and of everything (stage 4).  R is the block Toeplitz matrix
-# of Gamma and the score is J . fold(dl/dR).  The kernel's Cholesky of R is
-# the positive-definiteness test: a point where it fails, or where the model
-# finds a degenerate pair, scores +inf, and a run of ``minimize`` halves a
-# step that lands there.  Each stage makes one run: stages 2 and 3 from
-# theta = 0, the independence point (R = I in stage 2, a block-diagonal R
-# in stage 3), stage 4 from its warm start.  The curvature of every run is
+# Every dependence stage is one run, :func:`_fit_joint`, of one lag stack
+# model, :func:`_joint_model`, theta -> (Gamma(-k)..Gamma(k), its Jacobian
+# J): of the sub-process alone (stage 2), of every pair with the
+# sub-processes held (stage 3; affine, so built once; no parameters on a
+# one-set partition) and of everything (stage 4).  R is the block Toeplitz
+# matrix of Gamma and the score is J . fold(dl/dR).  The kernel's Cholesky
+# of R is the positive-definiteness test: a point where it fails, or where
+# the model finds a degenerate pair, scores +inf, and a run of ``minimize``
+# halves a step that lands there.  Stages 2 and 3 start from theta = 0, the
+# independence point (R = I in stage 2, a block-diagonal R in stage 3),
+# stage 4 from its warm start.  The curvature of every run is
 # the expected information (:func:`_information`) from the lag stack,
 # Jacobian and kernel factor that the point's own evaluation built.  Stage 2
 # refreshes it at every iterate (Fisher scoring).  Stages 3 and 4 start next
@@ -431,9 +438,9 @@ def _objective(gram, k, model):
         except np.linalg.LinAlgError:
             last.clear()
             return np.inf, np.zeros(len(theta))
-        jac = jacobian()
+        jac, folded = jacobian(), _fold_lags(score, k).ravel()
         last.update(theta=np.array(theta), jac=jac, inv=inv)
-        return -value, -(jac.reshape(len(theta), -1) @ _fold_lags(score, k).ravel())
+        return -value, -(jac.reshape(-1, folded.size) @ folded)
 
     def curvature(theta):
         if not np.array_equal(theta, last.get("theta")):
@@ -445,11 +452,31 @@ def _objective(gram, k, model):
     return nll
 
 
-def _loglik(fun, stage):
-    """-fun for a stage's best objective value; LinAlgError if it is not finite."""
-    if not np.isfinite(fun):
-        raise np.linalg.LinAlgError("%s found no positive definite point" % stage)
-    return -float(fun)
+def _fit_joint(z, partition, labels, k, stage, maxiter, x0=None, held=None, refresh=False):
+    """One dependence-stage run: the joint model (:func:`_joint_model`) on the lag
+    Gram matrix of ``z``, minimised once from ``x0`` (theta = 0 when None), to
+    (sub-processes, ``held`` if given, fixed blocks, crosses, loglik, converged).
+    No positive definite point, at the build or the end, raises LinAlgError
+    "<stage> found no positive definite point"."""
+    refused = "%s found no positive definite point" % stage
+    try:
+        model = _joint_model(partition, labels, k, held=held)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(refused) from exc
+    dims = [len(s) for s in partition.sets]
+    sizes = [0 if held is not None else _sub_theta_len(di, k) for di in dims]
+    if x0 is None:
+        x0 = np.zeros(sum(sizes) + sum(dims[i] * dims[j] for i, j in _pair_list(partition.n)))
+    nll = _objective(lag_gram(z, k), k, model)
+    best = minimize(nll, x0, maxiter, nll.curvature, refresh=refresh)
+    if not np.isfinite(best.fun):
+        raise np.linalg.LinAlgError(refused)
+    *sub_thetas, cross_theta = np.split(best.x, np.cumsum(sizes))
+    subs = held if held is not None else [_theta_to_corr(t, di, k)
+                                          for t, di in zip(sub_thetas, dims)]
+    fixed = _unpack_fixed(cross_theta, partition, labels, k)
+    return (tuple(subs), tuple(fixed), tuple(_cross_solutions(subs, labels, fixed)),
+            -float(best.fun), bool(best.success))
 
 
 # -- stage 2: per-sub-process dependence ------------------------------------
@@ -489,18 +516,12 @@ def fit_stage2(z, indices, k):
     always feasible: every step is a Newton step on the expected
     information at its iterate.
     """
-    indices = list(indices)
-    z = np.asarray(z, dtype=float)[indices]
+    indices = tuple(indices)
     d = len(indices)
-    nll = _objective(lag_gram(z, k), k,
-                     _joint_model(Partition(sets=(tuple(range(d)),), d=d), (1,), k))
-    best = minimize(nll, np.zeros(_sub_theta_len(d, k)), _MAXITER, nll.curvature, refresh=True)
-    return SubprocessFit(
-        indices=tuple(indices),
-        corr=_theta_to_corr(best.x, d, k),
-        loglik=_loglik(best.fun, "stage 2 (sub-process %s)" % (tuple(indices),)),
-        converged=bool(best.success),
-    )
+    (corr,), _, _, loglik, converged = _fit_joint(
+        np.asarray(z, dtype=float)[list(indices)], Partition(sets=(tuple(range(d)),), d=d), (1,),
+        k, "stage 2 (sub-process %s)" % (indices,), _MAXITER, refresh=True)
+    return SubprocessFit(indices=indices, corr=corr, loglik=loglik, converged=converged)
 
 
 # -- stage 3: cross dependence ----------------------------------------------
@@ -549,26 +570,12 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     whenever the stage-2 fits are.  The run's inverse Hessian starts as the
     inverse of the expected information there (:func:`_information`).  One
     exact solve at the optimum gives the returned crosses.  A degenerate
-    pair raises LinAlgError.
+    pair raises LinAlgError.  A one-set partition has no fixed blocks: its
+    run has no parameters and returns the stage-2 value.
     """
-    subs = list(subproc_corrs)
-    try:
-        model = _joint_model(partition, labels, k, held=subs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("stage 3 found no positive definite point") from exc
-    dims = [len(s) for s in partition.sets]
-    start = np.zeros(sum(dims[i] * dims[j] for i, j in _pair_list(partition.n)))
-    nll = _objective(lag_gram(z, k), k, model)
-    best = minimize(nll, start, _MAXITER, nll.curvature)
-    loglik = _loglik(best.fun, "stage 3")
-    fixed = _unpack_fixed(best.x, partition, labels, k)
-    crosses = _cross_solutions(subs, labels, fixed)
-    return Stage3Fit(
-        fixed_blocks=tuple(fixed),
-        crosses=tuple(crosses),
-        loglik=loglik,
-        converged=bool(best.success),
-    )
+    _, fixed, crosses, loglik, converged = _fit_joint(
+        z, partition, labels, k, "stage 3", _MAXITER, held=list(subproc_corrs))
+    return Stage3Fit(fixed_blocks=fixed, crosses=crosses, loglik=loglik, converged=converged)
 
 
 def _sub_lags(d, k):
@@ -653,8 +660,8 @@ def _joint_model(partition, labels, k, held=None):
     if held is not None:
         gamma0, jacobian = lags(np.zeros(sum(sizes)))
         jac = jacobian()
-        lags = lambda theta: (gamma0 + (theta @ jac.reshape(len(jac), -1)).reshape(gamma0.shape),
-                              lambda: jac)
+        lags = lambda theta: (gamma0 + (theta @ jac.reshape(len(jac), gamma0.size))
+                              .reshape(gamma0.shape), lambda: jac)
     return lags
 
 
@@ -689,16 +696,8 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
     :func:`_joint_model`.  The start is the input point itself, so the run,
     which never accepts a step that raises the value, ends no worse than it.
     """
-    dims = [len(s) for s in partition.sets]
     x0 = np.concatenate([_corr_to_theta(s) for s in subs] + [_pack_fixed(fixed_blocks)])
-    nll = _objective(lag_gram(z, k), k, _joint_model(partition, labels, k))
-    res = minimize(nll, x0, _MAXITER_REFINE, nll.curvature)
-    loglik = _loglik(res.fun, "stage 4")
-    *sub_thetas, cross_theta = np.split(res.x, np.cumsum([_sub_theta_len(d, k) for d in dims]))
-    out_subs = [_theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)]
-    fixed = _unpack_fixed(cross_theta, partition, labels, k)
-    crosses = _cross_solutions(out_subs, labels, fixed)
-    return tuple(out_subs), tuple(fixed), tuple(crosses), loglik, bool(res.success)
+    return _fit_joint(z, partition, labels, k, "stage 4", _MAXITER_REFINE, x0=x0)
 
 
 @dataclass(frozen=True)
@@ -717,8 +716,9 @@ class FittedModel:
 def fit_model(data, config, stage4=False):
     """Run the full multi-stage fit and return the fitted model with scores.
 
-    A one-set partition has no pairs, so stage 3 is skipped and its entry in
-    ``stage_logliks`` repeats the stage-2 value.
+    Stages 2-4 each make their one run through :func:`_fit_joint`.  On a
+    one-set partition stage 3 is that run with no parameters, so its entry in
+    ``stage_logliks`` is the stage-2 value.
     """
     data = np.asarray(data, dtype=float)
     d, T = data.shape
@@ -731,16 +731,10 @@ def fit_model(data, config, stage4=False):
     z = latent_scores(data, margins)
     sub_fits = tuple(fit_stage2(z, s, config.k) for s in config.partition.sets)
     subs = [sf.corr for sf in sub_fits]
-    converged = all(f.converged for f in margin_fits + sub_fits)
-    stage_logliks = {"stage2": [sf.loglik for sf in sub_fits]}
-    if config.partition.n == 1:
-        fixed, crosses = [], ()
-        stage_logliks["stage3"] = sub_fits[0].loglik
-    else:
-        st3 = fit_stage3(z, subs, config.labels, config.partition, config.k)
-        fixed, crosses = list(st3.fixed_blocks), st3.crosses
-        stage_logliks["stage3"] = st3.loglik
-        converged = converged and st3.converged
+    st3 = fit_stage3(z, subs, config.labels, config.partition, config.k)
+    fixed, crosses = st3.fixed_blocks, st3.crosses
+    stage_logliks = {"stage2": [sf.loglik for sf in sub_fits], "stage3": st3.loglik}
+    converged = all(f.converged for f in margin_fits + sub_fits) and st3.converged
     if stage4:
         subs, fixed, crosses, ll4, ok4 = fit_stage4(
             z, config.partition, config.labels, subs, fixed, config.k

@@ -569,6 +569,28 @@ def test_verify_var_only_model_file(tmp_path, capsys):
     assert "verification FAILED" in out
 
 
+def test_verify_checks_the_labels_of_both_kinds_of_model_file(tmp_path, capsys):
+    # a labels-(2, 2) model read under labels (1, 1): its cross coefficients do not
+    # vanish, whether the file holds the full model or only its var entry
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    model_path = tmp_path / "m.json"
+    assert main(["construct", "--config", cfg, "--out", str(model_path)]) == 0
+    full = dict(json.loads(model_path.read_text()), labels=[1, 1])
+    var_only = {key: full[key] for key in ("format", "k", "partition", "labels", "var")}
+    capsys.readouterr()
+    for doc in (full, var_only):
+        assert main(["verify", "--config", write_json(tmp_path / "v.json", doc)]) == 1
+        out = capsys.readouterr().out
+        assert "condition-1 coefficient blocks vanish: no" in out
+        assert "verification FAILED" in out
+    # a var-only file's labels are refused as a full model's are: one per set, each 1 or 2
+    for labels in ([1], [3, 3]):
+        p = write_json(tmp_path / "v.json", dict(var_only, labels=labels))
+        assert main(["verify", "--config", p]) == 1
+        err = capsys.readouterr().err
+        assert "model field 'labels'" in err and "Traceback" not in err
+
+
 def test_verify_model_file_that_is_not_positive_definite_exit_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", construct_config())
     model_path = tmp_path / "m.json"

@@ -597,6 +597,35 @@ def test_dependence_stages_run_once_from_zeros(monkeypatch):
         assert np.array_equal(got, np.zeros(n))
 
 
+def test_fit_stage3_on_a_one_set_partition_is_a_run_with_no_parameters():
+    z = seeded_normals(3, (2, 300))
+    sf = fit_stage2(z, (0, 1), 2)
+    st3 = fit_stage3(z, [sf.corr], (1,), Partition(sets=((0, 1),), d=2), 2)
+    assert st3.fixed_blocks == () and st3.crosses == ()
+    assert st3.converged
+    assert st3.loglik == sf.loglik
+
+
+def test_objective_at_a_zero_length_theta_returns_a_zero_length_score():
+    z, k = seeded_normals(3, (2, 300)), 1
+    corr = random_subprocess_corr(np.random.default_rng(3), 2, k)
+    held = estimation._joint_model(Partition(sets=((0, 1),), d=2), (1,), k, held=[corr])
+    value, score = estimation._objective(lag_gram(z, k), k, held)(np.zeros(0))
+    assert score.shape == (0,)
+    assert -value == pytest.approx(gaussian_var_loglik(z, corr.toeplitz(), k), rel=1e-12)
+
+
+@pytest.mark.parametrize("sets, labels", [(((0, 1, 2),), (1,)), (((0, 1), (2,)), (1, 2))])
+@pytest.mark.parametrize("stage4", [False, True])
+def test_fit_model_makes_one_run_per_dependence_stage(monkeypatch, sets, labels, stage4):
+    # one run per sub-process, one for stage 3 (one-set partitions too) and one for stage 4
+    runs = recorded_runs(monkeypatch)
+    config = ModelConfig(partition=Partition(sets=sets, d=3), labels=labels, k=1,
+                         margin_families=("gaussian",) * 3)
+    fit_model(seeded_normals(5, (3, 300)), config, stage4=stage4)
+    assert len(runs) == len(sets) + 1 + stage4
+
+
 def test_fit_stage3_solves_the_closure_system_a_fixed_number_of_times(monkeypatch):
     # one joint-model evaluation for the affine map and one exact build at the
     # optimum, however many objective evaluations the optimizer makes
