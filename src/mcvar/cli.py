@@ -11,6 +11,7 @@ infeasibility (positive definiteness), 3 tolerance failure in ``tables``.
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -22,10 +23,8 @@ from .closure import (
     DegenerateCrossPair,
     Partition,
     SubprocessCorr,
-    assemble_full_R,
     coefficient_block_zeros,
     fixed_lag_for_labels,
-    solve_cross_pair,
     verify_closure,
 )
 from .estimation import (
@@ -216,15 +215,22 @@ def _dump_json(path, doc):
         fh.write("{\n%s\n}\n" % fields)
 
 
-def _margin_families(doc, d):
+def _required(fields, name, path):
+    """The integer field ``name`` of the config at ``path``; exit 1 naming both when absent."""
+    if name not in fields:
+        raise CliError('%s: config needs "%s"' % (path, name))
+    return fields[name]
+
+
+def _margin_families(doc, d, path):
     if "margin_families" in doc:
-        fams = tuple(doc["margin_families"])
+        field, fams = "margin_families", tuple(doc["margin_families"])
     elif "margins" in doc:
-        fams = tuple(m["family"] for m in doc["margins"])
+        field, fams = "margins", tuple(m["family"] for m in doc["margins"])
     else:
-        raise CliError("config needs 'margins' or 'margin_families'")
+        raise CliError('%s: config needs "margins" or "margin_families"' % path)
     if len(fams) != d:
-        raise CliError("need %d margin families, got %d" % (d, len(fams)))
+        raise CliError('%s: "%s" has %d entries, expected %d' % (path, field, len(fams), d))
     return fams
 
 
@@ -460,23 +466,23 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
-def _model_config(doc, fields, part, d, args):
-    """ModelConfig of a fit config with integer ``fields``, partition ``part`` and
-    d margin families, and whether stage 4 runs.
+def _model_config(doc, fields, path, part, d, args):
+    """ModelConfig of the fit config at ``path`` with integer ``fields``, partition
+    ``part`` and d margin families, and whether stage 4 runs.
 
     ``--k`` overrides the config's order and ``--stage4`` switches stage 4 on.
     """
-    k = args.k if args.k is not None else fields["k"]
-    config = ModelConfig(partition=part, labels=fields["labels"], k=k,
-                         margin_families=_margin_families(doc, d))
+    k = args.k if args.k is not None else _required(fields, "k", path)
+    config = ModelConfig(partition=part, labels=_required(fields, "labels", path), k=k,
+                         margin_families=_margin_families(doc, d, path))
     return config, args.stage4 or bool(doc.get("stage4", False))
 
 
 def cmd_fit(args):
     doc, fields = _load_document(args.config, {CONFIG_FORMAT})
     ds = _dataset_from_args(args, doc)
-    part = fields["partition"]
-    config, stage4 = _model_config(doc, fields, part, part.d, args)
+    part = _required(fields, "partition", args.config)
+    config, stage4 = _model_config(doc, fields, args.config, part, part.d, args)
     if ds.values.shape[0] != part.d:
         raise CliError("data has %d columns, config expects %d" % (ds.values.shape[0], part.d))
     fm = fit_model(ds.values, config, stage4=stage4)
@@ -504,15 +510,15 @@ def cmd_fit(args):
 
 # -- compare ----------------------------------------------------------------------
 
-def _fit_config_doc(doc, fields, ds, args):
+def _fit_config_doc(doc, fields, path, ds, args):
     d = ds.values.shape[0]
     part = fields.get("partition") or Partition(sets=(tuple(range(d)),), d=d)
     if doc.get("kind", "margin-closed") == "unrestricted":
         # the one-sub-process fit; stage 4 does not apply to the benchmark
-        k = args.k if args.k is not None else fields["k"]
-        kind, fm = "unrestricted", fit_unrestricted(ds.values, _margin_families(doc, d), k)
+        k = args.k if args.k is not None else _required(fields, "k", path)
+        kind, fm = "unrestricted", fit_unrestricted(ds.values, _margin_families(doc, d, path), k)
     else:
-        config, stage4 = _model_config(doc, fields, part, d, args)
+        config, stage4 = _model_config(doc, fields, path, part, d, args)
         k = config.k
         kind, fm = "margin-closed", fit_model(ds.values, config, stage4=stage4)
     return {
@@ -527,7 +533,7 @@ def cmd_compare(args):
         raise CliError("compare needs exactly two --config files")
     docs = [_load_document(path, {CONFIG_FORMAT}) for path in args.config]
     ds = _dataset_from_args(args, docs[0][0])
-    rows = [dict(name=path, **_fit_config_doc(doc, fields, ds, args))
+    rows = [dict(name=path, **_fit_config_doc(doc, fields, path, ds, args))
             for path, (doc, fields) in zip(args.config, docs)]
     print("%-28s %-14s %3s %10s %5s %12s %12s"
           % ("config", "kind", "k", "loglik", "par", "AIC", "BIC"))
@@ -546,7 +552,7 @@ def cmd_compare(args):
 # -- tables -------------------------------------------------------------------------
 
 # printed reference values (3 decimals) for the two-sub-process worked example
-# with rho_1 = (1, -0.8, 0.6), rho_2 = (1, 0.6, 0.5), k = 2
+# of _worked_cases
 _T1_REFERENCE = {
     (1, 1): {
         "fixed": 0.35,
@@ -603,40 +609,45 @@ _T3_REFERENCE = {
     },
 }
 
-_WORKED_SUBS = (
-    ((1.0,), (-0.8,), (0.6,)),
-    ((1.0,), (0.6,), (0.5,)),
-)
+
+def _scalar_model(autocorrs, labels, fixed):
+    """The model, by :func:`construct_model`, of scalar sub-processes with lag
+    1..k autocorrelations ``autocorrs``, ``labels`` and standard Gaussian
+    margins, from one ``fixed`` value per pair i < j, in lexicographic order,
+    at the lag the pair's labels fix."""
+    n, k = len(autocorrs), len(autocorrs[0])
+    subs = tuple(SubprocessCorr(blocks=tuple(np.array([[v]]) for v in (1.0, *rho)))
+                 for rho in autocorrs)
+    blocks = [CrossFixedBlock(pair=(i, j), lag=fixed_lag_for_labels((labels[i], labels[j]), k),
+                              value=[[v]])
+              for (i, j), v in zip(itertools.combinations(range(n), 2), fixed)]
+    return construct_model(Partition(sets=tuple((i,) for i in range(n)), d=n), labels, k,
+                           (MarginSpec("gaussian", (0.0, 1.0)),) * n, subs, blocks)
 
 
-def _worked_example_model(labels, fixed_value):
-    r1 = SubprocessCorr(blocks=tuple(np.array([[v[0]]]) for v in _WORKED_SUBS[0]))
-    r2 = SubprocessCorr(blocks=tuple(np.array([[v[0]]]) for v in _WORKED_SUBS[1]))
-    lag = fixed_lag_for_labels(labels, 2)
-    fb = CrossFixedBlock(pair=(0, 1), lag=lag, value=[[fixed_value]])
-    part = Partition(sets=((0,), (1,)), d=2)
-    margins = (MarginSpec("gaussian", (0.0, 1.0)), MarginSpec("gaussian", (0.0, 1.0)))
-    return construct_model(part, labels, 2, margins, (r1, r2), [fb])
+def _worked_cases(reference, width):
+    """Per label case of ``reference``, the two-sub-process worked example with
+    rho_1 = (1, -0.8, 0.6), rho_2 = (1, 0.6, 0.5), k = 2: print the header and
+    Phi_1, Phi_2 against the reference, labelled in ``width`` columns, and
+    yield (labels, reference row, VAR, max |Phi deviation|)."""
+    for labels, ref in reference.items():
+        var = _scalar_model(((-0.8, 0.6), (0.6, 0.5)), labels, (ref["fixed"],)).var()
+        print("labels %s  fixed cross value %.3f (lag %d)"
+              % (list(labels), ref["fixed"], fixed_lag_for_labels(labels, 2)))
+        phi_dev = 0.0
+        for m, phi in enumerate(var.phi):
+            ref_phi = ref["phi%d" % (m + 1)]
+            _print_side_by_side(("  Phi_%d" % (m + 1)).ljust(width), phi, ref_phi)
+            phi_dev = max(phi_dev, float(np.max(np.abs(phi - np.array(ref_phi)))))
+        yield labels, ref, var, phi_dev
 
 
 def _table_t1():
-    dev = 0.0
     cases = []
-    for labels, ref in _T1_REFERENCE.items():
-        model = _worked_example_model(labels, ref["fixed"])
-        var = model.var()
-        print("labels %s  fixed cross value %.3f (lag %d)"
-              % (list(labels), ref["fixed"], fixed_lag_for_labels(labels, 2)))
-        _print_side_by_side("  Phi_1    ", var.phi[0], ref["phi1"])
-        _print_side_by_side("  Phi_2    ", var.phi[1], ref["phi2"])
+    for labels, ref, var, phi_dev in _worked_cases(_T1_REFERENCE, len("  Sigma_eps")):
         _print_side_by_side("  Sigma_eps", var.sigma, ref["sigma"])
-        case_dev = max(
-            float(np.max(np.abs(var.phi[0] - np.array(ref["phi1"])))),
-            float(np.max(np.abs(var.phi[1] - np.array(ref["phi2"])))),
-            float(np.max(np.abs(var.sigma - np.array(ref["sigma"])))),
-        )
+        case_dev = max(phi_dev, float(np.max(np.abs(var.sigma - np.array(ref["sigma"])))))
         print("  max |deviation| = %.2e" % case_dev)
-        dev = max(dev, case_dev)
         cases.append({
             "labels": list(labels),
             "phi1": var.phi[0].tolist(),
@@ -644,86 +655,53 @@ def _table_t1():
             "sigma": var.sigma.tolist(),
             "max_abs_deviation": case_dev,
         })
-    return dev, {"cases": cases}
+    return max(c["max_abs_deviation"] for c in cases), {"cases": cases}
 
 
 def _table_t2t3():
-    dev = 0.0
     cases = []
-    for labels, ref in _T3_REFERENCE.items():
-        model = _worked_example_model(labels, ref["fixed"])
-        var = model.var()
+    for labels, ref, var, phi_dev in _worked_cases(_T3_REFERENCE, 0):
         s = var.sigma
         ic = float(s[0, 1] / np.sqrt(s[0, 0] * s[1, 1]))
-        print("labels %s  fixed cross value %.3f (lag %d)"
-              % (list(labels), ref["fixed"], fixed_lag_for_labels(labels, 2)))
-        _print_side_by_side("  Phi_1", var.phi[0], ref["phi1"])
-        _print_side_by_side("  Phi_2", var.phi[1], ref["phi2"])
         print("  innovation correlation  % .3f | ref % .3f" % (ic, ref["innov_corr"]))
-        case_dev = max(
-            float(np.max(np.abs(var.phi[0] - np.array(ref["phi1"])))),
-            float(np.max(np.abs(var.phi[1] - np.array(ref["phi2"])))),
-            abs(ic - ref["innov_corr"]),
-        )
+        case_dev = max(phi_dev, abs(ic - ref["innov_corr"]))
         in_band = 0.79 <= ic <= 0.82
         print("  max |deviation| = %.2e  innovation correlation in [0.79, 0.82]: %s"
               % (case_dev, "yes" if in_band else "no"))
-        if not in_band:
-            case_dev = max(case_dev, 1.0)
-        dev = max(dev, case_dev)
         cases.append({
             "labels": list(labels),
             "fixed": ref["fixed"],
             "phi1": var.phi[0].tolist(),
             "phi2": var.phi[1].tolist(),
             "innov_corr": ic,
-            "max_abs_deviation": case_dev,
+            "max_abs_deviation": case_dev if in_band else max(case_dev, 1.0),
         })
-    return dev, {"cases": cases}
-
-
-def _pair_model_k1(rho1, rho2, labels, cross0):
-    r1 = SubprocessCorr(blocks=(np.eye(1), np.array([[rho1]])))
-    r2 = SubprocessCorr(blocks=(np.eye(1), np.array([[rho2]])))
-    sol = solve_cross_pair(r1, r2, labels, CrossFixedBlock(pair=(0, 1), lag=0, value=[[cross0]]))
-    return r1, r2, sol
+    return max(c["max_abs_deviation"] for c in cases), {"cases": cases}
 
 
 def _table_example1():
     """Closed-form check of the solved lag blocks for two scalar AR(1) subs."""
     grid = np.linspace(-0.9, 0.9, 13)
-    dev = 0.0
     rows = []
     for rho1, rho2 in ((0.9, 0.9), (0.9, -0.9), (0.5, -0.7)):
+        dev = 0.0
         for c0 in grid:
-            _, _, sol1 = _pair_model_k1(rho1, rho2, (1, 1), c0)
-            _, _, sol2 = _pair_model_k1(rho1, rho2, (2, 2), c0)
-            # both-1: lag +1 follows sub 1, lag -1 follows sub 2
-            d11 = max(abs(sol1.block(1)[0, 0] - rho1 * c0),
-                      abs(sol1.block(-1)[0, 0] - rho2 * c0))
-            # both-2: mirrored
-            d22 = max(abs(sol2.block(-1)[0, 0] - rho1 * c0),
-                      abs(sol2.block(1)[0, 0] - rho2 * c0))
-            dev = max(dev, d11, d22)
+            # both-1 labels: lag +1 follows sub 1, lag -1 follows sub 2; both-2 mirror them
+            for labels, lag in (((1, 1), 1), ((2, 2), -1)):
+                sol = _scalar_model(((rho1,), (rho2,)), labels, (c0,)).crosses[0]
+                dev = max(dev, abs(sol.block(lag)[0, 0] - rho1 * c0),
+                          abs(sol.block(-lag)[0, 0] - rho2 * c0))
         rows.append({"rho1": rho1, "rho2": rho2, "max_abs_deviation": dev})
         print("rho_{11,1}=% .2f rho_{22,1}=% .2f: solved lag blocks match "
               "closed forms to %.2e over %d grid points" % (rho1, rho2, dev, grid.size))
     print("closed forms: both-1 labels give (rho_{12,1}, rho_{12,-1}) = "
           "(rho_{11,1}, rho_{22,1}) x rho_{12,0}; both-2 labels mirror them")
-    return dev, {"rows": rows}
+    return max(r["max_abs_deviation"] for r in rows), {"rows": rows}
 
 
 def _table_example3():
     rhos = (0.6, 0.7, 0.8)
-    subs = tuple(SubprocessCorr(blocks=(np.eye(1), np.array([[r]]))) for r in rhos)
-    part = Partition(sets=((0,), (1,), (2,)), d=3)
-    labels = (2, 2, 2)
-    margins = tuple(MarginSpec("gaussian", (0.0, 1.0)) for _ in range(3))
-    fixed = [
-        CrossFixedBlock(pair=p, lag=0, value=[[0.5]])
-        for p in ((0, 1), (0, 2), (1, 2))
-    ]
-    model = construct_model(part, labels, 1, margins, subs, fixed)
+    model = _scalar_model(tuple((r,) for r in rhos), (2, 2, 2), (0.5,) * 3)
     r = model.time_major_R()
     pd_ok = is_positive_definite(r)
     print("three scalar AR(1) sub-processes, lag-1 correlations %s," % (list(rhos),))
@@ -732,7 +710,7 @@ def _table_example3():
     print("positive definite: %s" % ("yes" if pd_ok else "no"))
     if not pd_ok:
         return 1.0, {"positive_definite": False}
-    report = verify_closure(r, part, 1, tol=1e-8)
+    report = verify_closure(r, model.partition, 1, tol=1e-8)
     print(report)
     worst = max(min(s.cond1_residual, s.cond2_residual) for s in report.subs)
     ok = pd_ok and report.all_pass
@@ -748,12 +726,8 @@ def _table_pdregion():
     grid = np.round(np.arange(-0.99, 0.995, 0.01), 2)
 
     def scan(rho1, rho2):
-        part = Partition(sets=((0,), (1,)), d=2)
-        flags = []
-        for c0 in grid:
-            r1, r2, sol = _pair_model_k1(rho1, rho2, (2, 2), c0)
-            flags.append(is_positive_definite(assemble_full_R(part, (r1, r2), [sol])))
-        return np.array(flags)
+        return np.array([is_positive_definite(
+            _scalar_model(((rho1,), (rho2,)), (2, 2), (c0,)).time_major_R()) for c0 in grid])
 
     ok_all = scan(0.9, 0.9)
     print("rho_{11,1}=0.9, rho_{22,1}=0.9: positive definite at %d / %d grid points"
@@ -790,7 +764,7 @@ def cmd_tables(args):
     fn, default_tol = _TABLES[args.name]
     tol = args.tol if args.tol is not None else default_tol
     dev, payload = fn()
-    passed = dev <= tol
+    passed = bool(dev <= tol)
     print("table %s: max |deviation| %.3e, tolerance %.1e -> %s"
           % (args.name, dev, tol, "PASS" if passed else "FAIL"))
     out = args.out or ("mcvar_tables_%s.json" % args.name)

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcvar.cli as cli
+import mcvar.closure as closure
 from mcvar.cli import (CliError, Dataset, _fmt_matrix, load_csv, main, model_file_dict,
                        transform)
 
@@ -679,6 +680,53 @@ def test_fit_rejects_a_non_finite_cell_exit_1(tmp_path, capsys):
     assert "non-finite value at line 59, column 'v'" in capsys.readouterr().err
 
 
+def _fit_config(**edits):
+    doc = {"format": "mcvar-config/1", "k": 1, "partition": [[0], [1]], "labels": [2, 2],
+           "margin_families": ["gaussian", "gaussian"]}
+    doc.update(edits)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _small_csv(tmp_path):
+    rows = np.random.default_rng(3).normal(size=(60, 2)).tolist()
+    data = tmp_path / "d.csv"
+    data.write_text("u,v\n" + "".join("%r,%r\n" % tuple(r) for r in rows))
+    return str(data)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"partition": None}, 'config needs "partition"'),
+    ({"labels": None}, 'config needs "labels"'),
+    ({"k": None}, 'config needs "k"'),
+    ({"margin_families": None}, 'config needs "margins" or "margin_families"'),
+    ({"margin_families": ["gaussian"]}, '"margin_families" has 1 entries, expected 2'),
+    ({"margin_families": None, "margins": [{"family": "gaussian", "params": [0.0, 1.0]}]},
+     '"margins" has 1 entries, expected 2'),
+])
+def test_fit_config_without_a_field_is_named_with_its_path_exit_1(tmp_path, capsys, edits,
+                                                                   message):
+    cfg = write_json(tmp_path / "fit.json", _fit_config(**edits))
+    assert main(["fit", "--config", cfg, "--data", _small_csv(tmp_path),
+                 "--out", str(tmp_path / "fitted.json")]) == 1
+    assert "error: %s: %s" % (cfg, message) in capsys.readouterr().err
+    assert not (tmp_path / "fitted.json").exists()
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"labels": None}, 'config needs "labels"'),
+    ({"kind": "unrestricted", "k": None}, 'config needs "k"'),
+    ({"kind": "unrestricted", "margin_families": ["gaussian"] * 3},
+     '"margin_families" has 3 entries, expected 2'),
+])
+def test_compare_names_the_config_that_lacks_a_field_exit_1(tmp_path, capsys, edits, message):
+    good = write_json(tmp_path / "good.json", _fit_config(kind="unrestricted"))
+    bad = write_json(tmp_path / "bad.json", _fit_config(**edits))
+    assert main(["compare", "--config", good, "--config", bad, "--data", _small_csv(tmp_path),
+                 "--out", str(tmp_path / "cmp.json")]) == 1
+    assert "error: %s: %s" % (bad, message) in capsys.readouterr().err
+    assert not (tmp_path / "cmp.json").exists()
+
+
 def test_construct_non_pd_subprocess_exit_2(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",
@@ -845,6 +893,39 @@ def test_tables_example1_closed_form(tmp_path, capsys):
     doc = json.loads((tmp_path / "e1.json").read_text())
     assert doc["passed"] is True
     assert doc["max_abs_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["t1", "t2t3", "example1", "example3", "pdregion"])
+def test_every_table_passes_at_its_default_tolerance(tmp_path, capsys, name):
+    out = tmp_path / "table.json"
+    assert main(["tables", name, "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is True
+    parts = doc.get("cases", doc.get("rows"))
+    if parts is not None:
+        assert doc["max_abs_deviation"] == max(p["max_abs_deviation"] for p in parts)
+
+
+def test_tables_example1_reports_each_rows_own_deviation(tmp_path, capsys, monkeypatch):
+    solve = closure._solve_pairs
+
+    def shifted(stacks, labels, pairs, values):
+        solved, tangent = solve(stacks, labels, pairs, values)
+        # a solve error only where both sub-processes have lag-1 correlation 0.9
+        if all(stacks[c][-1][0, 0] == 0.9 for c in (0, 1)):
+            solved = [s + 1e-3 for s in solved]
+        return solved, tangent
+
+    monkeypatch.setattr(closure, "_solve_pairs", shifted)
+    out = tmp_path / "e1.json"
+    assert main(["tables", "example1", "--out", str(out)]) == 3
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    devs = [r["max_abs_deviation"] for r in doc["rows"]]
+    assert devs[0] > 0.0
+    assert devs[1:] == [0.0, 0.0]
+    assert doc["max_abs_deviation"] == devs[0]
 
 
 def test_tables_unknown_name(capsys):
