@@ -168,7 +168,8 @@ def _load_document(path, expect_format):
     """The document at ``path``, whose format tag must be in ``expect_format``,
     and its integer fields ``partition`` (a Partition), ``k`` (at least 1) and
     ``labels``, each when present; each ``cross_fixed`` pair and lag is
-    checked too.  A bool, fraction or string exits 1, naming path and field."""
+    checked too.  A bool, fraction or string exits 1, naming path and field,
+    and a ``cross_fixed`` entry without its pair or lag names its index."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -195,10 +196,17 @@ def _load_document(path, expect_format):
             raise CliError('%s: "k" must be at least 1, got %d' % (path, fields["k"]))
     if "labels" in doc:
         fields["labels"] = integers(doc["labels"], '"labels"')
-    for e in doc.get("cross_fixed", ()):
-        integers(e["pair"], '"cross_fixed" pair')
-        _integer(e["lag"], '%s: "cross_fixed" lag' % path)
+    for i, e in enumerate(doc.get("cross_fixed", ())):
+        integers(_entry(e, "pair", path, "cross_fixed", i), '"cross_fixed" pair')
+        _integer(_entry(e, "lag", path, "cross_fixed", i), '%s: "cross_fixed" lag' % path)
     return doc, fields
+
+
+def _entry(entry, key, path, field, i):
+    """``entry[key]``, entry i of the list ``field`` at ``path``; exit 1 naming all if absent."""
+    if key not in entry:
+        raise CliError('%s: "%s" entry %d has no "%s"' % (path, field, i, key))
+    return entry[key]
 
 
 def _dump_json(path, doc):
@@ -226,7 +234,8 @@ def _margin_families(doc, d, path):
     if "margin_families" in doc:
         field, fams = "margin_families", tuple(doc["margin_families"])
     elif "margins" in doc:
-        field, fams = "margins", tuple(m["family"] for m in doc["margins"])
+        field, fams = "margins", tuple(_entry(m, "family", path, "margins", i)
+                                       for i, m in enumerate(doc["margins"]))
     else:
         raise CliError('%s: config needs "margins" or "margin_families"' % path)
     if len(fams) != d:
@@ -254,22 +263,29 @@ def load_model_file(path):
 
     ``fields`` holds the integer fields of :func:`_load_document` and
     ``names``, None when absent or else one per variable.  The model is read
-    by :meth:`Model.from_dict`.  A file with only a ``var`` entry loads with
-    ``model`` None and ``fields["var"]``: k finite d x d ``phi`` blocks and a
-    finite, positive definite d x d ``sigma`` (exit 2 if not), d being the
-    variables of its ``partition``; its ``labels``, when present, are checked
-    as a model's are.
+    by :meth:`Model.from_dict`; its ``var`` entry, when present, must be the
+    model's own VAR, each entry v within 1e-9 max(1, |v|) (exit 1 naming
+    ``var`` if not).  A file with only a ``var`` entry loads with ``model``
+    None and ``fields["var"]``: k finite d x d ``phi`` blocks and a finite,
+    positive definite d x d ``sigma`` (exit 2 if not), d being the variables
+    of its ``partition``; its ``labels``, when present, are checked as a
+    model's are.
     """
     doc, fields = _load_document(path, {MODEL_FORMAT})
     if "subprocess_corrs" in doc and "crosses" in doc:
         model = Model.from_dict(doc)
         d = model.partition.d
+        if "var" in doc:
+            var = model.var()
+            for got, v in zip(_var_blocks(doc, model.k, d), (*var.phi, var.sigma)):
+                if np.any(np.abs(got - v) > 1e-9 * np.maximum(1.0, np.abs(v))):
+                    raise CliError("%s: model field 'var' is not the VAR of the model's "
+                                   "correlation blocks" % path)
     elif "var" in doc:
         model, d = None, fields["partition"].d
         if "labels" in fields:
             _label_field(fields["labels"], fields["partition"].n)
-        phi = _lag_blocks(doc["var"]["phi"], "var", fields["k"], (d, d))
-        sigma = _lag_blocks([doc["var"]["sigma"]], "var", 1, (d, d))[0]
+        *phi, sigma = _var_blocks(doc, fields["k"], d)
         if not is_positive_definite(sigma):
             raise InfeasibleError("model field 'var': sigma is not positive definite")
         fields["var"] = VarRepresentation(phi=phi, sigma=sigma)
@@ -277,6 +293,12 @@ def load_model_file(path):
         raise CliError("%s: neither sub-process blocks nor a var entry" % path)
     fields["names"] = _names(doc, path, d)
     return model, doc, fields
+
+
+def _var_blocks(doc, k, d):
+    """The ``var`` entry of a model file: its k finite d x d phi blocks, then sigma."""
+    return (*_lag_blocks(doc["var"]["phi"], "var", k, (d, d)),
+            *_lag_blocks([doc["var"]["sigma"]], "var", 1, (d, d)))
 
 
 def _integer(value, source, nonnegative=False):
@@ -532,6 +554,10 @@ def cmd_compare(args):
     if not args.config or len(args.config) != 2:
         raise CliError("compare needs exactly two --config files")
     docs = [_load_document(path, {CONFIG_FORMAT}) for path in args.config]
+    for field in ("columns", "transform"):  # AIC compares fits to the same observations
+        if docs[1][0].get(field) != docs[0][0].get(field):
+            raise CliError('%s: "%s" differs from that of %s'
+                           % (args.config[1], field, args.config[0]))
     ds = _dataset_from_args(args, docs[0][0])
     rows = [dict(name=path, **_fit_config_doc(doc, fields, path, ds, args))
             for path, (doc, fields) in zip(args.config, docs)]

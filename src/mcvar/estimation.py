@@ -15,6 +15,7 @@ latent term alone, on latent scores computed once per fit:
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -47,7 +48,7 @@ __all__ = [
     "construct_model",
     "FittedModel",
     "SubprocessFit",
-    "Stage3Fit",
+    "StageFit",
     "LagGram",
     "lag_gram",
     "gaussian_var_loglik",
@@ -169,8 +170,9 @@ class Model:
         ``k`` below 1, a label other than 1 or 2, a count of labels, margins,
         sub-processes, crosses or fixed blocks that does not match the
         partition, a pair not i < j within it or named twice, a lag other than
-        its labels fix, and lag blocks that are not k+1 (sub-process) or 2k+1
-        (cross) finite d_i x d_j blocks raise ValueError naming the field."""
+        its labels fix, an entry without its pair, lag, value or blocks, and
+        lag blocks that are not k+1 (sub-process) or 2k+1 (cross) finite
+        d_i x d_j blocks raise ValueError naming the field."""
         sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
         dim = sum(len(s) for s in sets)
         part = Partition(sets=sets, d=dim)
@@ -186,22 +188,23 @@ class Model:
         if fixed and "crosses" in d:
             raise ValueError("model fields 'crosses' and 'cross_fixed' exclude each other")
         name, pairs, entries = ("cross_fixed" if fixed else "crosses"), _pair_list(part.n), {}
-        for e in _counted_field(d[name], name, len(pairs), "pair of partition sets"):
-            pair = tuple(_integer_field(v, name + " pair") for v in e["pair"])
+        for n, e in enumerate(_counted_field(d[name], name, len(pairs), "pair of partition sets")):
+            field = functools.partial(_entry_field, e, name, n)
+            pair = tuple(_integer_field(v, name + " pair") for v in field("pair"))
             if pair not in pairs or pair in entries:
                 raise ValueError("model field '%s pair' must name each pair i < j of the "
                                  "partition once, got %r" % (name, list(pair)))
             shape = (len(sets[pair[0]]), len(sets[pair[1]]))
             if fixed:
-                lag = _integer_field(e["lag"], "cross_fixed lag")
+                lag = _integer_field(field("lag"), "cross_fixed lag")
                 if lag != fixed_lag_for_labels((labels[pair[0]], labels[pair[1]]), k):
                     raise ValueError("model field 'cross_fixed lag' %d does not match the labels "
                                      "of pair %r" % (lag, list(pair)))
                 entries[pair] = CrossFixedBlock(pair, lag,
-                                                _lag_blocks([e["value"]], name, 1, shape)[0])
+                                                _lag_blocks([field("value")], name, 1, shape)[0])
             else:
                 entries[pair] = CrossSolution(pair, k,
-                                              _lag_blocks(e["blocks"], name, 2 * k + 1, shape))
+                                              _lag_blocks(field("blocks"), name, 2 * k + 1, shape))
         if fixed:
             return construct_model(part, labels, k, margins, subs, entries.values())
         return cls(partition=part, labels=labels, k=k, margins=margins, subs=subs,
@@ -215,6 +218,13 @@ def _integer_field(value, name):
     return int(value)
 
 
+def _entry_field(entry, name, i, key):
+    """``entry[key]``, entry i of the model field ``name``; ValueError naming all when absent."""
+    if key not in entry:
+        raise ValueError("model field %r entry %d has no %r" % (name, i, key))
+    return entry[key]
+
+
 def _label_field(values, n):
     """The condition labels of a model document: one per partition set, each 1 or 2."""
     labels = tuple(_integer_field(c, "labels")
@@ -226,7 +236,8 @@ def _label_field(values, n):
 
 def _subprocess(entry, i, k, dim):
     """Sub-process i of a model document, k+1 finite dim x dim lag blocks."""
-    blocks = _lag_blocks(entry["blocks"], "subprocess_corrs", k + 1, (dim, dim))
+    blocks = _lag_blocks(_entry_field(entry, "subprocess_corrs", i, "blocks"), "subprocess_corrs",
+                         k + 1, (dim, dim))
     try:
         return SubprocessCorr(blocks=blocks)
     except ValueError as exc:  # a lag-0 block that is not a correlation matrix
@@ -452,10 +463,21 @@ def _objective(gram, k, model):
     return nll
 
 
+class StageFit(NamedTuple):
+    """One dependence-stage run; ``run`` is the record that ``minimize`` returned."""
+
+    subs: tuple
+    fixed_blocks: tuple
+    crosses: tuple
+    loglik: float  # latent Gaussian term only
+    run: object
+    converged = property(lambda self: bool(self.run.success))
+
+
 def _fit_joint(z, partition, labels, k, stage, maxiter, x0=None, held=None, refresh=False):
     """One dependence-stage run: the joint model (:func:`_joint_model`) on the lag
     Gram matrix of ``z``, minimised once from ``x0`` (theta = 0 when None), to
-    (sub-processes, ``held`` if given, fixed blocks, crosses, loglik, converged).
+    its :class:`StageFit`, whose ``subs`` are ``held`` if given.
     No positive definite point, at the build or the end, raises LinAlgError
     "<stage> found no positive definite point"."""
     refused = "%s found no positive definite point" % stage
@@ -475,8 +497,8 @@ def _fit_joint(z, partition, labels, k, stage, maxiter, x0=None, held=None, refr
     subs = held if held is not None else [_theta_to_corr(t, di, k)
                                           for t, di in zip(sub_thetas, dims)]
     fixed = _unpack_fixed(cross_theta, partition, labels, k)
-    return (tuple(subs), tuple(fixed), tuple(_cross_solutions(subs, labels, fixed)),
-            -float(best.fun), bool(best.success))
+    return StageFit(tuple(subs), tuple(fixed), tuple(_cross_solutions(subs, labels, fixed)),
+                    -float(best.fun), best)
 
 
 # -- stage 2: per-sub-process dependence ------------------------------------
@@ -502,7 +524,8 @@ class SubprocessFit:
     indices: tuple
     corr: SubprocessCorr
     loglik: float  # latent Gaussian term only
-    converged: bool
+    run: object  # the record of its stage-2 run
+    converged = StageFit.converged
 
 
 def fit_stage2(z, indices, k):
@@ -518,10 +541,10 @@ def fit_stage2(z, indices, k):
     """
     indices = tuple(indices)
     d = len(indices)
-    (corr,), _, _, loglik, converged = _fit_joint(
+    fit = _fit_joint(
         np.asarray(z, dtype=float)[list(indices)], Partition(sets=(tuple(range(d)),), d=d), (1,),
         k, "stage 2 (sub-process %s)" % (indices,), _MAXITER, refresh=True)
-    return SubprocessFit(indices=indices, corr=corr, loglik=loglik, converged=converged)
+    return SubprocessFit(indices=indices, corr=fit.subs[0], loglik=fit.loglik, run=fit.run)
 
 
 # -- stage 3: cross dependence ----------------------------------------------
@@ -551,14 +574,6 @@ def _unpack_fixed(theta, partition, labels, k):
     return out
 
 
-@dataclass(frozen=True)
-class Stage3Fit:
-    fixed_blocks: tuple
-    crosses: tuple
-    loglik: float  # latent Gaussian term only
-    converged: bool
-
-
 def fit_stage3(z, subproc_corrs, labels, partition, k):
     """Joint quasi-MLE of every pair's fixed cross block from the latent scores ``z``.
 
@@ -571,11 +586,9 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     inverse of the expected information there (:func:`_information`).  One
     exact solve at the optimum gives the returned crosses.  A degenerate
     pair raises LinAlgError.  A one-set partition has no fixed blocks: its
-    run has no parameters and returns the stage-2 value.
+    run has no parameters and returns the stage-2 value.  Its ``subs`` are ``subproc_corrs``.
     """
-    _, fixed, crosses, loglik, converged = _fit_joint(
-        z, partition, labels, k, "stage 3", _MAXITER, held=list(subproc_corrs))
-    return Stage3Fit(fixed_blocks=fixed, crosses=crosses, loglik=loglik, converged=converged)
+    return _fit_joint(z, partition, labels, k, "stage 3", _MAXITER, held=list(subproc_corrs))
 
 
 def _sub_lags(d, k):
@@ -718,7 +731,7 @@ def fit_model(data, config, stage4=False):
 
     Stages 2-4 each make their one run through :func:`_fit_joint`.  On a
     one-set partition stage 3 is that run with no parameters, so its entry in
-    ``stage_logliks`` is the stage-2 value.
+    ``stage_logliks`` is the stage-2 value.  The last stage record gives the model.
     """
     data = np.asarray(data, dtype=float)
     d, T = data.shape
@@ -730,24 +743,18 @@ def fit_model(data, config, stage4=False):
     margins = tuple(mf.spec for mf in margin_fits)
     z = latent_scores(data, margins)
     sub_fits = tuple(fit_stage2(z, s, config.k) for s in config.partition.sets)
-    subs = [sf.corr for sf in sub_fits]
-    st3 = fit_stage3(z, subs, config.labels, config.partition, config.k)
-    fixed, crosses = st3.fixed_blocks, st3.crosses
-    stage_logliks = {"stage2": [sf.loglik for sf in sub_fits], "stage3": st3.loglik}
-    converged = all(f.converged for f in margin_fits + sub_fits) and st3.converged
-    if stage4:
-        subs, fixed, crosses, ll4, ok4 = fit_stage4(
-            z, config.partition, config.labels, subs, fixed, config.k
-        )
-        stage_logliks["stage4"] = ll4
-        converged = converged and ok4
+    st3 = fit_stage3(z, [sf.corr for sf in sub_fits], config.labels, config.partition, config.k)
+    stages = (st3,) if not stage4 else (st3, fit_stage4(
+        z, config.partition, config.labels, st3.subs, st3.fixed_blocks, config.k))
+    stage_logliks = {"stage2": [sf.loglik for sf in sub_fits]}
+    stage_logliks.update(("stage%d" % i, st.loglik) for i, st in enumerate(stages, 3))
     model = Model(
         partition=config.partition,
         labels=config.labels,
         k=config.k,
         margins=margins,
-        subs=tuple(subs),
-        crosses=tuple(crosses),
+        subs=stages[-1].subs,
+        crosses=stages[-1].crosses,
     )
     # loglik_full on the scores already computed
     ll = gaussian_var_loglik(z, model.time_major_R(), config.k) + _margin_correction(
@@ -763,7 +770,7 @@ def fit_model(data, config, stage4=False):
         margin_fits=margin_fits,
         sub_fits=sub_fits,
         stage_logliks=stage_logliks,
-        converged=converged,
+        converged=all(f.converged for f in (*margin_fits, *sub_fits, *stages)),
     )
 
 

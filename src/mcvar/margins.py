@@ -16,7 +16,7 @@ neither tail rounds to x = 0 or 1.
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, digamma, expit, ndtr, ndtri, zeta
@@ -302,7 +302,8 @@ def from_normal(z, margin):
 class MarginFit:
     spec: MarginSpec
     loglik: float
-    converged: bool
+    converged: bool  # the run converged, inside the box
+    run: object = field(default=None, compare=False)  # the skew-t run's record, or None
 
 
 _MAXITER = 4000
@@ -404,4 +405,5 @@ def fit_margin(x, family):
     # a run that nears a bound along a flat ridge can stop a rounding error inside
     tol = 1e-9 * np.maximum(1.0, np.abs(best.x))
     interior = bool(np.all((best.x > lo + tol) & (best.x < hi - tol)))
-    return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success) and interior)
+    return MarginFit(spec=spec, loglik=-float(best.fun), converged=bool(best.success) and interior,
+                     run=best)

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import mcvar.cli as cli
 import mcvar.closure as closure
+from mcvar.varprocess import seeded_normals
 from mcvar.cli import (CliError, Dataset, _fmt_matrix, load_csv, main, model_file_dict,
                        transform)
 
@@ -980,3 +981,135 @@ def test_fit_reports_a_margin_that_did_not_converge(tmp_path, capsys, monkeypatc
     assert main(["fit", "--config", fit_cfg, "--data", sim_path,
                  "--out", str(tmp_path / "fitted.json")]) == 0
     assert "warning: at least one optimizer stage did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["pair", "lag"])
+def test_construct_config_whose_cross_fixed_entry_lacks_a_field_is_named_exit_1(tmp_path, capsys,
+                                                                                key):
+    # a bare KeyError once exited with "error: invalid input: 'lag'"
+    doc = construct_config()
+    del doc["cross_fixed"][0][key]
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "model.json")]) == 1
+    err = capsys.readouterr().err
+    assert 'error: %s: "cross_fixed" entry 0 has no "%s"' % (cfg, key) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_config_whose_margins_entry_lacks_its_family_is_named_exit_1(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "fit.json", _fit_config(margin_families=None, margins=[
+        {"family": "gaussian", "params": [0.0, 1.0]}, {"params": [0.0, 1.0]}]))
+    configs = ["--config", cfg] * (2 if command == "compare" else 1)
+    assert main([command, *configs, "--data", _small_csv(tmp_path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert 'error: %s: "margins" entry 1 has no "family"' % cfg in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def _positive_csv(tmp_path, T=150):
+    """A three-column CSV, a, b and c, of positive levels."""
+    levels = np.exp(np.cumsum(0.01 * seeded_normals(4, (3, T)), axis=1))
+    data = tmp_path / "levels.csv"
+    data.write_text("a,b,c\n" + "".join("%r,%r,%r\n" % tuple(r) for r in levels.T.tolist()))
+    return str(data), levels
+
+
+@pytest.mark.parametrize("second, field", [
+    ({"columns": ["b", "c"], "transform": [{"log_diff": 1}, {"log_diff": 1}]}, "columns"),
+    ({"columns": ["a", "b"], "transform": [{"log_diff": 1}, {"log_diff": 1}]}, "transform"),
+    ({"columns": ["a", "b"]}, "transform"),
+])
+def test_compare_refuses_configs_that_select_other_observations_exit_1(tmp_path, capsys, second,
+                                                                       field):
+    # both rows were once fitted to the first config's columns and transforms
+    data, _ = _positive_csv(tmp_path)
+    first = write_json(tmp_path / "first.json", _fit_config(
+        columns=["a", "b"], transform=[{"log_diff": 1}, {"log_diff": 2}]))
+    other = write_json(tmp_path / "second.json", _fit_config(**second))
+    assert main(["compare", "--config", first, "--config", other, "--data", data,
+                 "--out", str(tmp_path / "cmp.json")]) == 1
+    assert 'error: %s: "%s" differs from that of %s' % (other, field, first) \
+        in capsys.readouterr().err
+    assert not (tmp_path / "cmp.json").exists()
+
+
+def test_fit_cuts_every_transformed_column_to_the_last_T_minus_2_points(tmp_path, capsys,
+                                                                        monkeypatch):
+    data, levels = _positive_csv(tmp_path)
+    seen, fit = [], cli.fit_model
+
+    def recorded(values, config, stage4=False):
+        seen.append(np.array(values))
+        return fit(values, config, stage4=stage4)
+
+    monkeypatch.setattr(cli, "fit_model", recorded)
+    specs = [{"log_diff": m, "scale_percent": True} for m in (2, 1, 2)]
+    cfg = write_json(tmp_path / "fit.json", _fit_config(
+        partition=[[0], [1], [2]], labels=[1, 1, 2], margin_families=["gaussian"] * 3,
+        transform=specs))
+    out = tmp_path / "fitted.json"
+    assert main(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    T = levels.shape[1]
+    want = np.vstack([(100.0 * np.diff(np.log(x), n=s["log_diff"]))[-(T - 2):]
+                      for x, s in zip(levels, specs)])
+    assert len(seen) == 1 and seen[0].shape == (3, T - 2)
+    np.testing.assert_array_equal(seen[0], want)
+    assert json.loads(out.read_text())["fit"]["T"] == T - 2
+
+
+def test_fit_with_stage4_prints_the_stage_4_latent_loglik(tmp_path, capsys):
+    from mcvar.estimation import ModelConfig, fit_model
+
+    data = _small_csv(tmp_path)
+    cfg = write_json(tmp_path / "fit.json", _fit_config())
+    assert main(["fit", "--config", cfg, "--data", data, "--stage4",
+                 "--out", str(tmp_path / "fitted.json")]) == 0
+    config = ModelConfig(partition=closure.Partition(sets=((0,), (1,)), d=2), labels=(2, 2), k=1,
+                         margin_families=("gaussian", "gaussian"))
+    fm = fit_model(load_csv(data).values, config, stage4=True)
+    out = capsys.readouterr().out
+    assert "stage 3 latent loglik: %.3f\n" % fm.stage_logliks["stage3"] in out
+    assert "stage 4 latent loglik: %.3f\n" % fm.stage_logliks["stage4"] in out
+
+
+def _constructed_model_doc(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", construct_config())
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "model.json")]) == 0
+    return json.loads((tmp_path / "model.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("edit", [
+    lambda var: var["phi"][0][0].__setitem__(0, 7.0),
+    lambda var: var["sigma"][0].__setitem__(0, -3.0),
+], ids=["phi_1[0, 0] = 7", "sigma[0, 0] = -3"])
+def test_full_model_file_whose_var_is_not_its_own_is_named_exit_1(tmp_path, capsys, command,
+                                                                  edit):
+    # the stored var of a full model file was never read: verify passed this file
+    doc = _constructed_model_doc(tmp_path)
+    edit(doc["var"])
+    path = write_json(tmp_path / "edited.json", doc)
+    out = tmp_path / "sim.csv"
+    argv = {"verify": ["verify", "--config", path],
+            "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert ("error: %s: model field 'var' is not the VAR of the model's correlation blocks"
+            % path) in captured.err
+    assert "Traceback" not in captured.err
+    assert "PASSED" not in captured.out and "FAILED" not in captured.out
+    assert not out.exists()
+
+
+def test_full_model_file_without_its_var_still_loads(tmp_path, capsys):
+    doc = _constructed_model_doc(tmp_path)
+    path = write_json(tmp_path / "no_var.json", {key: v for key, v in doc.items() if key != "var"})
+    assert main(["verify", "--config", path]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
+    for name, source in (("with.csv", str(tmp_path / "model.json")), ("without.csv", path)):
+        assert main(["simulate", "--config", source, "--length", "30", "--seed", "2",
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "with.csv").read_text() == (tmp_path / "without.csv").read_text()

@@ -29,6 +29,7 @@ import mcvar.optim as optim
 from mcvar.estimation import (
     Model,
     ModelConfig,
+    StageFit,
     construct_model,
     count_params,
     fit_model,
@@ -289,6 +290,21 @@ def test_model_from_dict_refuses_an_order_below_1(k):
         Model.from_dict(dict(TRUE_MODEL.to_dict(), k=k))
 
 
+@pytest.mark.parametrize("name, key", [("subprocess_corrs", "blocks"), ("crosses", "pair"),
+                                       ("crosses", "blocks"), ("cross_fixed", "pair"),
+                                       ("cross_fixed", "lag"), ("cross_fixed", "value")])
+def test_model_from_dict_names_an_entry_without_its_field(name, key):
+    # a bare KeyError named neither the field nor the entry
+    doc = TRUE_MODEL.to_dict()
+    if name == "cross_fixed":  # the construct config of the same model
+        doc["cross_fixed"] = [{"pair": [0, 1], "lag": 0, "value": [[0.35]]}]
+        del doc["crosses"]
+    del doc[name][-1][key]
+    with pytest.raises(ValueError, match="model field %r entry %d has no %r"
+                       % (name, len(doc[name]) - 1, key)):
+        Model.from_dict(doc)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4), k=st.integers(1, 3),
        labels=st.lists(st.sampled_from([1, 2]), min_size=4, max_size=4),
@@ -493,6 +509,23 @@ def recorded_runs(monkeypatch):
     return runs
 
 
+def test_each_dependence_stage_returns_the_record_of_its_run(monkeypatch):
+    # stages 2-4 keep the very record that minimize returned, not a copied verdict
+    runs = recorded_runs(monkeypatch)
+    z = estimation.latent_scores(DATA, GAUSS_MARGINS)
+    part, labels, k = TRUE_MODEL.partition, TRUE_MODEL.labels, TRUE_MODEL.k
+    sub_fits = [fit_stage2(z, s, k) for s in part.sets]
+    st3 = fit_stage3(z, [sf.corr for sf in sub_fits], labels, part, k)
+    st4 = fit_stage4(z, part, labels, st3.subs, st3.fixed_blocks, k)
+    fits = (*sub_fits, st3, st4)
+    assert isinstance(st3, StageFit) and isinstance(st4, StageFit)
+    assert len(runs) == len(fits) and all(f.run is run for f, run in zip(fits, runs))
+    for f in fits:
+        assert f.run.nfev > 0 and f.converged is f.run.success
+    assert all(got is sf.corr for got, sf in zip(st3.subs, sub_fits))
+    assert st4.loglik == st4[3] and st4.fixed_blocks is st4[1]
+
+
 def scale_model():
     """Three multivariate equal-label sets, (5, 6, 8) at k = 3, drawn like the
     benchmark's seed-11 scale model, and its latent path at T = 2000:
@@ -683,6 +716,17 @@ def test_fit_stage3_near_the_positive_definite_boundary(monkeypatch):
                    crosses=st3.crosses)
     assert np.linalg.eigvalsh(fitted.time_major_R())[0] > 0.0
     assert raised
+
+
+def test_fit_stage3_near_the_positive_definite_boundary_counts_its_infeasible_trials():
+    # the fixture of the test above: the run's record counts the trial points at +inf
+    part = Partition(sets=((0,), (1,)), d=2)
+    margins = (MarginSpec("gaussian", (0.0, 1.0)),) * 2
+    subs = [scalar_sub([1.0, 0.9]), scalar_sub([1.0, -0.9])]
+    fixed = [CrossFixedBlock(pair=(0, 1), lag=0, value=[[0.10]])]
+    x = simulate_model(construct_model(part, (2, 2), 1, margins, subs, fixed), 2000, seed=7)
+    st3 = fit_stage3(estimation.latent_scores(x, margins), subs, (2, 2), part, 1)
+    assert st3.converged and st3.run.ninf > 0
 
 
 def mixed_model():

@@ -342,6 +342,15 @@ def test_fit_margin_a_rounding_error_inside_the_box_edge_is_not_converged(monkey
     assert not fit_margin(_edge_replicate()[0], "skewt").converged
 
 
+def test_fit_margin_keeps_the_record_of_its_run():
+    x = np.sinh(seeded_normals(3, 500))
+    assert fit_margin(x, "gaussian").run is None
+    fit = fit_margin(x, "skewt")
+    assert fit.run.nfev > 0 and fit.converged and fit.run.success
+    assert fit.loglik == -fit.run.fun
+    assert fit_margin(x, "skewt") == fit  # a second run's record is not compared
+
+
 def test_fit_margin_makes_one_run(monkeypatch):
     # one start, (a, b) = (3, 3) at the sample median: on the box-edge
     # replicate its run takes 204 evaluations, where three runs took 632
