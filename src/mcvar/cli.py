@@ -34,7 +34,6 @@ from .estimation import (
     _lag_blocks,
     construct_model,
     fit_model,
-    fit_unrestricted,
     latent_scores,
     portmanteau,
     simulate_model,
@@ -488,25 +487,34 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
-def _model_config(doc, fields, path, part, d, args):
-    """ModelConfig of the fit config at ``path`` with integer ``fields``, partition
-    ``part`` and d margin families, and whether stage 4 runs.
-
-    ``--k`` overrides the config's order and ``--stage4`` switches stage 4 on.
-    """
+def _model_config(doc, fields, path, d, args):
+    """Kind, ModelConfig and stage-4 flag of the fit config at ``path`` with integer
+    ``fields``, for d data columns.  Kind ``unrestricted`` is the benchmark: one set of
+    the d columns, label 1, no stage 4; any other kind is margin-closed.  ``--k``
+    overrides the order and ``--stage4`` switches stage 4 on.  A field ModelConfig
+    refuses exits 1 naming ``path``, a ``--k`` below 1 naming ``--k``."""
+    if args.k is not None and args.k < 1:
+        raise CliError("--k must be at least 1, got %d" % args.k)
     k = args.k if args.k is not None else _required(fields, "k", path)
-    config = ModelConfig(partition=part, labels=_required(fields, "labels", path), k=k,
-                         margin_families=_margin_families(doc, d, path))
-    return config, args.stage4 or bool(doc.get("stage4", False))
+    if doc.get("kind", "margin-closed") == "unrestricted":
+        kind, labels, stage4 = "unrestricted", (1,), False
+        part = Partition(sets=(tuple(range(d)),), d=d)
+    else:
+        kind, part = "margin-closed", _required(fields, "partition", path)
+        labels = _required(fields, "labels", path)
+        stage4 = args.stage4 or bool(doc.get("stage4", False))
+    families = _margin_families(doc, part.d, path)
+    try:
+        config = ModelConfig(partition=part, labels=labels, k=k, margin_families=families)
+    except ValueError as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
+    return kind, config, stage4
 
 
 def cmd_fit(args):
     doc, fields = _load_document(args.config, {CONFIG_FORMAT})
     ds = _dataset_from_args(args, doc)
-    part = _required(fields, "partition", args.config)
-    config, stage4 = _model_config(doc, fields, args.config, part, part.d, args)
-    if ds.values.shape[0] != part.d:
-        raise CliError("data has %d columns, config expects %d" % (ds.values.shape[0], part.d))
+    _, config, stage4 = _model_config(doc, fields, args.config, ds.values.shape[0], args)
     fm = fit_model(ds.values, config, stage4=stage4)
     _print_fit(fm, ds.names)
 
@@ -532,24 +540,6 @@ def cmd_fit(args):
 
 # -- compare ----------------------------------------------------------------------
 
-def _fit_config_doc(doc, fields, path, ds, args):
-    d = ds.values.shape[0]
-    part = fields.get("partition") or Partition(sets=(tuple(range(d)),), d=d)
-    if doc.get("kind", "margin-closed") == "unrestricted":
-        # the one-sub-process fit; stage 4 does not apply to the benchmark
-        k = args.k if args.k is not None else _required(fields, "k", path)
-        kind, fm = "unrestricted", fit_unrestricted(ds.values, _margin_families(doc, d, path), k)
-    else:
-        config, stage4 = _model_config(doc, fields, path, part, d, args)
-        k = config.k
-        kind, fm = "margin-closed", fit_model(ds.values, config, stage4=stage4)
-    return {
-        "kind": kind, "k": k,
-        "loglik": fm.loglik, "n_params": fm.n_params,
-        "aic": fm.aic, "bic": fm.bic,
-    }
-
-
 def cmd_compare(args):
     if not args.config or len(args.config) != 2:
         raise CliError("compare needs exactly two --config files")
@@ -559,8 +549,14 @@ def cmd_compare(args):
             raise CliError('%s: "%s" differs from that of %s'
                            % (args.config[1], field, args.config[0]))
     ds = _dataset_from_args(args, docs[0][0])
-    rows = [dict(name=path, **_fit_config_doc(doc, fields, path, ds, args))
-            for path, (doc, fields) in zip(args.config, docs)]
+    # both configs are checked before either is fitted
+    configs = [_model_config(doc, fields, path, ds.values.shape[0], args)
+               for path, (doc, fields) in zip(args.config, docs)]
+    rows = []
+    for path, (kind, config, stage4) in zip(args.config, configs):
+        fm = fit_model(ds.values, config, stage4=stage4)
+        rows.append({"name": path, "kind": kind, "k": config.k, "loglik": fm.loglik,
+                     "n_params": fm.n_params, "aic": fm.aic, "bic": fm.bic})
     print("%-28s %-14s %3s %10s %5s %12s %12s"
           % ("config", "kind", "k", "loglik", "par", "AIC", "BIC"))
     for r in rows:

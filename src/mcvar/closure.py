@@ -11,6 +11,7 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 ``Sigma_{ji,l} = Sigma_{ij,-l}.T``.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ class DegenerateCrossPair(np.linalg.LinAlgError):
         )
 
 
+def _integer_field(value, name):
+    """An integer of a model document; a bool or a fraction is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("model field %r must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered disjoint index sets S_1..S_n covering 0..d-1."""
@@ -68,7 +76,7 @@ class Partition:
     d: int
 
     def __post_init__(self):
-        sets = tuple(tuple(int(v) for v in s) for s in self.sets)
+        sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in self.sets)
         object.__setattr__(self, "sets", sets)
         seen = []
         for s in sets:
@@ -151,10 +159,11 @@ class CrossFixedBlock:
     value: np.ndarray
 
     def __post_init__(self):
-        i, j = self.pair
+        i, j = (_integer_field(v, "cross_fixed pair") for v in self.pair)
         if not i < j:
             raise ValueError("pair must satisfy i < j, got %s" % (self.pair,))
-        object.__setattr__(self, "pair", (int(i), int(j)))
+        object.__setattr__(self, "pair", (i, j))
+        object.__setattr__(self, "lag", _integer_field(self.lag, "cross_fixed lag"))
         object.__setattr__(self, "value", np.atleast_2d(np.asarray(self.value, dtype=float)))
 
 

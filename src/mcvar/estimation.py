@@ -13,7 +13,6 @@ latent term alone, on latent scores computed once per fit:
 """
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ from .closure import (
     Partition,
     SubprocessCorr,
     _cross_solutions,
+    _integer_field,
     _lag_stack,
     _place_cross,
     _solve_pairs,
@@ -67,7 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structural choices: partition, condition labels, order, margin families."""
+    """Structural choices: partition, condition labels, order, margin families,
+    checked as :meth:`Model.from_dict` checks a document (ValueError naming the field)."""
 
     partition: Partition
     labels: tuple
@@ -75,16 +76,10 @@ class ModelConfig:
     margin_families: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(c) for c in self.labels))
-        object.__setattr__(self, "margin_families", tuple(self.margin_families))
-        if len(self.labels) != self.partition.n:
-            raise ValueError("need one condition label per sub-process")
-        if any(c not in (1, 2) for c in self.labels):
-            raise ValueError("condition labels must be 1 or 2")
-        if len(self.margin_families) != self.partition.d:
-            raise ValueError("need one margin family per variable")
-        if self.k < 1:
-            raise ValueError("model order k must be >= 1")
+        object.__setattr__(self, "labels", _label_field(self.labels, self.partition.n))
+        object.__setattr__(self, "k", _order_field(self.k))
+        object.__setattr__(self, "margin_families", tuple(_counted_field(
+            self.margin_families, "margin_families", self.partition.d, "variable")))
 
 
 def _computed_once(method):
@@ -173,17 +168,14 @@ class Model:
         its labels fix, an entry without its pair, lag, value or blocks, and
         lag blocks that are not k+1 (sub-process) or 2k+1 (cross) finite
         d_i x d_j blocks raise ValueError naming the field."""
-        sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in d["partition"])
-        dim = sum(len(s) for s in sets)
-        part = Partition(sets=sets, d=dim)
-        k = _integer_field(d["k"], "k")
-        if k < 1:
-            raise ValueError("model field 'k' must be at least 1, got %d" % k)
+        part = Partition(sets=d["partition"], d=sum(len(s) for s in d["partition"]))
+        k = _order_field(d["k"])
         labels = _label_field(d["labels"], part.n)
         blocks = _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n, "partition set")
-        subs = tuple(_subprocess(e, i, k, len(s)) for i, (e, s) in enumerate(zip(blocks, sets)))
+        subs = tuple(_subprocess(e, i, k, len(s))
+                     for i, (e, s) in enumerate(zip(blocks, part.sets)))
         margins = tuple(MarginSpec.from_dict(m)
-                        for m in _counted_field(d["margins"], "margins", dim, "variable"))
+                        for m in _counted_field(d["margins"], "margins", part.d, "variable"))
         fixed = "cross_fixed" in d
         if fixed and "crosses" in d:
             raise ValueError("model fields 'crosses' and 'cross_fixed' exclude each other")
@@ -194,7 +186,7 @@ class Model:
             if pair not in pairs or pair in entries:
                 raise ValueError("model field '%s pair' must name each pair i < j of the "
                                  "partition once, got %r" % (name, list(pair)))
-            shape = (len(sets[pair[0]]), len(sets[pair[1]]))
+            shape = (len(part.sets[pair[0]]), len(part.sets[pair[1]]))
             if fixed:
                 lag = _integer_field(field("lag"), "cross_fixed lag")
                 if lag != fixed_lag_for_labels((labels[pair[0]], labels[pair[1]]), k):
@@ -211,11 +203,12 @@ class Model:
                    crosses=tuple(entries.values()))
 
 
-def _integer_field(value, name):
-    """An integer of a model document; a bool or a fraction is refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("model field %r must be an integer, got %r" % (name, value))
-    return int(value)
+def _order_field(value):
+    """The VAR order k of a model document: an integer, at least 1."""
+    k = _integer_field(value, "k")
+    if k < 1:
+        raise ValueError("model field 'k' must be at least 1, got %d" % k)
+    return k
 
 
 def _entry_field(entry, name, i, key):

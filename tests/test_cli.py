@@ -718,6 +718,7 @@ def test_fit_config_without_a_field_is_named_with_its_path_exit_1(tmp_path, caps
     ({"kind": "unrestricted", "k": None}, 'config needs "k"'),
     ({"kind": "unrestricted", "margin_families": ["gaussian"] * 3},
      '"margin_families" has 3 entries, expected 2'),
+    ({"partition": None}, 'config needs "partition"'),
 ])
 def test_compare_names_the_config_that_lacks_a_field_exit_1(tmp_path, capsys, edits, message):
     good = write_json(tmp_path / "good.json", _fit_config(kind="unrestricted"))
@@ -726,6 +727,77 @@ def test_compare_names_the_config_that_lacks_a_field_exit_1(tmp_path, capsys, ed
                  "--out", str(tmp_path / "cmp.json")]) == 1
     assert "error: %s: %s" % (bad, message) in capsys.readouterr().err
     assert not (tmp_path / "cmp.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_a_config_field_that_model_config_refuses_is_named_before_any_fit(tmp_path, capsys,
+                                                                          monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "fit_model", lambda *args, **kwargs: calls.append(args))
+    good = write_json(tmp_path / "good.json", _fit_config())
+    bad = write_json(tmp_path / "bad.json", _fit_config(labels=[2]))
+    configs = ["--config", good] * (command == "compare") + ["--config", bad]
+    assert main([command, *configs, "--data", _small_csv(tmp_path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert ("error: %s: model field 'labels' must hold one entry per partition set: "
+            "need 2 labels entries, got 1" % bad) in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_an_order_option_below_1_is_named_as_the_option_exit_1(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "fit.json", _fit_config())
+    configs = ["--config", cfg] * (2 if command == "compare" else 1)
+    assert main([command, *configs, "--data", _small_csv(tmp_path), "--k", "0",
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert "error: --k must be at least 1, got 0" in capsys.readouterr().err
+
+
+_SCORES = ("loglik", "n_params", "aic", "bic")
+
+
+def _compare_rows(tmp_path, data, *options):
+    """compare's rows for the two-set config of _fit_config against the unrestricted one."""
+    closed = write_json(tmp_path / "closed.json", _fit_config())
+    free = write_json(tmp_path / "free.json",
+                      _fit_config(kind="unrestricted", partition=None, labels=None))
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--config", closed, "--config", free, "--data", data,
+                 "--out", str(out), *options]) == 0
+    return json.loads(out.read_text())["rows"]
+
+
+def test_compare_rows_are_the_fits_of_fit_model_and_fit_unrestricted(tmp_path, capsys):
+    from mcvar.estimation import ModelConfig, fit_model, fit_unrestricted
+
+    data = _small_csv(tmp_path)
+    values = load_csv(data).values
+    config = ModelConfig(partition=closure.Partition(sets=((0,), (1,)), d=2), labels=(2, 2), k=1,
+                         margin_families=("gaussian", "gaussian"))
+    free = fit_unrestricted(values, ("gaussian", "gaussian"), 1)
+    rows = {}
+    for stage4 in (False, True):
+        closed_row, free_row = rows[stage4] = _compare_rows(tmp_path, data,
+                                                            *["--stage4"] * stage4)
+        closed = fit_model(values, config, stage4=stage4)
+        assert [closed_row[s] for s in _SCORES] == [getattr(closed, s) for s in _SCORES]
+        assert [free_row[s] for s in _SCORES] == [getattr(free, s) for s in _SCORES]
+    # --stage4 refines the margin-closed fit only; it does not apply to the benchmark
+    assert rows[True][0]["loglik"] != rows[False][0]["loglik"]
+    assert rows[True][1] == rows[False][1]
+
+
+@pytest.mark.parametrize("options", [[], ["--stage4"]])
+def test_fit_of_an_unrestricted_config_gives_compares_benchmark_row(tmp_path, capsys, options):
+    data = _small_csv(tmp_path)
+    out = tmp_path / "fitted.json"
+    free = write_json(tmp_path / "one.json",
+                      _fit_config(kind="unrestricted", partition=None, labels=None))
+    assert main(["fit", "--config", free, "--data", data, "--out", str(out), *options]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    row = _compare_rows(tmp_path, data)[1]
+    assert [fit[s] for s in _SCORES] == [row[s] for s in _SCORES]
+    assert fit["stage4"] is False
 
 
 def test_construct_non_pd_subprocess_exit_2(tmp_path, capsys):

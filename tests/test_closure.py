@@ -62,6 +62,20 @@ def test_partition_validation():
         Partition(sets=((0,), ()), d=1)  # empty set
 
 
+@pytest.mark.parametrize("cls, fields, message", [
+    (Partition, dict(sets=((0.5,), (1,)), d=2), "'partition' must be an integer, got 0.5"),
+    (Partition, dict(sets=((True,), (0,)), d=2), "'partition' must be an integer, got True"),
+    (CrossFixedBlock, dict(pair=(0.7, 1.2), lag=0, value=[[0.1]]),
+     "'cross_fixed pair' must be an integer, got 0.7"),
+    (CrossFixedBlock, dict(pair=(0, 1), lag=0.5, value=[[0.1]]),
+     "'cross_fixed lag' must be an integer, got 0.5"),
+])
+def test_a_fractional_or_bool_index_is_refused_not_truncated(cls, fields, message):
+    # int() once made these ((0,), (1,)), ((1,), (0,)), pair (0, 1) and lag 0
+    with pytest.raises(ValueError, match="model field " + message):
+        cls(**fields)
+
+
 def test_subprocess_corr_validation():
     ok = scalar_sub([1.0, 0.5])
     assert ok.dim == 1 and ok.order == 1

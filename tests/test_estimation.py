@@ -91,6 +91,18 @@ def test_model_config_validation():
         ModelConfig(partition=part, labels=(1, 1), k=2, margin_families=("gaussian",))
 
 
+@pytest.mark.parametrize("labels, k, message", [
+    ((1.9, 2), 1, "model field 'labels' must be an integer, got 1.9"),
+    ((True, 2), 1, "model field 'labels' must be an integer, got True"),
+    ((1, 2), 1.5, "model field 'k' must be an integer, got 1.5"),
+])
+def test_model_config_refuses_a_fractional_or_bool_label_or_order(labels, k, message):
+    # int() once fitted labels (1.9, 2) as (1, 2), and k = 1.5 ended in a TypeError
+    part = Partition(sets=((0,), (1,)), d=2)
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(partition=part, labels=labels, k=k, margin_families=("gaussian", "gaussian"))
+
+
 def test_count_params_reference_values():
     # three scalar sub-processes with (skewt, gaussian, skewt) margins:
     # 10 margin parameters, 3 fixed cross blocks, plus k per-lag terms
