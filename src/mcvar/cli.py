@@ -164,11 +164,13 @@ def transform(series, spec):
 # -- config / model files ----------------------------------------------------
 
 def _load_document(path, expect_format):
-    """The document at ``path``, whose format tag must be in ``expect_format``,
-    and its integer fields ``partition`` (a Partition), ``k`` (at least 1) and
-    ``labels``, each when present; each ``cross_fixed`` pair and lag is
-    checked too.  A bool, fraction or string exits 1, naming path and field,
-    and a ``cross_fixed`` entry without its pair or lag names its index."""
+    """The document at ``path``, a JSON object whose format tag must be in
+    ``expect_format``, and its integer fields ``partition`` (a list of lists,
+    read as a Partition), ``k`` (at least 1) and ``labels`` (a list), each when
+    present; each ``cross_fixed`` pair and lag is checked too.  A value of the
+    wrong type, a bool, fraction or string for an integer included, exits 1
+    naming path and field, and a ``cross_fixed`` entry without its pair or lag
+    names its index."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -176,18 +178,23 @@ def _load_document(path, expect_format):
         raise CliError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise CliError("%s: invalid JSON: %s" % (path, exc)) from exc
+    if not isinstance(doc, dict):
+        raise CliError("%s: the document must be a JSON object, got %s"
+                       % (path, type(doc).__name__))
     fmt = doc.get("format")
-    if fmt not in expect_format:
+    if not isinstance(fmt, str) or fmt not in expect_format:
         raise CliError(
-            "%s: format tag %r, expected one of %s" % (path, fmt, sorted(expect_format))
+            '%s: "format" tag %r, expected one of %s' % (path, fmt, sorted(expect_format))
         )
 
     def integers(values, field):
-        return tuple(_integer(v, "%s: %s" % (path, field)) for v in values)
+        return tuple(_integer(v, "%s: %s" % (path, field))
+                     for v in _list(values, "%s: %s" % (path, field)))
 
     fields = {}
     if "partition" in doc:
-        sets = tuple(integers(s, '"partition"') for s in doc["partition"])
+        sets = tuple(integers(s, '"partition"')
+                     for s in _list(doc["partition"], '%s: "partition"' % path))
         fields["partition"] = Partition(sets=sets, d=sum(len(s) for s in sets))
     if "k" in doc:
         fields["k"] = _integer(doc["k"], '%s: "k"' % path)
@@ -195,14 +202,17 @@ def _load_document(path, expect_format):
             raise CliError('%s: "k" must be at least 1, got %d' % (path, fields["k"]))
     if "labels" in doc:
         fields["labels"] = integers(doc["labels"], '"labels"')
-    for i, e in enumerate(doc.get("cross_fixed", ())):
+    for i, e in enumerate(_list(doc.get("cross_fixed", []), '%s: "cross_fixed"' % path)):
         integers(_entry(e, "pair", path, "cross_fixed", i), '"cross_fixed" pair')
         _integer(_entry(e, "lag", path, "cross_fixed", i), '%s: "cross_fixed" lag' % path)
     return doc, fields
 
 
 def _entry(entry, key, path, field, i):
-    """``entry[key]``, entry i of the list ``field`` at ``path``; exit 1 naming all if absent."""
+    """``entry[key]``, entry i of the list ``field`` at ``path``; exit 1 naming all if
+    absent or if the entry is not an object."""
+    if not isinstance(entry, dict):
+        raise CliError('%s: "%s" entry %d must be an object, got %r' % (path, field, i, entry))
     if key not in entry:
         raise CliError('%s: "%s" entry %d has no "%s"' % (path, field, i, key))
     return entry[key]
@@ -305,6 +315,13 @@ def _integer(value, source, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, int) or (nonnegative and value < 0):
         raise CliError("%s must be %s integer, got %r"
                        % (source, "a non-negative" if nonnegative else "an", value))
+    return value
+
+
+def _list(value, source):
+    """A list from a document; any other value, null included, is refused."""
+    if not isinstance(value, list):
+        raise CliError("%s must be a list, got %r" % (source, value))
     return value
 
 
@@ -490,17 +507,22 @@ def _print_fit(fm, names):
 def _model_config(doc, fields, path, d, args):
     """Kind, ModelConfig and stage-4 flag of the fit config at ``path`` with integer
     ``fields``, for d data columns.  Kind ``unrestricted`` is the benchmark: one set of
-    the d columns, label 1, no stage 4; any other kind is margin-closed.  ``--k``
-    overrides the order and ``--stage4`` switches stage 4 on.  A field ModelConfig
-    refuses exits 1 naming ``path``, a ``--k`` below 1 naming ``--k``."""
+    the d columns, label 1, no stage 4; kind ``margin-closed``, the default, is the
+    config's own partition; any other kind exits 1 naming ``path`` and ``kind``.
+    ``--k`` overrides the order and ``--stage4`` switches stage 4 on.  A field
+    ModelConfig refuses exits 1 naming ``path``, a ``--k`` below 1 naming ``--k``."""
     if args.k is not None and args.k < 1:
         raise CliError("--k must be at least 1, got %d" % args.k)
+    kind = doc.get("kind", "margin-closed")
+    if kind not in ("margin-closed", "unrestricted"):
+        raise CliError('%s: "kind" must be "margin-closed" or "unrestricted", got %s'
+                       % (path, json.dumps(kind)))
     k = args.k if args.k is not None else _required(fields, "k", path)
-    if doc.get("kind", "margin-closed") == "unrestricted":
-        kind, labels, stage4 = "unrestricted", (1,), False
+    if kind == "unrestricted":
+        labels, stage4 = (1,), False
         part = Partition(sets=(tuple(range(d)),), d=d)
     else:
-        kind, part = "margin-closed", _required(fields, "partition", path)
+        part = _required(fields, "partition", path)
         labels = _required(fields, "labels", path)
         stage4 = args.stage4 or bool(doc.get("stage4", False))
     families = _margin_families(doc, part.d, path)

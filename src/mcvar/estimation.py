@@ -420,6 +420,11 @@ def loglik_full(data, margins, r, k):
 # to their optimum and take it once, at the start, then update by BFGS:
 # refreshed at every iterate there, stage 4 of the mixed_k1_stage4 benchmark
 # fits took 4.9 evaluations for 4.3 and its median time rose by 1.1 ms.
+# When the unit step of a BFGS-updated inverse fails, ``minimize`` takes the
+# information again at its iterate: stage 3 of the paper's example (paper_k2,
+# seed-11 replicates 0-9) overshot after its first step and took 12-14
+# evaluations, and takes 5-6 with the restart; the mixed_k1_stage4 and
+# scale_k3_d19 fits of those replicates do not restart.
 _MAXITER = 4000  # stages 2 and 3
 _MAXITER_REFINE = 8000  # stage 4
 
@@ -576,14 +581,19 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     run from that same point scores its points through it.  Zero fixed
     blocks give the block-diagonal R of independent sub-processes, feasible
     whenever the stage-2 fits are.  The run's inverse Hessian starts as the
-    inverse of the expected information there (:func:`_information`).  One
-    exact solve at the optimum gives the returned crosses.  A degenerate
+    inverse of the expected information there (:func:`_information`), and is
+    taken again at an iterate where the unit step of its BFGS update fails
+    (``run.nrestart`` counts these): on the paper's bivariate k = 2 example
+    the first step lands next to the optimum and the secant step after it
+    overshoots, and the restart cuts the run from 12-14 evaluations to 5-6.
+    One exact solve at the optimum gives the returned crosses.  A degenerate
     pair raises LinAlgError.  A one-set partition has no fixed blocks: its
     run has no parameters and returns the stage-2 value.  Its ``subs`` are ``subproc_corrs``.
     """
     return _fit_joint(z, partition, labels, k, "stage 3", _MAXITER, held=list(subproc_corrs))
 
 
+@functools.lru_cache(maxsize=None)
 def _sub_lags(d, k):
     """theta_i -> (lag stack Sigma_{-k}..Sigma_k, its (n_i, 2k+1, d, d) Jacobian) of
     one sub-process: the parametrisation of every dependence stage.
@@ -591,9 +601,11 @@ def _sub_lags(d, k):
     Every sub-process, scalar or not, uses raw entries: the lower triangle of
     the lag-0 correlation, then the full lag matrices, which for a scalar
     sub-process are its autocorrelations rho_1..rho_k.  They are placed by one
-    index scatter built once, ``stack.flat[pos] = theta[take]``, so the
-    Jacobian is constant; the likelihood kernel rejects the points whose
-    Toeplitz matrix is not positive definite, the nonstationary ones.
+    index scatter, ``stack.flat[pos] = theta[take]``, so the Jacobian is
+    constant; the likelihood kernel rejects the points whose Toeplitz matrix
+    is not positive definite, the nonstationary ones.  The scatter is built
+    once per (d, k) and its Jacobian, shared by every call, is read-only;
+    each call returns a new stack.
     """
     # the parameter index of every lag-stack entry, -1 on the unit diagonal of lag 0
     ii, jj = np.tril_indices(d, -1)
@@ -606,6 +618,7 @@ def _sub_lags(d, k):
     dstack = np.zeros((_sub_theta_len(d, k), index.size))
     dstack[take, pos] = 1.0
     dstack = dstack.reshape(-1, *index.shape)
+    dstack.flags.writeable = False
 
     def lags(theta):
         stack = base.copy()
@@ -698,7 +711,8 @@ def fit_stage4(z, partition, labels, subs, fixed_blocks, k):
 
     A single BFGS run on the latent scores ``z``, started at the stage 2 + 3
     solution, from the inverse of the expected information there
-    (:func:`_information`), and scored through the joint model of
+    (:func:`_information`), taken again at an iterate where the unit step of
+    its BFGS update fails, as in stage 3, and scored through the joint model of
     :func:`_joint_model`.  The start is the input point itself, so the run,
     which never accepts a step that raises the value, ends no worse than it.
     """

@@ -3,7 +3,10 @@
 Every caller makes one run from one start.  The skew-t margins (exact
 Hessian) and stage 2 (expected Fisher information) refresh their curvature
 at every iterate: Newton and Fisher scoring steps.  Stages 3 and 4 start
-next to their optimum, take it once and update its inverse by BFGS.  The
+next to their optimum, take it once and update its inverse by BFGS; when
+the unit step of an updated inverse fails, the run restarts from the
+curvature at its iterate, as a quasi-Newton method resets a model that has
+failed (Nocedal & Wright 2006, Numerical Optimization, ch. 6).  The
 margins' box is kept as in projected Newton (Bertsekas 1982, SIAM J.
 Control Optim. 20, 221-246).
 """
@@ -75,6 +78,18 @@ def minimize(nll, x0, maxiter, curvature, box=None, refresh=False):
     fails the Armijo test halves the step; the feasible sets are open, so
     halving from a feasible point ends at a feasible one.
 
+    The one exception is the unit step from an H that BFGS has updated: if
+    it fails, the iteration restarts.  x is evaluated again, since the
+    curvature is taken only at the point evaluated last, H becomes the
+    floored inverse of the curvature there, and the run steps again from x,
+    halving if that step fails too.  The secant averages the curvature over
+    the step it spans, so after a first step that lands next to an optimum
+    near the positive definite boundary, where the curvature rises steeply,
+    the next unit step overshoots: on the paper's bivariate k = 2 example
+    (seed-11 benchmark replicates 0-9) stage 3 took 12-14 evaluations
+    halving back, and takes 5-6 with the restart.  A run with ``refresh``
+    never restarts.
+
     A predicted decrease -g'Hg of at most _FTOL max(|f|, 1) means x is at
     the optimum to the value's rounding, where the Armijo test would fail on
     noise and halve the step to its floor; the run stops there as converged
@@ -83,22 +98,24 @@ def minimize(nll, x0, maxiter, curvature, box=None, refresh=False):
     counts as converged unless the last trial point scored +inf.
 
     The result holds ``x``, ``fun``, ``success``, ``message`` (the stop) and
-    the run record: ``nfev`` counts the start's evaluation, ``nit`` the
-    iterations and ``ninf`` the trial points at +inf.  A run converged
-    (``success``) when it stopped on the score, on the relative decrease or
-    on a step halved to its floor at a finite value (:data:`CONVERGED`).
+    the run record: ``nfev`` counts the start's evaluation and each
+    restart's, ``nit`` the iterations, ``ninf`` the trial points at +inf and
+    ``nrestart`` the restarts.  A run converged (``success``) when it
+    stopped on the score, on the relative decrease or on a step halved to
+    its floor at a finite value (:data:`CONVERGED`).
     """
     x = np.asarray(x0, dtype=float)
     f, g = nll(x)
     if not np.isfinite(f):
         return SimpleNamespace(x=x, fun=np.inf, success=False,
-                               message="the start scores non-finite", nfev=0, nit=0, ninf=0)
+                               message="the start scores non-finite", nfev=0, nit=0, ninf=0,
+                               nrestart=0)
     f, g = float(f), np.asarray(g, dtype=float)
     lo, hi = (-np.inf, np.inf) if box is None else np.asarray(box, dtype=float)
     bounded = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
     held = np.zeros(x.shape, dtype=bool)
-    nfev, ninf, message, small, h = 1, 0, MAXITER, 0, None
-    for nit in range(maxiter + 1):
+    nfev, ninf, nrestart, nit, message, small, h, updated = 1, 0, 0, 0, MAXITER, 0, None, False
+    while True:
         free_g = g
         if bounded:
             held_h, held = held, (x <= lo) & (g > 0.0) | (x >= hi) & (g < 0.0)
@@ -109,7 +126,7 @@ def minimize(nll, x0, maxiter, curvature, box=None, refresh=False):
         if nit == maxiter:
             break
         if h is None or refresh or bounded and not np.array_equal(held, held_h):
-            h = _floored_inverse(curvature(x), ~held)
+            h, updated = _floored_inverse(curvature(x), ~held), False
         p = -h @ free_g
         cut = False
         if bounded:
@@ -134,12 +151,19 @@ def minimize(nll, x0, maxiter, curvature, box=None, refresh=False):
             f_new, g_new = nll(x_new)
             nfev += 1
             ninf += not np.isfinite(f_new)
-            if np.isfinite(f_new) and f_new <= f + _ARMIJO * t * slope:
+            ok = np.isfinite(f_new) and f_new <= f + _ARMIJO * t * slope
+            if ok or updated:
                 break
             t *= 0.5
         else:
             message = FLOOR if np.isfinite(f_new) else WALL
             break
+        if not ok:
+            # the unit step of a BFGS-updated inverse failed: restart this
+            # iteration from the curvature at x, which must be evaluated last
+            nll(x)
+            nfev, nrestart, h = nfev + 1, nrestart + 1, None
+            continue
         g_new = np.asarray(g_new, dtype=float)
         if not refresh:
             s, y = t * p, g_new - g
@@ -147,12 +171,12 @@ def minimize(nll, x0, maxiter, curvature, box=None, refresh=False):
             if sy > 0.0:
                 hy = h @ y
                 h += (sy + float(y @ hy)) / sy ** 2 * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+                updated = True
         decrease = f - f_new
-        x, f, g = x_new, float(f_new), g_new
+        x, f, g, nit = x_new, float(f_new), g_new, nit + 1
         small = small + 1 if decrease <= _FTOL * max(abs(f), 1.0) else 0
         if small == 2:
             message = DECREASE
-            nit += 1
             break
-    return SimpleNamespace(x=x, fun=f, success=message in CONVERGED,
-                           message=message, nfev=nfev, nit=nit, ninf=ninf)
+    return SimpleNamespace(x=x, fun=f, success=message in CONVERGED, message=message,
+                           nfev=nfev, nit=nit, ninf=ninf, nrestart=nrestart)

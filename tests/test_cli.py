@@ -753,6 +753,38 @@ def test_an_order_option_below_1_is_named_as_the_option_exit_1(tmp_path, capsys,
     assert "error: --k must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("kind", ["unrestriced", "Unrestricted", 1, None, ["unrestricted"]])
+def test_a_config_of_an_unknown_kind_is_named_before_any_fit_exit_1(tmp_path, capsys,
+                                                                    monkeypatch, command, kind):
+    # a misspelt kind was once fitted as margin-closed; a null kind is not an absent one
+    calls = []
+    monkeypatch.setattr(cli, "fit_model", lambda *args, **kwargs: calls.append(args))
+    good = write_json(tmp_path / "good.json", _fit_config())
+    doc = _fit_config()
+    doc["kind"] = kind
+    bad = write_json(tmp_path / "bad.json", doc)
+    configs = ["--config", good] * (command == "compare") + ["--config", bad]
+    assert main([command, *configs, "--data", _small_csv(tmp_path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert 'error: %s: "kind" must be "margin-closed" or "unrestricted"' % bad in err
+    assert "Traceback" not in err and calls == []
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_a_config_of_kind_margin_closed_is_the_default(tmp_path, capsys, command):
+    outs = []
+    for name, kind in (("absent", None), ("named", "margin-closed")):
+        cfg = write_json(tmp_path / ("%s.json" % name), _fit_config(kind=kind))
+        out = tmp_path / ("%s_out.json" % name)
+        configs = ["--config", cfg] * (2 if command == "compare" else 1)
+        assert main([command, *configs, "--data", _small_csv(tmp_path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        outs.append(doc["rows"][0]["loglik"] if command == "compare" else doc["fit"]["loglik"])
+    assert outs[0] == outs[1]
+
+
 _SCORES = ("loglik", "n_params", "aic", "bic")
 
 
@@ -798,6 +830,23 @@ def test_fit_of_an_unrestricted_config_gives_compares_benchmark_row(tmp_path, ca
     row = _compare_rows(tmp_path, data)[1]
     assert [fit[s] for s in _SCORES] == [row[s] for s in _SCORES]
     assert fit["stage4"] is False
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: [doc], "JSON object"),
+    (lambda doc: dict(doc, format=["mcvar-config/1"]), '"format"'),
+    (lambda doc: dict(doc, partition=None), '"partition"'),
+    (lambda doc: dict(doc, partition=[[0], None]), '"partition"'),
+    (lambda doc: dict(doc, labels=None), '"labels"'),
+])
+def test_a_document_of_the_wrong_shape_is_named_exit_1(tmp_path, capsys, edit, field):
+    # each of these once escaped main as a TypeError or AttributeError traceback
+    cfg = write_json(tmp_path / "cfg.json", edit(construct_config()))
+    out = tmp_path / "m.json"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % cfg) and field in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_construct_non_pd_subprocess_exit_2(tmp_path, capsys):

@@ -469,6 +469,22 @@ def test_stage2_scatter_matches_the_subprocess_toeplitz(d, k, seed):
     assert np.array_equal(r, block_toeplitz_oracle(corr.block, k))
 
 
+def test_sub_lags_is_built_once_and_shares_one_read_only_jacobian():
+    d, k = 3, 2
+    theta = np.random.default_rng(5).uniform(-1.0, 1.0, estimation._sub_theta_len(d, k))
+    lags = estimation._sub_lags(d, k)
+    assert estimation._sub_lags(d, k) is lags
+    first, jac = lags(theta)
+    second, jac_again = lags(theta)
+    assert jac_again is jac and not jac.flags.writeable
+    with pytest.raises(ValueError):
+        jac[0, 0, 0, 0] = 2.0
+    # each stack is new and writable: writing into one leaves the next call's as it was
+    assert first is not second and first.flags.writeable
+    first[k] = 0.0
+    assert np.array_equal(lags(theta)[0], second) and second[k, 0, 0] == 1.0
+
+
 def test_fit_model_recovers_a_bivariate_subprocess_with_stage4():
     # partition {0,1},{2}, both labels 1, k = 1: stage 2 fits a d = 2
     # sub-process on raw entries and stage 4 refines every parameter jointly
@@ -784,6 +800,63 @@ def test_stage3_does_not_halve_steps_on_rounding_at_its_optimum(monkeypatch):
     assert runs[-1].nfev <= 20
 
 
+def paper_k2_replicate(rep):
+    """The benchmark's paper_k2 replicate ``rep`` at seed 11 and its fit config."""
+    truth = two_sub_model((MarginSpec("skewt", (0.850, 0.791, 5.739, 9.344)),
+                           MarginSpec("skewt", (-0.032, 0.172, 3.053, 2.738))))
+    config = ModelConfig(partition=truth.partition, labels=(2, 2), k=2,
+                         margin_families=("skewt", "skewt"))
+    return simulate_model(truth, 2000, 11 * 1_000_003 + rep), config
+
+
+# the stage-3 values of these replicates before the restart rule, when the
+# run took 12-14 evaluations to crawl back from its first step's overshoot
+PAPER_K2_STAGE3 = (-1698.3939197339905, -1701.4411527320974, -1612.79292804621,
+                   -1799.9795690375324, -1612.4523859710612)
+
+
+@pytest.mark.parametrize("rep", range(5))
+def test_stage3_restarts_from_the_information_when_its_secant_step_fails(monkeypatch, rep):
+    # the first step lands next to the optimum; the BFGS step after it overshoots,
+    # and the run steps again from the expected information there instead of
+    # halving back; the refreshing margin and stage-2 runs never restart
+    x, config = paper_k2_replicate(rep)
+    runs = recorded_runs(monkeypatch)
+    fit = fit_model(x, config)
+    *stage2, stage3 = runs
+    assert fit.converged and stage3.nrestart == 1 and stage3.nfev <= 7
+    assert all(run.nrestart == 0 for run in stage2)
+    assert all(mf.run.nrestart == 0 for mf in fit.margin_fits)
+    assert abs(fit.stage_logliks["stage3"] - PAPER_K2_STAGE3[rep]) <= 1e-9
+
+
+def test_stage3_counts_the_re_evaluation_of_its_restart(monkeypatch):
+    # the curvature is taken only at the point evaluated last, so a restart
+    # evaluates x again after the failed trial, and the record counts it
+    x, config = paper_k2_replicate(0)
+    margins = tuple(fit_margin(v, fam).spec for v, fam in zip(x, config.margin_families))
+    z = estimation.latent_scores(x, margins)
+    subs = [fit_stage2(z, s, 2).corr for s in config.partition.sets]
+    points = []
+    objective = estimation._objective
+
+    def counted(*args):
+        nll = objective(*args)
+
+        def call(theta):
+            points.append(np.array(theta))
+            return nll(theta)
+
+        call.curvature = nll.curvature
+        return call
+
+    monkeypatch.setattr(estimation, "_objective", counted)
+    st3 = fit_stage3(z, subs, (2, 2), config.partition, 2)
+    assert st3.run.nrestart == 1 and st3.run.nfev == len(points)
+    again = [i for i in range(2, len(points)) if np.array_equal(points[i], points[i - 2])]
+    assert len(again) == 1 and not np.array_equal(points[again[0] - 1], points[again[0]])
+
+
 def test_scalar_stage2_run_ending_abnormal_at_its_optimum_is_converged(monkeypatch):
     # the draw of test_fit_model_property_over_random_partitions at seed 3049196815:
     # sub-process 1's L-BFGS-B run once ended in a failed line search (ABNORMAL)
@@ -930,6 +1003,45 @@ def test_minimize_halves_a_step_into_the_infeasible_region():
     assert np.isfinite(best.fun) and abs(best.x[0]) < 1.0
     assert_allclose(best.x, [0.95], atol=1e-6)
     assert best.fun < correlation_nll(np.array([0.9]))[0]
+
+
+def barrier_nll(theta, c=3.0):
+    """(nll, score) of -log(1 - x) - c x, +inf from the barrier x = 1 on; the curvature
+    1/(1 - x)^2 rises steeply toward the barrier, and the optimum is x = 1 - 1/c."""
+    x = theta[0]
+    if x >= 1.0:
+        return np.inf, np.zeros(1)
+    return -np.log1p(-x) - c * x, np.array([1.0 / (1.0 - x) - c])
+
+
+def test_minimize_restarts_from_the_curvature_when_a_secant_step_fails():
+    # the first step from 0 overshoots into the barrier and is halved to 0.5; the
+    # secant through 0 and 0.5 underestimates the curvature there, so the next
+    # unit step fails again, and the run re-evaluates x and steps from its curvature
+    evaluated = []
+
+    def nll(theta):
+        evaluated.append(float(theta[0]))
+        return barrier_nll(theta)
+
+    def curvature(x):
+        assert float(x[0]) == evaluated[-1]
+        return np.array([[1.0 / (1.0 - x[0]) ** 2]])
+
+    best = optim.minimize(nll, np.zeros(1), estimation._MAXITER, curvature)
+    assert best.nrestart >= 1 and best.nfev == len(evaluated)
+    assert best.success and best.fun <= barrier_nll(np.zeros(1))[0]
+    assert_allclose(best.x, [2.0 / 3.0], atol=1e-6)
+    # a run that refreshes its curvature never restarts
+    fisher = optim.minimize(barrier_nll, np.zeros(1), estimation._MAXITER, curvature=lambda x:
+                            np.array([[1.0 / (1.0 - x[0]) ** 2]]), refresh=True)
+    assert fisher.success and fisher.nrestart == 0
+
+
+def test_minimize_without_a_run_has_no_restart():
+    best = optim.minimize(lambda theta: (np.inf, np.zeros(1)), np.zeros(1), estimation._MAXITER,
+                          lambda x: np.eye(1))
+    assert best.nfev == 0 and best.nrestart == 0
 
 
 @pytest.mark.parametrize("wall, message", [(False, optim.FLOOR), (True, optim.WALL)])
