@@ -241,10 +241,12 @@ def _required(fields, name, path):
 
 def _margin_families(doc, d, path):
     if "margin_families" in doc:
-        field, fams = "margin_families", tuple(doc["margin_families"])
+        field = "margin_families"
+        fams = tuple(_list(doc[field], '%s: "%s"' % (path, field)))
     elif "margins" in doc:
-        field, fams = "margins", tuple(_entry(m, "family", path, "margins", i)
-                                       for i, m in enumerate(doc["margins"]))
+        field = "margins"
+        fams = tuple(_entry(m, "family", path, field, i)
+                     for i, m in enumerate(_list(doc[field], '%s: "%s"' % (path, field))))
     else:
         raise CliError('%s: config needs "margins" or "margin_families"' % path)
     if len(fams) != d:

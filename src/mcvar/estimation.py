@@ -36,9 +36,10 @@ from .closure import (
     solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
 from .linalg import _block_toeplitz, _fold_lags, _mirror_lags, symmetrize
-from .margins import FAMILY_PARAMS, MarginSpec, fit_margin, logpdf as margin_logpdf, pit_to_normal
+from .margins import (FAMILY_PARAMS, MarginSpec, _logit_table, fit_margin, from_normal,
+                      logpdf as margin_logpdf, pit_to_normal)
 from .optim import minimize
-from .varprocess import durbin_levinson, simulate
+from .varprocess import _in_chunks, durbin_levinson, simulate
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -174,8 +175,8 @@ class Model:
         blocks = _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n, "partition set")
         subs = tuple(_subprocess(e, i, k, len(s))
                      for i, (e, s) in enumerate(zip(blocks, part.sets)))
-        margins = tuple(MarginSpec.from_dict(m)
-                        for m in _counted_field(d["margins"], "margins", part.d, "variable"))
+        margins = tuple(_margin(m, i) for i, m in
+                        enumerate(_counted_field(d["margins"], "margins", part.d, "variable")))
         fixed = "cross_fixed" in d
         if fixed and "crosses" in d:
             raise ValueError("model fields 'crosses' and 'cross_fixed' exclude each other")
@@ -235,6 +236,14 @@ def _subprocess(entry, i, k, dim):
         return SubprocessCorr(blocks=blocks)
     except ValueError as exc:  # a lag-0 block that is not a correlation matrix
         raise ValueError("model field 'subprocess_corrs' entry %d: %s" % (i, exc)) from None
+
+
+def _margin(entry, i):
+    """Margin i of a model document."""
+    try:
+        return MarginSpec.from_dict(entry)
+    except ValueError as exc:
+        raise ValueError("model field 'margins' entry %d: %s" % (i, exc)) from None
 
 
 def _lag_blocks(blocks, name, n, shape):
@@ -844,9 +853,20 @@ def portmanteau(residuals, max_lag, fitted_lag_count):
 
 
 def simulate_model(model, T, seed):
-    """Simulate observations: latent Gaussian VAR path mapped through the margins."""
-    from .margins import from_normal
+    """Simulate observations: latent Gaussian VAR path mapped through the margins.
 
+    Each margin's ``from_normal`` is elementwise, so it runs on time chunks
+    that may go to several threads with the same bits as one call per row.
+    """
     z = simulate(model.var(), T, seed)
-    d = model.partition.d
-    return np.vstack([from_normal(z[i], model.margins[i]) for i in range(d)])
+    for margin in model.margins:  # each table built once, before any thread reads it
+        if margin.family == "skewt":
+            _logit_table(*margin.params[2:])
+    out = np.empty(z.shape)
+
+    def fill(lo, hi):
+        for i, margin in enumerate(model.margins):
+            out[i, lo:hi] = from_normal(z[i, lo:hi], margin)
+
+    _in_chunks(fill, T, width=model.partition.d)
+    return out

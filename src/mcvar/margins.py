@@ -66,7 +66,13 @@ class MarginSpec:
     params: tuple
 
     def __post_init__(self):
-        params = tuple(float(p) for p in self.params)
+        if not isinstance(self.family, str):
+            raise ValueError("margin 'family' must be a string, got %r" % (self.family,))
+        try:
+            params = tuple(float(p) for p in self.params)
+        except (TypeError, ValueError):  # not iterable, nested, or not numbers
+            raise ValueError("margin 'params' must be a flat list of numbers, got %r"
+                             % (self.params,)) from None
         object.__setattr__(self, "params", params)
         names = FAMILY_PARAMS.get(self.family)
         if names is None:
@@ -89,7 +95,17 @@ class MarginSpec:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(family=d["family"], params=tuple(d["params"]))
+        """Inverse of :meth:`to_dict`: an object with ``family`` and a list ``params``;
+        anything else raises ValueError naming the field."""
+        if not isinstance(d, dict):
+            raise ValueError("a margin must be an object with 'family' and 'params', got %r" % (d,))
+        for key in ("family", "params"):
+            if key not in d:
+                raise ValueError("margin has no %r" % key)
+        if not isinstance(d["params"], list):
+            raise ValueError("margin 'params' must be a flat list of numbers, got %r"
+                             % (d["params"],))
+        return cls(family=d["family"], params=d["params"])
 
 
 def _skewt_logconst(a, b):

@@ -6,6 +6,7 @@ variable).
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from scipy.special import ndtri
 from .linalg import PD_TOL, _block_toeplitz, _lag_toeplitz, symmetrize
 
 STATIONARITY_TOL = 1e-8
+# Elementwise work is split across threads only in parts of at least this many
+# values; a smaller call runs on the calling thread alone.
+MIN_CHUNK = 2**16
 
 __all__ = [
     "VarRepresentation",
@@ -141,17 +145,60 @@ def implied_autocov(var, m):
     return gam[: m + 1]
 
 
+def _in_chunks(fn, n, width=1):
+    """Call fn(lo, hi) on contiguous parts that cover [0, n), ``width`` values per index.
+
+    There are min(usable CPUs, n * width // MIN_CHUNK) parts, at least one;
+    part i is [n * i // parts, n * (i + 1) // parts).  One part is fn(0, n) on
+    the calling thread, with no pool.  More run on a thread pool that lives
+    for this call only, the first part on the calling thread.  fn must write
+    only its own part and call no BLAS routine, whose sums may depend on the
+    thread count.  An exception raised in a part is raised here.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, n * width // MIN_CHUNK))
+    if parts == 1:
+        fn(0, n)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [n * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        fn(cuts[0], cuts[1])
+        for future in rest:
+            future.result()
+
+
+def _fill_normals(seed, flat, lo, hi):
+    """Positions lo..hi-1 of ``seed``'s normal stream, into flat[lo:hi].
+
+    A float64 draw takes exactly one 64-bit PCG64 output, so a generator
+    advanced by lo outputs draws position lo onward of the one stream.
+    """
+    u = flat[lo:hi]
+    np.random.Generator(np.random.PCG64(seed).advance(lo)).random(out=u)
+    u += 2.0**-54
+    ndtri(u, out=u)
+
+
 def seeded_normals(seed, shape):
     """Deterministic standard normals: PCG64 53-bit uniforms through the inverse CDF.
 
     ``shape`` is an int or a tuple.  Each uniform is PCG64's 53-bit draw
     n * 2^-53 plus 2^-54, that is (n + 0.5) * 2^-53 rounded once, so it lies
     strictly inside (0, 1); it goes through the inverse normal CDF in place.
-    The output is reproducible bit-for-bit for a given seed on any platform.
+    Value i of the flattened output is stream position i however the work is
+    split across threads, so the output is reproducible bit-for-bit for a
+    given seed on any platform and any number of CPUs.
     """
-    u = np.random.Generator(np.random.PCG64(seed)).random(shape)
-    u += 2.0**-54
-    return ndtri(u, out=u)
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    _in_chunks(lambda lo, hi: _fill_normals(seed, flat, lo, hi), flat.size)
+    return out
 
 
 def _state_responses(var, m):

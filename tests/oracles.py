@@ -629,6 +629,16 @@ def simulate_oracle(var, T, seed, dtype=float):
     return z
 
 
+def simulate_model_oracle(model, T, seed):
+    """``estimation.simulate_model`` as one ``from_normal`` call per variable on its
+    whole row of the latent path of ``varprocess.simulate``, stacked by ``np.vstack``."""
+    from mcvar.margins import from_normal
+    from mcvar.varprocess import simulate
+
+    z = simulate(model.var(), T, seed)
+    return np.vstack([from_normal(z[i], margin) for i, margin in enumerate(model.margins)])
+
+
 def unvec(x, rows, cols):
     """Inverse of ``linalg.vec`` for a ``rows x cols`` matrix."""
     return np.asarray(x, dtype=float).reshape((rows, cols), order="F")

@@ -1129,6 +1129,66 @@ def test_config_whose_margins_entry_lacks_its_family_is_named_exit_1(tmp_path, c
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("field, value", [("margin_families", None), ("margins", None),
+                                          ("margins", {"family": "gaussian"})])
+def test_config_whose_margin_field_is_not_a_list_is_named_exit_1(tmp_path, capsys, command, field,
+                                                                 value):
+    # a null field once escaped main as "TypeError: 'NoneType' object is not iterable"
+    cfg = write_json(tmp_path / "fit.json", dict(_fit_config(margin_families=None),
+                                                 **{field: value}))
+    configs = ["--config", cfg] * (2 if command == "compare" else 1)
+    assert main([command, *configs, "--data", _small_csv(tmp_path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert 'error: %s: "%s" must be a list, got %r' % (cfg, field, value) in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+THREE_CONFIG = {
+    "format": "mcvar-config/1", "k": 1, "partition": [[0, 1], [2], [3]], "labels": [1, 1, 2],
+    "margins": [{"family": "skewt", "params": [0.0, 1.0, 3.0, 5.0]},
+                {"family": "gaussian", "params": [0.5, 0.2]},
+                {"family": "gaussian", "params": [-0.2, 0.05]},
+                {"family": "gaussian", "params": [0.0, 1.0]}],
+    "subprocess_corrs": [{"blocks": [[[1.0, 0.3], [0.3, 1.0]], [[0.5, 0.1], [0.0, 0.4]]]},
+                         {"blocks": [[[1.0]], [[0.5]]]},
+                         {"blocks": [[[1.0]], [[-0.4]]]}],
+    "cross_fixed": [{"pair": [0, 1], "lag": 0, "value": [[0.3], [0.2]]},
+                    {"pair": [0, 2], "lag": -1, "value": [[0.1], [-0.1]]},
+                    {"pair": [1, 2], "lag": -1, "value": [[0.15]]}],
+}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda margins: margins.__setitem__(0, None),
+     "model field 'margins' entry 0: a margin must be an object with 'family' and 'params', "
+     "got None"),
+    (lambda margins: margins[1].__setitem__("params", [[0.5], 0.2]),
+     "model field 'margins' entry 1: margin 'params' must be a flat list of numbers, "
+     "got [[0.5], 0.2]"),
+    (lambda margins: margins[0].__setitem__("family", ["skewt"]),
+     "model field 'margins' entry 0: margin 'family' must be a string, got ['skewt']"),
+    (lambda margins: margins[2].__setitem__("params", 0.5),
+     "model field 'margins' entry 2: margin 'params' must be a flat list of numbers, got 0.5"),
+    (lambda margins: margins[3].pop("params"), "model field 'margins' entry 3: margin has no "
+                                               "'params'"),
+], ids=["null margin", "nested params", "list family", "number params", "no params"])
+def test_model_file_with_a_malformed_margin_is_named_exit_1(tmp_path, capsys, edit, message):
+    # each of these once escaped main as a TypeError traceback (a missing key as a bare KeyError)
+    cfg = write_json(tmp_path / "three.json", THREE_CONFIG)
+    model = tmp_path / "three_model.json"
+    assert main(["construct", "--config", cfg, "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    edit(doc["margins"])
+    path = write_json(tmp_path / "mutant.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert "error: invalid input: %s" % message in captured.err
+    assert "Traceback" not in captured.err and "PASSED" not in captured.out
+
+
 def _positive_csv(tmp_path, T=150):
     """A three-column CSV, a, b and c, of positive levels."""
     levels = np.exp(np.cumsum(0.01 * seeded_normals(4, (3, T)), axis=1))

@@ -1,5 +1,7 @@
 """Tests for likelihoods, model construction, the multi-stage fit, and scoring."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +13,7 @@ from oracles import (
     copula_loglik_oracle,
     moment_corr,
     random_subprocess_corr,
+    simulate_model_oracle,
 )
 from mcvar.closure import (
     CrossFixedBlock,
@@ -568,6 +571,22 @@ def scale_model():
     truth = construct_model(part, labels, k, (MarginSpec("gaussian", (0.0, 1.0)),) * 19, subs,
                             fixed)
     return truth, fixed, simulate(truth.var(), 2000, seed=11)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_simulate_model_of_the_19_variable_model_is_one_from_normal_per_row(monkeypatch, cpus):
+    # time chunks of every row, on as many threads as the usable CPUs allow,
+    # give the bits of one from_normal call per whole row; the skew-t rows
+    # read their table, the others are affine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    truth, fixed, _ = scale_model()
+    margins = tuple(MarginSpec("skewt", (0.1 * v, 1.0, 3.0, 5.0)) if v % 2 == 0
+                    else MarginSpec("gaussian", (0.0, 2.0)) for v in range(19))
+    model = construct_model(truth.partition, truth.labels, truth.k, margins, truth.subs, fixed)
+    x = simulate_model(model, 100_000, seed=3)
+    assert x.shape == (19, 100_000) and x.flags.c_contiguous
+    assert np.array_equal(x, simulate_model_oracle(model, 100_000, seed=3))
 
 
 def test_fit_stage2_fits_the_5_variable_subprocess_of_the_19_variable_model():

@@ -1,5 +1,8 @@
 """Tests for VAR(k) representations, recursions, simulation, and sample statistics."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +16,9 @@ from oracles import (
     seeded_normals_oracle,
     simulate_oracle,
 )
+import mcvar.varprocess as varprocess
 from mcvar.varprocess import (
+    MIN_CHUNK,
     SampleStats,
     VarRepresentation,
     durbin_levinson,
@@ -198,6 +203,59 @@ def test_seeded_normals_matches_the_integer_draw_oracle(seed, shape):
     got = seeded_normals(seed, shape)
     assert np.shape(got) == np.empty(shape).shape
     assert np.array_equal(got, seeded_normals_oracle(seed, shape))
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make the chunk helper see ``cpus`` usable CPUs, with or without CPU affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000), data=st.data())
+def test_the_chunk_fill_at_any_cut_points_is_the_one_stream(seed, n, data):
+    # each part draws from its own generator advanced to the part's first
+    # position, in any order, so the chunking is covered on a 1-CPU runner too
+    cuts = sorted({0, n, *data.draw(st.lists(st.integers(0, n), max_size=6))})
+    flat = np.full(n, np.nan)
+    for lo, hi in data.draw(st.permutations(list(zip(cuts, cuts[1:])))):
+        varprocess._fill_normals(seed, flat, lo, hi)
+    assert np.array_equal(flat, seeded_normals_oracle(seed, n))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_seeded_normals_on_several_threads_matches_the_integer_draw_oracle(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    assert np.array_equal(seeded_normals(5, (3, 100_001)), seeded_normals_oracle(5, (3, 100_001)))
+
+
+@pytest.mark.parametrize("cpus, n, width, parts", [
+    (1, 10**6, 1, 1), (4, MIN_CHUNK - 1, 1, 1), (4, 3 * MIN_CHUNK + 5, 1, 3), (4, 10**6, 1, 4),
+    (4, MIN_CHUNK, 2, 2), (2, 0, 1, 1),
+])
+def test_in_chunks_covers_the_range_once_in_at_most_one_part_per_cpu(monkeypatch, cpus, n, width,
+                                                                     parts):
+    usable_cpus(monkeypatch, cpus)
+    calls = []
+    varprocess._in_chunks(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), n, width)
+    spans = sorted(call[:2] for call in calls)
+    assert len(spans) == parts and spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    if parts > 1:
+        assert all((hi - lo) * width >= MIN_CHUNK for lo, hi in spans)
+    # the first part, and a lone part, run on the calling thread
+    assert (0, spans[0][1], threading.get_ident()) in calls
+
+
+def test_in_chunks_raises_what_a_worker_part_raises(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def fn(lo, hi):
+        if lo:
+            raise ZeroDivisionError("part at %d" % lo)
+
+    with pytest.raises(ZeroDivisionError, match="part at %d" % MIN_CHUNK):
+        varprocess._in_chunks(fn, 2 * MIN_CHUNK)
 
 
 def test_simulate_is_deterministic_and_stationary():
