@@ -30,6 +30,7 @@ from .closure import (
 from .estimation import (
     Model,
     ModelConfig,
+    _family_field,
     _label_field,
     _lag_blocks,
     construct_model,
@@ -239,7 +240,10 @@ def _required(fields, name, path):
     return fields[name]
 
 
-def _margin_families(doc, d, path):
+def _margin_families(doc, path):
+    """The field (``margin_families``, or else ``margins``) and margin families of the fit
+    config ``doc`` at ``path``; a field that is not a list, a ``margins`` entry without
+    its family, or a name that is not a family exits 1 naming ``path`` and the field."""
     if "margin_families" in doc:
         field = "margin_families"
         fams = tuple(_list(doc[field], '%s: "%s"' % (path, field)))
@@ -249,9 +253,10 @@ def _margin_families(doc, d, path):
                      for i, m in enumerate(_list(doc[field], '%s: "%s"' % (path, field))))
     else:
         raise CliError('%s: config needs "margins" or "margin_families"' % path)
-    if len(fams) != d:
-        raise CliError('%s: "%s" has %d entries, expected %d' % (path, field, len(fams), d))
-    return fams
+    try:
+        return field, tuple(_family_field(f, field, i) for i, f in enumerate(fams))
+    except ValueError as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
 
 
 def model_file_dict(model, names=None, fit_info=None):
@@ -506,13 +511,14 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
-def _model_config(doc, fields, path, d, args):
+def _model_config(doc, fields, path, families, d, args):
     """Kind, ModelConfig and stage-4 flag of the fit config at ``path`` with integer
-    ``fields``, for d data columns.  Kind ``unrestricted`` is the benchmark: one set of
-    the d columns, label 1, no stage 4; kind ``margin-closed``, the default, is the
-    config's own partition; any other kind exits 1 naming ``path`` and ``kind``.
-    ``--k`` overrides the order and ``--stage4`` switches stage 4 on.  A field
-    ModelConfig refuses exits 1 naming ``path``, a ``--k`` below 1 naming ``--k``."""
+    ``fields`` and :func:`_margin_families` ``families``, for d data columns.  Kind
+    ``unrestricted`` is the benchmark: one set of the d columns, label 1, no stage 4;
+    kind ``margin-closed``, the default, is the config's own partition; any other kind
+    exits 1 naming ``path`` and ``kind``.  ``--k`` overrides the order and ``--stage4``
+    switches stage 4 on.  A count of families other than the variables', or a field
+    ModelConfig refuses, exits 1 naming ``path``, a ``--k`` below 1 naming ``--k``."""
     if args.k is not None and args.k < 1:
         raise CliError("--k must be at least 1, got %d" % args.k)
     kind = doc.get("kind", "margin-closed")
@@ -527,7 +533,10 @@ def _model_config(doc, fields, path, d, args):
         part = _required(fields, "partition", path)
         labels = _required(fields, "labels", path)
         stage4 = args.stage4 or bool(doc.get("stage4", False))
-    families = _margin_families(doc, part.d, path)
+    field, families = families
+    if len(families) != part.d:
+        raise CliError('%s: "%s" has %d entries, expected %d'
+                       % (path, field, len(families), part.d))
     try:
         config = ModelConfig(partition=part, labels=labels, k=k, margin_families=families)
     except ValueError as exc:
@@ -537,8 +546,10 @@ def _model_config(doc, fields, path, d, args):
 
 def cmd_fit(args):
     doc, fields = _load_document(args.config, {CONFIG_FORMAT})
+    families = _margin_families(doc, args.config)  # named before the data are read
     ds = _dataset_from_args(args, doc)
-    _, config, stage4 = _model_config(doc, fields, args.config, ds.values.shape[0], args)
+    _, config, stage4 = _model_config(doc, fields, args.config, families, ds.values.shape[0],
+                                      args)
     fm = fit_model(ds.values, config, stage4=stage4)
     _print_fit(fm, ds.names)
 
@@ -572,10 +583,12 @@ def cmd_compare(args):
         if docs[1][0].get(field) != docs[0][0].get(field):
             raise CliError('%s: "%s" differs from that of %s'
                            % (args.config[1], field, args.config[0]))
+    # both configs' families are named before the data are read, and both configs are
+    # checked before either is fitted
+    families = [_margin_families(doc, path) for path, (doc, _) in zip(args.config, docs)]
     ds = _dataset_from_args(args, docs[0][0])
-    # both configs are checked before either is fitted
-    configs = [_model_config(doc, fields, path, ds.values.shape[0], args)
-               for path, (doc, fields) in zip(args.config, docs)]
+    configs = [_model_config(doc, fields, path, fams, ds.values.shape[0], args)
+               for path, (doc, fields), fams in zip(args.config, docs, families)]
     rows = []
     for path, (kind, config, stage4) in zip(args.config, configs):
         fm = fit_model(ds.values, config, stage4=stage4)

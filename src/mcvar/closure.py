@@ -25,7 +25,6 @@ from .linalg import (
     _mirror_lags,
     gaussian_condition,
     is_positive_definite,
-    vec,
 )
 from .varprocess import durbin_levinson, whittle_recursion
 
@@ -181,31 +180,31 @@ class CrossSolution:
         return self.blocks[l + self.order]
 
 
+def _predictor_band(state, label):
+    """The predictor band [P_k, ..., P_1] (d, kd) of a :func:`whittle_recursion`
+    state: its forward predictors Phi (label 1) or backward predictors Psi (label 2)."""
+    return np.hstack(state["forward" if label == 1 else "backward"][::-1])
+
+
 def _condition_matrix(blocks, label):
-    """G (label 1) or H (label 2) of a sub-process's blocks Sigma_0..Sigma_k:
-    :func:`_condition_rows` of their one :func:`whittle_recursion` solve."""
-    return _condition_rows(whittle_recursion(blocks, len(blocks) - 1), label)
-
-
-def _condition_rows(state, label):
-    """G (label 1) or H (label 2), k x (2k+1) blocks of size d, from the
-    forward or backward predictors of a :func:`whittle_recursion` state.
+    """G (label 1) or H (label 2), k x (2k+1) blocks of size d, of a sub-process's
+    blocks Sigma_0..Sigma_k, from its :func:`_predictor_band`.
 
     Block row m holds [Phi_k, ..., Phi_1, -I] from block column m+1 (G), or
     [-I, Psi_k, ..., Psi_1] from block column m (H).  With D_ij stacking
     Sigma_{ij,-k}..Sigma_{ij,k}, block row m of G @ D_ij is
     sum_j Phi_j Sigma_{ij,m+1-j} - Sigma_{ij,m+1} and of H @ D_ij is
     sum_j Psi_j Sigma_{ij,m+1-j} - Sigma_{ij,m-k}.  Either way the predictor
-    band [P_k, ..., P_1] sits in block columns m+1..m+k, so it is
-    ``a[:d, d:(k + 1) * d]``.
+    band sits in block columns m+1..m+k.
     """
-    pred = state["forward" if label == 1 else "backward"][::-1]
-    k, d = len(pred), len(pred[0])
-    band = np.hstack(pred + [-np.eye(d)] if label == 1 else [-np.eye(d)] + pred)
+    k = len(blocks) - 1
+    band = _predictor_band(whittle_recursion(blocks, k), label)
+    d = len(band)
+    row = np.hstack([band, -np.eye(d)] if label == 1 else [-np.eye(d), band])
     out = np.zeros((k * d, (2 * k + 1) * d))
     for m in range(k):
         c = m + 1 if label == 1 else m
-        out[m * d:(m + 1) * d, c * d:(c + k + 1) * d] = band
+        out[m * d:(m + 1) * d, c * d:(c + k + 1) * d] = row
     return out
 
 
@@ -223,8 +222,9 @@ def solve_cross_pair(ri, rj, labels, fixed):
         labels, -k for (1, 2), +k for (2, 1)).
 
     For mixed labels all non-fixed blocks are identically zero and are set,
-    not solved.  For equal labels the remaining 2k blocks solve the stacked
-    vec-form linear system built from the banded condition matrices.
+    not solved.  For equal labels the remaining 2k blocks follow from the
+    fixed block and k-1 others, which solve a (k-1) d_i d_j linear system
+    (:func:`_solve_equal_labels`).
     """
     return _cross_solutions(dict(zip(fixed.pair, (ri, rj))), dict(zip(fixed.pair, labels)),
                             [fixed])[0]
@@ -262,7 +262,7 @@ def _solve_pairs(stacks, labels, pairs, values):
     ``labels``, from each pair's fixed block in ``values``, and ``tangent``.
 
     A mixed-label pair has its fixed block at its lag and zeros elsewhere.
-    Each sub-process's condition matrix is built once, when its first
+    Each sub-process's predictor band is built once, when its first
     equal-label pair needs it, by a :func:`whittle_recursion` whose factor the
     tangents reuse; a sub-process that is not positive definite, like a
     singular system, raises DegenerateCrossPair.  ``tangent(dstacks)``
@@ -286,15 +286,14 @@ def _solve_pairs(stacks, labels, pairs, values):
                     raise DegenerateCrossPair(
                         (i, j), "sub-process %d is not positive definite: %s" % (c, exc)
                     ) from exc
-                mats[c] = (_condition_rows(state, labels[c]), state["factor"])
-        out.append(_solve_equal_labels(mats[i][0], mats[j][0], value, (i, j), k))
+                mats[c] = (_predictor_band(state, labels[c]), state["factor"])
+        out.append(_solve_equal_labels(mats[i][0], mats[j][0], labels[i], value, (i, j)))
 
     def tangent(dstacks):
         bands = {}
-        for c, (a, factor) in mats.items():
-            k, d = len(stacks[c]) // 2, len(stacks[c][0])
-            bands[c] = (_band_tangent(factor, a[:d, d:(k + 1) * d], labels[c], dstacks[c])
-                        if len(dstacks[c]) else np.zeros((0, d, k * d)))
+        for c, (band, factor) in mats.items():
+            bands[c] = (_band_tangent(factor, band, labels[c], dstacks[c])
+                        if len(dstacks[c]) else np.zeros((0,) + band.shape))
         tangents = []
         for (i, j), (stack, pair_tangent) in zip(pairs, out):
             if pair_tangent is not None:
@@ -311,64 +310,102 @@ def _solve_pairs(stacks, labels, pairs, values):
     return [stack for stack, _ in out], tangent
 
 
-def _solve_equal_labels(a_i, a_j, value, pair, k):
-    """Cross blocks of an equal-label pair from its condition matrices and fixed block.
+def _solve_equal_labels(band_i, band_j, label, value, pair):
+    """Cross blocks of an equal-label pair from its predictor bands and fixed block.
 
     Returns the (2k+1, d_i, d_j) stack Sigma_{ij,-k}..Sigma_{ij,k} and its
-    ``tangent``.  M is factorised once (LAPACK getrf); the factors give the
-    1-norm condition estimate (gecon) tested against CONDITION_LIMIT, the
-    solution (getrs) and every tangent.
+    ``tangent``.  Every condition row gives one lag of a side's stack from the
+    k next to it (:func:`_predict_lags`): side i's rows give Sigma_{ij,1..k}
+    from Sigma_{ij,0} and x = Sigma_{ij,-1..-(k-1)} (label 1), and side j's
+    rows, on D_ji, then give Sigma_{ij,-1..-k}.  The conditions hold exactly
+    when side j returns x: (I - K) x = c, a (k-1) d_i d_j system, with K the
+    response to unit x and c the response to the fixed block alone.  Label 2
+    is the same with the lags mirrored.  One batched pass gives the responses
+    to unit x and to the fixed block, so the stack is the latter plus the
+    former times x.  I - K is factorised once (LAPACK getrf); its 1-norm
+    condition estimate (gecon) relative to 1 + |K|_1, which also counts the
+    cancellation in forming I - K, is tested against CONDITION_LIMIT.  At
+    k = 1 there is no x and no system.
     """
     di, dj = value.shape
-    # Rows of vec(A_i D_ij) and of vec((A_j D_ji)^T), one column block of
-    # di*dj per lag l = -k..k acting on vec(Sigma_{ij,l}):
-    # I_dj (x) A_i[:, lag l] and A_j[:, lag -l] (x) I_di, as the products
-    # np.kron forms, without its reshaping overhead.
-    n_lag, step = 2 * k + 1, di * dj
-    rows_i = np.multiply.outer(np.eye(dj), a_i.reshape(-1, n_lag, di)).transpose(0, 2, 3, 1, 4)
-    rows_j = np.multiply.outer(a_j, np.eye(di)).transpose(0, 2, 1, 3)
-    system = np.vstack([rows_i.reshape(-1, n_lag, step),
-                        rows_j.reshape(-1, n_lag, step)[:, ::-1]])
-    N = system[:, k]
-    M = np.delete(system, k, axis=1).reshape(len(system), -1)
-    lu, piv, _ = dgetrf(M)
-    rcond = dgecon(lu, np.linalg.norm(M, 1))[0]
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
-    if cond > CONDITION_LIMIT:
-        raise DegenerateCrossPair(
-            pair, "condition number %.3g exceeds %.3g" % (cond, CONDITION_LIMIT)
-        )
+    k = band_i.shape[1] // di
+    free = slice(1, k) if label == 1 else slice(k + 1, 2 * k)
+    size = (k - 1) * di * dj
 
-    def with_fixed(x, fixed):
-        """Lag stacks from solved blocks x (2k di dj, n) and fixed blocks (n, di, dj)."""
-        solved = x.T.reshape(-1, 2 * k, dj, di).transpose(0, 1, 3, 2)
-        return np.concatenate([solved[:, :k], fixed[:, None], solved[:, k:]], axis=1)
+    def predict(s, forcing_i=None, forcing_j=None):
+        """The (2k+1, d_i, n, d_j) stacks of n directions whose lag 0 and x are set in s,
+        side i's rows forced by (k, d_i, n d_j) forcing_i and side j's by (k, d_j, n d_i)."""
+        _predict_lags(band_i, label, s.reshape(2 * k + 1, di, -1), forcing_i)
+        d_ji = s[::-1].transpose(0, 3, 2, 1).copy()
+        _predict_lags(band_j, label, d_ji.reshape(2 * k + 1, dj, -1), forcing_j)
+        return d_ji[::-1].transpose(0, 3, 2, 1)
 
-    stack = with_fixed(dgetrs(lu, piv, -N @ vec(value))[0][:, None], value[None])[0]
+    def closing(out):
+        """The (k-1) d_i d_j x n values of x that make side j return them, from the
+        n stacks ``out`` that :func:`predict` gave with x = 0: one getrs."""
+        return dgetrs(lu, piv, out[free].transpose(0, 1, 3, 2).reshape(size, -1))[0]
+
+    # one pass for the responses to unit x (K is their x rows) and to the fixed block
+    eye = np.eye(size)
+    s = np.zeros((2 * k + 1, di, size + 1, dj))
+    s[free, :, :size] = eye.reshape(k - 1, di, dj, size).transpose(0, 1, 3, 2)
+    s[k, :, size] = value
+    out = predict(s)
+    stack = out[:, :, size]
+    if size:
+        responses = out[:, :, :size]
+        kx = responses[free].transpose(0, 1, 3, 2).reshape(size, size)
+        lu, piv, _ = dgetrf(eye - kx, overwrite_a=1)
+        rcond = dgecon(lu, 1.0 + np.abs(kx).sum(axis=0).max())[0]
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
+        if cond > CONDITION_LIMIT:
+            raise DegenerateCrossPair(
+                pair, "condition number %.3g exceeds %.3g" % (cond, CONDITION_LIMIT)
+            )
+        stack = stack + responses.transpose(0, 1, 3, 2) @ closing(out[:, :, size:])[:, 0]
 
     def tangent(dband_i, dband_j):
         """Tangents of the stack along (n_i, di, k di) and (n_j, dj, k dj) tangents of the
         predictor bands [P_k, ..., P_1] of sub-processes i and j, and along each entry of
         the fixed block in row-major order: (n_i, 2k+1, di, dj), (n_j, ...), (di dj, ...).
 
-        Differentiating A_i D_ij = 0 and A_j D_ji = 0 at the solution gives
-        M dx = -[vec(dA_i D_ij); rows of dA_j D_ji] - N vec(dF); block row m of
-        dA_i D_ij is dband_i times the lags m+1-k..m of D_ij.  All directions are
-        right-hand sides of one getrs on the factors of M.
+        Differentiating the conditions A_i D_ij = 0 and A_j D_ji = 0 at the solution
+        gives the same rows for the tangent stack, with row m of side i forced by
+        row m of dA_i D_ij (:func:`_band_product`), of side j by row m of dA_j D_ji,
+        and lag 0 set to the fixed block's direction.  All directions go through
+        :func:`predict` with x = 0, one getrs for their x and :func:`predict` again.
         """
         n_i, n_j, step = len(dband_i), len(dband_j), di * dj
-        rhs = np.zeros((len(M), n_i + n_j + step))
-        rhs[:k * step, :n_i] = _band_product(dband_i, stack).transpose(0, 2, 1).reshape(
-            n_i, k * step).T
-        rhs[k * step:, n_i:n_i + n_j] = _band_product(
-            dband_j, stack[::-1].transpose(0, 2, 1)).reshape(n_j, k * step).T
-        rhs[:, n_i + n_j:] = N[:, np.arange(step).reshape(dj, di).T.ravel()]
-        fixed = np.zeros((n_i + n_j + step, di, dj))
-        fixed[n_i + n_j:] = np.eye(step).reshape(step, di, dj)
-        out = with_fixed(dgetrs(lu, piv, -rhs)[0], fixed)
+        n = n_i + n_j + step
+        s = np.zeros((2 * k + 1, di, n, dj))
+        s[k, :, n_i + n_j:] = np.eye(step).reshape(step, di, dj).transpose(1, 0, 2)
+        forcing_i = np.zeros((k, di, n, dj))
+        forcing_i[:, :, :n_i] = _band_product(dband_i, stack).reshape(
+            n_i, k, di, dj).transpose(1, 2, 0, 3)
+        forcing_j = np.zeros((k, dj, n, di))
+        forcing_j[:, :, n_i:n_i + n_j] = _band_product(
+            dband_j, stack[::-1].transpose(0, 2, 1)).reshape(n_j, k, dj, di).transpose(1, 2, 0, 3)
+        forcing_i, forcing_j = forcing_i.reshape(k, di, -1), forcing_j.reshape(k, dj, -1)
+        out = predict(s, forcing_i, forcing_j)
+        if size:
+            s[free] = closing(out).reshape(k - 1, di, dj, n).transpose(0, 1, 3, 2)
+            out = predict(s, forcing_i, forcing_j)
+        out = out.transpose(2, 0, 1, 3)
         return out[:n_i], out[n_i:n_i + n_j], out[n_i + n_j:]
 
     return stack, tangent
+
+
+def _predict_lags(band, label, stack, forcing=None):
+    """Set in place the k lags of a (2k+1, d, n) lag stack that one side's condition
+    rows give from its predictor band: row m sets stack[k+1+m] (label 1, ascending m)
+    or stack[m] (label 2, descending m) to band @ stack[m+1..m+k] + forcing[m]."""
+    k = len(stack) // 2
+    for m in range(k) if label == 1 else range(k - 1, -1, -1):
+        row = stack[k + 1 + m if label == 1 else m]
+        np.matmul(band, stack[m + 1:m + k + 1].reshape(-1, stack.shape[2]), out=row)
+        if forcing is not None:
+            row += forcing[m]
 
 
 def _band_product(dband, stack):

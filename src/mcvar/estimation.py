@@ -69,7 +69,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelConfig:
     """Structural choices: partition, condition labels, order, margin families,
-    checked as :meth:`Model.from_dict` checks a document (ValueError naming the field)."""
+    checked as :meth:`Model.from_dict` checks a document (ValueError naming the field);
+    each margin family must be a name in FAMILY_PARAMS."""
 
     partition: Partition
     labels: tuple
@@ -79,8 +80,9 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "labels", _label_field(self.labels, self.partition.n))
         object.__setattr__(self, "k", _order_field(self.k))
-        object.__setattr__(self, "margin_families", tuple(_counted_field(
-            self.margin_families, "margin_families", self.partition.d, "variable")))
+        object.__setattr__(self, "margin_families", tuple(
+            _family_field(f, "margin_families", i) for i, f in enumerate(_counted_field(
+                self.margin_families, "margin_families", self.partition.d, "variable"))))
 
 
 def _computed_once(method):
@@ -165,8 +167,10 @@ class Model:
         bool or non-integer ``k``, label, partition index, pair index or lag, a
         ``k`` below 1, a label other than 1 or 2, a count of labels, margins,
         sub-processes, crosses or fixed blocks that does not match the
-        partition, a pair not i < j within it or named twice, a lag other than
-        its labels fix, an entry without its pair, lag, value or blocks, and
+        partition, a count field that is not a list, an entry of ``crosses``,
+        ``cross_fixed`` or ``subprocess_corrs`` that is not an object, a pair
+        not i < j within it or named twice, a lag other than its labels fix,
+        an entry without its pair, lag, value or blocks, and
         lag blocks that are not k+1 (sub-process) or 2k+1 (cross) finite
         d_i x d_j blocks raise ValueError naming the field."""
         part = Partition(sets=d["partition"], d=sum(len(s) for s in d["partition"]))
@@ -213,10 +217,21 @@ def _order_field(value):
 
 
 def _entry_field(entry, name, i, key):
-    """``entry[key]``, entry i of the model field ``name``; ValueError naming all when absent."""
+    """``entry[key]``, entry i of the model field ``name``; ValueError naming all when the
+    entry is not an object or ``key`` is absent."""
+    if not isinstance(entry, dict):
+        raise ValueError("model field %r entry %d must be an object, got %r" % (name, i, entry))
     if key not in entry:
         raise ValueError("model field %r entry %d has no %r" % (name, i, key))
     return entry[key]
+
+
+def _family_field(value, name, i):
+    """Entry i of the field ``name`` naming a margin family: a key of FAMILY_PARAMS."""
+    if not isinstance(value, str) or value not in FAMILY_PARAMS:
+        raise ValueError("model field %r entry %d must name a margin family (%s), got %r"
+                         % (name, i, ", ".join(FAMILY_PARAMS), value))
+    return value
 
 
 def _label_field(values, n):
@@ -259,7 +274,9 @@ def _lag_blocks(blocks, name, n, shape):
 
 
 def _counted_field(items, name, n, each):
-    """A list of a model document that must hold one entry per ``each``, n in all."""
+    """A list (or tuple) of a model document that must hold one entry per ``each``, n in all."""
+    if not isinstance(items, (list, tuple)):
+        raise ValueError("model field %r must be a list, got %r" % (name, items))
     items = list(items)
     if len(items) != n:
         raise ValueError("model field %r must hold one entry per %s: need %d %s entries, got %d"

@@ -1189,6 +1189,70 @@ def test_model_file_with_a_malformed_margin_is_named_exit_1(tmp_path, capsys, ed
     assert "Traceback" not in captured.err and "PASSED" not in captured.out
 
 
+@pytest.fixture(scope="module")
+def three_documents(tmp_path_factory):
+    """THREE_CONFIG and the model file that construct writes from it."""
+    tmp = tmp_path_factory.mktemp("three")
+    model = tmp / "three_model.json"
+    assert main(["construct", "--config", write_json(tmp / "three.json", THREE_CONFIG),
+                 "--out", str(model)]) == 0
+    return {"construct": THREE_CONFIG, "model": json.loads(model.read_text())}
+
+
+@pytest.mark.parametrize("value", [None, 7, "x"])
+@pytest.mark.parametrize("command, field, entry", [
+    (command, field, entry) for command in ("verify", "simulate")
+    for field, entry in (("crosses", 0), ("crosses", None), ("subprocess_corrs", 1),
+                         ("subprocess_corrs", None), ("margins", None))
+] + [("construct", field, entry) for field, entry in (
+    ("cross_fixed", 2), ("cross_fixed", None), ("subprocess_corrs", 0),
+    ("subprocess_corrs", None), ("margins", None))])
+def test_a_field_or_entry_of_the_wrong_type_is_named_exit_1(tmp_path, capsys, three_documents,
+                                                            command, field, entry, value):
+    # a null crosses or subprocess_corrs entry, a crosses entry of 7 and a null
+    # margins field once escaped main as TypeError tracebacks
+    doc = json.loads(json.dumps(three_documents["model" if command != "construct"
+                                                else "construct"]))
+    if entry is None:
+        doc[field] = value
+        named = "must be a list, got %r" % (value,)
+    else:
+        doc[field][entry] = value
+        named = "entry %d must be an object, got %r" % (entry, value)
+    path = write_json(tmp_path / "mutant.json", doc)
+    out = str(tmp_path / ("out.csv" if command == "simulate" else "out.json"))
+    extra = {"verify": [], "simulate": ["--length", "20", "--out", out],
+             "construct": ["--out", out]}[command]
+    assert main([command, "--config", path, *extra]) == 1
+    err = capsys.readouterr().err
+    assert named in err and field in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("field, families", [
+    ("margin_families", ["gaussian", "skewtt"]),
+    ("margin_families", ["gaussian", ["skewt"]]),
+    ("margins", ["gaussian", "skewtt"]),
+])
+def test_a_margin_family_that_is_not_a_family_is_named_before_the_data_are_read(
+        tmp_path, capsys, monkeypatch, command, field, families):
+    # a misspelt family was once refused by fit_margin, unnamed, after the data were
+    # read and the first margin fitted; the data path here does not exist
+    monkeypatch.setattr(cli, "fit_model", lambda *args, **kwargs: pytest.fail("fitted"))
+    value = families if field == "margin_families" else [
+        {"family": f, "params": [0.0, 1.0]} for f in families]
+    cfg = write_json(tmp_path / "fit.json", _fit_config(**{"margin_families": None,
+                                                            field: value}))
+    configs = ["--config", cfg] * (2 if command == "compare" else 1)
+    assert main([command, *configs, "--data", str(tmp_path / "absent.csv"),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert ("error: %s: model field '%s' entry 1 must name a margin family (gaussian, skewt), "
+            "got %r" % (cfg, field, families[1])) in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
 def _positive_csv(tmp_path, T=150):
     """A three-column CSV, a, b and c, of positive levels."""
     levels = np.exp(np.cumsum(0.01 * seeded_normals(4, (3, T)), axis=1))

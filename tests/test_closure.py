@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
@@ -207,6 +207,77 @@ def test_solver_property_matches_dense_oracle(labels, di, dj, k, seed):
     )
     for l in range(-k, k + 1):
         assert_allclose(sol.block(l), ref[l], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("labels", [(1, 1), (2, 2)])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    di=st.integers(1, 6),
+    dj=st.integers(1, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(di=6, dj=6, k=4, seed=1)  # the largest size
+@example(di=6, dj=1, k=4, seed=2)  # a scalar side
+@example(di=5, dj=6, k=3, seed=3)  # the scale workload's order
+def test_equal_label_solver_property_matches_dense_oracle_up_to_d6_k4(labels, di, dj, k, seed):
+    # the elimination through the identity pivots against the oracle's dense solve
+    # of all 2k blocks, at sizes where the eliminated system has up to 108 unknowns
+    rng = np.random.default_rng(seed)
+    ri = random_subprocess_corr(rng, di, k)
+    rj = random_subprocess_corr(rng, dj, k)
+    value = 0.3 * rng.uniform(-1.0, 1.0, size=(di, dj))
+    sol = solve_cross_pair(ri, rj, labels, CrossFixedBlock(pair=(0, 1), lag=0, value=value))
+    ref = dense_cross_solve(
+        [ri.block(l) for l in range(k + 1)],
+        [rj.block(l) for l in range(k + 1)],
+        labels,
+        0,
+        value,
+    )
+    scale = max(1.0, max(np.max(np.abs(ref[l])) for l in range(-k, k + 1)))
+    for l in range(-k, k + 1):
+        assert_allclose(sol.block(l), ref[l], rtol=0, atol=1e-10 * scale)
+
+
+def _mirrored_direction(rng, d, k):
+    """A random (2k+1, d, d) lag stack direction with D_{-l} = D_l^T and D_0 symmetric."""
+    lag0 = rng.standard_normal((d, d))
+    return closure._mirror_lags([lag0 + lag0.T] + list(rng.standard_normal((k, d, d))))
+
+
+@pytest.mark.parametrize("label", [1, 2])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    di=st.integers(1, 5),
+    dj=st.integers(1, 5),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(di=5, dj=5, k=4, seed=1)  # the largest size
+@example(di=4, dj=2, k=3, seed=2)  # unequal sides
+def test_pair_tangents_match_central_differences(label, di, dj, k, seed):
+    # the tangents of an equal-label pair's stack along directions of both sub-processes
+    # (which move their predictor bands) and of the fixed block, against central
+    # differences of the value solve
+    rng = np.random.default_rng(seed)
+    subs = [random_subprocess_corr(rng, d, k) for d in (di, dj)]
+    stacks = {c: closure._mirror_lags(r.blocks) for c, r in enumerate(subs)}
+    labels = {0: label, 1: label}
+    value = 0.3 * rng.uniform(-1.0, 1.0, size=(di, dj))
+    dstacks = {c: 0.1 * _mirrored_direction(rng, d, k)[None] for c, d in enumerate((di, dj))}
+    dvalue = 0.1 * rng.standard_normal((di, dj))
+    _, tangent = closure._solve_pairs(stacks, labels, [(0, 1)], [value])
+    along_i, along_j, along_fixed = tangent(dstacks)[0]
+    got = along_i[0] + along_j[0] + np.tensordot(dvalue.ravel(), along_fixed, 1)
+
+    def solved(h):
+        moved = {c: stacks[c] + h * dstacks[c][0] for c in stacks}
+        return closure._solve_pairs(moved, labels, [(0, 1)], [value + h * dvalue])[0][0]
+
+    h = 1e-5
+    expected = (solved(h) - solved(-h)) / (2 * h)
+    assert_allclose(got, expected, rtol=0, atol=1e-6 * max(1.0, np.max(np.abs(expected))))
 
 
 @pytest.mark.parametrize("labels", [(1, 2), (2, 1)])

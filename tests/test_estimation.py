@@ -106,6 +106,27 @@ def test_model_config_refuses_a_fractional_or_bool_label_or_order(labels, k, mes
         ModelConfig(partition=part, labels=labels, k=k, margin_families=("gaussian", "gaussian"))
 
 
+@pytest.mark.parametrize("families", [("gaussian", "skewtt"), ("gaussian", ["skewt"]),
+                                      ("gaussian", None)])
+def test_model_config_refuses_a_margin_family_that_is_not_a_family_name(families):
+    # a misspelt or nested name was once accepted, and refused only by fit_margin
+    # after the data were read and the first margin fitted
+    part = Partition(sets=((0,), (1,)), d=2)
+    with pytest.raises(ValueError, match="model field 'margin_families' entry 1 must name a "
+                                         "margin family"):
+        ModelConfig(partition=part, labels=(1, 1), k=1, margin_families=families)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("margins", None, "model field 'margins' must be a list, got None"),
+    ("subprocess_corrs", "x", "model field 'subprocess_corrs' must be a list, got 'x'"),
+    ("crosses", 7, "model field 'crosses' must be a list, got 7"),
+])
+def test_model_from_dict_refuses_a_count_field_that_is_not_a_list(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        Model.from_dict(dict(TRUE_MODEL.to_dict(), **{field: value}))
+
+
 def test_count_params_reference_values():
     # three scalar sub-processes with (skewt, gaussian, skewt) margins:
     # 10 margin parameters, 3 fixed cross blocks, plus k per-lag terms
