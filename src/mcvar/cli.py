@@ -9,6 +9,7 @@ infeasibility (positive definiteness), 3 tolerance failure in ``tables``.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._document import _blocks, _choice, _integer, _key, _labels, _list, _name, _object
 from .closure import (
     CrossFixedBlock,
     DegenerateCrossPair,
     Partition,
     SubprocessCorr,
+    _partition,
     coefficient_block_zeros,
     fixed_lag_for_labels,
     verify_closure,
@@ -30,9 +33,6 @@ from .closure import (
 from .estimation import (
     Model,
     ModelConfig,
-    _family_field,
-    _label_field,
-    _lag_blocks,
     construct_model,
     fit_model,
     latent_scores,
@@ -40,7 +40,7 @@ from .estimation import (
     simulate_model,
 )
 from .linalg import is_positive_definite
-from .margins import MarginSpec
+from .margins import FAMILY_PARAMS, MarginSpec
 from .varprocess import (
     VarRepresentation,
     implied_autocov,
@@ -76,6 +76,12 @@ def load_csv(path, columns=None):
     has that name; an integer is always an index.
     Missing, non-numeric or non-finite cells are rejected with their line and column.
     """
+    return _read_csv(path, columns, CliError)
+
+
+def _read_csv(path, columns, column_error):
+    """:func:`load_csv`, raising ``column_error`` for a ``columns`` entry that selects no
+    column: ValueError where ``columns`` is a config field, which the CLI names with its file."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -103,16 +109,17 @@ def load_csv(path, columns=None):
         sel = list(range(len(header)))
     else:
         sel = []
-        for c in columns:
+        for i, c in enumerate(_list(columns, "columns")):
             if isinstance(c, str) and (c in header or not c.lstrip("-").isdigit()):
                 if c not in header:
-                    raise CliError("column %r not found; file has %s" % (c, header))
+                    raise column_error("%s: column %r not found; file has %s"
+                                       % (_name("columns", i), c, header))
                 idx = header.index(c)
             else:
-                idx = int(c) if isinstance(c, str) else _integer(c, '"columns"')
+                idx = int(c) if isinstance(c, str) else _integer(c, "columns", i)
                 if not 0 <= idx < len(header):
-                    raise CliError("column index %d out of range (file has %d columns)"
-                                   % (idx, len(header)))
+                    raise column_error("%s: column index %d out of range (file has %d columns)"
+                                       % (_name("columns", i), idx, len(header)))
             sel.append(idx)
 
     names = tuple(header[i] for i in sel)
@@ -146,9 +153,10 @@ def transform(series, spec):
     log when both are set, and has length T - m.
     """
     x = np.asarray(series, dtype=float)
-    m = _integer(spec.get("log_diff", 0), '"log_diff"')
-    if m not in (0, 1, 2):
-        raise CliError("log_diff order must be 0, 1, or 2, got %r" % m)
+    try:
+        m = _log_diff(spec)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if m > 0:
         if np.any(x <= 0.0):
             bad = int(np.argmax(x <= 0.0))
@@ -162,16 +170,28 @@ def transform(series, spec):
     return x
 
 
+def _log_diff(spec, i=None):
+    """The difference order of a ``transform`` entry (entry i where given): 0, 1 or 2."""
+    m = _integer(_object(spec, "transform", i).get("log_diff", 0), "transform log_diff", i)
+    return _choice(m, "transform log_diff", (0, 1, 2), "be a difference order", i)
+
+
 # -- config / model files ----------------------------------------------------
 
+@contextlib.contextmanager
+def _document_errors(path):
+    """Exit 1 naming ``path`` for a ValueError raised inside, where a field of the document
+    at ``path`` is read; a LinAlgError, DegenerateCrossPair included, keeps exit 2."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
+
+
 def _load_document(path, expect_format):
-    """The document at ``path``, a JSON object whose format tag must be in
-    ``expect_format``, and its integer fields ``partition`` (a list of lists,
-    read as a Partition), ``k`` (at least 1) and ``labels`` (a list), each when
-    present; each ``cross_fixed`` pair and lag is checked too.  A value of the
-    wrong type, a bool, fraction or string for an integer included, exits 1
-    naming path and field, and a ``cross_fixed`` entry without its pair or lag
-    names its index."""
+    """The JSON object at ``path``, whose ``format`` tag must be ``expect_format``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -179,44 +199,8 @@ def _load_document(path, expect_format):
         raise CliError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise CliError("%s: invalid JSON: %s" % (path, exc)) from exc
-    if not isinstance(doc, dict):
-        raise CliError("%s: the document must be a JSON object, got %s"
-                       % (path, type(doc).__name__))
-    fmt = doc.get("format")
-    if not isinstance(fmt, str) or fmt not in expect_format:
-        raise CliError(
-            '%s: "format" tag %r, expected one of %s' % (path, fmt, sorted(expect_format))
-        )
-
-    def integers(values, field):
-        return tuple(_integer(v, "%s: %s" % (path, field))
-                     for v in _list(values, "%s: %s" % (path, field)))
-
-    fields = {}
-    if "partition" in doc:
-        sets = tuple(integers(s, '"partition"')
-                     for s in _list(doc["partition"], '%s: "partition"' % path))
-        fields["partition"] = Partition(sets=sets, d=sum(len(s) for s in sets))
-    if "k" in doc:
-        fields["k"] = _integer(doc["k"], '%s: "k"' % path)
-        if fields["k"] < 1:
-            raise CliError('%s: "k" must be at least 1, got %d' % (path, fields["k"]))
-    if "labels" in doc:
-        fields["labels"] = integers(doc["labels"], '"labels"')
-    for i, e in enumerate(_list(doc.get("cross_fixed", []), '%s: "cross_fixed"' % path)):
-        integers(_entry(e, "pair", path, "cross_fixed", i), '"cross_fixed" pair')
-        _integer(_entry(e, "lag", path, "cross_fixed", i), '%s: "cross_fixed" lag' % path)
-    return doc, fields
-
-
-def _entry(entry, key, path, field, i):
-    """``entry[key]``, entry i of the list ``field`` at ``path``; exit 1 naming all if
-    absent or if the entry is not an object."""
-    if not isinstance(entry, dict):
-        raise CliError('%s: "%s" entry %d must be an object, got %r' % (path, field, i, entry))
-    if key not in entry:
-        raise CliError('%s: "%s" entry %d has no "%s"' % (path, field, i, key))
-    return entry[key]
+    _choice(_key(doc, "format"), "format", (expect_format,), "be the format tag")
+    return doc
 
 
 def _dump_json(path, doc):
@@ -233,30 +217,15 @@ def _dump_json(path, doc):
         fh.write("{\n%s\n}\n" % fields)
 
 
-def _required(fields, name, path):
-    """The integer field ``name`` of the config at ``path``; exit 1 naming both when absent."""
-    if name not in fields:
-        raise CliError('%s: config needs "%s"' % (path, name))
-    return fields[name]
-
-
-def _margin_families(doc, path):
+def _margin_families(doc):
     """The field (``margin_families``, or else ``margins``) and margin families of the fit
-    config ``doc`` at ``path``; a field that is not a list, a ``margins`` entry without
-    its family, or a name that is not a family exits 1 naming ``path`` and the field."""
-    if "margin_families" in doc:
-        field = "margin_families"
-        fams = tuple(_list(doc[field], '%s: "%s"' % (path, field)))
-    elif "margins" in doc:
-        field = "margins"
-        fams = tuple(_entry(m, "family", path, field, i)
-                     for i, m in enumerate(_list(doc[field], '%s: "%s"' % (path, field))))
-    else:
-        raise CliError('%s: config needs "margins" or "margin_families"' % path)
-    try:
-        return field, tuple(_family_field(f, field, i) for i, f in enumerate(fams))
-    except ValueError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
+    config ``doc``, each a name in FAMILY_PARAMS."""
+    field = "margins" if "margins" in doc and "margin_families" not in doc else "margin_families"
+    fams = _list(_key(doc, field), field)
+    if field == "margins":
+        fams = [_key(m, "family", field, i) for i, m in enumerate(fams)]
+    return field, tuple(_choice(f, field, FAMILY_PARAMS, "name a margin family", i)
+                        for i, f in enumerate(fams))
 
 
 def model_file_dict(model, names=None, fit_info=None):
@@ -277,66 +246,42 @@ def model_file_dict(model, names=None, fit_info=None):
 def load_model_file(path):
     """Load a model file; returns (model, doc, fields).
 
-    ``fields`` holds the integer fields of :func:`_load_document` and
-    ``names``, None when absent or else one per variable.  The model is read
-    by :meth:`Model.from_dict`; its ``var`` entry, when present, must be the
-    model's own VAR, each entry v within 1e-9 max(1, |v|) (exit 1 naming
-    ``var`` if not).  A file with only a ``var`` entry loads with ``model``
-    None and ``fields["var"]``: k finite d x d ``phi`` blocks and a finite,
-    positive definite d x d ``sigma`` (exit 2 if not), d being the variables
-    of its ``partition``; its ``labels``, when present, are checked as a
-    model's are.
+    A file with ``subprocess_corrs`` and ``crosses`` is read by
+    :meth:`Model.from_dict`; its ``var`` entry, when present, must be the
+    model's own VAR, each entry v within 1e-9 max(1, |v|).  A file with only a
+    ``var`` entry loads with ``model`` None: k finite d x d ``phi`` blocks and a
+    finite, positive definite d x d ``sigma`` (exit 2 if not), d being the
+    variables of its ``partition``; its ``labels``, when present, are checked as
+    a model's are.  ``fields`` holds the ``partition``, ``k``, ``labels`` (None
+    when a var-only file has none), the VAR and ``names`` (None when absent, else
+    one per variable).  A field that is refused exits 1 naming ``path`` and the field.
     """
-    doc, fields = _load_document(path, {MODEL_FORMAT})
-    if "subprocess_corrs" in doc and "crosses" in doc:
-        model = Model.from_dict(doc)
-        d = model.partition.d
+    with _document_errors(path):
+        doc = _load_document(path, MODEL_FORMAT)
+        if "subprocess_corrs" in doc and "crosses" in doc:
+            model = Model.from_dict(doc)
+            part, k, labels, var = model.partition, model.k, model.labels, model.var()
+        elif "var" in doc:
+            model, part = None, _partition(_key(doc, "partition"))
+            k = _integer(_key(doc, "k"), "k", least=1)
+            labels = _labels(doc["labels"], part.n) if "labels" in doc else None
+        else:
+            raise ValueError("model field 'var' is missing, and so is 'subprocess_corrs' "
+                             "or 'crosses'")
         if "var" in doc:
-            var = model.var()
-            for got, v in zip(_var_blocks(doc, model.k, d), (*var.phi, var.sigma)):
-                if np.any(np.abs(got - v) > 1e-9 * np.maximum(1.0, np.abs(v))):
-                    raise CliError("%s: model field 'var' is not the VAR of the model's "
-                                   "correlation blocks" % path)
-    elif "var" in doc:
-        model, d = None, fields["partition"].d
-        if "labels" in fields:
-            _label_field(fields["labels"], fields["partition"].n)
-        *phi, sigma = _var_blocks(doc, fields["k"], d)
-        if not is_positive_definite(sigma):
-            raise InfeasibleError("model field 'var': sigma is not positive definite")
-        fields["var"] = VarRepresentation(phi=phi, sigma=sigma)
-    else:
-        raise CliError("%s: neither sub-process blocks nor a var entry" % path)
-    fields["names"] = _names(doc, path, d)
-    return model, doc, fields
-
-
-def _var_blocks(doc, k, d):
-    """The ``var`` entry of a model file: its k finite d x d phi blocks, then sigma."""
-    return (*_lag_blocks(doc["var"]["phi"], "var", k, (d, d)),
-            *_lag_blocks([doc["var"]["sigma"]], "var", 1, (d, d)))
-
-
-def _integer(value, source, nonnegative=False):
-    """An integer from a document or option; a bool, fraction or string is refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, int) or (nonnegative and value < 0):
-        raise CliError("%s must be %s integer, got %r"
-                       % (source, "a non-negative" if nonnegative else "an", value))
-    return value
-
-
-def _list(value, source):
-    """A list from a document; any other value, null included, is refused."""
-    if not isinstance(value, list):
-        raise CliError("%s must be a list, got %r" % (source, value))
-    return value
-
-
-def _names(doc, path, d):
-    names = doc.get("names")
-    if names and len(names) != d:
-        raise CliError('%s: "names" has %d entries, expected %d' % (path, len(names), d))
-    return names
+            shape = (part.d, part.d)
+            phi = _blocks(_key(doc["var"], "phi", "var"), "var", k, shape)
+            (sigma,) = _blocks([_key(doc["var"], "sigma", "var")], "var", 1, shape)
+            if model is None:
+                if not is_positive_definite(sigma):
+                    raise InfeasibleError("model field 'var': sigma is not positive definite")
+                var = VarRepresentation(phi=phi, sigma=sigma)
+            elif any(np.any(np.abs(got - v) > 1e-9 * np.maximum(1.0, np.abs(v)))
+                     for got, v in zip((*phi, sigma), (*var.phi, var.sigma))):
+                raise ValueError("model field 'var' is not the VAR of the model's correlation "
+                                 "blocks")
+        names = _list(doc["names"], "names", part.d, "variable") if "names" in doc else None
+    return model, doc, {"partition": part, "k": k, "labels": labels, "var": var, "names": names}
 
 
 def _time_major_from_var(var, k):
@@ -374,16 +319,14 @@ def _print_side_by_side(label, computed, reference, nd=3):
 
 # -- construct ----------------------------------------------------------------
 
-def _build_from_config(doc, path):
-    """The model of the construct config ``doc`` at ``path``, and its ``names``.
+def _build_from_config(doc):
+    """The model of the construct config ``doc``, and its ``names``.
 
     :meth:`Model.from_dict` reads the config and solves its crosses.  When
     the assembled R is not positive definite, the first part whose own
     correlation matrix is not names the failure (exit 2): a sub-process,
     then a pair, then the full set.
     """
-    if "margins" not in doc:
-        raise CliError("construct needs fully specified 'margins'")
     model = Model.from_dict(doc)
     r = model.time_major_R()
     if not is_positive_definite(r):
@@ -403,13 +346,15 @@ def _build_from_config(doc, path):
                                       "correlation matrix non positive definite" % c.pair)
         raise InfeasibleError("assembled correlation matrix is not positive definite "
                               "(each pair is; the full set jointly is not)")
-    return model, _names(doc, path, model.partition.d)
+    d = model.partition.d
+    return model, _list(doc["names"], "names", d, "variable") if "names" in doc else None
 
 
 def cmd_construct(args):
-    doc, _ = _load_document(args.config, {CONFIG_FORMAT})
-    seed = _integer(doc["seed"], '%s: "seed"' % args.config, True) if "seed" in doc else None
-    model, names = _build_from_config(doc, args.config)
+    with _document_errors(args.config):
+        doc = _load_document(args.config, CONFIG_FORMAT)
+        seed = _integer(doc["seed"], "seed", least=0) if "seed" in doc else None
+        model, names = _build_from_config(doc)
     r = model.time_major_R()
     var = model.var()
     print("margin-closed model: d=%d, k=%d, %d sub-processes"
@@ -435,16 +380,14 @@ def cmd_construct(args):
 # -- verify --------------------------------------------------------------------
 
 def cmd_verify(args):
-    model, doc, fields = load_model_file(args.config)
-    part, k = fields["partition"], fields["k"]
-    labels = fields.get("labels")
-    r = model.time_major_R() if model is not None else _time_major_from_var(fields["var"], k)
+    model, _, fields = load_model_file(args.config)
+    part, k, labels, var = (fields[key] for key in ("partition", "k", "labels", "var"))
+    r = model.time_major_R() if model is not None else _time_major_from_var(var, k)
     # verify_closure's LinAlgError on a matrix that is not PD exits 2 through main
     report = verify_closure(r, part, k, tol=args.tol)
     print(report)
     ok = report.all_pass
     if labels is not None:
-        var = model.var() if model is not None else fields["var"]
         zeros_ok = coefficient_block_zeros(labels, var, part, tol=max(args.tol, 1e-8))
         print("condition-1 coefficient blocks vanish: %s" % ("yes" if zeros_ok else "no"))
         ok = ok and zeros_ok
@@ -456,10 +399,12 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     model, doc, fields = load_model_file(args.config)
-    if args.seed is not None:
-        seed = _integer(args.seed, "--seed", True)
-    else:
-        seed = _integer(doc.get("seed", 0), '%s: "seed"' % args.config, True)
+    seed = args.seed
+    if seed is None:
+        with _document_errors(args.config):
+            seed = _integer(doc.get("seed", 0), "seed", least=0)
+    elif seed < 0:
+        raise CliError("--seed must be a non-negative integer, got %d" % seed)
     T = args.length
     if T is None:
         raise CliError("simulate needs --length")
@@ -481,14 +426,16 @@ def cmd_simulate(args):
 # -- fit -------------------------------------------------------------------------
 
 def _dataset_from_args(args, doc):
+    """The ``--data`` CSV, its ``columns`` and ``transform`` read from the fit config ``doc``;
+    a field that is refused raises ValueError naming it."""
     if not args.data:
         raise CliError("this subcommand needs --data CSV")
-    ds = load_csv(args.data, doc.get("columns"))
-    specs = doc.get("transform")
-    if specs:
-        if len(specs) != ds.values.shape[0]:
-            raise CliError("need one transform spec per selected column")
-        cols = [transform(ds.values[i], s or {}) for i, s in enumerate(specs)]
+    ds = _read_csv(args.data, doc.get("columns"), ValueError)
+    if doc.get("transform") is not None:
+        specs = _list(doc["transform"], "transform", len(ds.names), "selected column")
+        for i, s in enumerate(specs):
+            _log_diff(s, i)
+        cols = [transform(ds.values[i], s) for i, s in enumerate(specs)]
         tmin = min(len(c) for c in cols)
         vals = np.vstack([c[len(c) - tmin:] for c in cols])
         ds = Dataset(names=ds.names, values=vals)
@@ -511,45 +458,37 @@ def _print_fit(fm, names):
         print("warning: at least one optimizer stage did not converge", file=sys.stderr)
 
 
-def _model_config(doc, fields, path, families, d, args):
-    """Kind, ModelConfig and stage-4 flag of the fit config at ``path`` with integer
-    ``fields`` and :func:`_margin_families` ``families``, for d data columns.  Kind
-    ``unrestricted`` is the benchmark: one set of the d columns, label 1, no stage 4;
-    kind ``margin-closed``, the default, is the config's own partition; any other kind
-    exits 1 naming ``path`` and ``kind``.  ``--k`` overrides the order and ``--stage4``
-    switches stage 4 on.  A count of families other than the variables', or a field
-    ModelConfig refuses, exits 1 naming ``path``, a ``--k`` below 1 naming ``--k``."""
+def _model_config(doc, families, d, args):
+    """Kind, ModelConfig and stage-4 flag of the fit config ``doc`` with
+    :func:`_margin_families` ``families``, for d data columns.  Kind ``unrestricted`` is
+    the benchmark: one set of the d columns, label 1, no stage 4; kind
+    ``margin-closed``, the default, is the config's own partition.  ``--k`` overrides the
+    order and ``--stage4`` switches stage 4 on.  Another kind, a count of families other
+    than the variables', or a field ModelConfig refuses raises ValueError naming the
+    field; a ``--k`` below 1 exits 1 naming ``--k``."""
     if args.k is not None and args.k < 1:
         raise CliError("--k must be at least 1, got %d" % args.k)
-    kind = doc.get("kind", "margin-closed")
-    if kind not in ("margin-closed", "unrestricted"):
-        raise CliError('%s: "kind" must be "margin-closed" or "unrestricted", got %s'
-                       % (path, json.dumps(kind)))
-    k = args.k if args.k is not None else _required(fields, "k", path)
+    kind = _choice(doc.get("kind", "margin-closed"), "kind", ("margin-closed", "unrestricted"),
+                   "name a config kind")
+    k = args.k if args.k is not None else _key(doc, "k")
     if kind == "unrestricted":
         labels, stage4 = (1,), False
         part = Partition(sets=(tuple(range(d)),), d=d)
     else:
-        part = _required(fields, "partition", path)
-        labels = _required(fields, "labels", path)
+        part, labels = _partition(_key(doc, "partition")), _key(doc, "labels")
         stage4 = args.stage4 or bool(doc.get("stage4", False))
     field, families = families
-    if len(families) != part.d:
-        raise CliError('%s: "%s" has %d entries, expected %d'
-                       % (path, field, len(families), part.d))
-    try:
-        config = ModelConfig(partition=part, labels=labels, k=k, margin_families=families)
-    except ValueError as exc:
-        raise CliError("%s: %s" % (path, exc)) from None
+    _list(families, field, part.d, "variable")
+    config = ModelConfig(partition=part, labels=labels, k=k, margin_families=families)
     return kind, config, stage4
 
 
 def cmd_fit(args):
-    doc, fields = _load_document(args.config, {CONFIG_FORMAT})
-    families = _margin_families(doc, args.config)  # named before the data are read
-    ds = _dataset_from_args(args, doc)
-    _, config, stage4 = _model_config(doc, fields, args.config, families, ds.values.shape[0],
-                                      args)
+    with _document_errors(args.config):
+        doc = _load_document(args.config, CONFIG_FORMAT)
+        families = _margin_families(doc)  # named before the data are read
+        ds = _dataset_from_args(args, doc)
+        _, config, stage4 = _model_config(doc, families, ds.values.shape[0], args)
     fm = fit_model(ds.values, config, stage4=stage4)
     _print_fit(fm, ds.names)
 
@@ -578,17 +517,23 @@ def cmd_fit(args):
 def cmd_compare(args):
     if not args.config or len(args.config) != 2:
         raise CliError("compare needs exactly two --config files")
-    docs = [_load_document(path, {CONFIG_FORMAT}) for path in args.config]
-    for field in ("columns", "transform"):  # AIC compares fits to the same observations
-        if docs[1][0].get(field) != docs[0][0].get(field):
-            raise CliError('%s: "%s" differs from that of %s'
-                           % (args.config[1], field, args.config[0]))
     # both configs' families are named before the data are read, and both configs are
     # checked before either is fitted
-    families = [_margin_families(doc, path) for path, (doc, _) in zip(args.config, docs)]
-    ds = _dataset_from_args(args, docs[0][0])
-    configs = [_model_config(doc, fields, path, fams, ds.values.shape[0], args)
-               for path, (doc, fields), fams in zip(args.config, docs, families)]
+    docs = []
+    for path in args.config:
+        with _document_errors(path):
+            doc = _load_document(path, CONFIG_FORMAT)
+            docs.append((doc, _margin_families(doc)))
+    for field in ("columns", "transform"):  # AIC compares fits to the same observations
+        if docs[1][0].get(field) != docs[0][0].get(field):
+            raise CliError("%s: model field '%s' differs from that of %s"
+                           % (args.config[1], field, args.config[0]))
+    with _document_errors(args.config[0]):
+        ds = _dataset_from_args(args, docs[0][0])
+    configs = []
+    for path, (doc, families) in zip(args.config, docs):
+        with _document_errors(path):
+            configs.append(_model_config(doc, families, ds.values.shape[0], args))
     rows = []
     for path, (kind, config, stage4) in zip(args.config, configs):
         fm = fit_model(ds.values, config, stage4=stage4)

@@ -11,12 +11,12 @@ Lag convention: ``Sigma_{ij,l} = corr(Z_{S_i,t}, Z_{S_j,t-l})`` so that
 ``Sigma_{ji,l} = Sigma_{ij,-l}.T``.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrs
 
+from ._document import _integer, _integers, _list
 from .linalg import (
     PD_TOL,
     _block_toeplitz,
@@ -60,13 +60,6 @@ class DegenerateCrossPair(np.linalg.LinAlgError):
         )
 
 
-def _integer_field(value, name):
-    """An integer of a model document; a bool or a fraction is refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("model field %r must be an integer, got %r" % (name, value))
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered disjoint index sets S_1..S_n covering 0..d-1."""
@@ -75,17 +68,17 @@ class Partition:
     d: int
 
     def __post_init__(self):
-        sets = tuple(tuple(_integer_field(v, "partition") for v in s) for s in self.sets)
+        sets = tuple(_integers(s, "partition") for s in _list(self.sets, "partition"))
         object.__setattr__(self, "sets", sets)
         seen = []
         for s in sets:
-            if len(s) == 0:
-                raise ValueError("empty sub-process index set")
-            if list(s) != sorted(set(s)):
-                raise ValueError("indices within a sub-process must be strictly increasing")
+            if len(s) == 0 or list(s) != sorted(set(s)):
+                raise ValueError("model field 'partition' must hold non-empty sets of strictly "
+                                 "increasing indices, got %r" % (list(s),))
             seen.extend(s)
         if sorted(seen) != list(range(self.d)):
-            raise ValueError("partition must cover 0..%d exactly once" % (self.d - 1))
+            raise ValueError("model field 'partition' must cover 0..%d exactly once"
+                             % (self.d - 1))
 
     @property
     def n(self):
@@ -94,6 +87,12 @@ class Partition:
     def complement(self, i):
         own = set(self.sets[i])
         return tuple(v for v in range(self.d) if v not in own)
+
+
+def _partition(value):
+    """The Partition of a document's ``partition``: lists of integers naming d variables."""
+    sets = tuple(_integers(s, "partition") for s in _list(value, "partition"))
+    return Partition(sets=sets, d=sum(map(len, sets)))
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,12 @@ class CrossFixedBlock:
     value: np.ndarray
 
     def __post_init__(self):
-        i, j = (_integer_field(v, "cross_fixed pair") for v in self.pair)
+        i, j = _integers(self.pair, "cross_fixed pair", 2, "sub-process")
         if not i < j:
-            raise ValueError("pair must satisfy i < j, got %s" % (self.pair,))
+            raise ValueError("model field 'cross_fixed pair' must satisfy i < j, got %s"
+                             % (self.pair,))
         object.__setattr__(self, "pair", (i, j))
-        object.__setattr__(self, "lag", _integer_field(self.lag, "cross_fixed lag"))
+        object.__setattr__(self, "lag", _integer(self.lag, "cross_fixed lag"))
         object.__setattr__(self, "value", np.atleast_2d(np.asarray(self.value, dtype=float)))
 
 
@@ -379,13 +379,18 @@ def _solve_equal_labels(band_i, band_j, label, value, pair):
         n = n_i + n_j + step
         s = np.zeros((2 * k + 1, di, n, dj))
         s[k, :, n_i + n_j:] = np.eye(step).reshape(step, di, dj).transpose(1, 0, 2)
-        forcing_i = np.zeros((k, di, n, dj))
-        forcing_i[:, :, :n_i] = _band_product(dband_i, stack).reshape(
-            n_i, k, di, dj).transpose(1, 2, 0, 3)
-        forcing_j = np.zeros((k, dj, n, di))
-        forcing_j[:, :, n_i:n_i + n_j] = _band_product(
-            dband_j, stack[::-1].transpose(0, 2, 1)).reshape(n_j, k, dj, di).transpose(1, 2, 0, 3)
-        forcing_i, forcing_j = forcing_i.reshape(k, di, -1), forcing_j.reshape(k, dj, -1)
+        forcing_i = forcing_j = None  # a side with no directions is not forced
+        if n_i:
+            forcing_i = np.zeros((k, di, n, dj))
+            forcing_i[:, :, :n_i] = _band_product(dband_i, stack).reshape(
+                n_i, k, di, dj).transpose(1, 2, 0, 3)
+            forcing_i = forcing_i.reshape(k, di, -1)
+        if n_j:
+            forcing_j = np.zeros((k, dj, n, di))
+            forcing_j[:, :, n_i:n_i + n_j] = _band_product(
+                dband_j, stack[::-1].transpose(0, 2, 1)).reshape(
+                n_j, k, dj, di).transpose(1, 2, 0, 3)
+            forcing_j = forcing_j.reshape(k, dj, -1)
         out = predict(s, forcing_i, forcing_j)
         if size:
             s[free] = closing(out).reshape(k - 1, di, dj, n).transpose(0, 1, 3, 2)

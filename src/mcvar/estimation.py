@@ -27,17 +27,18 @@ from .closure import (
     Partition,
     SubprocessCorr,
     _cross_solutions,
-    _integer_field,
     _lag_stack,
+    _partition,
     _place_cross,
     _solve_pairs,
     assemble_full_R,
     fixed_lag_for_labels,
     solve_cross_pair,  # not called here; bench/smoke.py checks that the tracer wraps this binding
 )
+from ._document import _blocks, _choice, _integer, _integers, _key, _labels, _list
 from .linalg import _block_toeplitz, _fold_lags, _mirror_lags, symmetrize
-from .margins import (FAMILY_PARAMS, MarginSpec, _logit_table, fit_margin, from_normal,
-                      logpdf as margin_logpdf, pit_to_normal)
+from .margins import (FAMILY_PARAMS, MarginSpec, _logit_table, _margin, fit_margin,
+                      from_normal, logpdf as margin_logpdf, pit_to_normal)
 from .optim import minimize
 from .varprocess import _in_chunks, durbin_levinson, simulate
 
@@ -78,11 +79,12 @@ class ModelConfig:
     margin_families: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _label_field(self.labels, self.partition.n))
-        object.__setattr__(self, "k", _order_field(self.k))
+        object.__setattr__(self, "labels", _labels(self.labels, self.partition.n))
+        object.__setattr__(self, "k", _integer(self.k, "k", least=1))
         object.__setattr__(self, "margin_families", tuple(
-            _family_field(f, "margin_families", i) for i, f in enumerate(_counted_field(
-                self.margin_families, "margin_families", self.partition.d, "variable"))))
+            _choice(f, "margin_families", FAMILY_PARAMS, "name a margin family", i)
+            for i, f in enumerate(_list(self.margin_families, "margin_families",
+                                        self.partition.d, "variable"))))
 
 
 def _computed_once(method):
@@ -163,125 +165,59 @@ class Model:
         """Inverse of :meth:`to_dict`, and the reader of a ``construct`` config,
         which holds ``cross_fixed`` in place of ``crosses``: per pair i < j one
         finite d_i x d_j ``value`` at the ``lag`` its labels fix, from which
-        :func:`construct_model` solves the crosses.  A document with both, a
-        bool or non-integer ``k``, label, partition index, pair index or lag, a
-        ``k`` below 1, a label other than 1 or 2, a count of labels, margins,
-        sub-processes, crosses or fixed blocks that does not match the
-        partition, a count field that is not a list, an entry of ``crosses``,
-        ``cross_fixed`` or ``subprocess_corrs`` that is not an object, a pair
-        not i < j within it or named twice, a lag other than its labels fix,
-        an entry without its pair, lag, value or blocks, and
-        lag blocks that are not k+1 (sub-process) or 2k+1 (cross) finite
-        d_i x d_j blocks raise ValueError naming the field."""
-        part = Partition(sets=d["partition"], d=sum(len(s) for s in d["partition"]))
-        k = _order_field(d["k"])
-        labels = _label_field(d["labels"], part.n)
-        blocks = _counted_field(d["subprocess_corrs"], "subprocess_corrs", part.n, "partition set")
+        :func:`construct_model` solves the crosses.  A document with both or
+        neither, a missing field, a bool or non-integer ``k``, label, partition
+        index, pair index or lag, a ``k`` below 1, a label other than 1 or 2, a
+        count of labels, margins, sub-processes, crosses or fixed blocks that
+        does not match the partition, a field or entry of the wrong type, a pair
+        not i < j within it or named twice, a lag other than its labels fix, an
+        entry without its pair, lag, value or blocks, and lag blocks that are
+        not k+1 (sub-process) or 2k+1 (cross) finite d_i x d_j blocks raise
+        ValueError naming the field and the entry."""
+        part = _partition(_key(d, "partition"))
+        k = _integer(_key(d, "k"), "k", least=1)
+        labels = _labels(_key(d, "labels"), part.n)
+        blocks = _list(_key(d, "subprocess_corrs"), "subprocess_corrs", part.n, "partition set")
         subs = tuple(_subprocess(e, i, k, len(s))
                      for i, (e, s) in enumerate(zip(blocks, part.sets)))
         margins = tuple(_margin(m, i) for i, m in
-                        enumerate(_counted_field(d["margins"], "margins", part.d, "variable")))
+                        enumerate(_list(_key(d, "margins"), "margins", part.d, "variable")))
         fixed = "cross_fixed" in d
-        if fixed and "crosses" in d:
-            raise ValueError("model fields 'crosses' and 'cross_fixed' exclude each other")
+        if fixed == ("crosses" in d):
+            raise ValueError("model fields 'crosses' and 'cross_fixed': a document needs "
+                             "exactly one, got %s" % ("both" if fixed else "neither"))
         name, pairs, entries = ("cross_fixed" if fixed else "crosses"), _pair_list(part.n), {}
-        for n, e in enumerate(_counted_field(d[name], name, len(pairs), "pair of partition sets")):
-            field = functools.partial(_entry_field, e, name, n)
-            pair = tuple(_integer_field(v, name + " pair") for v in field("pair"))
+        for n, e in enumerate(_list(d[name], name, len(pairs), "pair of partition sets")):
+            field = functools.partial(_key, e, name=name, i=n)
+            pair = _integers(field("pair"), name + " pair", i=n)
             if pair not in pairs or pair in entries:
-                raise ValueError("model field '%s pair' must name each pair i < j of the "
-                                 "partition once, got %r" % (name, list(pair)))
+                raise ValueError("model field '%s pair' entry %d must name each pair i < j of "
+                                 "the partition once, got %r" % (name, n, list(pair)))
             shape = (len(part.sets[pair[0]]), len(part.sets[pair[1]]))
             if fixed:
-                lag = _integer_field(field("lag"), "cross_fixed lag")
+                lag = _integer(field("lag"), "cross_fixed lag", n)
                 if lag != fixed_lag_for_labels((labels[pair[0]], labels[pair[1]]), k):
-                    raise ValueError("model field 'cross_fixed lag' %d does not match the labels "
-                                     "of pair %r" % (lag, list(pair)))
+                    raise ValueError("model field 'cross_fixed lag' entry %d: %d does not match "
+                                     "the labels of pair %r" % (n, lag, list(pair)))
                 entries[pair] = CrossFixedBlock(pair, lag,
-                                                _lag_blocks([field("value")], name, 1, shape)[0])
+                                                _blocks([field("value")], name, 1, shape, n)[0])
             else:
                 entries[pair] = CrossSolution(pair, k,
-                                              _lag_blocks(field("blocks"), name, 2 * k + 1, shape))
+                                              _blocks(field("blocks"), name, 2 * k + 1, shape, n))
         if fixed:
             return construct_model(part, labels, k, margins, subs, entries.values())
         return cls(partition=part, labels=labels, k=k, margins=margins, subs=subs,
                    crosses=tuple(entries.values()))
 
 
-def _order_field(value):
-    """The VAR order k of a model document: an integer, at least 1."""
-    k = _integer_field(value, "k")
-    if k < 1:
-        raise ValueError("model field 'k' must be at least 1, got %d" % k)
-    return k
-
-
-def _entry_field(entry, name, i, key):
-    """``entry[key]``, entry i of the model field ``name``; ValueError naming all when the
-    entry is not an object or ``key`` is absent."""
-    if not isinstance(entry, dict):
-        raise ValueError("model field %r entry %d must be an object, got %r" % (name, i, entry))
-    if key not in entry:
-        raise ValueError("model field %r entry %d has no %r" % (name, i, key))
-    return entry[key]
-
-
-def _family_field(value, name, i):
-    """Entry i of the field ``name`` naming a margin family: a key of FAMILY_PARAMS."""
-    if not isinstance(value, str) or value not in FAMILY_PARAMS:
-        raise ValueError("model field %r entry %d must name a margin family (%s), got %r"
-                         % (name, i, ", ".join(FAMILY_PARAMS), value))
-    return value
-
-
-def _label_field(values, n):
-    """The condition labels of a model document: one per partition set, each 1 or 2."""
-    labels = tuple(_integer_field(c, "labels")
-                   for c in _counted_field(values, "labels", n, "partition set"))
-    if any(c not in (1, 2) for c in labels):
-        raise ValueError("model field 'labels' must hold 1 or 2, got %r" % (list(labels),))
-    return labels
-
-
 def _subprocess(entry, i, k, dim):
     """Sub-process i of a model document, k+1 finite dim x dim lag blocks."""
-    blocks = _lag_blocks(_entry_field(entry, "subprocess_corrs", i, "blocks"), "subprocess_corrs",
-                         k + 1, (dim, dim))
+    blocks = _blocks(_key(entry, "blocks", "subprocess_corrs", i), "subprocess_corrs", k + 1,
+                     (dim, dim), i)
     try:
         return SubprocessCorr(blocks=blocks)
     except ValueError as exc:  # a lag-0 block that is not a correlation matrix
         raise ValueError("model field 'subprocess_corrs' entry %d: %s" % (i, exc)) from None
-
-
-def _margin(entry, i):
-    """Margin i of a model document."""
-    try:
-        return MarginSpec.from_dict(entry)
-    except ValueError as exc:
-        raise ValueError("model field 'margins' entry %d: %s" % (i, exc)) from None
-
-
-def _lag_blocks(blocks, name, n, shape):
-    """The n lag blocks of one entry of a model document, each finite and of ``shape``."""
-    try:
-        stack = np.asarray(blocks, dtype=float)
-    except (TypeError, ValueError):  # a ragged or non-numeric block
-        stack = np.empty(0)
-    if stack.shape != (n, *shape) or not np.isfinite(stack).all():
-        raise ValueError("model field %r must hold %d finite %d x %d blocks per entry"
-                         % (name, n, *shape))
-    return tuple(stack)
-
-
-def _counted_field(items, name, n, each):
-    """A list (or tuple) of a model document that must hold one entry per ``each``, n in all."""
-    if not isinstance(items, (list, tuple)):
-        raise ValueError("model field %r must be a list, got %r" % (name, items))
-    items = list(items)
-    if len(items) != n:
-        raise ValueError("model field %r must hold one entry per %s: need %d %s entries, got %d"
-                         % (name, each, n, name, len(items)))
-    return items
 
 
 def construct_model(partition, labels, k, margins, subs, fixed_blocks):

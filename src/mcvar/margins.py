@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, digamma, expit, ndtr, ndtri, zeta
 
+from ._document import _key, _list, _name
 from .optim import minimize
 
 # PIT values are clamped into [PIT_CLAMP, 1 - PIT_CLAMP] before the normal
@@ -97,15 +98,17 @@ class MarginSpec:
     def from_dict(cls, d):
         """Inverse of :meth:`to_dict`: an object with ``family`` and a list ``params``;
         anything else raises ValueError naming the field."""
-        if not isinstance(d, dict):
-            raise ValueError("a margin must be an object with 'family' and 'params', got %r" % (d,))
-        for key in ("family", "params"):
-            if key not in d:
-                raise ValueError("margin has no %r" % key)
-        if not isinstance(d["params"], list):
-            raise ValueError("margin 'params' must be a flat list of numbers, got %r"
-                             % (d["params"],))
-        return cls(family=d["family"], params=d["params"])
+        return _margin(d)
+
+
+def _margin(entry, i=None):
+    """The margin of a ``margins`` entry (entry i where given), as :meth:`MarginSpec.from_dict`."""
+    family = _key(entry, "family", "margins", i)
+    params = _list(_key(entry, "params", "margins", i), "margins params", i=i)
+    try:
+        return MarginSpec(family, params)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (_name("margins", i), exc)) from None
 
 
 def _skewt_logconst(a, b):

@@ -1,13 +1,16 @@
 """End-to-end tests of the command line interface."""
 
+import copy
 import csv
 import functools
 import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import mcvar.cli as cli
@@ -246,13 +249,14 @@ def test_negative_seed_is_named_exit_1(tmp_path, capsys):
     doc["seed"] = -3
     bad_model = write_json(tmp_path / "bad_model.json", doc)
     assert main(["simulate", "--config", bad_model, "--length", "50", "--out", out]) == 1
-    assert '"seed" must be a non-negative integer, got -3' in capsys.readouterr().err
+    assert ("%s: model field 'seed' must be at least 0, got -3" % bad_model
+            in capsys.readouterr().err)
     # from a construct config, before anything is written
     bad_cfg = dict(construct_config(), seed=-2)
     p = write_json(tmp_path / "bad_cfg.json", bad_cfg)
     other = tmp_path / "other.json"
     assert main(["construct", "--config", p, "--out", str(other)]) == 1
-    assert '"seed" must be a non-negative integer, got -2' in capsys.readouterr().err
+    assert "%s: model field 'seed' must be at least 0, got -2" % p in capsys.readouterr().err
     assert not other.exists()
     assert not (tmp_path / "sim.csv").exists()
 
@@ -269,13 +273,14 @@ def test_seed_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys):
     for bad in (1.9, "5", True):
         p = write_json(tmp_path / "var.json", dict(var_doc, seed=bad))
         assert main(["simulate", "--config", p, "--length", "30", "--out", str(out)]) == 1
-        assert '"seed" must be a non-negative integer, got %r' % bad in capsys.readouterr().err
+        assert ("%s: model field 'seed' must be an integer, got %r" % (p, bad)
+                in capsys.readouterr().err)
         assert not out.exists()
     # a construct config's seed, before anything is written
     cfg = write_json(tmp_path / "cfg.json", dict(construct_config(), seed=2.5))
     model = tmp_path / "m.json"
     assert main(["construct", "--config", cfg, "--out", str(model)]) == 1
-    assert '"seed" must be a non-negative integer, got 2.5' in capsys.readouterr().err
+    assert "%s: model field 'seed' must be an integer, got 2.5" % cfg in capsys.readouterr().err
     assert not model.exists()
     # an integer seed still works
     p = write_json(tmp_path / "var.json", dict(var_doc, seed=4))
@@ -284,23 +289,23 @@ def test_seed_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,where,bad,field", [
-    ("construct", ("k",), 1.9, '"k"'),
-    ("construct", ("labels", 0), 2.7, '"labels"'),
-    ("construct", ("partition", 1, 0), 1.0, '"partition"'),
-    ("construct", ("cross_fixed", 0, "pair", 1), 1.2, '"cross_fixed" pair'),
-    ("construct", ("cross_fixed", 0, "lag"), 0.4, '"cross_fixed" lag'),
-    ("fit", ("k",), 2.5, '"k"'),
-    ("fit", ("labels", 1), True, '"labels"'),
-    ("fit", ("partition", 0, 0), "0", '"partition"'),
-    ("fit", ("transform", 0, "log_diff"), 1.7, '"log_diff"'),
-    ("fit", ("transform", 0, "log_diff"), True, '"log_diff"'),
-    ("verify", ("k",), 2.0, '"k"'),
-    ("verify", ("labels", 0), 2.0, '"labels"'),
-    ("verify", ("partition", 0, 0), 0.0, '"partition"'),
-    ("simulate", ("k",), 1.9, '"k"'),
-    ("simulate", ("partition", 1, 0), 1.5, '"partition"'),
-    ("simulate", ("labels", 0), 2.7, '"labels"'),
-    ("fit", ("columns", 0), True, '"columns"'),
+    ("construct", ("k",), 1.9, "model field 'k'"),
+    ("construct", ("labels", 0), 2.7, "model field 'labels'"),
+    ("construct", ("partition", 1, 0), 1.0, "model field 'partition'"),
+    ("construct", ("cross_fixed", 0, "pair", 1), 1.2, "model field 'cross_fixed pair' entry 0"),
+    ("construct", ("cross_fixed", 0, "lag"), 0.4, "model field 'cross_fixed lag' entry 0"),
+    ("fit", ("k",), 2.5, "model field 'k'"),
+    ("fit", ("labels", 1), True, "model field 'labels'"),
+    ("fit", ("partition", 0, 0), "0", "model field 'partition'"),
+    ("fit", ("transform", 0, "log_diff"), 1.7, "model field 'transform log_diff' entry 0"),
+    ("fit", ("transform", 0, "log_diff"), True, "model field 'transform log_diff' entry 0"),
+    ("verify", ("k",), 2.0, "model field 'k'"),
+    ("verify", ("labels", 0), 2.0, "model field 'labels'"),
+    ("verify", ("partition", 0, 0), 0.0, "model field 'partition'"),
+    ("simulate", ("k",), 1.9, "model field 'k'"),
+    ("simulate", ("partition", 1, 0), 1.5, "model field 'partition'"),
+    ("simulate", ("labels", 0), 2.7, "model field 'labels'"),
+    ("fit", ("columns", 0), True, "model field 'columns' entry 0"),
 ])
 def test_integer_field_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys, command,
                                                                where, bad, field):
@@ -331,7 +336,7 @@ def test_integer_field_that_is_not_an_integer_is_named_exit_1(tmp_path, capsys, 
             "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
     capsys.readouterr()
     assert main(argv) == 1
-    assert "%s must be an integer, got %r" % (field, bad) in capsys.readouterr().err
+    assert "%s: %s must be an integer, got %r" % (path, field, bad) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -340,7 +345,8 @@ def test_construct_refuses_names_of_the_wrong_length_exit_1(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", dict(construct_config(), names=["only_one"]))
     model = tmp_path / "model.json"
     assert main(["construct", "--config", cfg, "--out", str(model)]) == 1
-    assert '"names" has 1 entries, expected 2' in capsys.readouterr().err
+    assert ("%s: model field 'names' must hold one entry per variable: need 2 names entries, "
+            "got 1" % cfg) in capsys.readouterr().err
     assert not model.exists()
 
 
@@ -353,7 +359,8 @@ def test_simulate_refuses_names_of_the_wrong_length_exit_1(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     capsys.readouterr()
     assert main(["simulate", "--config", bad, "--length", "30", "--out", str(out)]) == 1
-    assert '"names" has 1 entries, expected 2' in capsys.readouterr().err
+    assert ("%s: model field 'names' must hold one entry per variable: need 2 names entries, "
+            "got 1" % bad) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -377,7 +384,8 @@ def test_model_file_with_names_of_the_wrong_length_is_named_exit_1(tmp_path, cap
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert '"names" has 2 entries, expected 3' in captured.err
+    assert ("%s: model field 'names' must hold one entry per variable: need 3 names entries, "
+            "got 2" % path) in captured.err
     assert "Traceback" not in captured.err
     assert "PASSED" not in captured.out
     assert not out.exists()
@@ -438,15 +446,20 @@ def _wide_sub_block(doc):
     doc["subprocess_corrs"][0]["blocks"][1] = [[0.5, 0.0]]
 
 
+def _number_pair(doc):
+    doc["crosses"][0]["pair"] = 7
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 @pytest.mark.parametrize("field, edit", [
     ("crosses", _cut_cross), ("subprocess_corrs", _nan_in_sub),
     ("crosses", _nan_in_cross), ("subprocess_corrs", _wide_sub_block),
+    ("crosses pair", _number_pair),
 ])
 def test_model_file_with_malformed_blocks_is_named_exit_1(tmp_path, capsys, command, field, edit):
     # a cross cut to 1 of its 2k+1 blocks was broadcast over every lag, so
     # simulate wrote data from a model that is not closed; a NaN made simulate
-    # exit 2 with a numerical failure
+    # exit 2 with a numerical failure; a pair of 7 escaped main as a TypeError
     cfg = write_json(tmp_path / "cfg.json", construct_config(k=1, c0=0.2))
     model = tmp_path / "model.json"
     assert main(["construct", "--config", cfg, "--out", str(model)]) == 0
@@ -459,7 +472,7 @@ def test_model_file_with_malformed_blocks_is_named_exit_1(tmp_path, capsys, comm
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert "model field '%s'" % field in captured.err
+    assert "%s: model field '%s'" % (path, field) in captured.err
     assert "Traceback" not in captured.err
     assert "PASSED" not in captured.out
     assert not out.exists()
@@ -491,7 +504,7 @@ def test_model_file_with_an_order_below_1_is_named_exit_1(tmp_path, capsys, comm
             "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert '"k" must be at least 1, got %d' % doc["k"] in captured.err
+    assert "%s: model field 'k' must be at least 1, got %d" % (path, doc["k"]) in captured.err
     assert "Traceback" not in captured.err
     assert "PASSED" not in captured.out
     assert not out.exists()
@@ -696,13 +709,18 @@ def _small_csv(tmp_path):
 
 
 @pytest.mark.parametrize("edits, message", [
-    ({"partition": None}, 'config needs "partition"'),
-    ({"labels": None}, 'config needs "labels"'),
-    ({"k": None}, 'config needs "k"'),
-    ({"margin_families": None}, 'config needs "margins" or "margin_families"'),
-    ({"margin_families": ["gaussian"]}, '"margin_families" has 1 entries, expected 2'),
+    ({"partition": None}, "model field 'partition' is missing"),
+    ({"labels": None}, "model field 'labels' is missing"),
+    ({"k": None}, "model field 'k' is missing"),
+    ({"margin_families": None}, "model field 'margin_families' is missing"),
+    ({"margin_families": ["gaussian"]}, "model field 'margin_families' must hold one entry per "
+                                        "variable: need 2 margin_families entries, got 1"),
     ({"margin_families": None, "margins": [{"family": "gaussian", "params": [0.0, 1.0]}]},
-     '"margins" has 1 entries, expected 2'),
+     "model field 'margins' must hold one entry per variable: need 2 margins entries, got 1"),
+    # each of these once escaped main as a TypeError or AttributeError
+    ({"transform": [7, {}]}, "model field 'transform' entry 0 must be an object, got 7"),
+    ({"transform": 7}, "model field 'transform' must be a list, got 7"),
+    ({"columns": 7}, "model field 'columns' must be a list, got 7"),
 ])
 def test_fit_config_without_a_field_is_named_with_its_path_exit_1(tmp_path, capsys, edits,
                                                                    message):
@@ -714,11 +732,12 @@ def test_fit_config_without_a_field_is_named_with_its_path_exit_1(tmp_path, caps
 
 
 @pytest.mark.parametrize("edits, message", [
-    ({"labels": None}, 'config needs "labels"'),
-    ({"kind": "unrestricted", "k": None}, 'config needs "k"'),
+    ({"labels": None}, "model field 'labels' is missing"),
+    ({"kind": "unrestricted", "k": None}, "model field 'k' is missing"),
     ({"kind": "unrestricted", "margin_families": ["gaussian"] * 3},
-     '"margin_families" has 3 entries, expected 2'),
-    ({"partition": None}, 'config needs "partition"'),
+     "model field 'margin_families' must hold one entry per variable: need 2 margin_families "
+     "entries, got 3"),
+    ({"partition": None}, "model field 'partition' is missing"),
 ])
 def test_compare_names_the_config_that_lacks_a_field_exit_1(tmp_path, capsys, edits, message):
     good = write_json(tmp_path / "good.json", _fit_config(kind="unrestricted"))
@@ -768,7 +787,8 @@ def test_a_config_of_an_unknown_kind_is_named_before_any_fit_exit_1(tmp_path, ca
     assert main([command, *configs, "--data", _small_csv(tmp_path),
                  "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert 'error: %s: "kind" must be "margin-closed" or "unrestricted"' % bad in err
+    assert ("error: %s: model field 'kind' must name a config kind (margin-closed, "
+            "unrestricted), got %r" % (bad, kind)) in err
     assert "Traceback" not in err and calls == []
 
 
@@ -834,10 +854,10 @@ def test_fit_of_an_unrestricted_config_gives_compares_benchmark_row(tmp_path, ca
 
 @pytest.mark.parametrize("edit, field", [
     (lambda doc: [doc], "JSON object"),
-    (lambda doc: dict(doc, format=["mcvar-config/1"]), '"format"'),
-    (lambda doc: dict(doc, partition=None), '"partition"'),
-    (lambda doc: dict(doc, partition=[[0], None]), '"partition"'),
-    (lambda doc: dict(doc, labels=None), '"labels"'),
+    (lambda doc: dict(doc, format=["mcvar-config/1"]), "model field 'format'"),
+    (lambda doc: dict(doc, partition=None), "model field 'partition'"),
+    (lambda doc: dict(doc, partition=[[0], None]), "model field 'partition'"),
+    (lambda doc: dict(doc, labels=None), "model field 'labels'"),
 ])
 def test_a_document_of_the_wrong_shape_is_named_exit_1(tmp_path, capsys, edit, field):
     # each of these once escaped main as a TypeError or AttributeError traceback
@@ -923,18 +943,22 @@ _VAR_ONLY = {"format": "mcvar-model/1", "k": 1, "partition": [[0, 1]],
     dict(_VAR_ONLY, partition=[[0], [1], [2]]),
     dict(_VAR_ONLY, var=dict(_VAR_ONLY["var"], phi=_VAR_ONLY["var"]["phi"] * 2)),
     dict(_VAR_ONLY, var=dict(_VAR_ONLY["var"], phi=[[[float("nan"), 0.1], [0.0, -0.4]]])),
-], ids=["three-set partition of two variables", "two phi blocks at k = 1", "nan in phi"])
+    dict(_VAR_ONLY, var="x"),
+    dict(_VAR_ONLY, var=7),
+], ids=["three-set partition of two variables", "two phi blocks at k = 1", "nan in phi",
+        "string var", "number var"])
 def test_var_only_model_file_that_does_not_fit_its_fields_is_named_exit_1(tmp_path, capsys,
                                                                           command, doc):
     # verify and simulate once disagreed on each: a numpy error against a written
-    # CSV, closure judged at order 1 against a simulated VAR(2), exit 2 against 1
+    # CSV, closure judged at order 1 against a simulated VAR(2), exit 2 against 1; a
+    # var that is not an object escaped main as a TypeError
     path = write_json(tmp_path / "var.json", doc)
     out = tmp_path / "sim.csv"
     argv = {"verify": ["verify", "--config", path],
             "simulate": ["simulate", "--config", path, "--length", "30", "--out", str(out)]}[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert "model field 'var'" in captured.err
+    assert "%s: model field 'var'" % path in captured.err
     assert "Traceback" not in captured.err
     assert "PASSED" not in captured.out and "FAILED" not in captured.out
     assert not out.exists()
@@ -1113,7 +1137,7 @@ def test_construct_config_whose_cross_fixed_entry_lacks_a_field_is_named_exit_1(
     cfg = write_json(tmp_path / "cfg.json", doc)
     assert main(["construct", "--config", cfg, "--out", str(tmp_path / "model.json")]) == 1
     err = capsys.readouterr().err
-    assert 'error: %s: "cross_fixed" entry 0 has no "%s"' % (cfg, key) in err
+    assert "error: %s: model field 'cross_fixed' entry 0 has no '%s'" % (cfg, key) in err
     assert "Traceback" not in err
     assert not (tmp_path / "model.json").exists()
 
@@ -1125,7 +1149,8 @@ def test_config_whose_margins_entry_lacks_its_family_is_named_exit_1(tmp_path, c
     configs = ["--config", cfg] * (2 if command == "compare" else 1)
     assert main([command, *configs, "--data", _small_csv(tmp_path),
                  "--out", str(tmp_path / "out.json")]) == 1
-    assert 'error: %s: "margins" entry 1 has no "family"' % cfg in capsys.readouterr().err
+    assert ("error: %s: model field 'margins' entry 1 has no 'family'" % cfg
+            in capsys.readouterr().err)
     assert not (tmp_path / "out.json").exists()
 
 
@@ -1141,7 +1166,7 @@ def test_config_whose_margin_field_is_not_a_list_is_named_exit_1(tmp_path, capsy
     assert main([command, *configs, "--data", _small_csv(tmp_path),
                  "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert 'error: %s: "%s" must be a list, got %r' % (cfg, field, value) in err
+    assert "error: %s: model field '%s' must be a list, got %r" % (cfg, field, value) in err
     assert "Traceback" not in err and not (tmp_path / "out.json").exists()
 
 
@@ -1162,17 +1187,15 @@ THREE_CONFIG = {
 
 @pytest.mark.parametrize("edit, message", [
     (lambda margins: margins.__setitem__(0, None),
-     "model field 'margins' entry 0: a margin must be an object with 'family' and 'params', "
-     "got None"),
+     "model field 'margins' entry 0 must be an object, got None"),
     (lambda margins: margins[1].__setitem__("params", [[0.5], 0.2]),
      "model field 'margins' entry 1: margin 'params' must be a flat list of numbers, "
      "got [[0.5], 0.2]"),
     (lambda margins: margins[0].__setitem__("family", ["skewt"]),
      "model field 'margins' entry 0: margin 'family' must be a string, got ['skewt']"),
     (lambda margins: margins[2].__setitem__("params", 0.5),
-     "model field 'margins' entry 2: margin 'params' must be a flat list of numbers, got 0.5"),
-    (lambda margins: margins[3].pop("params"), "model field 'margins' entry 3: margin has no "
-                                               "'params'"),
+     "model field 'margins params' entry 2 must be a list, got 0.5"),
+    (lambda margins: margins[3].pop("params"), "model field 'margins' entry 3 has no 'params'"),
 ], ids=["null margin", "nested params", "list family", "number params", "no params"])
 def test_model_file_with_a_malformed_margin_is_named_exit_1(tmp_path, capsys, edit, message):
     # each of these once escaped main as a TypeError traceback (a missing key as a bare KeyError)
@@ -1185,7 +1208,7 @@ def test_model_file_with_a_malformed_margin_is_named_exit_1(tmp_path, capsys, ed
     capsys.readouterr()
     assert main(["verify", "--config", path]) == 1
     captured = capsys.readouterr()
-    assert "error: invalid input: %s" % message in captured.err
+    assert "error: %s: %s" % (path, message) in captured.err
     assert "Traceback" not in captured.err and "PASSED" not in captured.out
 
 
@@ -1206,11 +1229,12 @@ def three_documents(tmp_path_factory):
                          ("subprocess_corrs", None), ("margins", None))
 ] + [("construct", field, entry) for field, entry in (
     ("cross_fixed", 2), ("cross_fixed", None), ("subprocess_corrs", 0),
-    ("subprocess_corrs", None), ("margins", None))])
+    ("subprocess_corrs", None), ("margins", None))
+] + [(command, "names", None) for command in ("construct", "verify")])
 def test_a_field_or_entry_of_the_wrong_type_is_named_exit_1(tmp_path, capsys, three_documents,
                                                             command, field, entry, value):
-    # a null crosses or subprocess_corrs entry, a crosses entry of 7 and a null
-    # margins field once escaped main as TypeError tracebacks
+    # a null crosses or subprocess_corrs entry, a crosses entry of 7, a null
+    # margins field and names of 7 once escaped main as TypeError tracebacks
     doc = json.loads(json.dumps(three_documents["model" if command != "construct"
                                                 else "construct"]))
     if entry is None:
@@ -1225,8 +1249,98 @@ def test_a_field_or_entry_of_the_wrong_type_is_named_exit_1(tmp_path, capsys, th
              "construct": ["--out", out]}[command]
     assert main([command, "--config", path, *extra]) == 1
     err = capsys.readouterr().err
-    assert named in err and field in err
+    assert named in err and "%s: model field '%s'" % (path, field) in err
     assert "Traceback" not in err and not os.path.exists(out)
+
+
+SKEWT_CONFIG = {  # the skew-t config of the CI workflow
+    "format": "mcvar-config/1", "k": 2, "partition": [[0], [1]], "labels": [2, 2],
+    "names": ["u", "v"],
+    "margins": [{"family": "skewt", "params": [0.850, 0.791, 5.739, 9.344]},
+                {"family": "skewt", "params": [-0.032, 0.172, 3.053, 2.738]}],
+    "subprocess_corrs": [{"blocks": [[[1.0]], [[-0.8]], [[0.6]]]},
+                         {"blocks": [[[1.0]], [[0.6]], [[0.5]]]}],
+    "cross_fixed": [{"pair": [0, 1], "lag": 0, "value": [[0.35]]}],
+}
+_DELETED = object()
+_MUTATIONS = (_DELETED, None, "x", 1.5, [], {}, float("nan"), 7, [[1]])
+
+
+@pytest.fixture(scope="module")
+def mutation_documents(tmp_path_factory):
+    """(command, document) pairs: the CI configs for construct, the model files construct
+    writes from them for verify and simulate, and a fit config that selects and transforms
+    columns of a CSV of positive levels, with the directory that holds them."""
+    tmp = tmp_path_factory.mktemp("mutants")
+    models = []
+    for name, config in (("skewt", SKEWT_CONFIG), ("three", THREE_CONFIG)):
+        model = tmp / ("%s_model.json" % name)
+        assert main(["construct", "--config", write_json(tmp / ("%s.json" % name), config),
+                     "--out", str(model)]) == 0
+        models.append(json.loads(model.read_text()))
+    _positive_csv(tmp, T=60)
+    fit = _fit_config(columns=["a", 1], transform=[{"log_diff": 1},
+                                                   {"log_diff": 1, "scale_percent": True}])
+    docs = [("construct", SKEWT_CONFIG), ("construct", THREE_CONFIG), ("fit", fit)]
+    docs += [(command, model) for command in ("verify", "simulate") for model in models]
+    return tmp, docs
+
+
+def _keys(node):
+    """Every object key in a JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    return set().union(*map(_keys, node)) if isinstance(node, list) else set()
+
+
+@st.composite
+def _mutant(draw, docs):
+    """A (command, document, mutant): one field or entry, at any depth, deleted or replaced."""
+    command, doc = draw(st.sampled_from(docs))
+    mutant = copy.deepcopy(doc)
+    parent, key, depth = mutant, draw(st.sampled_from(sorted(mutant))), draw(st.integers(0, 5))
+    for _ in range(depth):
+        if not (isinstance(parent[key], (dict, list)) and parent[key]):
+            break
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    value = draw(st.sampled_from(_MUTATIONS))
+    if value is _DELETED:
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(value)
+    return command, doc, mutant
+
+
+def test_a_mutated_document_exits_0_1_or_2_and_exit_1_names_its_file_and_field(
+        mutation_documents, capsys):
+    # a var, a crosses pair, names, a transform or columns of the wrong type once
+    # escaped main as a TypeError or AttributeError; some refusals named neither the
+    # file nor the field
+    tmp, docs = mutation_documents
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_mutant(docs))
+    def check(case):
+        command, doc, mutant = case
+        path = write_json(tmp / "mutant.json", mutant)
+        out = tmp / "out"
+        if out.exists():
+            out.unlink()
+        extra = {"construct": ["--out", str(out)], "verify": [],
+                 "simulate": ["--length", "20", "--out", str(out)],
+                 "fit": ["--data", str(tmp / "levels.csv"), "--out", str(out)]}[command]
+        capsys.readouterr()
+        code = main([command, "--config", path, *extra])
+        assert code in (0, 1, 2)
+        err = capsys.readouterr().err
+        if code == 1 and "error:" in err:
+            assert err.startswith("error: %s: " % path)
+            assert set(re.findall(r"'(\w+)", err)) & _keys(doc), err
+            assert not out.exists()
+
+    check()
 
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
@@ -1275,7 +1389,7 @@ def test_compare_refuses_configs_that_select_other_observations_exit_1(tmp_path,
     other = write_json(tmp_path / "second.json", _fit_config(**second))
     assert main(["compare", "--config", first, "--config", other, "--data", data,
                  "--out", str(tmp_path / "cmp.json")]) == 1
-    assert 'error: %s: "%s" differs from that of %s' % (other, field, first) \
+    assert "error: %s: model field '%s' differs from that of %s" % (other, field, first) \
         in capsys.readouterr().err
     assert not (tmp_path / "cmp.json").exists()
 
