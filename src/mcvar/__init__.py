@@ -15,7 +15,6 @@ from .closure import (
     SubprocessCorr,
     assemble_full_R,
     coefficient_block_zeros,
-    cross_pair_residual,
     fixed_lag_for_labels,
     solve_cross_pair,
     verify_closure,
@@ -30,14 +29,13 @@ from .estimation import (
     fit_stage2,
     fit_stage3,
     fit_stage4,
-    fit_unrestricted,
     gaussian_var_loglik,
     latent_scores,
     loglik_full,
     portmanteau,
     simulate_model,
 )
-from .linalg import gaussian_condition, is_positive_definite, vec
+from .linalg import gaussian_condition, is_positive_definite
 from .margins import (
     MarginFit,
     MarginSpec,
@@ -69,7 +67,6 @@ __all__ = [
     "SubprocessCorr",
     "assemble_full_R",
     "coefficient_block_zeros",
-    "cross_pair_residual",
     "fixed_lag_for_labels",
     "solve_cross_pair",
     "verify_closure",
@@ -82,7 +79,6 @@ __all__ = [
     "fit_stage2",
     "fit_stage3",
     "fit_stage4",
-    "fit_unrestricted",
     "gaussian_var_loglik",
     "latent_scores",
     "loglik_full",
@@ -90,7 +86,6 @@ __all__ = [
     "simulate_model",
     "gaussian_condition",
     "is_positive_definite",
-    "vec",
     "MarginFit",
     "MarginSpec",
     "cdf",

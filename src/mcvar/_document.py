@@ -56,6 +56,13 @@ def _integer(value, name, i=None, least=None):
     return int(value)
 
 
+def _flag(value, name, i=None):
+    """A JSON boolean; a string such as "false" or a number is refused, not cast."""
+    if not isinstance(value, bool):
+        raise ValueError("%s must be true or false, got %r" % (_name(name, i), value))
+    return value
+
+
 def _integers(values, name, n=None, each=None, i=None):
     """A tuple of the integers of a :func:`_list`."""
     return tuple(_integer(v, name, i) for v in _list(values, name, n, each, i))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._document import _blocks, _choice, _integer, _key, _labels, _list, _name, _object
+from ._document import _blocks, _choice, _flag, _integer, _key, _labels, _list, _name, _object
 from .closure import (
     CrossFixedBlock,
     DegenerateCrossPair,
@@ -73,15 +73,10 @@ def load_csv(path, columns=None):
 
     ``columns`` selects by header name or zero-based index; default all.  A
     string names a header first and is read as an index only when no header
-    has that name; an integer is always an index.
-    Missing, non-numeric or non-finite cells are rejected with their line and column.
+    has that name; an integer is always an index.  A ``columns`` entry that
+    selects no column raises ValueError naming it; a refusal of the file's
+    contents raises CliError starting with ``path``.
     """
-    return _read_csv(path, columns, CliError)
-
-
-def _read_csv(path, columns, column_error):
-    """:func:`load_csv`, raising ``column_error`` for a ``columns`` entry that selects no
-    column: ValueError where ``columns`` is a config field, which the CLI names with its file."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -112,14 +107,14 @@ def _read_csv(path, columns, column_error):
         for i, c in enumerate(_list(columns, "columns")):
             if isinstance(c, str) and (c in header or not c.lstrip("-").isdigit()):
                 if c not in header:
-                    raise column_error("%s: column %r not found; file has %s"
-                                       % (_name("columns", i), c, header))
+                    raise ValueError("%s: column %r not found; file has %s"
+                                     % (_name("columns", i), c, header))
                 idx = header.index(c)
             else:
                 idx = int(c) if isinstance(c, str) else _integer(c, "columns", i)
                 if not 0 <= idx < len(header):
-                    raise column_error("%s: column index %d out of range (file has %d columns)"
-                                       % (_name("columns", i), idx, len(header)))
+                    raise ValueError("%s: column index %d out of range (file has %d columns)"
+                                     % (_name("columns", i), idx, len(header)))
             sel.append(idx)
 
     names = tuple(header[i] for i in sel)
@@ -129,18 +124,19 @@ def _read_csv(path, columns, column_error):
             cell = row[i].strip()
             if cell == "" or cell.upper() in ("NA", "NAN", "NULL"):
                 raise CliError(
-                    "missing value at line %d, column %r" % (lineno, header[i])
+                    "%s: missing value at line %d, column %r" % (path, lineno, header[i])
                 )
             try:
                 out[v, t] = float(cell)
             except ValueError:
                 raise CliError(
-                    "parse error at line %d, column %r: %r is not a number"
-                    % (lineno, header[i], cell)
+                    "%s: parse error at line %d, column %r: %r is not a number"
+                    % (path, lineno, header[i], cell)
                 ) from None
             if not np.isfinite(out[v, t]):
                 raise CliError(
-                    "non-finite value at line %d, column %r: %r" % (lineno, header[i], cell)
+                    "%s: non-finite value at line %d, column %r: %r"
+                    % (path, lineno, header[i], cell)
                 )
     return Dataset(names=names, values=out)
 
@@ -155,6 +151,7 @@ def transform(series, spec):
     x = np.asarray(series, dtype=float)
     try:
         m = _log_diff(spec)
+        scale = _flag(spec.get("scale_percent", False), "transform scale_percent")
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if m > 0:
@@ -165,7 +162,7 @@ def transform(series, spec):
                 % (x[bad], bad)
             )
         x = np.diff(np.log(x), n=m)
-    if spec.get("scale_percent", False):
+    if scale:
         x = 100.0 * x
     return x
 
@@ -430,11 +427,12 @@ def _dataset_from_args(args, doc):
     a field that is refused raises ValueError naming it."""
     if not args.data:
         raise CliError("this subcommand needs --data CSV")
-    ds = _read_csv(args.data, doc.get("columns"), ValueError)
+    ds = load_csv(args.data, doc.get("columns"))
     if doc.get("transform") is not None:
         specs = _list(doc["transform"], "transform", len(ds.names), "selected column")
         for i, s in enumerate(specs):
             _log_diff(s, i)
+            _flag(s.get("scale_percent", False), "transform scale_percent", i)
         cols = [transform(ds.values[i], s) for i, s in enumerate(specs)]
         tmin = min(len(c) for c in cols)
         vals = np.vstack([c[len(c) - tmin:] for c in cols])
@@ -476,7 +474,7 @@ def _model_config(doc, families, d, args):
         part = Partition(sets=(tuple(range(d)),), d=d)
     else:
         part, labels = _partition(_key(doc, "partition")), _key(doc, "labels")
-        stage4 = args.stage4 or bool(doc.get("stage4", False))
+        stage4 = _flag(doc.get("stage4", False), "stage4") or args.stage4
     field, families = families
     _list(families, field, part.d, "variable")
     config = ModelConfig(partition=part, labels=labels, k=k, margin_families=families)

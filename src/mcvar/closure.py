@@ -18,7 +18,6 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrs
 
 from ._document import _integer, _integers, _list
 from .linalg import (
-    PD_TOL,
     _block_toeplitz,
     _lag_block,
     _lag_toeplitz,
@@ -41,7 +40,6 @@ __all__ = [
     "DegenerateCrossPair",
     "fixed_lag_for_labels",
     "solve_cross_pair",
-    "cross_pair_residual",
     "assemble_full_R",
     "SubprocessClosure",
     "ClosureReport",
@@ -134,9 +132,6 @@ class SubprocessCorr:
         """(k+1)d x (k+1)d block Toeplitz correlation matrix of k+1 slices."""
         return _lag_toeplitz(self.blocks)
 
-    def is_pd(self, tol=PD_TOL):
-        return is_positive_definite(self.toeplitz(), tol)
-
 
 def fixed_lag_for_labels(labels, k):
     """Lag of the pair's fixed cross block: 0, -k, or +k depending on the labels."""
@@ -184,28 +179,6 @@ def _predictor_band(state, label):
     """The predictor band [P_k, ..., P_1] (d, kd) of a :func:`whittle_recursion`
     state: its forward predictors Phi (label 1) or backward predictors Psi (label 2)."""
     return np.hstack(state["forward" if label == 1 else "backward"][::-1])
-
-
-def _condition_matrix(blocks, label):
-    """G (label 1) or H (label 2), k x (2k+1) blocks of size d, of a sub-process's
-    blocks Sigma_0..Sigma_k, from its :func:`_predictor_band`.
-
-    Block row m holds [Phi_k, ..., Phi_1, -I] from block column m+1 (G), or
-    [-I, Psi_k, ..., Psi_1] from block column m (H).  With D_ij stacking
-    Sigma_{ij,-k}..Sigma_{ij,k}, block row m of G @ D_ij is
-    sum_j Phi_j Sigma_{ij,m+1-j} - Sigma_{ij,m+1} and of H @ D_ij is
-    sum_j Psi_j Sigma_{ij,m+1-j} - Sigma_{ij,m-k}.  Either way the predictor
-    band sits in block columns m+1..m+k.
-    """
-    k = len(blocks) - 1
-    band = _predictor_band(whittle_recursion(blocks, k), label)
-    d = len(band)
-    row = np.hstack([band, -np.eye(d)] if label == 1 else [-np.eye(d), band])
-    out = np.zeros((k * d, (2 * k + 1) * d))
-    for m in range(k):
-        c = m + 1 if label == 1 else m
-        out[m * d:(m + 1) * d, c * d:(c + k + 1) * d] = row
-    return out
 
 
 def solve_cross_pair(ri, rj, labels, fixed):
@@ -440,20 +413,6 @@ def _band_tangent(factor, band, label, dstack):
     rev = rhs.reshape(n * d, k, d)[:, ::-1].reshape(n * d, k * d)
     x = dpotrs(factor, rev.T, lower=1)[0].T
     return x.reshape(n, d, k, d)[:, :, ::-1].reshape(n, d, k * d)
-
-
-def cross_pair_residual(ri, rj, labels, sol):
-    """Max-abs residual of the two selected condition systems at a solution.
-
-    Evaluates the banded systems directly: A_i @ D_ij and A_j @ D_ji with
-    D_ij the vertical stack of Sigma_{ij,-k}..Sigma_{ij,k}.
-    """
-    k = ri.order
-    d_ij = np.vstack([sol.block(l) for l in range(-k, k + 1)])
-    d_ji = np.vstack([sol.block(-l).T for l in range(-k, k + 1)])
-    res_i = _condition_matrix(ri.blocks, labels[0]) @ d_ij
-    res_j = _condition_matrix(rj.blocks, labels[1]) @ d_ji
-    return max(np.max(np.abs(res_i)), np.max(np.abs(res_j)))
 
 
 def assemble_full_R(partition, subs, crosses):

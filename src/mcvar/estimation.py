@@ -60,7 +60,6 @@ __all__ = [
     "fit_stage3",
     "fit_stage4",
     "fit_model",
-    "fit_unrestricted",
     "count_params",
     "portmanteau",
     "simulate_model",
@@ -743,23 +742,7 @@ def fit_model(data, config, stage4=False):
     )
 
 
-def fit_unrestricted(data, margin_families, k):
-    """Benchmark fit with the same margins but an unconstrained VAR(k) copula.
-
-    This is :func:`fit_model` on the one-set partition: all correlation
-    blocks are fitted directly and no margin-closure structure is imposed.
-    """
-    d = np.asarray(data).shape[0]
-    config = ModelConfig(
-        partition=Partition(sets=(tuple(range(d)),), d=d),
-        labels=(1,),
-        k=k,
-        margin_families=margin_families,
-    )
-    return fit_model(data, config)
-
-
-def count_params(config, restricted=True):
+def count_params(config):
     """Number of free parameters: margins plus dependence.
 
     Margin-closed models carry d_i(d_i-1)/2 + k d_i^2 parameters per
@@ -767,7 +750,7 @@ def count_params(config, restricted=True):
     benchmark is the one-set case, d(d-1)/2 + k d^2.
     """
     margin_p = sum(len(FAMILY_PARAMS[f]) for f in config.margin_families)
-    dims = [len(s) for s in config.partition.sets] if restricted else [config.partition.d]
+    dims = [len(s) for s in config.partition.sets]
     dep = sum(_sub_theta_len(di, config.k) for di in dims)
     dep += sum(dims[i] * dims[j] for i, j in _pair_list(len(dims)))
     return margin_p + dep

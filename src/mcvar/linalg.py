@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives shared by the model-construction machinery.
 
-Conventions: matrices are 2-d float ndarrays; ``vec`` stacks columns
-(column-major).  A lag sequence B_0..B_m stands for the lags -m..m with
-B_{-l} = B_l^T, and its block Toeplitz matrix has block (r, s) = B_{s-r}.
+Conventions: matrices are 2-d float ndarrays.  A lag sequence B_0..B_m
+stands for the lags -m..m with B_{-l} = B_l^T, and its block Toeplitz
+matrix has block (r, s) = B_{s-r}.
 """
 
 import numpy as np
@@ -17,16 +17,10 @@ SYMMETRY_TOL = 1e-9
 __all__ = [
     "PD_TOL",
     "SYMMETRY_TOL",
-    "vec",
     "symmetrize",
     "is_positive_definite",
     "gaussian_condition",
 ]
-
-
-def vec(a):
-    """Stack the columns of ``a`` into a single 1-d vector."""
-    return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
 def symmetrize(a, tol=SYMMETRY_TOL):

@@ -87,10 +87,6 @@ class MarginSpec:
         if any(p <= 0 for p in params[2:]):
             raise ValueError("tail parameters a, b must be positive")
 
-    @property
-    def n_params(self):
-        return len(self.params)
-
     def to_dict(self):
         return {"family": self.family, "params": list(self.params)}
 

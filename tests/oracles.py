@@ -2,7 +2,7 @@
 
 Everything here is written against the mathematical definitions with plain
 numpy (explicit inverses, probing of affine maps, quadrature), deliberately
-avoiding the package's own vec/Kronecker plumbing and conditional-density
+avoiding the package's own Kronecker plumbing and conditional-density
 decompositions.
 """
 
@@ -640,7 +640,7 @@ def simulate_model_oracle(model, T, seed):
 
 
 def unvec(x, rows, cols):
-    """Inverse of ``linalg.vec`` for a ``rows x cols`` matrix."""
+    """Inverse of column-major vec, ``a.reshape(-1, order="F")``, for a ``rows x cols`` matrix."""
     return np.asarray(x, dtype=float).reshape((rows, cols), order="F")
 
 

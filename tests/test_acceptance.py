@@ -12,13 +12,17 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from oracles import dense_cross_solve, partial_autocorr_oracle, random_subprocess_corr
+from oracles import (
+    cross_condition_residuals,
+    dense_cross_solve,
+    partial_autocorr_oracle,
+    random_subprocess_corr,
+)
 from mcvar.closure import (
     CrossFixedBlock,
     Partition,
     SubprocessCorr,
     assemble_full_R,
-    cross_pair_residual,
     fixed_lag_for_labels,
     solve_cross_pair,
     verify_closure,
@@ -229,14 +233,12 @@ def test_criterion_07_solver_oracle_equivalence():
         lag = fixed_lag_for_labels(labels, k)
         value = 0.3 * rng.uniform(-1.0, 1.0, size=(di, dj))
         sol = solve_cross_pair(ri, rj, labels, CrossFixedBlock((0, 1), lag, value))
-        worst_res = max(worst_res, cross_pair_residual(ri, rj, labels, sol))
-        ref = dense_cross_solve(
-            [ri.block(l) for l in range(k + 1)],
-            [rj.block(l) for l in range(k + 1)],
-            labels,
-            lag,
-            value,
-        )
+        blocks_i = [ri.block(l) for l in range(k + 1)]
+        blocks_j = [rj.block(l) for l in range(k + 1)]
+        res = cross_condition_residuals(blocks_i, blocks_j, labels,
+                                        {l: sol.block(l) for l in range(-k, k + 1)})
+        worst_res = max(worst_res, *(float(np.max(np.abs(r))) for r in res))
+        ref = dense_cross_solve(blocks_i, blocks_j, labels, lag, value)
         for l in range(-k, k + 1):
             worst_diff = max(worst_diff, float(np.max(np.abs(sol.block(l) - ref[l]))))
     ok = worst_res < 1e-10 and worst_diff < 1e-10
@@ -295,16 +297,14 @@ def test_criterion_09_simulation_recovery():
 
 def test_criterion_10_parameter_counts():
     part = Partition(sets=((0,), (1,), (2,)), d=3)
+    one_set = Partition(sets=((0, 1, 2),), d=3)
+    families = ("skewt", "gaussian", "skewt")
     closed, unres = [], []
     for k in range(1, 6):
-        cfg = ModelConfig(
-            partition=part,
-            labels=(2, 2, 2),
-            k=k,
-            margin_families=("skewt", "gaussian", "skewt"),
-        )
+        cfg = ModelConfig(partition=part, labels=(2, 2, 2), k=k, margin_families=families)
         closed.append(count_params(cfg))
-        unres.append(count_params(cfg, restricted=False))
+        unres.append(count_params(
+            ModelConfig(partition=one_set, labels=(1,), k=k, margin_families=families)))
     ok = closed == [16, 19, 22, 25, 28] and unres == [22, 31, 40, 49, 58]
     _report(10, ok, "margin-closed %s, unrestricted %s" % (closed, unres))
 

@@ -94,30 +94,37 @@ def test_load_csv_string_column_names_a_numeric_header_first(tmp_path):
     assert_allclose(by_name.values, [[2.5, 4.5]])
     # a digit string no header has is still an index, and so is an integer
     assert load_csv(str(f), columns=["1", 0]).names == ("2020", "2019")
-    with pytest.raises(CliError, match="out of range"):
+    with pytest.raises(ValueError, match="out of range"):
         load_csv(str(f), columns=["2021"])
 
 
 def test_load_csv_error_messages(tmp_path):
     f = tmp_path / "bad.csv"
+    path = re.escape(str(f))  # every refusal of the file's contents starts with its path
     f.write_text("a,b\n1,2\n3\n")
-    with pytest.raises(CliError, match="line 3"):
+    with pytest.raises(CliError, match="^%s: line 3" % path):
         load_csv(str(f))
     f.write_text("a,b\n1,NA\n")
-    with pytest.raises(CliError, match="missing value at line 2"):
+    with pytest.raises(CliError, match="^%s: missing value at line 2" % path):
         load_csv(str(f))
     f.write_text("a,b\n1,x2\n")
-    with pytest.raises(CliError, match="not a number"):
+    with pytest.raises(CliError, match="^%s: parse error .* not a number" % path):
+        load_csv(str(f))
+    f.write_text("a,b\n1,inf\n")
+    with pytest.raises(CliError, match="^%s: non-finite value at line 2" % path):
         load_csv(str(f))
     f.write_text("a,b\n1,2\n")
-    with pytest.raises(CliError, match="not found"):
+    with pytest.raises(ValueError, match="not found"):
         load_csv(str(f), columns=["z"])
-    with pytest.raises(CliError, match="out of range"):
+    with pytest.raises(ValueError, match="out of range"):
         load_csv(str(f), columns=[5])
-    f.write_text("")
-    with pytest.raises(CliError, match="empty"):
+    f.write_text("a,b\n")
+    with pytest.raises(CliError, match="^%s: no data rows" % path):
         load_csv(str(f))
-    with pytest.raises(CliError, match="cannot read"):
+    f.write_text("")
+    with pytest.raises(CliError, match="^%s: empty" % path):
+        load_csv(str(f))
+    with pytest.raises(CliError, match="cannot read %s" % re.escape(str(tmp_path / "nope.csv"))):
         load_csv(str(tmp_path / "nope.csv"))
 
 
@@ -143,6 +150,8 @@ def test_transform_rejects_bad_input():
         transform(np.array([1.0, -2.0, 3.0]), {"log_diff": 1})
     with pytest.raises(CliError, match="order"):
         transform(np.arange(1.0, 5.0), {"log_diff": 3})
+    with pytest.raises(CliError, match="'transform scale_percent' must be true or false"):
+        transform(np.array([0.5]), {"scale_percent": 1})
 
 
 # ------------------------------------------------------------ the round trip
@@ -691,7 +700,8 @@ def test_fit_rejects_a_non_finite_cell_exit_1(tmp_path, capsys):
     })
     assert main(["fit", "--config", fit_cfg, "--data", str(data),
                  "--out", str(tmp_path / "fitted.json")]) == 1
-    assert "non-finite value at line 59, column 'v'" in capsys.readouterr().err
+    assert ("error: %s: non-finite value at line 59, column 'v'" % data
+            in capsys.readouterr().err)
 
 
 def _fit_config(**edits):
@@ -721,6 +731,10 @@ def _small_csv(tmp_path):
     ({"transform": [7, {}]}, "model field 'transform' entry 0 must be an object, got 7"),
     ({"transform": 7}, "model field 'transform' must be a list, got 7"),
     ({"columns": 7}, "model field 'columns' must be a list, got 7"),
+    # each of these was once read with bool() and so switched on
+    ({"stage4": "false"}, "model field 'stage4' must be true or false, got 'false'"),
+    ({"transform": [{"scale_percent": "yes"}, {}]},
+     "model field 'transform scale_percent' entry 0 must be true or false, got 'yes'"),
 ])
 def test_fit_config_without_a_field_is_named_with_its_path_exit_1(tmp_path, capsys, edits,
                                                                    message):
@@ -819,14 +833,15 @@ def _compare_rows(tmp_path, data, *options):
     return json.loads(out.read_text())["rows"]
 
 
-def test_compare_rows_are_the_fits_of_fit_model_and_fit_unrestricted(tmp_path, capsys):
-    from mcvar.estimation import ModelConfig, fit_model, fit_unrestricted
+def test_compare_rows_are_the_fit_model_fits_of_both_configs(tmp_path, capsys):
+    from mcvar.estimation import ModelConfig, fit_model
 
     data = _small_csv(tmp_path)
     values = load_csv(data).values
     config = ModelConfig(partition=closure.Partition(sets=((0,), (1,)), d=2), labels=(2, 2), k=1,
                          margin_families=("gaussian", "gaussian"))
-    free = fit_unrestricted(values, ("gaussian", "gaussian"), 1)
+    free = fit_model(values, ModelConfig(partition=closure.Partition(sets=((0, 1),), d=2),
+                                         labels=(1,), k=1, margin_families=("gaussian", "gaussian")))
     rows = {}
     for stage4 in (False, True):
         closed_row, free_row = rows[stage4] = _compare_rows(tmp_path, data,

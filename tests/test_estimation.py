@@ -39,7 +39,6 @@ from mcvar.estimation import (
     fit_stage2,
     fit_stage3,
     fit_stage4,
-    fit_unrestricted,
     gaussian_var_loglik,
     lag_gram,
     loglik_full,
@@ -77,6 +76,13 @@ CONFIG = ModelConfig(
 )
 DATA = simulate_model(TRUE_MODEL, 600, seed=42)
 FIT = fit_model(DATA, CONFIG)
+# the unrestricted benchmark: the one-set config with the same margins and order
+ONE_SET = ModelConfig(
+    partition=Partition(sets=((0, 1),), d=2),
+    labels=(1,),
+    k=2,
+    margin_families=("gaussian", "gaussian"),
+)
 
 
 # ------------------------------------------------------------- configuration
@@ -131,17 +137,15 @@ def test_count_params_reference_values():
     # three scalar sub-processes with (skewt, gaussian, skewt) margins:
     # 10 margin parameters, 3 fixed cross blocks, plus k per-lag terms
     part = Partition(sets=((0,), (1,), (2,)), d=3)
+    one_set = Partition(sets=((0, 1, 2),), d=3)
+    families = ("skewt", "gaussian", "skewt")
     restricted = []
     unrestricted = []
     for k in range(1, 6):
-        cfg = ModelConfig(
-            partition=part,
-            labels=(1, 1, 1),
-            k=k,
-            margin_families=("skewt", "gaussian", "skewt"),
-        )
+        cfg = ModelConfig(partition=part, labels=(1, 1, 1), k=k, margin_families=families)
         restricted.append(count_params(cfg))
-        unrestricted.append(count_params(cfg, restricted=False))
+        unrestricted.append(count_params(
+            ModelConfig(partition=one_set, labels=(1,), k=k, margin_families=families)))
     assert restricted == [16, 19, 22, 25, 28]
     assert unrestricted == [22, 31, 40, 49, 58]
 
@@ -479,7 +483,7 @@ def test_fit_stage2_univariate_recovery():
     assert sf.converged
     assert abs(sf.corr.block(1)[0, 0] - (-0.8)) < 0.05
     assert abs(sf.corr.block(2)[0, 0] - 0.6) < 0.07
-    assert sf.corr.is_pd()
+    assert is_positive_definite(sf.corr.toeplitz())
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -1232,23 +1236,15 @@ def test_minimize_with_no_finite_bound_runs_as_inside_a_far_box(refresh):
 
 
 def test_unrestricted_fit_nests_more_parameters():
-    un = fit_unrestricted(DATA, ("gaussian", "gaussian"), 2)
-    assert un.n_params == count_params(CONFIG, restricted=False) == 4 + 1 + 8
+    un = fit_model(DATA, ONE_SET)
+    assert un.n_params == count_params(ONE_SET) == 4 + 1 + 8
     assert un.aic == pytest.approx(2 * un.n_params - 2 * un.loglik)
     # more parameters should not fit (noticeably) worse
     assert un.loglik > FIT.loglik - 3.0
 
 
 def test_one_set_fit_model_is_the_unrestricted_benchmark():
-    one_set = ModelConfig(
-        partition=Partition(sets=((0, 1),), d=2),
-        labels=(1,),
-        k=2,
-        margin_families=("gaussian", "gaussian"),
-    )
-    fm = fit_model(DATA, one_set)
-    un = fit_unrestricted(DATA, ("gaussian", "gaussian"), 2)
-    assert (fm.loglik, fm.n_params, fm.aic) == (un.loglik, un.n_params, un.aic)
+    fm = fit_model(DATA, ONE_SET)
     assert fm.model.crosses == ()
     assert fm.stage_logliks["stage3"] == fm.stage_logliks["stage2"][0]
 

@@ -11,20 +11,19 @@ from mcvar.linalg import (
     gaussian_condition,
     is_positive_definite,
     symmetrize,
-    vec,
 )
 from oracles import commutation_matrix, exchange_matrix, is_positive_definite_oracle, unvec
 
 
 def test_vec_is_column_major():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(vec(a), np.array([1.0, 3.0, 2.0, 4.0]))
+    assert_allclose(a.reshape(-1, order="F"), np.array([1.0, 3.0, 2.0, 4.0]))
 
 
 def test_unvec_roundtrip():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 5))
-    assert_allclose(unvec(vec(a), 3, 5), a)
+    assert_allclose(unvec(a.reshape(-1, order="F"), 3, 5), a)
 
 
 def test_commutation_matrix_swaps_vec_of_transpose():
@@ -32,7 +31,7 @@ def test_commutation_matrix_swaps_vec_of_transpose():
     for m, n in [(2, 2), (2, 3), (4, 1), (3, 5)]:
         a = rng.standard_normal((m, n))
         kmn = commutation_matrix(m, n)
-        assert_allclose(kmn @ vec(a), vec(a.T))
+        assert_allclose(kmn @ a.reshape(-1, order="F"), a.T.reshape(-1, order="F"))
         # orthogonal permutation
         assert_allclose(kmn.T @ kmn, np.eye(m * n))
 

@@ -66,6 +66,11 @@ def test_durbin_levinson_known_ar2():
     assert_allclose(var.phi[0][0, 0], -8.0 / 9.0, atol=1e-12)
     assert_allclose(var.phi[1][0, 0], -1.0 / 9.0, atol=1e-12)
     assert_allclose(var.sigma[0, 0], 16.0 / 45.0, atol=1e-12)
+    # the same forward predictors from whittle_recursion and, by scalar
+    # reversibility, backward predictors (-1/9, -8/9) by lag
+    state = whittle_recursion(scalar_blocks([1.0, -0.8, 0.6]), 2)
+    assert_allclose([p[0, 0] for p in state["forward"]], [-8.0 / 9.0, -1.0 / 9.0], atol=1e-12)
+    assert_allclose([p[0, 0] for p in state["backward"]], [-1.0 / 9.0, -8.0 / 9.0], atol=1e-12)
     # and for (1, 0.6, 0.5): Phi = (15/32, 7/32), variance 39/64
     var2 = durbin_levinson(scalar_blocks([1.0, 0.6, 0.5]), 2)
     assert_allclose(var2.phi[0][0, 0], 15.0 / 32.0, atol=1e-12)
