@@ -105,7 +105,7 @@ def load_csv(path, columns=None):
     else:
         sel = []
         for i, c in enumerate(_list(columns, "columns")):
-            if isinstance(c, str) and (c in header or not c.lstrip("-").isdigit()):
+            if isinstance(c, str) and (c in header or not c.removeprefix("-").isdecimal()):
                 if c not in header:
                     raise ValueError("%s: column %r not found; file has %s"
                                      % (_name("columns", i), c, header))
@@ -293,7 +293,8 @@ def _time_major_from_var(var, k):
 def _fmt_matrix(m, nd=3):
     m = np.atleast_2d(np.asarray(m, dtype=float))
     m = np.where(np.abs(m) < 0.5 * 10.0 ** -nd, 0.0, m)  # rounding noise prints unsigned
-    return [" ".join("% 9.*f" % (nd, v) for v in row) for row in m]
+    row_format = " ".join(["% 9.{}f".format(nd)] * m.shape[1])
+    return [row_format % tuple(row) for row in m.tolist()]
 
 
 def _print_block(label, m, nd=3):
@@ -461,24 +462,24 @@ def _model_config(doc, families, d, args):
     :func:`_margin_families` ``families``, for d data columns.  Kind ``unrestricted`` is
     the benchmark: one set of the d columns, label 1, no stage 4; kind
     ``margin-closed``, the default, is the config's own partition.  ``--k`` overrides the
-    order and ``--stage4`` switches stage 4 on.  Another kind, a count of families other
-    than the variables', or a field ModelConfig refuses raises ValueError naming the
-    field; a ``--k`` below 1 exits 1 naming ``--k``."""
+    order and ``--stage4`` switches stage 4 on.  Another kind, a ``stage4`` field of any
+    kind that is not a boolean, a count of families other than the variables', or a field
+    ModelConfig refuses raises ValueError naming the field; a ``--k`` below 1 exits 1
+    naming ``--k``."""
     if args.k is not None and args.k < 1:
         raise CliError("--k must be at least 1, got %d" % args.k)
     kind = _choice(doc.get("kind", "margin-closed"), "kind", ("margin-closed", "unrestricted"),
                    "name a config kind")
     k = args.k if args.k is not None else _key(doc, "k")
     if kind == "unrestricted":
-        labels, stage4 = (1,), False
-        part = Partition(sets=(tuple(range(d)),), d=d)
+        part, labels = Partition(sets=(tuple(range(d)),), d=d), (1,)
     else:
         part, labels = _partition(_key(doc, "partition")), _key(doc, "labels")
-        stage4 = _flag(doc.get("stage4", False), "stage4") or args.stage4
+    stage4 = _flag(doc.get("stage4", False), "stage4") or args.stage4
     field, families = families
     _list(families, field, part.d, "variable")
     config = ModelConfig(partition=part, labels=labels, k=k, margin_families=families)
-    return kind, config, stage4
+    return kind, config, stage4 and kind != "unrestricted"
 
 
 def cmd_fit(args):

@@ -27,7 +27,6 @@ from .closure import (
     Partition,
     SubprocessCorr,
     _cross_solutions,
-    _lag_stack,
     _partition,
     _place_cross,
     _solve_pairs,
@@ -134,9 +133,10 @@ class Model:
 
     @_computed_once
     def var(self):
-        """Implied VAR(k) coefficients on the latent (correlation) scale."""
-        gamma = _lag_stack(self.partition, self.subs, self.crosses)
-        var = durbin_levinson(gamma[self.k:], self.k)
+        """Implied VAR(k) coefficients on the latent (correlation) scale, from
+        Gamma(0..k), the first block row of :meth:`time_major_R`."""
+        r, d = self.time_major_R(), self.partition.d
+        var = durbin_levinson([r[:d, l * d:(l + 1) * d] for l in range(self.k + 1)], self.k)
         for a in (*var.phi, var.sigma):
             a.flags.writeable = False
         return var

@@ -5,8 +5,11 @@ stands for the lags -m..m with B_{-l} = B_l^T, and its block Toeplitz
 matrix has block (r, s) = B_{s-r}.
 """
 
+import warnings
+
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dlange, dsycon, dsytrf, dsytrf_lwork, dsytrs
 
 # Default numerical tolerances.  PD is judged on the smallest eigenvalue of
 # the symmetrized input; inputs more asymmetric than SYMMETRY_TOL are rejected
@@ -95,6 +98,11 @@ def _lag_toeplitz(blocks):
     return _block_toeplitz(_mirror_lags(blocks))
 
 
+def _singular_block(n, pivot):
+    return np.linalg.LinAlgError("singular conditioning block (%d indices): pivot %d of its "
+                                 "LDL^T factor is zero" % (n, pivot))
+
+
 def gaussian_condition(cov, head, tail):
     """Conditional law of the ``head`` block of a Gaussian given the ``tail`` block.
 
@@ -114,23 +122,43 @@ def gaussian_condition(cov, head, tail):
         conditional mean is ``coeff @ x_tail``.
     cond_cov : ndarray, shape (len(head), len(head))
         Schur complement Sigma_{head} - coeff Sigma_{tail,head}.
+
+    The coefficient comes from one LDL^T (Bunch-Kaufman) factorization of
+    Sigma_{tail}, ``sytrf`` then ``sytrs`` on its upper triangle, as
+    ``scipy.linalg.solve(assume_a="sym")`` solves, or from a division when
+    the tail is one index; the explicit inverse is never formed.  A NaN or
+    infinite entry of Sigma_{tail} or Sigma_{head,tail} raises ValueError, a
+    singular Sigma_{tail} raises LinAlgError, and a reciprocal condition
+    number below machine epsilon warns ``LinAlgWarning``.
     """
     cov = symmetrize(cov)
     head = np.asarray(head, dtype=int)
     tail = np.asarray(tail, dtype=int)
-    if head.size and tail.size and np.intersect1d(head, tail).size:
+    if not set(head.tolist()).isdisjoint(tail.tolist()):
         raise ValueError("head and tail index sets overlap")
-    s_hh = cov[np.ix_(head, head)]
     if tail.size == 0:
-        return np.zeros((head.size, 0)), s_hh.copy()
-    s_ht = cov[np.ix_(head, tail)]
-    s_tt = cov[np.ix_(tail, tail)]
-    try:
-        # symmetric factorization solve; never form the explicit inverse
-        coeff = sla.solve(s_tt, s_ht.T, assume_a="sym").T
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-        raise np.linalg.LinAlgError(
-            "singular conditioning block (%d indices): %s" % (tail.size, exc)
-        ) from exc
+        return np.zeros((head.size, 0)), cov[np.ix_(head, head)]
+    h, both = head.size, np.concatenate([head, tail])
+    block = cov[np.ix_(both, both)]  # one gather; the three blocks are views of it
+    s_hh, s_ht, s_tt = block[:h, :h], block[:h, h:], block[h:, h:]
+    if not (np.isfinite(s_tt).all() and np.isfinite(s_ht).all()):
+        raise ValueError("conditioning blocks must not contain infs or NaNs")
+    n = tail.size
+    if n == 1:  # scipy's solve divides too, with no factor and no condition estimate
+        if s_tt[0, 0] == 0.0:
+            raise _singular_block(1, 1)
+        coeff = s_ht / s_tt[0, 0]
+    else:
+        # scipy passes the queried workspace, which selects LAPACK's blocked code (other bits)
+        # on blocks larger than its block size
+        ldu, piv, info = dsytrf(s_tt, lwork=int(dsytrf_lwork(n)[0]))
+        if info > 0:
+            raise _singular_block(n, info)
+        # scipy returns a C-ordered solution; its layout sets the product's bits below
+        coeff = np.ascontiguousarray(dsytrs(ldu, piv, s_ht.T)[0]).T
+        rcond = dsycon(ldu, piv, dlange("1", s_tt))[0]
+        if rcond < np.finfo(float).eps:
+            warnings.warn("ill-conditioned conditioning block (%d indices): rcond = %.3g"
+                          % (n, rcond), LinAlgWarning, stacklevel=2)
     cond_cov = s_hh - coeff @ s_ht.T
     return coeff, 0.5 * (cond_cov + cond_cov.T)

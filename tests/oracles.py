@@ -716,3 +716,19 @@ def _scalar_nll_mp(rho, z):
         e = zt - sum(c * zs[t - 1 - j] for j, c in enumerate(preds[m]))
         total += mpmath.log(2 * mpmath.pi) + mpmath.log(variances[m]) + e * e / variances[m]
     return total / 2
+
+
+def gaussian_condition_oracle(cov, head, tail):
+    """Regression coefficient and Schur complement of ``head`` given ``tail`` through the
+    explicit inverse of the tail block."""
+    s_ht = cov[np.ix_(head, tail)]
+    coeff = s_ht @ np.linalg.inv(cov[np.ix_(tail, tail)])
+    return coeff, cov[np.ix_(head, head)] - coeff @ s_ht.T
+
+
+def fmt_matrix_oracle(m, nd):
+    """Rows of ``m`` printed one number at a time as "% 9.<nd>f", joined by single spaces;
+    an entry below half a unit of the last printed digit prints as an unsigned zero."""
+    tiny = 0.5 * 10.0 ** -nd
+    return [" ".join("% 9.*f" % (nd, 0.0 if abs(v) < tiny else v) for v in row)
+            for row in np.atleast_2d(np.asarray(m, dtype=float))]

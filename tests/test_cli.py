@@ -18,6 +18,7 @@ import mcvar.closure as closure
 from mcvar.varprocess import seeded_normals
 from mcvar.cli import (CliError, Dataset, _fmt_matrix, load_csv, main, model_file_dict,
                        transform)
+from oracles import fmt_matrix_oracle
 
 
 def write_json(path, doc):
@@ -62,6 +63,22 @@ def bench_workloads():
 
 
 # ------------------------------------------------------------- output helpers
+
+
+_FMT_NUMBERS = st.one_of(st.floats(-0.6, 0.6), st.floats(-1e4, 1e4),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1e300, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 6), st.data())
+def test_fmt_matrix_prints_each_row_as_the_per_number_oracle(rows, cols, nd, data):
+    tiny = 0.5 * 10.0 ** -nd  # the unsigned-zero threshold, and numbers on either side of it
+    number = st.one_of(_FMT_NUMBERS, st.floats(-tiny, tiny), st.sampled_from(
+        [tiny, -tiny, np.nextafter(tiny, 0.0), -np.nextafter(tiny, 0.0)]))
+    m = data.draw(st.lists(st.lists(number, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    assert _fmt_matrix(m, nd) == fmt_matrix_oracle(m, nd)
 
 
 def test_fmt_matrix_prints_rounding_noise_unsigned():
@@ -118,6 +135,11 @@ def test_load_csv_error_messages(tmp_path):
         load_csv(str(f), columns=["z"])
     with pytest.raises(ValueError, match="out of range"):
         load_csv(str(f), columns=[5])
+    # a Unicode digit int() refuses and a doubled sign are names, not indices
+    for name in ("²", "--1"):
+        with pytest.raises(ValueError, match="^model field 'columns' entry 0: column '%s' not "
+                                             "found" % name):
+            load_csv(str(f), columns=[name])
     f.write_text("a,b\n")
     with pytest.raises(CliError, match="^%s: no data rows" % path):
         load_csv(str(f))
@@ -733,6 +755,9 @@ def _small_csv(tmp_path):
     ({"columns": 7}, "model field 'columns' must be a list, got 7"),
     # each of these was once read with bool() and so switched on
     ({"stage4": "false"}, "model field 'stage4' must be true or false, got 'false'"),
+    ({"kind": "unrestricted", "stage4": "yes"},
+     "model field 'stage4' must be true or false, got 'yes'"),
+    ({"columns": ["--1"]}, "model field 'columns' entry 0: column '--1' not found"),
     ({"transform": [{"scale_percent": "yes"}, {}]},
      "model field 'transform scale_percent' entry 0 must be true or false, got 'yes'"),
 ])
@@ -854,12 +879,15 @@ def test_compare_rows_are_the_fit_model_fits_of_both_configs(tmp_path, capsys):
     assert rows[True][1] == rows[False][1]
 
 
-@pytest.mark.parametrize("options", [[], ["--stage4"]])
-def test_fit_of_an_unrestricted_config_gives_compares_benchmark_row(tmp_path, capsys, options):
+# neither --stage4 nor a boolean stage4 field applies to the benchmark
+@pytest.mark.parametrize("options, stage4", [([], None), (["--stage4"], None), ([], True)],
+                         ids=["options0", "options1", "config_stage4"])
+def test_fit_of_an_unrestricted_config_gives_compares_benchmark_row(tmp_path, capsys, options,
+                                                                     stage4):
     data = _small_csv(tmp_path)
     out = tmp_path / "fitted.json"
     free = write_json(tmp_path / "one.json",
-                      _fit_config(kind="unrestricted", partition=None, labels=None))
+                      _fit_config(kind="unrestricted", partition=None, labels=None, stage4=stage4))
     assert main(["fit", "--config", free, "--data", data, "--out", str(out), *options]) == 0
     fit = json.loads(out.read_text())["fit"]
     row = _compare_rows(tmp_path, data)[1]

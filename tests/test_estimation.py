@@ -391,6 +391,25 @@ def test_model_var_is_closed_over_partition():
         assert abs(p[1, 0]) < 1e-10
 
 
+def test_model_builds_one_lag_stack_for_R_and_var(monkeypatch):
+    stacks = []
+
+    def counted(*args):
+        stacks.append(_lag_stack(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(closure, "_lag_stack", counted)
+    monkeypatch.setattr(estimation, "_lag_stack", counted, raising=False)  # any second binding
+    model = two_sub_model(GAUSS_MARGINS)
+    var = model.var()
+    model.time_major_R()
+    assert len(stacks) == 1
+    fresh = durbin_levinson(_lag_stack(model.partition, model.subs, model.crosses)[model.k:],
+                            model.k)
+    assert all(np.array_equal(a, b) for a, b in zip(var.phi, fresh.phi))
+    assert np.array_equal(var.sigma, fresh.sigma)
+
+
 def test_model_computes_R_and_var_once_as_read_only_arrays():
     model = two_sub_model(GAUSS_MARGINS, labels=(1, 1))
     r, var = model.time_major_R(), model.var()

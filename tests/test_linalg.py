@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import LinAlgWarning
 
 from mcvar.linalg import (
     PD_TOL,
@@ -12,7 +13,8 @@ from mcvar.linalg import (
     is_positive_definite,
     symmetrize,
 )
-from oracles import commutation_matrix, exchange_matrix, is_positive_definite_oracle, unvec
+from oracles import (commutation_matrix, exchange_matrix, gaussian_condition_oracle,
+                     is_positive_definite_oracle, unvec)
 
 
 def test_vec_is_column_major():
@@ -103,6 +105,46 @@ def test_gaussian_condition_matches_explicit_inverse():
     ref_cond = s_hh - ref_coeff @ s_ht.T
     assert_allclose(coeff, ref_coeff, atol=1e-12)
     assert_allclose(cond, ref_cond, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_gaussian_condition_matches_the_explicit_inverse_oracle(n, data):
+    # Bunch-Kaufman LDL^T solves up to n = 11 tail indices, and the division a 1 x 1 tail
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n + 2))
+    cov = a @ a.T / n + 0.5 * np.eye(n)
+    order = data.draw(st.permutations(range(n)))
+    n_tail = data.draw(st.integers(1, n - 1))
+    head, tail = list(order[n_tail:]), list(order[:n_tail])
+    coeff, cond = gaussian_condition(cov, head, tail)
+    ref_coeff, ref_cond = gaussian_condition_oracle(cov, head, tail)
+    assert coeff.shape == (n - n_tail, n_tail)
+    assert_allclose(coeff, ref_coeff, rtol=0, atol=1e-12)
+    assert_allclose(cond, ref_cond, rtol=0, atol=1e-12)
+    assert np.array_equal(cond, cond.T)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # symmetrize's inf - inf
+@pytest.mark.parametrize("where", [(1, 2), (2, 2), (0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gaussian_condition_refuses_a_non_finite_conditioning_entry(where, bad):
+    cov = np.eye(3)
+    cov[where] = cov[where[::-1]] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gaussian_condition(cov, [0], [1, 2])
+
+
+def test_gaussian_condition_warns_below_machine_epsilon_reciprocal_condition():
+    cov = np.diag([1.0, 1.0, 1e-17])
+    with pytest.warns(LinAlgWarning, match="rcond"):
+        coeff, _ = gaussian_condition(cov, [0], [1, 2])
+    assert np.array_equal(coeff, [[0.0, 0.0]])
+
+
+def test_gaussian_condition_refuses_a_zero_one_index_tail():
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular conditioning block \(1 indices\)"):
+        gaussian_condition(np.diag([1.0, 0.0]), [0], [1])
 
 
 def test_gaussian_condition_empty_tail():
