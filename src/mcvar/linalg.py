@@ -27,12 +27,15 @@ __all__ = [
 
 
 def symmetrize(a, tol=SYMMETRY_TOL):
-    """Return (a + a.T)/2, rejecting inputs asymmetric beyond ``tol``."""
+    """Return (a + a.T)/2, rejecting inputs asymmetric beyond ``tol`` and inputs with
+    a NaN or infinite entry, whose asymmetry is NaN or infinite."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
     gap = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if gap > tol:
+    if not gap <= tol:
+        if not np.isfinite(a).all():
+            raise ValueError("matrix must not contain infs or NaNs")
         raise ValueError(
             "matrix is asymmetric beyond tolerance (max |a - a.T| = %.3g > %.3g)"
             % (gap, tol)
@@ -127,7 +130,7 @@ def gaussian_condition(cov, head, tail):
     Sigma_{tail}, ``sytrf`` then ``sytrs`` on its upper triangle, as
     ``scipy.linalg.solve(assume_a="sym")`` solves, or from a division when
     the tail is one index; the explicit inverse is never formed.  A NaN or
-    infinite entry of Sigma_{tail} or Sigma_{head,tail} raises ValueError, a
+    infinite entry anywhere in ``cov`` raises ValueError (:func:`symmetrize`), a
     singular Sigma_{tail} raises LinAlgError, and a reciprocal condition
     number below machine epsilon warns ``LinAlgWarning``.
     """
@@ -141,8 +144,6 @@ def gaussian_condition(cov, head, tail):
     h, both = head.size, np.concatenate([head, tail])
     block = cov[np.ix_(both, both)]  # one gather; the three blocks are views of it
     s_hh, s_ht, s_tt = block[:h, :h], block[:h, h:], block[h:, h:]
-    if not (np.isfinite(s_tt).all() and np.isfinite(s_ht).all()):
-        raise ValueError("conditioning blocks must not contain infs or NaNs")
     n = tail.size
     if n == 1:  # scipy's solve divides too, with no factor and no condition estimate
         if s_tt[0, 0] == 0.0:

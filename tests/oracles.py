@@ -461,6 +461,32 @@ def stage2_nelder_mead(z, indices, k):
     return -float(nelder_mead(_value_objective(est.lag_gram(z, k), k, build), starts, 4000).fun)
 
 
+def theta_to_corr(theta, d, k):
+    """The SubprocessCorr of a sub-process's parameter vector: the strict lower
+    triangle of its lag-0 correlation (``np.tril_indices`` order), then its k
+    lag matrices, row-major."""
+    from mcvar.closure import SubprocessCorr
+
+    theta = np.asarray(theta, dtype=float)
+    ii, jj = np.tril_indices(d, -1)
+    lag0 = np.eye(d)
+    lag0[ii, jj] = lag0[jj, ii] = theta[:ii.size]
+    return SubprocessCorr(blocks=(lag0, *theta[ii.size:].reshape(k, d, d)))
+
+
+def unpack_fixed(theta, partition, labels, k):
+    """The CrossFixedBlock of every pair i < j, in lexicographic order, from the
+    fixed blocks' entries in ``theta``, each block row-major at the lag its labels fix."""
+    from mcvar.closure import CrossFixedBlock, fixed_lag_for_labels
+
+    dims = [len(s) for s in partition.sets]
+    pairs = [(i, j) for i in range(partition.n) for j in range(i + 1, partition.n)]
+    cuts = np.cumsum([dims[i] * dims[j] for i, j in pairs])[:-1]
+    return [CrossFixedBlock(pair=(i, j), lag=fixed_lag_for_labels((labels[i], labels[j]), k),
+                            value=np.reshape(t, (dims[i], dims[j])))
+            for (i, j), t in zip(pairs, np.split(np.asarray(theta, dtype=float), cuts))]
+
+
 def affine_time_major(partition, labels, k, subs):
     """(r0, basis) with time-major R(theta) = r0 + sum_m theta_m basis[m] over the
     fixed blocks theta, by n_theta + 1 exact closure builds, differenced.
@@ -476,7 +502,7 @@ def affine_time_major(partition, labels, k, subs):
                   for i, j in est._pair_list(partition.n))
 
     def exact(theta):
-        fixed = est._unpack_fixed(theta, partition, labels, k)
+        fixed = unpack_fixed(theta, partition, labels, k)
         return assemble_full_R(partition, subs, _cross_solutions(subs, labels, fixed))
 
     r0 = exact(np.zeros(n_theta))
@@ -511,8 +537,8 @@ def stage4_nelder_mead(z, partition, labels, subs, fixed_blocks, k):
 
     def build(theta):
         *sub_thetas, cross_theta = np.split(theta, cuts)
-        return exact([est._theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
-                     est._unpack_fixed(cross_theta, partition, labels, k))
+        return exact([theta_to_corr(t, d, k) for t, d in zip(sub_thetas, dims)],
+                     unpack_fixed(cross_theta, partition, labels, k))
 
     gram = est.lag_gram(z, k)
     x0 = np.concatenate([est._corr_to_theta(s) for s in subs] + [est._pack_fixed(fixed_blocks)])

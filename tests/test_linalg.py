@@ -57,6 +57,19 @@ def test_symmetrize_rejects_large_asymmetry():
         symmetrize(a)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where, mirrored", [((0, 1), False), ((0, 1), True), ((1, 1), True)])
+def test_symmetrize_refuses_a_non_finite_entry(where, mirrored, bad):
+    # a NaN or infinite entry makes max |a - a.T| NaN or infinite, and NaN > tol is False
+    a = np.eye(2)
+    a[where] = bad
+    if mirrored:
+        a[where[::-1]] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        symmetrize(a)
+
+
 def test_is_positive_definite_boundary():
     assert is_positive_definite(np.eye(3))
     assert not is_positive_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -133,6 +146,16 @@ def test_gaussian_condition_refuses_a_non_finite_conditioning_entry(where, bad):
     cov[where] = cov[where[::-1]] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         gaussian_condition(cov, [0], [1, 2])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # symmetrize's inf - inf
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gaussian_condition_refuses_a_non_finite_head_entry(where, bad):
+    cov = np.eye(3)
+    cov[where] = cov[where[::-1]] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gaussian_condition(cov, [0, 1], [2])
 
 
 def test_gaussian_condition_warns_below_machine_epsilon_reciprocal_condition():

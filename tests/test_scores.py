@@ -21,6 +21,8 @@ from oracles import (
     stage2_nelder_mead,
     stage3_nelder_mead,
     stage4_nelder_mead,
+    theta_to_corr,
+    unpack_fixed,
 )
 import mcvar.estimation as estimation
 from mcvar.closure import (
@@ -162,7 +164,7 @@ def test_scalar_stage2_score_matches_central_differences(k, T, seed, scale):
     z = rng.standard_normal((1, T))
     gram = lag_gram(z, k)
     rho = np.array(durbin_levinson_scalar(np.tanh(scale * rng.standard_normal(k)), "pacf")[0])
-    r = estimation._theta_to_corr(rho, 1, k).toeplitz()
+    r = theta_to_corr(rho, 1, k).toeplitz()
     nll = estimation._objective(gram, k, estimation._joint_model(Partition(sets=((0,),), d=1),
                                                                  (1,), k))
     value, score = nll(rho)
@@ -274,8 +276,8 @@ def exact_build(model, theta):
     k, part = model.k, model.partition
     cuts = np.cumsum([estimation._sub_theta_len(len(s), k) for s in part.sets])
     *sub_thetas, cross_theta = np.split(theta, cuts)
-    subs = [estimation._theta_to_corr(t, len(s), k) for t, s in zip(sub_thetas, part.sets)]
-    fixed = estimation._unpack_fixed(cross_theta, part, model.labels, k)
+    subs = [theta_to_corr(t, len(s), k) for t, s in zip(sub_thetas, part.sets)]
+    fixed = unpack_fixed(cross_theta, part, model.labels, k)
     return assemble_full_R(part, subs, _cross_solutions(subs, model.labels, fixed))
 
 
@@ -385,7 +387,7 @@ def test_information_matches_the_dense_covariance_of_every_observation(dims, lab
     if part.n > 1:
         cases.append((estimation._joint_model(part, labels, k, held=held), fixed,
                       lambda t: assemble_full_R(part, held, _cross_solutions(
-                          held, labels, estimation._unpack_fixed(t, part, labels, k)))))
+                          held, labels, unpack_fixed(t, part, labels, k)))))
     for joint, at, build in cases:
         nll = estimation._objective(gram, k, joint)
         assert np.isfinite(nll(at)[0])
@@ -394,3 +396,43 @@ def test_information_matches_the_dense_covariance_of_every_observation(dims, lab
         assert_allclose(info, oracle, rtol=1e-6, atol=1e-8 * np.max(np.abs(oracle)))
         assert_allclose(info, info.T, rtol=0, atol=1e-12 * np.max(np.abs(info)))
         assert np.linalg.eigvalsh(info)[0] > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # symmetrize's inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gaussian_var_loglik_refuses_a_non_finite_R(bad):
+    r = np.eye(4)
+    r[0, 3] = r[3, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gaussian_var_loglik(np.zeros((2, 10)), r, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the models' inf * 0
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_objective_scores_a_non_finite_lag_stack_as_infinite(bad):
+    # the kernel refuses a non-finite R with ValueError; the objective of every
+    # dependence stage scores a point whose lag stack is not finite +inf instead,
+    # as it scores a point whose R is not positive definite
+    part, labels, k = Partition(sets=((0, 1), (2,)), d=3), (1, 1), 1
+    subs = [SubprocessCorr(blocks=(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                                   np.array([[0.5, 0.1], [0.0, 0.4]]))),
+            SubprocessCorr(blocks=(np.array([[1.0]]), np.array([[0.5]])))]
+    fixed = [CrossFixedBlock(pair=(0, 1), lag=0, value=[[0.3], [0.2]])]
+    model = construct_model(part, labels, k, (MarginSpec("gaussian", (0.0, 1.0)),) * 3, subs,
+                            fixed)
+    z = np.random.default_rng(0).standard_normal((3, 50))
+    theta = joint_theta(model)
+    n_sub = estimation._sub_theta_len(2, k)
+    cases = [  # stage 4, stage 3 (affine, sub-processes held), stage 2 (the first set)
+        (z, estimation._joint_model(part, labels, k), theta),
+        (z, estimation._joint_model(part, labels, k, held=subs), theta[-2:]),
+        (z[:2], estimation._joint_model(Partition(sets=((0, 1),), d=2), (1,), k), theta[:n_sub]),
+    ]
+    for x, joint, at in cases:
+        nll = estimation._objective(lag_gram(x, k), k, joint)
+        assert np.isfinite(nll(at)[0])
+        for m in range(len(at)):
+            point = at.copy()
+            point[m] = bad
+            value, score = nll(point)
+            assert value == np.inf and not score.any()

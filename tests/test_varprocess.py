@@ -381,3 +381,12 @@ def test_sample_statistics_rejects_degenerate_input():
         sample_statistics(np.ones((1, 100)), 2)
     with pytest.raises(ValueError):
         sample_statistics(np.random.default_rng(0).standard_normal((1, 5)), 5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # symmetrize's inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_var_representation_refuses_a_non_finite_sigma(bad):
+    sigma = np.eye(2)
+    sigma[0, 1] = sigma[1, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        VarRepresentation(phi=(np.zeros((2, 2)),), sigma=sigma)
