@@ -25,7 +25,7 @@ from .linalg import (
     gaussian_condition,
     is_positive_definite,
 )
-from .varprocess import durbin_levinson, whittle_recursion
+from .varprocess import whittle_recursion
 
 # 1-norm condition number (LAPACK's gecon estimate from the LU factors) above
 # which the stacked cross-block system is treated as degenerate rather than
@@ -95,7 +95,12 @@ def _partition(value):
 
 @dataclass(frozen=True)
 class SubprocessCorr:
-    """Correlation blocks Sigma_{ii,0}..Sigma_{ii,k} of one sub-process."""
+    """Correlation blocks Sigma_{ii,0}..Sigma_{ii,k} of one sub-process.
+
+    Blocks of unequal shape, a block with a NaN or infinite entry (named by its
+    lag) and a lag-0 block that is not a symmetric unit-diagonal matrix raise
+    ValueError.
+    """
 
     blocks: tuple
 
@@ -105,9 +110,11 @@ class SubprocessCorr:
         if not blocks:
             raise ValueError("need at least the lag-0 block")
         d = blocks[0].shape[0]
-        for b in blocks:
+        for l, b in enumerate(blocks):
             if b.shape != (d, d):
                 raise ValueError("all lag blocks must be %d x %d" % (d, d))
+            if not np.isfinite(b).all():
+                raise ValueError("lag-%d block must not contain infs or NaNs" % l)
         b0 = blocks[0]
         if np.max(np.abs(b0 - b0.T)) > 1e-8:
             raise ValueError("lag-0 block must be symmetric")
@@ -145,7 +152,10 @@ def fixed_lag_for_labels(labels, k):
 
 @dataclass(frozen=True)
 class CrossFixedBlock:
-    """The one free cross-dependence parameter of a pair (i, j) with i < j."""
+    """The one free cross-dependence parameter of a pair (i, j) with i < j.
+
+    A ``value`` with a NaN or infinite entry raises ValueError naming the pair.
+    """
 
     pair: tuple
     lag: int
@@ -158,7 +168,11 @@ class CrossFixedBlock:
                              % (self.pair,))
         object.__setattr__(self, "pair", (i, j))
         object.__setattr__(self, "lag", _integer(self.lag, "cross_fixed lag"))
-        object.__setattr__(self, "value", np.atleast_2d(np.asarray(self.value, dtype=float)))
+        value = np.atleast_2d(np.asarray(self.value, dtype=float))
+        if not np.isfinite(value).all():
+            raise ValueError("model field 'cross_fixed value' of pair %s must not contain "
+                             "infs or NaNs" % ((i, j),))
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -531,8 +545,8 @@ def verify_closure(r, partition, k, tol=1e-8):
     if not is_positive_definite(r):
         raise np.linalg.LinAlgError("correlation matrix is not positive definite")
     slices = [r[:d, l * d:(l + 1) * d] for l in range(k + 1)]
-    var = durbin_levinson(slices, k)
-    slices.append(sum((var.phi[m] @ slices[k - m] for m in range(k)), np.zeros((d, d))))
+    phi = whittle_recursion(slices, k)["forward"]
+    slices.append(sum((phi[m] @ slices[k - m] for m in range(k)), np.zeros((d, d))))
     big = _lag_toeplitz(slices)
 
     reports = []

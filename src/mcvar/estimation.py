@@ -136,10 +136,7 @@ class Model:
         """Implied VAR(k) coefficients on the latent (correlation) scale, from
         Gamma(0..k), the first block row of :meth:`time_major_R`."""
         r, d = self.time_major_R(), self.partition.d
-        var = durbin_levinson([r[:d, l * d:(l + 1) * d] for l in range(self.k + 1)], self.k)
-        for a in (*var.phi, var.sigma):
-            a.flags.writeable = False
-        return var
+        return durbin_levinson([r[:d, l * d:(l + 1) * d] for l in range(self.k + 1)], self.k)
 
     def to_dict(self):
         return {

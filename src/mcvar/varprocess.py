@@ -7,6 +7,7 @@ variable).
 
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +38,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VarRepresentation:
-    """Coefficient matrices Phi_1..Phi_k and innovation covariance Sigma_eps."""
+    """Coefficient matrices Phi_1..Phi_k and innovation covariance Sigma_eps.
+
+    ``phi`` and ``sigma`` are read-only copies of the inputs, so what
+    :func:`simulate` keeps on the instance cannot go stale.  A ``phi`` block
+    of the wrong shape or with a NaN or infinite entry, and a ``sigma`` that
+    :func:`~mcvar.linalg.symmetrize` refuses, raise ValueError.
+    """
 
     phi: tuple
     sigma: np.ndarray
 
     def __post_init__(self):
         phi = tuple(np.asarray(p, dtype=float) for p in self.phi)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "sigma", symmetrize(self.sigma))
-        d = self.sigma.shape[0]
+        sigma = symmetrize(self.sigma)
+        d = sigma.shape[0]
         for p in phi:
             if p.shape != (d, d):
                 raise ValueError("coefficient block shape %s != (%d, %d)" % (p.shape, d, d))
+        stack = np.array(phi)  # one copy, whose blocks are views
+        if not np.isfinite(stack).all():
+            raise ValueError("phi must not contain infs or NaNs")
+        for a in (stack, sigma):
+            a.flags.writeable = False
+        object.__setattr__(self, "phi", tuple(stack))
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def d(self):
@@ -223,6 +236,48 @@ def _state_responses(var, m):
     return C.astype(float).reshape(m * d, k, d)[:, ::-1].reshape(m * d, k * d)
 
 
+_Plan = namedtuple("_Plan", "L0 Le coef m C")
+
+
+def _simulation_plan(var, T):
+    """The seed-independent part of :func:`simulate` at length T, kept on ``var``.
+
+    Returns (L0, Le, coef, m, C): the Cholesky factor of the stationary
+    covariance of (Z_1, ..., Z_k), block (r, s) Gamma(r - s) from
+    :func:`implied_autocov`; that of Sigma_eps; the stacked coefficients,
+    acting on (Z_{t-k}, ..., Z_{t-1}); the block length m = max(16, k,
+    isqrt(T) // 4) and its :func:`_state_responses`.  A VAR's first call
+    builds them and later calls reuse them, except C, which is kept for the
+    last m only.  A VAR that is not stationary keeps nothing, so every call
+    refuses it; T < k is refused next, as before a plan is built.  A plan is
+    replaced whole, never edited, so a thread reads the arrays of one plan.
+    """
+    k = var.k
+    plan = var.__dict__.get("_simulation_plan")
+    if plan is None:
+        try:  # implied_autocov refuses a VAR that is not stationary
+            gam = implied_autocov(var, max(k - 1, 0))
+        except ValueError:
+            raise ValueError("simulate requires a stationary VAR") from None
+    if T < k:
+        raise ValueError("T=%d shorter than order k=%d" % (T, k))
+    if plan is None:
+        # block (r, s) is Gamma(r - s), the lag-(s - r) block of the transposes
+        init_cov = _lag_toeplitz([g.T for g in gam])
+        L0 = np.linalg.cholesky(symmetrize(init_cov, tol=1e-8))
+        Le = np.linalg.cholesky(var.sigma)
+        coef = np.vstack([p.T for p in var.phi[::-1]])
+        for a in (L0, Le, coef):
+            a.flags.writeable = False
+        plan = var.__dict__["_simulation_plan"] = _Plan(L0, Le, coef, None, None)
+    m = max(16, k, math.isqrt(T) // 4)
+    if plan.m != m:
+        C = _state_responses(var, m)
+        C.flags.writeable = False
+        plan = var.__dict__["_simulation_plan"] = plan._replace(m=m, C=C)
+    return plan
+
+
 def simulate(var, T, seed):
     """Simulate T observations of a stationary VAR, exact stationary start.
 
@@ -237,35 +292,25 @@ def simulate(var, T, seed):
     place.  A loop over the blocks then carries the window of k rows with
     the last k row blocks of :func:`_state_responses`, and chunks of m
     blocks add each block's carry-in, C applied to the window before it.
+    The factors, coefficients and C come from :func:`_simulation_plan`, built
+    on a VAR's first call and kept on it, so they cost nothing on later calls.
     Output is d x T, a transposed view of the buffer.
     """
     d, k = var.d, var.k
-    try:  # implied_autocov refuses a VAR that is not stationary
-        gam = implied_autocov(var, max(k - 1, 0))
-    except ValueError:
-        raise ValueError("simulate requires a stationary VAR") from None
-    if T < k:
-        raise ValueError("T=%d shorter than order k=%d" % (T, k))
-    # block (r, s) is Gamma(r - s), the lag-(s - r) block of the transposes
-    init_cov = _lag_toeplitz([g.T for g in gam])
-    L0 = np.linalg.cholesky(symmetrize(init_cov, tol=1e-8))
-    Le = np.linalg.cholesky(var.sigma)
+    L0, Le, coef, m, C = _simulation_plan(var, T)
 
     eps = seeded_normals(seed, (d, T))
-    m = max(16, k, math.isqrt(T) // 4)
     n_blocks = -(-(T - k) // m)
     z = np.empty((k + n_blocks * m, d))
     z[:k] = (L0 @ eps[:, :k].reshape(-1, order="F")).reshape(k, d)
     z[k:T] = (Le @ eps[:, k:]).T
     z[T:] = 0.0
     blocks = z[k:].reshape(n_blocks, m * d)
-    coef = np.vstack([p.T for p in var.phi[::-1]])  # acts on Z_{t-k}, ..., Z_{t-1}
     tmp = np.empty((n_blocks, d))
     for i in range(1, m):
         j = min(i, k)
         step = blocks[:, i * d:(i + 1) * d]
         np.add(step, np.matmul(blocks[:, (i - j) * d:i * d], coef[-j * d:], out=tmp), out=step)
-    C = _state_responses(var, m)
     carry = C[-k * d:]  # a block's last k steps: the next block's window
     # row b: the k rows before block b, block b-1's zero-state last k steps
     # plus the carry of the window before it

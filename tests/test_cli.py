@@ -802,6 +802,34 @@ def test_a_config_field_that_model_config_refuses_is_named_before_any_fit(tmp_pa
     assert calls == []
 
 
+@pytest.mark.parametrize("error, prefix", [
+    (np.linalg.LinAlgError("order-1 window covariance is not positive definite"),
+     "error: numerical failure: "),
+    (closure.DegenerateCrossPair((0, 1), "singular system"), "error: "),
+])
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_a_numerical_failure_in_a_fit_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                 command, error, prefix):
+    # compare's first fit runs and its second raises: a finished fit is not written alone
+    fits = [cli.fit_model] * (command == "compare")
+
+    def fit_model(*args, **kwargs):
+        if fits:
+            return fits.pop()(*args, **kwargs)
+        raise error
+
+    monkeypatch.setattr(cli, "fit_model", fit_model)
+    cfg = write_json(tmp_path / "fit.json", _fit_config())
+    configs = ["--config", cfg] * (2 if command == "compare" else 1)
+    out = tmp_path / "out.json"
+    assert main([command, *configs, "--data", _small_csv(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert prefix + str(error) in err
+    assert "Traceback" not in err
+    assert fits == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "compare"])
 def test_an_order_option_below_1_is_named_as_the_option_exit_1(tmp_path, capsys, command):
     cfg = write_json(tmp_path / "fit.json", _fit_config())

@@ -88,6 +88,24 @@ def test_subprocess_corr_validation():
         SubprocessCorr(blocks=(np.eye(2), np.zeros((3, 3))))  # shape mismatch
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("lag", [0, 1])
+def test_subprocess_corr_refuses_a_non_finite_block_naming_its_lag(lag, bad):
+    # every comparison with NaN is False, so the symmetry and unit-diagonal
+    # tests alone pass a lag-0 [[nan]]
+    values = [1.0, 0.5]
+    values[lag] = bad
+    with pytest.raises(ValueError, match="lag-%d block must not contain infs or NaNs" % lag):
+        scalar_sub(values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cross_fixed_block_refuses_a_non_finite_value_naming_the_pair(bad):
+    with pytest.raises(ValueError, match=r"'cross_fixed value' of pair \(0, 1\) must not "
+                                         "contain infs or NaNs"):
+        CrossFixedBlock(pair=(0, 1), lag=0, value=[[bad]])
+
+
 def test_subprocess_corr_toeplitz_and_pd():
     sub = scalar_sub([1.0, -0.8, 0.6])
     t = sub.toeplitz()

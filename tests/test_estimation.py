@@ -1,5 +1,6 @@
 """Tests for likelihoods, model construction, the multi-stage fit, and scoring."""
 
+import collections
 import os
 
 import numpy as np
@@ -31,6 +32,7 @@ from mcvar.closure import (
 import mcvar.closure as closure
 import mcvar.estimation as estimation
 import mcvar.optim as optim
+import mcvar.varprocess as varprocess
 from mcvar.estimation import (
     Model,
     ModelConfig,
@@ -1447,3 +1449,25 @@ def test_a_fit_returns_the_model_its_last_run_scored(truth, T, stage4, seed):
     again = fit_model(x, config, stage4=stage4)
     assert (again.loglik, again.stage_logliks) == (fit.loglik, fit.stage_logliks)
     assert np.array_equal(again.model.time_major_R(), r)
+
+
+def test_simulate_model_builds_its_simulation_plan_once_per_model(monkeypatch):
+    # what does not depend on the seed (the stationary start, the state responses)
+    # is built on the first draw and kept on the model's VAR
+    model = two_sub_model(GAUSS_MARGINS)
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(varprocess, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("implied_autocov", "_state_responses"):
+        monkeypatch.setattr(varprocess, name, counted(name))
+    draws = [simulate_model(model, 500, seed) for seed in range(5)]
+    assert calls == {"implied_autocov": 1, "_state_responses": 1}
+    for seed, x in enumerate(draws):
+        assert np.array_equal(x, simulate_model(two_sub_model(GAUSS_MARGINS), 500, seed))

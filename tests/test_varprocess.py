@@ -341,11 +341,39 @@ def test_simulate_near_the_unit_circle_matches_a_long_double_recursion(d, k, see
 
 def test_simulate_rejects_bad_inputs():
     var = VarRepresentation(phi=(np.array([[1.01]]),), sigma=np.eye(1))
-    with pytest.raises(ValueError):
-        simulate(var, 50, seed=0)
+    for T in (50, 50, 0):  # a failed plan is not kept: refused on every call, before T < k
+        with pytest.raises(ValueError, match="simulate requires a stationary VAR"):
+            simulate(var, T, seed=0)
     ok = VarRepresentation(phi=(np.array([[0.5]]), np.array([[0.1]])), sigma=np.eye(1))
-    with pytest.raises(ValueError):
-        simulate(ok, 1, seed=0)
+    for _ in range(2):  # refused before a plan is kept, and again after
+        with pytest.raises(ValueError, match="T=1 shorter than order k=2"):
+            simulate(ok, 1, seed=0)
+        simulate(ok, 50, seed=0)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_kept_simulation_plan_draws_the_bits_of_a_fresh_var(d, k, seed):
+    var = random_stationary_var(np.random.default_rng(seed), d, k)
+    # blocks of m = 16 steps at T = k, k + 1 and 300 and of m = 35 at T = 20,000:
+    # the plan is built, reused, rebuilt at another m and rebuilt back
+    for i, T in enumerate((k, k + 1, 300, 20_000, 300)):
+        fresh = VarRepresentation(phi=tuple(p.copy() for p in var.phi), sigma=var.sigma.copy())
+        assert np.array_equal(simulate(var, T, seed + i), simulate(fresh, T, seed + i))
+
+
+def test_var_representation_keeps_read_only_copies_of_its_arrays():
+    phi, sigma = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0, 0.2], [0.2, 1.0]])
+    var = VarRepresentation(phi=(phi,), sigma=sigma)
+    for kept, given_ in ((var.phi[0], phi), (var.sigma, sigma)):
+        assert not kept.flags.writeable
+        assert not np.shares_memory(kept, given_)
+    with pytest.raises(ValueError, match="read-only"):
+        var.phi[0][0, 0] = 0.9
+    # the caller's arrays stay theirs: editing them changes no later draw
+    expected = simulate(VarRepresentation(phi=(phi.copy(),), sigma=sigma.copy()), 100, seed=1)
+    phi[0, 0], sigma[0, 0] = 0.9, 4.0
+    assert np.array_equal(simulate(var, 100, seed=1), expected)
 
 
 def test_residuals_match_definition():
@@ -390,3 +418,12 @@ def test_var_representation_refuses_a_non_finite_sigma(bad):
     sigma[0, 1] = sigma[1, 0] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         VarRepresentation(phi=(np.zeros((2, 2)),), sigma=sigma)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_var_representation_refuses_a_non_finite_phi(bad):
+    # refused where it is made, not later by simulate as a VAR that is not stationary
+    phi2 = np.zeros((2, 2))
+    phi2[1, 0] = bad
+    with pytest.raises(ValueError, match="phi must not contain infs or NaNs"):
+        VarRepresentation(phi=(0.5 * np.eye(2), phi2), sigma=np.eye(2))
