@@ -249,8 +249,8 @@ def _simulation_plan(var, T):
     isqrt(T) // 4) and its :func:`_state_responses`.  A VAR's first call
     builds them and later calls reuse them, except C, which is kept for the
     last m only.  A VAR that is not stationary keeps nothing, so every call
-    refuses it; T < k is refused next, as before a plan is built.  A plan is
-    replaced whole, never edited, so a thread reads the arrays of one plan.
+    refuses it; T < k is refused next.  A plan is replaced whole, never
+    edited, so a thread reads the arrays of one plan.
     """
     k = var.k
     plan = var.__dict__.get("_simulation_plan")
@@ -259,9 +259,6 @@ def _simulation_plan(var, T):
             gam = implied_autocov(var, max(k - 1, 0))
         except ValueError:
             raise ValueError("simulate requires a stationary VAR") from None
-    if T < k:
-        raise ValueError("T=%d shorter than order k=%d" % (T, k))
-    if plan is None:
         # block (r, s) is Gamma(r - s), the lag-(s - r) block of the transposes
         init_cov = _lag_toeplitz([g.T for g in gam])
         L0 = np.linalg.cholesky(symmetrize(init_cov, tol=1e-8))
@@ -270,6 +267,8 @@ def _simulation_plan(var, T):
         for a in (L0, Le, coef):
             a.flags.writeable = False
         plan = var.__dict__["_simulation_plan"] = _Plan(L0, Le, coef, None, None)
+    if T < k:
+        raise ValueError("T=%d shorter than order k=%d" % (T, k))
     m = max(16, k, math.isqrt(T) // 4)
     if plan.m != m:
         C = _state_responses(var, m)

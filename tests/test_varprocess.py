@@ -345,7 +345,7 @@ def test_simulate_rejects_bad_inputs():
         with pytest.raises(ValueError, match="simulate requires a stationary VAR"):
             simulate(var, T, seed=0)
     ok = VarRepresentation(phi=(np.array([[0.5]]), np.array([[0.1]])), sigma=np.eye(1))
-    for _ in range(2):  # refused before a plan is kept, and again after
+    for _ in range(2):  # refused on a fresh VAR, and again once its plan is kept
         with pytest.raises(ValueError, match="T=1 shorter than order k=2"):
             simulate(ok, 1, seed=0)
         simulate(ok, 50, seed=0)
