@@ -22,9 +22,9 @@ from mcvar import (
     construct_model,
     count_params,
     fit_model,
+    latent_residuals,
     latent_scores,
     portmanteau,
-    residuals,
     simulate_model,
     verify_closure,
 )
@@ -82,7 +82,8 @@ def main():
     print("  cross corr lag 0:  true %+.3f  est %+.3f" % (TRUE_CROSS, est_cross))
     print()
 
-    resid = residuals(latent_scores(data, fit.model.margins), fit.model.var())
+    resid = latent_residuals(latent_scores(data, fit.model.margins), fit.model.time_major_R(),
+                             K)[:, K:]
     pm = portmanteau(resid, 12, K)
     print("residual portmanteau to lag 12: statistic %.1f, df %d, p = %.3f"
           % (pm.statistic, pm.df, pm.pvalue))

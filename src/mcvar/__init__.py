@@ -30,6 +30,7 @@ from .estimation import (
     fit_stage3,
     fit_stage4,
     gaussian_var_loglik,
+    latent_residuals,
     latent_scores,
     loglik_full,
     portmanteau,
@@ -51,7 +52,6 @@ from .varprocess import (
     durbin_levinson,
     implied_autocov,
     is_stationary,
-    residuals,
     sample_statistics,
     simulate,
 )
@@ -80,6 +80,7 @@ __all__ = [
     "fit_stage3",
     "fit_stage4",
     "gaussian_var_loglik",
+    "latent_residuals",
     "latent_scores",
     "loglik_full",
     "portmanteau",
@@ -98,7 +99,6 @@ __all__ = [
     "durbin_levinson",
     "implied_autocov",
     "is_stationary",
-    "residuals",
     "sample_statistics",
     "simulate",
 ]

@@ -35,6 +35,7 @@ from .estimation import (
     ModelConfig,
     construct_model,
     fit_model,
+    latent_residuals,
     latent_scores,
     portmanteau,
     simulate_model,
@@ -44,7 +45,6 @@ from .margins import FAMILY_PARAMS, MarginSpec
 from .varprocess import (
     VarRepresentation,
     implied_autocov,
-    residuals,
     simulate,
 )
 
@@ -491,7 +491,8 @@ def cmd_fit(args):
     fm = fit_model(ds.values, config, stage4=stage4)
     _print_fit(fm, ds.names)
 
-    e = residuals(latent_scores(ds.values, fm.model.margins), fm.model.var())
+    e = latent_residuals(latent_scores(ds.values, fm.model.margins), fm.model.time_major_R(),
+                         config.k)[:, config.k:]
     max_lag = min(10, e.shape[1] - 1)
     if max_lag > config.k:
         pm = portmanteau(e, max_lag, config.k)

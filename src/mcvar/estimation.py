@@ -53,6 +53,7 @@ __all__ = [
     "LagGram",
     "lag_gram",
     "gaussian_var_loglik",
+    "latent_residuals",
     "latent_scores",
     "loglik_full",
     "fit_stage2",
@@ -298,7 +299,8 @@ def gaussian_var_loglik(z, r, k):
         Latent observations, one column per time point in increasing time,
         or their :func:`lag_gram` for the same k.
     r : ndarray, shape ((k+1)d, (k+1)d)
-        Time-major correlation matrix of (Z_t, Z_{t-1}, ..., Z_{t-k}).
+        Time-major correlation matrix of (Z_t, Z_{t-1}, ..., Z_{t-k}); another
+        shape raises ValueError.
     k : int
         Autoregressive order.
 
@@ -309,7 +311,26 @@ def gaussian_var_loglik(z, r, k):
     g = z if isinstance(z, LagGram) else lag_gram(z, k)
     if g.k != k:
         raise ValueError("lag Gram matrix is for order %d, not %d" % (g.k, k))
+    _check_r(r, g.gram.shape[0] // (k + 1), k)
     return _kernel(g, r, k)[0]
+
+
+def latent_residuals(z, r, k):
+    """Whitened one-step residuals of a (d, T) latent series, iid N(0, I) under R: column
+    t >= k is the last d rows of the L^-1 of :func:`_kernel` times (Z_{t-k}, ..., Z_t), and
+    the first k its leading block times (Z_0, ..., Z_{k-1})."""
+    z = np.asarray(z, dtype=float)
+    _check_r(r, z.shape[0], k)
+    g = lag_gram(z, k)
+    inv, d, m = _kernel(g, r, k)[1], z.shape[0], g.head.size
+    return np.hstack([(inv[:m, :m] @ g.head).reshape(-1, d).T,
+                      sum(inv[-d:, j * d:(j + 1) * d] @ z[:, j:j + g.n] for j in range(k + 1))])
+
+
+def _check_r(r, d, k):
+    """Refuse an R that is not (k+1)d square; a fit's own R needs no check."""
+    if np.shape(r) != ((k + 1) * d,) * 2:
+        raise ValueError("R has shape %s, expected (k+1)d = %d square" % (np.shape(r), (k + 1) * d))
 
 
 def _gaussian_var_score(g, r, k):
@@ -758,23 +779,25 @@ class PortmanteauResult:
 def portmanteau(residuals, max_lag, fitted_lag_count):
     """Multivariate portmanteau test on residual autocorrelation.
 
-    Q = T^2 sum_{l=1..m} (T-l)^{-1} tr(C_l' C_0^{-1} C_l C_0^{-1}) referred
-    to chi-square with d^2 (m - fitted_lag_count) degrees of freedom.
+    Q = T^2 sum_{l=1..m} (T-l)^{-1} tr(C_l' C_0^{-1} C_l C_0^{-1}), each trace summed as
+    ||L^-1 C_l L^-T||_F^2 for C_0 = L L^T, referred to chi-square with d^2 (m -
+    fitted_lag_count) degrees of freedom.  A ``max_lag`` below 1, a ``fitted_lag_count``
+    below 0, and a bool or non-integer lag raise ValueError naming the argument.
     """
     e = np.asarray(residuals, dtype=float)
     d, T = e.shape
+    max_lag = _integer(max_lag, "max_lag", least=1)
+    fitted_lag_count = _integer(fitted_lag_count, "fitted_lag_count", least=0)
     if max_lag <= fitted_lag_count:
         raise ValueError("max_lag must exceed the number of fitted lags")
     if max_lag >= T:
         raise ValueError("max_lag must be below the series length")
     e = e - e.mean(axis=1, keepdims=True)
-    c0 = e @ e.T / T
+    e = sla.solve_triangular(np.linalg.cholesky(e @ e.T / T), e, lower=True)
     q = 0.0
     for l in range(1, max_lag + 1):
         cl = e[:, l:] @ e[:, :T - l].T / T
-        a = sla.solve(c0, cl, assume_a="pos")
-        b = sla.solve(c0, cl.T, assume_a="pos")
-        q += float(np.sum(a * b.T)) / (T - l)
+        q += float(np.sum(cl * cl)) / (T - l)
     q *= T * T
     df = d * d * (max_lag - fitted_lag_count)
     return PortmanteauResult(statistic=q, df=df, pvalue=float(chdtrc(df, q)))

@@ -29,7 +29,6 @@ __all__ = [
     "implied_autocov",
     "is_stationary",
     "simulate",
-    "residuals",
     "SampleStats",
     "sample_statistics",
     "seeded_normals",
@@ -322,17 +321,6 @@ def simulate(var, T, seed):
     for lo in range(0, n_blocks, m):
         blocks[lo:lo + m] += windows[lo:lo + m] @ C.T
     return z[:T].T
-
-
-def residuals(z, var):
-    """One-step VAR residuals z_t - sum_m Phi_m z_{t-m} for t = k+1..T (d x (T-k))."""
-    d, k = var.d, var.k
-    z = np.asarray(z, dtype=float)
-    T = z.shape[1]
-    out = z[:, k:].copy()
-    for m in range(k):
-        out -= var.phi[m] @ z[:, k - 1 - m:T - 1 - m]
-    return out
 
 
 @dataclass(frozen=True)

@@ -655,6 +655,13 @@ def simulate_oracle(var, T, seed, dtype=float):
     return z
 
 
+def var_residuals_oracle(z, var):
+    """One-step VAR residuals Z_t - sum_m Phi_m Z_{t-m}, t = k..T-1, one column at a time."""
+    k = var.k
+    return np.column_stack([z[:, t] - sum(var.phi[m] @ z[:, t - 1 - m] for m in range(k))
+                            for t in range(k, z.shape[1])])
+
+
 def simulate_model_oracle(model, T, seed):
     """``estimation.simulate_model`` as one ``from_normal`` call per variable on its
     whole row of the latent path of ``varprocess.simulate``, stacked by ``np.vstack``."""

@@ -221,7 +221,8 @@ def test_construct_verify_simulate_fit_compare(tmp_path, capsys):
     assert main(["fit", "--config", fit_cfg, "--data", sim_path,
                  "--out", fitted_path]) == 0
     out = capsys.readouterr().out
-    assert "portmanteau" in out
+    # whitened one-step residuals for t >= k: the digits of the raw-residual test
+    assert "portmanteau (m=10): Q 54.051  df 32  p 0.0087\n" in out
     fitted = json.loads((tmp_path / "fitted.json").read_text())
     assert fitted["format"] == "mcvar-model/1"
     assert fitted["fit"]["n_params"] == 9

@@ -12,11 +12,13 @@ from oracles import (
     affine_time_major,
     block_toeplitz_oracle,
     copula_loglik_oracle,
+    dense_covariance,
     moment_corr,
     random_subprocess_corr,
     simulate_model_oracle,
     theta_to_corr,
     unpack_fixed,
+    var_residuals_oracle,
 )
 from mcvar.closure import (
     CrossFixedBlock,
@@ -45,6 +47,7 @@ from mcvar.estimation import (
     fit_stage4,
     gaussian_var_loglik,
     lag_gram,
+    latent_residuals,
     loglik_full,
     portmanteau,
     simulate_model,
@@ -196,6 +199,80 @@ def test_gaussian_var_loglik_property_matches_oracle(d, k, extra, seed):
             gaussian_var_loglik(arg, skew, k)
         with pytest.raises(np.linalg.LinAlgError):
             gaussian_var_loglik(arg, not_pd, k)
+
+
+def test_gaussian_var_loglik_and_latent_residuals_refuse_an_r_of_the_wrong_shape():
+    z = seeded_normals(2, (2, 30))
+    for call in (gaussian_var_loglik, latent_residuals):
+        with pytest.raises(ValueError, match=r"R has shape \(9, 9\), expected \(k\+1\)d = 6"):
+            call(z, np.eye(9), 2)
+    with pytest.raises(ValueError, match=r"R has shape \(6,\), expected \(k\+1\)d = 6"):
+        gaussian_var_loglik(lag_gram(z, 2), np.ones(6), 2)
+
+
+def _var_of(r, d, k):
+    """The VAR of a time-major R, read as :meth:`Model.var` reads it."""
+    return durbin_levinson([r[:d, l * d:(l + 1) * d] for l in range(k + 1)], k)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(1, 3),
+    T=st.integers(0, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=4, k=3, T=5000, seed=1)  # block length isqrt(5000) // 4 = 17 steps, past 16
+def test_latent_residuals_invert_simulate(d, k, T, seed):
+    # the kernel's factor whitens a simulated path back to the very normals drawn
+    T = max(T, k)
+    r = random_subprocess_corr(np.random.default_rng(seed), d, k).toeplitz()
+    z = simulate(_var_of(r, d, k), T, seed)
+    assert_allclose(latent_residuals(z, r, k), seeded_normals(seed, (d, T)), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("d,k", [(1, 1), (2, 2), (3, 3)])
+def test_latent_residuals_match_the_dense_cholesky(d, k, T):
+    # one Cholesky of the whole sample's covariance, its factor solved against
+    # the stacked observations (Z_0, ..., Z_{T-1}), the first k columns included
+    rng = np.random.default_rng(10 * d + k)
+    r = random_subprocess_corr(rng, d, k).toeplitz()
+    z = rng.standard_normal((d, T))
+    dense = np.linalg.cholesky(dense_covariance(r, d, k, T))
+    ref = np.linalg.solve(dense, z.T.ravel()).reshape(T, d).T
+    assert_allclose(latent_residuals(z, r, k), ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 40])
+def test_gaussian_var_loglik_is_the_density_of_the_latent_residuals(T):
+    # -1/2 (dT log 2 pi + ||e||^2) less the log-determinants: the head block's,
+    # and that of the one-step error covariance once per later observation
+    d, k = 2, 3
+    rng = np.random.default_rng(T)
+    r = random_subprocess_corr(rng, d, k).toeplitz()
+    z = rng.standard_normal((d, T))
+    e = latent_residuals(z, r, k)
+    head = min(k, T) * d
+    logdet_err = np.linalg.slogdet(r)[1] - np.linalg.slogdet(r[:k * d, :k * d])[1]
+    ref = -0.5 * (d * T * np.log(2.0 * np.pi) + float(np.sum(e * e))
+                  + np.linalg.slogdet(r[:head, :head])[1] + max(T - k, 0) * logdet_err)
+    assert_allclose(gaussian_var_loglik(z, r, k), ref, rtol=0, atol=1e-10)
+
+
+def test_latent_residuals_whiten_the_var_residuals():
+    # for t >= k they are L_e^-1 times the raw one-step residuals, L_e the
+    # Cholesky factor of Sigma_eps; on a long path they have covariance I
+    r = random_subprocess_corr(np.random.default_rng(19), 2, 2).toeplitz()
+    var = _var_of(r, 2, 2)
+    z = simulate(var, 50, seed=3)
+    raw = var_residuals_oracle(z, var)
+    assert raw.shape == (2, 48)
+    e = latent_residuals(z, r, 2)
+    assert_allclose(e[:, 2:], np.linalg.solve(np.linalg.cholesky(var.sigma), raw),
+                    rtol=0, atol=1e-12)
+    el = latent_residuals(simulate(var, 100_000, seed=4), r, 2)
+    assert_allclose(el @ el.T / el.shape[1], np.eye(2), atol=0.05)
 
 
 def test_loglik_full_matches_oracle_skewt():
@@ -1335,6 +1412,16 @@ def test_portmanteau_rejects_bad_lags():
         portmanteau(e, 2, 2)
     with pytest.raises(ValueError):
         portmanteau(e, 100, 0)
+    # a negative count of fitted lags, or a lag that is a bool or not an integer
+    with pytest.raises(ValueError, match="'fitted_lag_count' must be at least 0, got -1"):
+        portmanteau(e, 10, -1)
+    with pytest.raises(ValueError, match="'max_lag' must be at least 1, got 0"):
+        portmanteau(e, 0, 0)
+    for max_lag, fitted, name in ((True, 0, "max_lag"), (2.0, 0, "max_lag"),
+                                  (5, 1.5, "fitted_lag_count"), (5, False, "fitted_lag_count")):
+        with pytest.raises(ValueError, match="'%s' must be an integer" % name):
+            portmanteau(e, max_lag, fitted)
+    assert portmanteau(e, np.int64(5), np.int64(1)).df == 16
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

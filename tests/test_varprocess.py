@@ -24,7 +24,6 @@ from mcvar.varprocess import (
     durbin_levinson,
     implied_autocov,
     is_stationary,
-    residuals,
     sample_statistics,
     seeded_normals,
     simulate,
@@ -374,21 +373,6 @@ def test_var_representation_keeps_read_only_copies_of_its_arrays():
     expected = simulate(VarRepresentation(phi=(phi.copy(),), sigma=sigma.copy()), 100, seed=1)
     phi[0, 0], sigma[0, 0] = 0.9, 4.0
     assert np.array_equal(simulate(var, 100, seed=1), expected)
-
-
-def test_residuals_match_definition():
-    rng = np.random.default_rng(19)
-    var = random_stationary_var(rng, 2, 2)
-    z = simulate(var, 50, seed=3)
-    res = residuals(z, var)
-    assert res.shape == (2, 48)
-    for t in range(2, 50):
-        manual = z[:, t] - var.phi[0] @ z[:, t - 1] - var.phi[1] @ z[:, t - 2]
-        assert_allclose(res[:, t - 2], manual, atol=1e-12)
-    # innovation covariance recovered on a long sample
-    zl = simulate(var, 100_000, seed=4)
-    rl = residuals(zl, var)
-    assert_allclose(rl @ rl.T / rl.shape[1], var.sigma, atol=0.05)
 
 
 def test_sample_statistics_on_known_process():
